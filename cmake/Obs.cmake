@@ -1,28 +1,13 @@
-# Configure-time switches and build provenance for src/obs (telemetry).
+# Build provenance for src/obs (telemetry).
 #
-# Every smn target compiles against the interface library smn::obs_flags so
-# the whole build agrees on ONE telemetry configuration — mixing units with
-# and without SMN_DISABLE_OBS would change which tallies a header-inlined
-# hot loop performs depending on who compiled it (an ODR hazard, like
-# mixing SIMD backends).
-#
-#  * -DSMN_DISABLE_OBS=ON — compile every SMN_TALLY / SMN_OBS_* increment
-#    out of the hot paths. The obs classes (Registry, StepTrace, …) stay
-#    available so instrumented programs still build; they just count
-#    nothing. CI builds this leg to prove the compile-out path stays green.
-#  * Provenance macros — git sha, build type and the Simd.cmake backend
-#    name are baked in as string defines so smn_lab can emit a run
-#    provenance record (obs/provenance.hpp). Include after Simd.cmake:
-#    SMN_SIMD_BACKEND must already be set.
-
-option(SMN_DISABLE_OBS "Compile out the telemetry counters and tallies" OFF)
+# Every smn target compiles against the interface library smn::obs_flags,
+# which carries the git sha, build type and the Simd.cmake backend name
+# as string defines so smn_lab can emit a run provenance record
+# (obs/provenance.hpp). Include after Simd.cmake: SMN_SIMD_BACKEND must
+# already be set.
 
 add_library(smn_obs_flags INTERFACE)
 add_library(smn::obs_flags ALIAS smn_obs_flags)
-
-if(SMN_DISABLE_OBS)
-  target_compile_definitions(smn_obs_flags INTERFACE SMN_DISABLE_OBS=1)
-endif()
 
 execute_process(
   COMMAND git rev-parse --short=12 HEAD
@@ -45,8 +30,4 @@ target_compile_definitions(smn_obs_flags INTERFACE
   SMN_BUILD_TYPE="${smn_build_type}"
   SMN_SIMD_BACKEND_NAME="${SMN_SIMD_BACKEND}")
 
-if(SMN_DISABLE_OBS)
-  message(STATUS "smn: telemetry compiled out (SMN_DISABLE_OBS); git ${SMN_GIT_SHA}")
-else()
-  message(STATUS "smn: telemetry enabled; git ${SMN_GIT_SHA}")
-endif()
+message(STATUS "smn: git ${SMN_GIT_SHA}")

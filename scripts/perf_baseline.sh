@@ -64,48 +64,3 @@ for _ in 1 2 3 4 5 6 7; do
 done
 python3 "$(dirname "$0")/perf_gate.py" check-overhead \
     "${plain_jsonl}" "${journaled_jsonl}" --merge-into "${out_json}"
-
-# Distributed-fabric overhead guard (docs/robustness.md): the overhead
-# point run through the in-process pool (--threads=4) and through the
-# fabric (--workers=4) at equal parallelism, best-of-5 sweep walls.
-# 384 reps (~4s serial) amortize the fabric's fixed costs — four process
-# spawns plus the handshake — far below the 5% budget, so the gate
-# measures the steady-state per-unit lease/result round trip rather than
-# startup noise (PERF_DIST_BUDGET_PCT overrides on noisy runners).
-pool_jsonl="${out_dir}/dist_pool.jsonl"
-dist_jsonl="${out_dir}/dist_fabric.jsonl"
-: > "${pool_jsonl}"
-: > "${dist_jsonl}"
-for _ in 1 2 3 4 5; do
-    "${build_dir}/smn_lab" --scenario=step_throughput --sweep="${overhead_sweep}" \
-        --reps=384 --threads=4 --timings --out="${jsonl}.part"
-    cat "${jsonl}.part" >> "${pool_jsonl}"
-    "${build_dir}/smn_lab" --scenario=step_throughput --sweep="${overhead_sweep}" \
-        --reps=384 --workers=4 --timings --out="${jsonl}.part"
-    cat "${jsonl}.part" >> "${dist_jsonl}"
-    rm -f "${jsonl}.part"
-done
-python3 "$(dirname "$0")/perf_gate.py" check-dist \
-    "${pool_jsonl}" "${dist_jsonl}" --merge-into "${out_json}"
-
-# Checkpoint cost: best-of-N save/restore at the gate's engine scale,
-# recorded (not gated — a checkpoint is a rare, explicit operation; the
-# number is tracked so a format change that makes it expensive is
-# visible in the BENCH record diff).
-if [ -x "${build_dir}/bench_snapshot" ]; then
-    "${build_dir}/bench_snapshot" | tee "${out_dir}/bench_snapshot.txt"
-    snapshot_json="$(grep '^SNAPSHOT_JSON ' "${out_dir}/bench_snapshot.txt" | cut -d' ' -f2-)"
-    python3 - "$out_json" "$snapshot_json" <<'EOF'
-import json, sys
-path, snapshot = sys.argv[1], json.loads(sys.argv[2])
-with open(path) as fh:
-    bench = json.load(fh)
-bench["snapshot_cost"] = snapshot
-with open(path, "w") as fh:
-    json.dump(bench, fh, indent=2)
-    fh.write("\n")
-print(f"[perf-gate] merged snapshot_cost into {path}")
-EOF
-else
-    echo "[perf-gate] bench_snapshot not built — skipping snapshot_cost record"
-fi

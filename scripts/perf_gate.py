@@ -7,8 +7,6 @@ Usage:
                [--min-ratio 0.7]
   perf_gate.py check-overhead <plain.jsonl> <journaled.jsonl>
                [--budget-pct 2.0] [--merge-into BENCH_PR9.json]
-  perf_gate.py check-dist <pool.jsonl> <dist.jsonl>
-               [--budget-pct 5.0] [--merge-into BENCH_PR9.json]
 
 The fresh JSONL must have been produced with --timings. Each parameter
 point becomes one entry keyed by its canonical parameter string. With
@@ -24,14 +22,6 @@ of sweep wall-clock on any point. Both files should hold several repeats
 of each point; the minimum wall per point is compared, which filters
 scheduler noise the way best-of-N benchmarking does (override the budget
 with --budget-pct or PERF_OVERHEAD_BUDGET_PCT).
-
-check-dist compares the in-process ReplicationPool (--threads=W) against
-the distributed fabric (--workers=W) on the same sweep at equal
-parallelism, failing if the coordinator (process spawn, handshake,
-per-unit lease/result round trips) costs more than budget-pct of sweep
-wall on any point (override with --budget-pct or PERF_DIST_BUDGET_PCT).
-It also reports the fabric's parallel speedup (summed per-replication
-wall / sweep wall of the distributed run).
 """
 import argparse
 import json
@@ -85,87 +75,6 @@ def min_walls(jsonl_path):
     if not walls:
         sys.exit("perf_gate: no records in " + jsonl_path)
     return walls
-
-
-def sweep_stats(jsonl_path):
-    """Per parameter key: (min sweep wall, that record's summed
-    per-replication wall) across repeated records. The pair from the same
-    record keeps the speedup ratio self-consistent."""
-    stats = {}
-    with open(jsonl_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "record" in rec:
-                continue
-            timing = rec.get("timing")
-            if timing is None:
-                sys.exit("perf_gate: record without timing — rerun smn_lab with --timings")
-            sweep_wall = timing.get("sweep_wall_s", timing["wall_s"])
-            key = canonical_key(rec["params"])
-            if key not in stats or sweep_wall < stats[key][0]:
-                stats[key] = (sweep_wall, timing["wall_s"])
-    if not stats:
-        sys.exit("perf_gate: no records in " + jsonl_path)
-    return stats
-
-
-def check_dist(argv):
-    ap = argparse.ArgumentParser(prog="perf_gate.py check-dist")
-    ap.add_argument("pool_jsonl")
-    ap.add_argument("dist_jsonl")
-    ap.add_argument("--budget-pct", type=float,
-                    default=float(os.environ.get("PERF_DIST_BUDGET_PCT", "5.0")))
-    ap.add_argument("--merge-into", metavar="BENCH_JSON",
-                    help="record the measurement under 'dist_overhead' in "
-                         "an existing BENCH json")
-    args = ap.parse_args(argv)
-
-    pool = sweep_stats(args.pool_jsonl)
-    dist = sweep_stats(args.dist_jsonl)
-    points = []
-    failures = []
-    for key, (pool_wall, _) in sorted(pool.items()):
-        if key not in dist:
-            failures.append(f"point missing from distributed run: {key}")
-            continue
-        dist_wall, dist_rep_wall = dist[key]
-        overhead_pct = (dist_wall - pool_wall) / pool_wall * 100.0
-        speedup = dist_rep_wall / dist_wall if dist_wall > 0 else 0.0
-        status = "OK" if overhead_pct <= args.budget_pct else "OVER BUDGET"
-        print(f"[perf-gate] dist overhead {key}: pool {pool_wall:.4f}s, "
-              f"fabric {dist_wall:.4f}s → {overhead_pct:+.2f}% "
-              f"(budget {args.budget_pct:.1f}%), "
-              f"distributed speedup {speedup:.2f}x {status}")
-        points.append({
-            "key": key,
-            "pool_wall_s": pool_wall,
-            "dist_wall_s": dist_wall,
-            "overhead_pct": round(overhead_pct, 3),
-            "dist_speedup": round(speedup, 3),
-        })
-        if overhead_pct > args.budget_pct:
-            failures.append(
-                f"{key}: the fabric costs {overhead_pct:.2f}% of sweep wall "
-                f"over the in-process pool, budget is {args.budget_pct:.1f}%")
-
-    if args.merge_into:
-        with open(args.merge_into) as fh:
-            bench = json.load(fh)
-        bench["dist_overhead"] = {
-            "budget_pct": args.budget_pct,
-            "points": points,
-        }
-        with open(args.merge_into, "w") as fh:
-            json.dump(bench, fh, indent=2)
-            fh.write("\n")
-        print(f"[perf-gate] merged dist_overhead into {args.merge_into}")
-
-    if failures:
-        print("perf_gate: FAILED:\n  " + "\n  ".join(failures), file=sys.stderr)
-        sys.exit(1)
 
 
 def check_overhead(argv):
@@ -223,9 +132,6 @@ def check_overhead(argv):
 def main():
     if len(sys.argv) > 1 and sys.argv[1] == "check-overhead":
         check_overhead(sys.argv[2:])
-        return
-    if len(sys.argv) > 1 and sys.argv[1] == "check-dist":
-        check_dist(sys.argv[2:])
         return
     ap = argparse.ArgumentParser()
     ap.add_argument("fresh_jsonl")

@@ -35,17 +35,6 @@ walk::AgentEnsemble make_agents(const EngineConfig& config, rng::Rng& rng) {
     return walk::AgentEnsemble{grid::Grid2D::square(config.side), config.k, rng, config.walk};
 }
 
-const BroadcastState& validate(const BroadcastState& state) {
-    (void)validate(state.config);
-    const auto k = static_cast<std::size_t>(state.config.k);
-    if (state.positions.size() != k || state.informed.size() != k ||
-        state.informed_time.size() != k) {
-        throw std::invalid_argument("BroadcastState: vector sizes disagree with k");
-    }
-    if (state.t < 0) throw std::invalid_argument("BroadcastState: t must be >= 0");
-    return state;
-}
-
 }  // namespace
 
 BroadcastProcess::BroadcastProcess(const EngineConfig& config)
@@ -69,41 +58,7 @@ BroadcastProcess::BroadcastProcess(const EngineConfig& config)
     set_trace(obs::claim_trace());
 }
 
-BroadcastProcess::BroadcastProcess(const BroadcastState& state)
-    : config_{validate(state).config},
-      rng_{rng::Xoshiro256StarStar{state.rng_state}},
-      agents_{grid::Grid2D::square(config_.side), state.positions, config_.walk},
-      builder_{agents_.grid(), config_.radius, config_.metric},
-      dsu_{static_cast<std::size_t>(config_.k)},
-      rumor_{state.informed, state.informed_time},
-      t_{state.t},
-      root_informed_(static_cast<std::size_t>(config_.k), 0),
-      move_mask_(static_cast<std::size_t>(config_.k), 0) {
-    // No t = 0 exchange: the captured state is post-exchange of step t.
-    // Rebuilding the index gives the partition of the captured positions;
-    // representatives may differ from the original run's incremental
-    // build, but the exchange rule only reads the partition, so
-    // trajectories cannot diverge.
-    builder_.build(agents_.positions(), dsu_);
-    set_trace(obs::claim_trace());
-}
-
-BroadcastState BroadcastProcess::capture() const {
-    BroadcastState state;
-    state.config = config_;
-    state.rng_state = rng_.engine().state();
-    const auto positions = agents_.positions();
-    state.positions.assign(positions.begin(), positions.end());
-    const auto flags = rumor_.flags();
-    state.informed.assign(flags.begin(), flags.end());
-    const auto times = rumor_.times();
-    state.informed_time.assign(times.begin(), times.end());
-    state.t = t_;
-    return state;
-}
-
 BroadcastProcess::~BroadcastProcess() {
-#if SMN_OBS_ENABLED
     // Moved-from shells keep their (trivially copyable) tally totals;
     // flushing them too would double-count. A move empties the ensemble's
     // vectors, so count() == 0 identifies a shell.
@@ -113,7 +68,6 @@ BroadcastProcess::~BroadcastProcess() {
         registry.counter(std::string{"engine."} + name)
             .add(static_cast<std::int64_t>(value));
     }
-#endif
 }
 
 std::vector<std::pair<const char*, double>> BroadcastProcess::counters() const {

@@ -21,7 +21,6 @@
 // including the initial one at t = 0.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -98,24 +97,6 @@ public:
     virtual void on_step(const StepView& view) = 0;
 };
 
-/// Complete serializable state of a BroadcastProcess at a step boundary
-/// (between step() calls). This is everything the future trajectory
-/// depends on: the config, the raw xoshiro256** engine state, the agent
-/// positions, and the rumor knowledge. Spatial index, component
-/// partition, and visibility caches are all pure functions of the
-/// positions and are rebuilt on restore; the walk's BlockRng buffer is
-/// always fully consumed at step boundaries (every agent draws at least
-/// one word per block, and fill() discards leftovers), so the engine
-/// words alone pin the stream. io/snapshot.hpp serializes this struct.
-struct BroadcastState {
-    EngineConfig config;
-    std::array<std::uint64_t, 4> rng_state{};     ///< xoshiro256** words
-    std::vector<grid::Point> positions;           ///< index = agent id
-    std::vector<std::uint8_t> informed;           ///< rumor flags
-    std::vector<std::int64_t> informed_time;      ///< first-informed times
-    std::int64_t t{0};                            ///< current step
-};
-
 /// Single-rumor dissemination process (broadcast; Frog model via config).
 class BroadcastProcess {
 public:
@@ -123,22 +104,6 @@ public:
     /// Throws std::invalid_argument on k < 1, radius < 0, or source out of
     /// range.
     explicit BroadcastProcess(const EngineConfig& config);
-
-    /// Restores a process captured by capture(): positions, rumor state,
-    /// and RNG stream resume exactly; the spatial index and component
-    /// partition are rebuilt from the positions. The restored process
-    /// produces trajectories bit-identical to the never-checkpointed
-    /// original (the determinism goldens assert this). No t = 0 exchange
-    /// runs — the captured state is already post-exchange. Throws
-    /// std::invalid_argument on inconsistent state (sizes vs k,
-    /// off-grid positions, flag/time disagreement).
-    explicit BroadcastProcess(const BroadcastState& state);
-
-    /// Captures the complete trajectory-determining state. Only valid at
-    /// a step boundary (between step() calls) — there the walk's block
-    /// buffer is fully drained, so the raw engine state pins every
-    /// future draw.
-    [[nodiscard]] BroadcastState capture() const;
 
     // Non-copyable: the incremental spatial index views the ensemble's
     // position storage, which a copy would silently keep aliasing. Moves
@@ -149,8 +114,7 @@ public:
     BroadcastProcess& operator=(BroadcastProcess&&) = default;
 
     /// Flushes the engine's counters into the process-wide obs::Registry
-    /// under the "engine." prefix (no-op under -DSMN_DISABLE_OBS, and for
-    /// moved-from shells).
+    /// under the "engine." prefix (no-op for moved-from shells).
     ~BroadcastProcess();
 
     /// Attaches an observer (non-owning). It immediately misses the t = 0
@@ -191,8 +155,7 @@ public:
 
     /// Name → value of every engine counter, cumulative since
     /// construction (scan.*, index.*, dsu.*, walk.*). Values are int64
-    /// tallies widened to double for the metric pipeline; the gated ones
-    /// read zero under -DSMN_DISABLE_OBS.
+    /// tallies widened to double for the metric pipeline.
     [[nodiscard]] std::vector<std::pair<const char*, double>> counters() const;
 
     /// Attaches a per-step trace sink (non-owning; nullptr detaches).

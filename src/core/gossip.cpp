@@ -26,53 +26,6 @@ GossipProcess::GossipProcess(const EngineConfig& config)
     exchange();
 }
 
-GossipProcess::GossipProcess(const GossipState& state)
-    : config_{state.config},
-      rng_{rng::Xoshiro256StarStar{state.rng_state}},
-      agents_{grid::Grid2D::square(config_.side), state.positions, config_.walk},
-      builder_{agents_.grid(), config_.radius, config_.metric},
-      dsu_{static_cast<std::size_t>(config_.k)},
-      rumors_{config_.k, config_.k, state.rumor_bits},
-      t_{state.t},
-      rumor_known_count_(static_cast<std::size_t>(config_.k), 0),
-      rumor_complete_time_{state.rumor_complete_time},
-      component_or_(static_cast<std::size_t>(config_.k) * rumors_.words_per_agent(), 0) {
-    const auto k = config_.k;
-    if (state.positions.size() != static_cast<std::size_t>(k) ||
-        state.rumor_complete_time.size() != static_cast<std::size_t>(k) || state.t < 0) {
-        throw std::invalid_argument("GossipState: vector sizes disagree with k");
-    }
-    // Derived tallies: per-rumor known counts and the known-pairs total
-    // are recomputed from the restored bitsets (the MultiRumorState
-    // restore constructor already validated them and rebuilt the
-    // per-agent counters).
-    for (std::int32_t a = 0; a < k; ++a) {
-        for (std::size_t w = 0; w < rumors_.words_per_agent(); ++w) {
-            std::uint64_t bits = rumors_.word(a, w);
-            known_pairs_ += std::popcount(bits);
-            while (bits != 0) {
-                const int bit = std::countr_zero(bits);
-                bits &= bits - 1;
-                ++rumor_known_count_[w * 64 + static_cast<std::size_t>(bit)];
-            }
-        }
-    }
-    builder_.build(agents_.positions(), dsu_);
-}
-
-GossipState GossipProcess::capture() const {
-    GossipState state;
-    state.config = config_;
-    state.rng_state = rng_.engine().state();
-    const auto positions = agents_.positions();
-    state.positions.assign(positions.begin(), positions.end());
-    const auto words = rumors_.words();
-    state.rumor_bits.assign(words.begin(), words.end());
-    state.rumor_complete_time = rumor_complete_time_;
-    state.t = t_;
-    return state;
-}
-
 void GossipProcess::step() {
     ++t_;
     builder_.begin_step();

@@ -12,7 +12,6 @@
 // max-over-rumors behaviour).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -26,36 +25,12 @@
 
 namespace smn::core {
 
-/// Complete serializable state of a GossipProcess at a step boundary —
-/// the gossip counterpart of BroadcastState (see engine.hpp for the
-/// step-boundary argument). Derived tallies (per-rumor known counts,
-/// known-pairs total, per-agent knowledge counters) are recomputed from
-/// the bitset words on restore; the per-rumor completion times are NOT
-/// derivable from the final bitset and are carried explicitly.
-struct GossipState {
-    EngineConfig config;
-    std::array<std::uint64_t, 4> rng_state{};        ///< xoshiro256** words
-    std::vector<grid::Point> positions;              ///< index = agent id
-    std::vector<std::uint64_t> rumor_bits;           ///< MultiRumorState words
-    std::vector<std::int64_t> rumor_complete_time;   ///< per rumor; −1 = open
-    std::int64_t t{0};
-};
-
 /// Multi-rumor dissemination process (one rumor per agent initially).
 class GossipProcess {
 public:
     /// Same config as broadcast; `config.source` is ignored (every agent is
     /// a source of its own rumor).
     explicit GossipProcess(const EngineConfig& config);
-
-    /// Restores a process captured by capture(); same contract as the
-    /// BroadcastProcess restore constructor (bit-identical continuation,
-    /// index rebuilt from positions, no initial exchange).
-    explicit GossipProcess(const GossipState& state);
-
-    /// Captures the complete trajectory-determining state; only valid at
-    /// a step boundary (see BroadcastProcess::capture).
-    [[nodiscard]] GossipState capture() const;
 
     // Non-copyable: the incremental spatial index views the ensemble's
     // position storage, which a copy would silently keep aliasing. Moves

@@ -16,8 +16,6 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace smn::core {
@@ -69,31 +67,6 @@ public:
     /// Raw byte flags (index = agent id) for observers.
     [[nodiscard]] std::span<const std::uint8_t> flags() const noexcept { return informed_; }
 
-    /// First-informed times (index = agent id; −1 = uninformed), the
-    /// counterpart of flags() for checkpointing.
-    [[nodiscard]] std::span<const std::int64_t> times() const noexcept {
-        return informed_time_;
-    }
-
-    /// Restores a captured knowledge state (io/snapshot.cpp). The count
-    /// is recomputed from the flags; throws std::invalid_argument on a
-    /// size mismatch, no informed agent, or flag/time disagreement.
-    SingleRumor(std::vector<std::uint8_t> informed, std::vector<std::int64_t> informed_time)
-        : informed_{std::move(informed)}, informed_time_{std::move(informed_time)} {
-        if (informed_.empty() || informed_.size() != informed_time_.size()) {
-            throw std::invalid_argument("SingleRumor: flag/time size mismatch");
-        }
-        for (std::size_t a = 0; a < informed_.size(); ++a) {
-            if ((informed_[a] != 0) != (informed_time_[a] >= 0)) {
-                throw std::invalid_argument("SingleRumor: flag/time disagreement");
-            }
-            informed_count_ += informed_[a] != 0;
-        }
-        if (informed_count_ == 0) {
-            throw std::invalid_argument("SingleRumor: no informed agent");
-        }
-    }
-
 private:
     std::vector<std::uint8_t> informed_;
     std::vector<std::int64_t> informed_time_;
@@ -123,36 +96,6 @@ public:
             mutable_word(owners[r], r / 64) |= std::uint64_t{1} << (r % 64);
         }
         for (std::int32_t a = 0; a < agent_count_; ++a) {
-            auto& count = known_count_[static_cast<std::size_t>(a)];
-            for (std::size_t w = 0; w < words_per_agent_; ++w) {
-                count += static_cast<std::int32_t>(__builtin_popcountll(word(a, w)));
-            }
-            if (count == rumor_count_) ++done_agents_;
-        }
-    }
-
-    /// Restores a captured knowledge state from raw bitset words
-    /// (io/snapshot.cpp). Per-agent knowledge counts and the done-agent
-    /// counter are recomputed; throws std::invalid_argument on a size
-    /// mismatch or set padding bits beyond rumor_count.
-    MultiRumorState(std::int32_t agent_count, std::int32_t rumor_count,
-                    std::vector<std::uint64_t> bits)
-        : agent_count_{agent_count},
-          rumor_count_{rumor_count},
-          words_per_agent_{(static_cast<std::size_t>(rumor_count) + 63) / 64},
-          bits_{std::move(bits)},
-          known_count_(static_cast<std::size_t>(agent_count), 0) {
-        if (agent_count < 1 || rumor_count < 1 ||
-            bits_.size() != static_cast<std::size_t>(agent_count) * words_per_agent_) {
-            throw std::invalid_argument("MultiRumorState: bitset size mismatch");
-        }
-        const unsigned tail_bits = static_cast<unsigned>(rumor_count) % 64;
-        const std::uint64_t tail_mask =
-            tail_bits == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail_bits) - 1;
-        for (std::int32_t a = 0; a < agent_count_; ++a) {
-            if ((word(a, words_per_agent_ - 1) & ~tail_mask) != 0) {
-                throw std::invalid_argument("MultiRumorState: padding bits set");
-            }
             auto& count = known_count_[static_cast<std::size_t>(a)];
             for (std::size_t w = 0; w < words_per_agent_; ++w) {
                 count += static_cast<std::int32_t>(__builtin_popcountll(word(a, w)));
@@ -199,10 +142,6 @@ public:
     [[nodiscard]] const std::uint64_t& word(std::int32_t a, std::size_t w) const noexcept {
         return bits_[static_cast<std::size_t>(a) * words_per_agent_ + w];
     }
-
-    /// All bitset words, agent-major (agent a's words start at index
-    /// a * words_per_agent()); the raw payload checkpoints serialize.
-    [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return bits_; }
 
     /// ORs `incoming` into word `w` of agent `a`'s bitset, maintaining the
     /// knowledge counters, and returns the newly gained bits. This is the

@@ -75,77 +75,31 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     std::atomic<std::size_t> skipped{0};
     const auto pool_before = sim::ReplicationPool::instance().stats();
     const auto sweep_begin = clock::now();
-    std::vector<sim::UnitFailure> failed_units;
-    if (options.dispatch) {
-        // External backend: it owns scheduling and recovery; this side
-        // only supplies the unit bodies and absorbs completions into the
-        // same slots/journal the local paths use.
-        DispatchContext ctx;
-        ctx.total_units = static_cast<int>(total);
-        for (std::size_t u = 0; u < total; ++u) {
-            if (replayed[u] == 0) ctx.units.push_back(static_cast<int>(u));
-        }
-        ctx.unit_seed = [&](int unit) {
+    const auto failed_units = sim::ReplicationPool::instance().run_units_tolerant(
+        static_cast<int>(total), threads, options.retries, [&](int unit) {
             const auto u = static_cast<std::size_t>(unit);
-            return rng::replication_seed(seeds[u / reps], u % reps);
-        };
-        ctx.compute = [&](int unit, double& wall_seconds) {
-            const auto u = static_cast<std::size_t>(unit);
+            if (replayed[u] != 0) return;
+            if (options.stop != nullptr && options.stop->load(std::memory_order_relaxed)) {
+                skipped.fetch_add(1, std::memory_order_relaxed);
+                return;
+            }
+            const auto point = u / reps;
+            const auto rep = u % reps;
             util::failpoint("unit_body");
             const auto begin = clock::now();
-            Metrics metrics = scenario.run_rep(
-                bound[u / reps], rng::replication_seed(seeds[u / reps], u % reps));
-            wall_seconds = std::chrono::duration<double>(clock::now() - begin).count();
-            return metrics;
-        };
-        ctx.deliver = [&](int unit, const Metrics& metrics, double wall_seconds) {
-            const auto u = static_cast<std::size_t>(unit);
-            unit_metrics[u] = metrics;
-            unit_seconds[u] = wall_seconds;
+            unit_metrics[u] =
+                scenario.run_rep(bound[point], rng::replication_seed(seeds[point], rep));
+            unit_seconds[u] = std::chrono::duration<double>(clock::now() - begin).count();
             if (options.journal != nullptr) {
                 io::JournalUnit entry;
-                entry.metrics = metrics;
-                entry.wall_seconds = wall_seconds;
+                entry.metrics = unit_metrics[u];
+                entry.wall_seconds = unit_seconds[u];
                 options.journal->record(scenario.name, unit, entry);
             }
             if (options.on_progress) {
-                options.on_progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                                    total);
+                options.on_progress(done.fetch_add(1, std::memory_order_relaxed) + 1, total);
             }
-        };
-        auto report = options.dispatch(ctx);
-        failed_units = std::move(report.failures);
-        skipped.store(report.skipped, std::memory_order_relaxed);
-    } else {
-        failed_units = sim::ReplicationPool::instance().run_units_tolerant(
-            static_cast<int>(total), threads, options.retries, [&](int unit) {
-                const auto u = static_cast<std::size_t>(unit);
-                if (replayed[u] != 0) return;
-                if (options.stop != nullptr &&
-                    options.stop->load(std::memory_order_relaxed)) {
-                    skipped.fetch_add(1, std::memory_order_relaxed);
-                    return;
-                }
-                const auto point = u / reps;
-                const auto rep = u % reps;
-                util::failpoint("unit_body");
-                const auto begin = clock::now();
-                unit_metrics[u] = scenario.run_rep(
-                    bound[point], rng::replication_seed(seeds[point], rep));
-                unit_seconds[u] =
-                    std::chrono::duration<double>(clock::now() - begin).count();
-                if (options.journal != nullptr) {
-                    io::JournalUnit entry;
-                    entry.metrics = unit_metrics[u];
-                    entry.wall_seconds = unit_seconds[u];
-                    options.journal->record(scenario.name, unit, entry);
-                }
-                if (options.on_progress) {
-                    options.on_progress(
-                        done.fetch_add(1, std::memory_order_relaxed) + 1, total);
-                }
-            });
-    }
+        });
     if (skipped.load(std::memory_order_relaxed) > 0) {
         if (options.journal != nullptr) options.journal->sync();
         throw Interrupted("run interrupted with " +
@@ -173,13 +127,11 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     const double pool_busy =
         pool_after.worker_busy_seconds - pool_before.worker_busy_seconds;
     const double peak_rss = static_cast<double>(obs::peak_rss_bytes());
-#if SMN_OBS_ENABLED
     obs::Registry::instance().counter("pool.units").add(
         static_cast<std::int64_t>(pool_units));
     obs::Registry::instance().counter("pool.runs").add(pool_after.runs - pool_before.runs);
     obs::Registry::instance().gauge("process.peak_rss_bytes").set_max(
         obs::peak_rss_bytes());
-#endif
 
     std::vector<PointResult> results;
     results.reserve(points.size());

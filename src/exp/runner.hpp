@@ -44,43 +44,6 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// What an external dispatch backend (RunOptions::dispatch) reports back
-/// after settling a pass's pending units. Mirrors the in-process pass:
-/// failures are units whose body failed every allowed attempt; skipped
-/// counts units dropped by a stop request (nonzero makes run_points sync
-/// the journal and throw Interrupted, exactly like the local path).
-struct DispatchReport {
-    std::vector<sim::UnitFailure> failures;
-    std::size_t skipped{0};
-};
-
-/// Everything a dispatch backend needs to execute one pass: the pending
-/// flat unit indices (journal-replayed units already excluded), the
-/// deterministic seed derivation, a local compute body (for inline
-/// fallback), and the completion sink. deliver() must be called exactly
-/// once per completed unit and never concurrently — behind it sit the
-/// journal append and the progress hook, which is what keeps a
-/// distributed pass crash-resumable byte-for-byte.
-struct DispatchContext {
-    std::vector<int> units;  ///< pending units, ascending
-    int total_units{0};      ///< points × reps for the whole pass
-    /// Derived RNG seed of a flat unit (pure function of the unit index).
-    std::function<std::uint64_t(int unit)> unit_seed;
-    /// Runs one unit on the calling thread; fills wall_seconds and
-    /// returns its metrics. Throws on body failure.
-    std::function<Metrics(int unit, double& wall_seconds)> compute;
-    /// Records one completed unit (journal + aggregation slots).
-    std::function<void(int unit, const Metrics& metrics, double wall_seconds)>
-        deliver;
-};
-
-/// Third execution backend beside serial and the in-process pool: the
-/// dispatcher owns scheduling entirely (e.g. the net:: distributed sweep
-/// fabric farms units to worker processes) and reports what settled.
-/// Aggregation is indifferent to who computed a unit — results land in
-/// index-addressed slots, so output stays byte-identical to a local run.
-using DispatchFn = std::function<DispatchReport(DispatchContext&)>;
-
 /// Execution options shared by every point of a run.
 struct RunOptions {
     int reps{8};                         ///< replications per parameter point
@@ -106,11 +69,6 @@ struct RunOptions {
     /// without re-running (resume); units computed by this pass are
     /// appended to it as they finish.
     io::SweepJournal* journal{nullptr};
-    /// External dispatch backend (see DispatchFn). When set, the pass's
-    /// pending units are handed to it instead of the ReplicationPool;
-    /// retries/tolerate_failures/stop semantics are the dispatcher's to
-    /// honor (the fabric coordinator mirrors them).
-    DispatchFn dispatch;
     /// Optional progress hook: called as on_progress(done, total) after
     /// each completed replication unit, where `total` counts every
     /// (point, replication) pair of the run. Invoked from worker threads

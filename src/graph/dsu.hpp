@@ -11,16 +11,15 @@
 #include <numeric>
 #include <vector>
 
-#include "obs/tally.hpp"
 
 namespace smn::graph {
 
 /// Union–find over elements 0..size-1 with union by size.
 class DisjointSets {
 public:
-    /// Telemetry tallies (zero under -DSMN_DISABLE_OBS). Cumulative over
-    /// the object's lifetime — reset() intentionally leaves them alone so
-    /// an engine can report totals across all steps of a replication.
+    /// Telemetry tallies. Cumulative over the object's lifetime — reset()
+    /// intentionally leaves them alone so an engine can report totals
+    /// across all steps of a replication.
     struct Stats {
         std::int64_t unites{0};          ///< merges that joined two sets
         std::int64_t fast_path_hits{0};  ///< same-parent/under-root early outs
@@ -61,7 +60,7 @@ public:
         // affect any root (path halving never moves a root), so the
         // resulting partition — and every find() — is identical.
         if (parent_[static_cast<std::size_t>(a)] == parent_[static_cast<std::size_t>(b)]) {
-            SMN_TALLY(++stats_.fast_path_hits);
+            ++stats_.fast_path_hits;
             return false;
         }
         auto ra = find(a);
@@ -73,7 +72,7 @@ public:
         parent_[static_cast<std::size_t>(rb)] = ra;
         size_[static_cast<std::size_t>(ra)] += size_[static_cast<std::size_t>(rb)];
         --set_count_;
-        SMN_TALLY(++stats_.unites);
+        ++stats_.unites;
         return true;
     }
 
@@ -85,13 +84,13 @@ public:
     [[nodiscard]] std::int32_t unite_root(std::int32_t ra, std::int32_t b) noexcept {
         assert(parent_[static_cast<std::size_t>(ra)] == ra && "unite_root: ra is not a root");
         if (parent_[static_cast<std::size_t>(b)] == ra) {  // already under ra
-            SMN_TALLY(++stats_.fast_path_hits);
+            ++stats_.fast_path_hits;
             return ra;
         }
         const auto rb = find(b);
         if (ra == rb) return ra;
         --set_count_;
-        SMN_TALLY(++stats_.unites);
+        ++stats_.unites;
         if (size_[static_cast<std::size_t>(ra)] < size_[static_cast<std::size_t>(rb)]) {
             parent_[static_cast<std::size_t>(ra)] = rb;
             size_[static_cast<std::size_t>(rb)] += size_[static_cast<std::size_t>(ra)];

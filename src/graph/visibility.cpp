@@ -156,15 +156,13 @@ void VisibilityGraphBuilder::component_pass(std::span<const grid::Point> positio
             break;
     }
     buckets_.end_step();  // the dirty epoch is consumed
-    if constexpr (obs::kEnabled) {
-        // Drain the per-worker pair tallies (each worker owned one scratch
-        // for the pass, and the pool has joined).
-        for (auto& scratch : scratch_) {
-            stats_.pairs_tested += scratch.pairs_tested;
-            stats_.pairs_survived += scratch.pairs_survived;
-            scratch.pairs_tested = 0;
-            scratch.pairs_survived = 0;
-        }
+    // Drain the per-worker pair tallies (each worker owned one scratch for
+    // the pass, and the pool has joined).
+    for (auto& scratch : scratch_) {
+        stats_.pairs_tested += scratch.pairs_tested;
+        stats_.pairs_survived += scratch.pairs_survived;
+        scratch.pairs_tested = 0;
+        scratch.pairs_survived = 0;
     }
 }
 
@@ -222,7 +220,7 @@ void VisibilityGraphBuilder::prepare_scratch(std::size_t k, int count, bool mini
 template <bool kFilter>
 void VisibilityGraphBuilder::record_pair(ScanScratch& scratch, std::int32_t a, std::int32_t b,
                                          std::vector<CachedEdge>* out, DisjointSets* dsu) {
-    SMN_TALLY(++scratch.pairs_survived);
+    ++scratch.pairs_survived;
     if constexpr (kFilter) {
         const auto ra = mini_find(scratch, a);
         const auto rb = mini_find(scratch, b);
@@ -299,9 +297,8 @@ void VisibilityGraphBuilder::scan_unit(std::int64_t bucket,
     };
 
     // Self pairs.
-    SMN_TALLY(scratch.pairs_tested +=
-              len >= 2 ? static_cast<std::int64_t>(len) * (static_cast<std::int64_t>(len) - 1) / 2
-                       : 0);
+    scratch.pairs_tested +=
+        len >= 2 ? static_cast<std::int64_t>(len) * (static_cast<std::int64_t>(len) - 1) / 2 : 0;
     for (std::size_t i = 0; i + 1 < len; ++i) {
         const auto xi = scratch.xs[i];
         const auto yi = scratch.ys[i];
@@ -317,7 +314,7 @@ void VisibilityGraphBuilder::scan_unit(std::int64_t bucket,
     /// iterated in ascending lane order (= the scalar scan order).
     const auto cross = [&](std::int64_t nb) {
         buckets_.for_each_in_bucket(nb, [&](std::int32_t b) {
-            SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(len));
+            scratch.pairs_tested += static_cast<std::int64_t>(len);
             const auto p = positions[static_cast<std::size_t>(b)];
             for (std::size_t i = 0; i < len; i += kRangeLanes) {
                 auto bits = in_range_mask8<M>(scratch.xs.data() + i, scratch.ys.data() + i,
@@ -433,10 +430,9 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
     };
 
     // Self pairs.
-    SMN_TALLY(scratch.pairs_tested +=
-              end - off >= 2 ? static_cast<std::int64_t>(end - off) *
-                                   (static_cast<std::int64_t>(end - off) - 1) / 2
-                             : 0);
+    scratch.pairs_tested += end - off >= 2 ? static_cast<std::int64_t>(end - off) *
+                                                 (static_cast<std::int64_t>(end - off) - 1) / 2
+                                           : 0;
     for (std::size_t i = off; i + 1 < end; ++i) {
         const auto xi = self_row.xs[i];
         const auto yi = self_row.ys[i];
@@ -455,8 +451,8 @@ void VisibilityGraphBuilder::scan_unit_window(const RowBuffer& self_row,
     /// (range_filter.hpp) and walk the survivor bits in ascending lane
     /// order, so the pair order matches the scalar loops they replaced.
     const auto cross_range = [&](const RowBuffer& row, std::size_t noff, std::size_t nend) {
-        SMN_TALLY(scratch.pairs_tested +=
-                  static_cast<std::int64_t>(nend - noff) * static_cast<std::int64_t>(end - off));
+        scratch.pairs_tested +=
+            static_cast<std::int64_t>(nend - noff) * static_cast<std::int64_t>(end - off);
         if (end - off == 1) {
             // Single-occupant unit (the most common bucket at percolation
             // occupancy): hoist the self coords and sweep the neighbor
@@ -562,7 +558,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                     const auto id = self_row.ids[o];
                     const auto sweep = [&](const RowBuffer& nrow, std::size_t j0,
                                            std::size_t j1) {
-                        SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(j1 - j0));
+                        scratch.pairs_tested += static_cast<std::int64_t>(j1 - j0);
                         for (std::size_t j = j0; j < j1; j += kRangeLanes) {
                             const auto bits =
                                 in_range_mask8<M>(nrow.xs.data() + j, nrow.ys.data() + j,
@@ -589,8 +585,8 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                     // Multi-occupant unit: scalar self pairs, then the
                     // neighbor-member-outer masked sweeps over the self
                     // slice — the general cross_range shape.
-                    SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(e - o) *
-                                                      (static_cast<std::int64_t>(e - o) - 1) / 2);
+                    scratch.pairs_tested += static_cast<std::int64_t>(e - o) *
+                                            (static_cast<std::int64_t>(e - o) - 1) / 2;
                     for (std::size_t i = o; i + 1 < e; ++i) {
                         const auto xi = self_row.xs[i];
                         const auto yi = self_row.ys[i];
@@ -606,8 +602,8 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
                     }
                     const auto cross = [&](const RowBuffer& nrow, std::size_t j0,
                                            std::size_t j1) {
-                        SMN_TALLY(scratch.pairs_tested += static_cast<std::int64_t>(j1 - j0) *
-                                                          static_cast<std::int64_t>(e - o));
+                        scratch.pairs_tested += static_cast<std::int64_t>(j1 - j0) *
+                                                static_cast<std::int64_t>(e - o);
                         for (std::size_t j = j0; j < j1; ++j) {
                             const auto xj = nrow.xs[j];
                             const auto yj = nrow.ys[j];
@@ -641,7 +637,7 @@ void VisibilityGraphBuilder::row_window_pass(std::span<const grid::Point> positi
             // sweep's survivors splat the same id), so a's root is found
             // once per run and carried through unite_root — the same link
             // sequence unite() would produce, minus the repeated finds.
-            SMN_TALLY(scratch.pairs_survived += static_cast<std::int64_t>(np));
+            scratch.pairs_survived += static_cast<std::int64_t>(np);
             std::int32_t last_a = -1;
             std::int32_t root_a = -1;
             for (std::size_t i = 0; i < np; ++i) {
@@ -725,12 +721,12 @@ void VisibilityGraphBuilder::sharded_pass(std::span<const grid::Point> positions
             const auto count = out.counts[static_cast<std::size_t>(i - lo)];
             if (count < 0) {
                 ++stats_.replayed_units;
-                SMN_TALLY(stats_.edges_replayed += entry_len_[prev][bi]);
+                stats_.edges_replayed += entry_len_[prev][bi];
                 commit_entry(bi, arena_[prev].data() + entry_off_[prev][bi],
                              static_cast<std::size_t>(entry_len_[prev][bi]), dsu);
             } else {
                 ++stats_.rescanned_units;
-                SMN_TALLY(stats_.edges_cached += count);
+                stats_.edges_cached += count;
                 commit_entry(bi, out.edges.data() + pos, static_cast<std::size_t>(count), dsu);
                 pos += static_cast<std::size_t>(count);
             }

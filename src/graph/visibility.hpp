@@ -62,7 +62,6 @@
 #include "graph/dsu.hpp"
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
-#include "obs/tally.hpp"
 #include "spatial/bucket_index.hpp"
 #include "spatial/occupancy.hpp"
 #include "util/worker_pool.hpp"
@@ -74,10 +73,8 @@ namespace smn::graph {
 /// worker pool allocated.
 class VisibilityGraphBuilder {
 public:
-    /// Cumulative scan telemetry. The unit- and pass-level counts are
-    /// maintained unconditionally (tests assert on them in every build
-    /// configuration); the per-pair and per-edge tallies compile out under
-    /// -DSMN_DISABLE_OBS and then read zero.
+    /// Cumulative scan telemetry: unit- and pass-level counts plus the
+    /// per-pair and per-edge tallies.
     struct ScanStats {
         std::int64_t passes{0};            ///< component passes (r >= 1)
         std::int64_t bypass_passes{0};     ///< passes that bypassed the edge cache
@@ -246,7 +243,7 @@ private:
         if (replayable(bucket, force_rescan)) {
             ++stats_.replayed_units;
             const auto prev = cur ^ 1;
-            SMN_TALLY(stats_.edges_replayed += entry_len_[prev][bi]);
+            stats_.edges_replayed += entry_len_[prev][bi];
             commit_entry(bi, arena_[prev].data() + entry_off_[prev][bi],
                          static_cast<std::size_t>(entry_len_[prev][bi]), dsu);
             return;
@@ -257,7 +254,7 @@ private:
         entry_off_[cur][bi] = static_cast<std::int32_t>(start);
         rescan(arena);
         entry_len_[cur][bi] = static_cast<std::int32_t>(arena.size() - start);
-        SMN_TALLY(stats_.edges_cached += entry_len_[cur][bi]);
+        stats_.edges_cached += entry_len_[cur][bi];
         entry_stamp_[bi] = seq_;
     }
     [[nodiscard]] bool replayable(std::int64_t bucket, bool force_rescan) const noexcept {

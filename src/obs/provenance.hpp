@@ -7,8 +7,6 @@
 // when built outside the CMake tree.
 #pragma once
 
-#include "obs/tally.hpp"
-
 #ifndef SMN_GIT_SHA
 #define SMN_GIT_SHA "unknown"
 #endif
@@ -26,11 +24,11 @@ struct BuildInfo {
     const char* git_sha;
     const char* build_type;
     const char* simd_backend;
-    bool obs_enabled;  ///< false when compiled with -DSMN_DISABLE_OBS
+    bool obs_enabled;  ///< always true: telemetry is part of every build
 };
 
 [[nodiscard]] inline BuildInfo build_info() noexcept {
-    return BuildInfo{SMN_GIT_SHA, SMN_BUILD_TYPE, SMN_SIMD_BACKEND_NAME, kEnabled};
+    return BuildInfo{SMN_GIT_SHA, SMN_BUILD_TYPE, SMN_SIMD_BACKEND_NAME, true};
 }
 
 }  // namespace smn::obs

@@ -1,19 +1,17 @@
 // registry.hpp — process-wide named counters, gauges and histograms.
 //
 // The registry is the *cold* aggregation side of the telemetry layer: hot
-// loops bump plain per-object tallies (obs/tally.hpp) and flush them here
-// in bulk — once per engine lifetime, once per pool pass — so the shared
-// atomics are touched a handful of times per replication, never per pair
-// or per move. Everything is relaxed-atomic: counters are monotonic sums
-// with no ordering relationship to anything, and readers (snapshot/export)
-// only run at quiescent points.
+// loops bump plain per-object tallies and flush them here in bulk — once
+// per engine lifetime, once per pool pass — so the shared atomics are
+// touched a handful of times per replication, never per pair or per move.
+// Everything is relaxed-atomic: counters are monotonic sums with no
+// ordering relationship to anything, and readers (snapshot/export) only
+// run at quiescent points.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // process lifetime (node-based map), so callers may cache references; the
 // SMN_OBS_* macros do exactly that through a function-local static, making
 // the steady-state cost of a registered increment one relaxed fetch_add.
-// With -DSMN_DISABLE_OBS=ON the macros compile to nothing; the classes
-// remain available (counting into them just never happens via macros).
 #pragma once
 
 #include <atomic>
@@ -26,8 +24,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "obs/tally.hpp"
 
 namespace smn::obs {
 
@@ -177,10 +173,9 @@ private:
 }  // namespace smn::obs
 
 // Registered-metric macros: one relaxed atomic op in steady state (the
-// registry lookup happens once per call site via the local static), and
-// nothing at all under -DSMN_DISABLE_OBS. Use for cold/warm paths; truly
-// hot loops should bump a plain per-object tally (SMN_TALLY) and flush.
-#if SMN_OBS_ENABLED
+// registry lookup happens once per call site via the local static). Use
+// for cold/warm paths; truly hot loops should bump a plain per-object
+// tally and flush.
 #define SMN_OBS_COUNT(name, delta)                                                  \
     do {                                                                            \
         static ::smn::obs::Counter& smn_obs_counter_ =                              \
@@ -205,9 +200,3 @@ private:
             ::smn::obs::Registry::instance().histogram(name);                       \
         smn_obs_hist_.observe(value);                                               \
     } while (0)
-#else
-#define SMN_OBS_COUNT(name, delta) ((void)0)
-#define SMN_OBS_GAUGE_SET(name, value) ((void)0)
-#define SMN_OBS_GAUGE_MAX(name, value) ((void)0)
-#define SMN_OBS_HIST(name, value) ((void)0)
-#endif

@@ -26,11 +26,6 @@ public:
     /// Seeds the underlying engine from a single 64-bit seed.
     explicit Rng(std::uint64_t seed = 0xC0FFEE5EEDULL) noexcept : engine_{seed} {}
 
-    /// Resumes from a captured engine (checkpoint/restore): the stream
-    /// continues exactly where engine().state() was taken. Precondition:
-    /// a state that arose from a seeded engine (never all zero).
-    explicit Rng(const Xoshiro256StarStar& engine) noexcept : engine_{engine} {}
-
     /// Raw 64 random bits.
     std::uint64_t next_u64() noexcept { return engine_(); }
 
@@ -83,8 +78,6 @@ public:
     /// Returns a new Rng whose stream is decorrelated from this one;
     /// consumes one draw. Useful for handing sub-streams to components.
     [[nodiscard]] Rng split() noexcept { return Rng{mix64(engine_())}; }
-
-    [[nodiscard]] const Xoshiro256StarStar& engine() const noexcept { return engine_; }
 
 private:
     Xoshiro256StarStar engine_;

@@ -86,11 +86,9 @@ struct UnitFailure {
 
 class ReplicationPool {
 public:
-    /// Pool telemetry snapshot. The unit counters are always maintained
-    /// (they are cheap, one atomic per run_units call path, and the
-    /// counter-sanity tests read them in every build configuration);
-    /// worker_busy_seconds comes from the underlying WorkerPool and is
-    /// zero under -DSMN_DISABLE_OBS.
+    /// Pool telemetry snapshot. The unit counters cost one atomic per
+    /// run_units call path; worker_busy_seconds comes from the underlying
+    /// WorkerPool.
     struct PoolStats {
         std::int64_t runs{0};          ///< run_units dispatches
         std::int64_t units_pooled{0};  ///< units executed via the worker pool

@@ -43,15 +43,14 @@
 
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
-#include "obs/tally.hpp"
 
 namespace smn::spatial {
 
 /// Spatial hash over a Grid2D with square buckets.
 class BucketIndex {
 public:
-    /// Telemetry tallies (zero under -DSMN_DISABLE_OBS); cumulative over
-    /// the index's lifetime, never consulted by the index itself.
+    /// Telemetry tallies; cumulative over the index's lifetime, never
+    /// consulted by the index itself.
     struct Stats {
         std::int64_t moves{0};        ///< move() calls
         std::int64_t relinks{0};      ///< moves that crossed a bucket boundary
@@ -144,7 +143,7 @@ public:
         }
         occupied_.clear();
         clear_dirty();
-        SMN_TALLY(++stats_.rebuilds);
+        ++stats_.rebuilds;
         const auto k = positions.size();
         next_.assign(k, -1);
         prev_.assign(k, -1);
@@ -163,7 +162,7 @@ public:
     /// destination buckets dirty; the re-link is a no-op when both map to
     /// the same bucket.
     void move(std::int32_t agent, grid::Point from, grid::Point to) {
-        SMN_TALLY(++stats_.moves);
+        ++stats_.moves;
         const auto a = static_cast<std::size_t>(agent);
         assert(a < next_.size() && "BucketIndex::move before rebuild");
         assert(agent_bx_[a] == from.x / side_ && agent_by_[a] == from.y / side_ &&
@@ -184,7 +183,7 @@ public:
         }
         mark_dirty(std::int64_t{by} * buckets_x_ + bx);
         if (nbx == bx && nby == by) return;
-        SMN_TALLY(++stats_.relinks);
+        ++stats_.relinks;
         mark_dirty(std::int64_t{nby} * buckets_x_ + nbx);
         // Unlink from the old bucket.
         const auto nxt = next_[a];
@@ -282,7 +281,7 @@ private:
         auto& stamp = dirty_stamp_[static_cast<std::size_t>(bucket)];
         if (stamp == dirty_epoch_) return;
         stamp = dirty_epoch_;
-        SMN_TALLY(++stats_.dirty_marks);
+        ++stats_.dirty_marks;
         dirty_list_.push_back(bucket);
     }
 
@@ -317,7 +316,7 @@ private:
     std::vector<std::int64_t> dirty_list_;    ///< buckets dirtied this epoch
     std::uint64_t dirty_epoch_{1};            ///< current epoch (0 = never dirty)
     std::span<const grid::Point> points_;     ///< view of the indexed storage
-    Stats stats_;                             ///< telemetry tallies (obs/tally.hpp)
+    Stats stats_;                             ///< telemetry tallies
 };
 
 }  // namespace smn::spatial

@@ -1,13 +1,12 @@
 // failpoint.hpp — deterministic fault injection for crash/retry testing.
 //
 // A fail point is a named site in the code that can be made to fail on
-// demand: the crash-safety layer (unit retry in exp::run_points, atomic
-// snapshot writes, the sweep journal) is only trustworthy if its failure
-// paths are exercised, and real crashes are neither portable nor
-// reproducible. Sites are configured through the SMN_FAILPOINTS
+// demand: the crash-safety layer (unit retry in exp::run_points, the
+// sweep journal) is only trustworthy if its failure paths are exercised,
+// and real crashes are neither portable nor reproducible. Sites are configured through the SMN_FAILPOINTS
 // environment variable (or FailPoints::configure in tests):
 //
-//   SMN_FAILPOINTS="unit_body=0.05@7,snapshot_write=1@0:abort"
+//   SMN_FAILPOINTS="unit_body=0.05@7,journal_append=1@0:abort"
 //
 // Each entry is name=probability@seed[:action]. The decision for the
 // i-th evaluation of a site is a pure function of (seed, i) — NOT of
@@ -18,11 +17,7 @@
 // legs). Sites that want softer semantics (truncate a write, drop a
 // record) call the query form failpoint_fires() and act themselves.
 //
-// The facility is compiled out entirely by -DSMN_DISABLE_FAILPOINTS=ON
-// (cmake/FailPoints.cmake): both entry points collapse to constants, so
-// release builds can prove bit-identical behavior with the sites gone.
-// In the default build an unconfigured site costs one branch on a
-// pointer load.
+// An unconfigured site costs one branch on a pointer load.
 #pragma once
 
 #include <atomic>
@@ -38,16 +33,7 @@
 
 #include "rng/splitmix64.hpp"
 
-#if defined(SMN_DISABLE_FAILPOINTS)
-#define SMN_FAILPOINTS_ENABLED 0
-#else
-#define SMN_FAILPOINTS_ENABLED 1
-#endif
-
 namespace smn::util {
-
-/// Compile-time fault-injection switch (mirrors obs::kEnabled).
-inline constexpr bool kFailPointsEnabled = SMN_FAILPOINTS_ENABLED != 0;
 
 /// The exception an armed "throw" site raises. Deliberately a
 /// std::runtime_error subtype: injected faults must travel the same
@@ -56,8 +42,6 @@ class InjectedFault : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
-
-#if SMN_FAILPOINTS_ENABLED
 
 /// Process-wide fail-point table. Configured once from SMN_FAILPOINTS at
 /// first use; tests may reconfigure between runs via configure() (not
@@ -199,12 +183,5 @@ inline void failpoint(std::string_view site) { FailPoints::instance().evaluate(s
 [[nodiscard]] inline bool failpoint_fires(std::string_view site) {
     return FailPoints::instance().fires(site);
 }
-
-#else  // SMN_FAILPOINTS_ENABLED
-
-inline void failpoint(std::string_view) noexcept {}
-[[nodiscard]] inline constexpr bool failpoint_fires(std::string_view) noexcept { return false; }
-
-#endif  // SMN_FAILPOINTS_ENABLED
 
 }  // namespace smn::util

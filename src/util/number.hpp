@@ -1,16 +1,13 @@
-// number.hpp — exact text round-trip for doubles shared by the
-// persistence and wire layers.
+// number.hpp — exact text round-trip for doubles.
 //
-// The sweep journal (io/journal.cpp) and the distributed-sweep protocol
-// (net/protocol.cpp) both carry per-replication metric doubles as text
-// and both promise the same thing: a value that travels through the text
-// form re-serializes to the exact bytes the original producer would have
-// written, so replayed or remotely-computed units keep merged JSONL
-// output byte-identical. That only holds if every layer uses one
-// encoding — shortest round-trip via std::to_chars, parsed back with a
-// full-consumption strtod — so it lives here instead of being duplicated
-// per subsystem. (exp::format_double is intentionally separate: JSON
-// cannot represent nan/inf, so the writer maps them to null.)
+// The sweep journal (io/journal.cpp) carries per-replication metric
+// doubles as text and promises that a value that travels through the
+// text form re-serializes to the exact bytes the original producer would
+// have written, so replayed units keep merged JSONL output byte-identical.
+// That holds because the encoding is shortest round-trip via
+// std::to_chars, parsed back with a full-consumption strtod. (The JSONL
+// writer's exp::format_double is intentionally separate: JSON cannot
+// represent nan/inf, so the writer maps them to null.)
 #pragma once
 
 #include <charconv>

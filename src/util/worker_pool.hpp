@@ -37,8 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/tally.hpp"
-
 namespace smn::util {
 
 /// Number of intra-step worker threads: the SMN_STEP_THREADS environment
@@ -62,9 +60,8 @@ namespace smn::util {
 /// the shard — use it to index per-thread scratch.
 class WorkerPool {
 public:
-    /// Per-worker telemetry (zero under -DSMN_DISABLE_OBS): shards run and
-    /// wall-clock spent inside task bodies, cumulative over the pool's
-    /// lifetime.
+    /// Per-worker telemetry: shards run and wall-clock spent inside task
+    /// bodies, cumulative over the pool's lifetime.
     struct WorkerStats {
         std::int64_t shards{0};
         double busy_seconds{0.0};
@@ -135,16 +132,12 @@ public:
             max_workers <= 0 ? workers_ : (max_workers < workers_ ? max_workers : workers_);
         if (active > shards) active = shards;
         if (active <= 1) {
-            const auto begin = obs::kEnabled ? std::chrono::steady_clock::now()
-                                             : std::chrono::steady_clock::time_point{};
+            const auto begin = std::chrono::steady_clock::now();
             for (int s = 0; s < shards; ++s) task(s, 0);  // exceptions propagate directly
-            if constexpr (obs::kEnabled) {
-                std::lock_guard<std::mutex> lock{mutex_};
-                stats_[0].shards += shards;
-                stats_[0].busy_seconds +=
-                    std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-                        .count();
-            }
+            std::lock_guard<std::mutex> lock{mutex_};
+            stats_[0].shards += shards;
+            stats_[0].busy_seconds +=
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
             return;
         }
         {
@@ -179,24 +172,19 @@ private:
             ++in_flight_;
             const auto* task = task_;
             lock.unlock();
-            const auto begin = obs::kEnabled ? std::chrono::steady_clock::now()
-                                             : std::chrono::steady_clock::time_point{};
+            const auto begin = std::chrono::steady_clock::now();
             std::exception_ptr error;
             try {
                 (*task)(s, worker);
             } catch (...) {
                 error = std::current_exception();
             }
-            const auto busy = obs::kEnabled ? std::chrono::duration<double>(
-                                                  std::chrono::steady_clock::now() - begin)
-                                                  .count()
-                                            : 0.0;
+            const auto busy =
+                std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
             lock.lock();
-            if constexpr (obs::kEnabled) {
-                auto& ws = stats_[static_cast<std::size_t>(worker)];
-                ++ws.shards;
-                ws.busy_seconds += busy;
-            }
+            auto& ws = stats_[static_cast<std::size_t>(worker)];
+            ++ws.shards;
+            ws.busy_seconds += busy;
             --in_flight_;
             if (error) {
                 if (!error_) error_ = error;

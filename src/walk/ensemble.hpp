@@ -41,7 +41,6 @@
 
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
-#include "obs/tally.hpp"
 #include "rng/rng.hpp"
 #include "util/simd.hpp"
 #include "walk/decode.hpp"
@@ -55,10 +54,9 @@ using AgentId = std::int32_t;
 /// k agents on a Grid2D, stepped synchronously.
 class AgentEnsemble {
 public:
-    /// Telemetry tallies of the batched step kernel (zero under
-    /// -DSMN_DISABLE_OBS): how many RNG blocks took the vectorized decode
-    /// vs the exact scalar replay (Lemire rejection, or ablation walks
-    /// that never decode in bulk).
+    /// Telemetry tallies of the batched step kernel: how many RNG blocks
+    /// took the vectorized decode vs the exact scalar replay (Lemire
+    /// rejection, or ablation walks that never decode in bulk).
     struct DecodeStats {
         std::int64_t blocks_decoded{0};  ///< blocks decoded rejection-free
         std::int64_t blocks_scalar{0};   ///< blocks replayed word-by-word
@@ -158,10 +156,10 @@ public:
             const std::size_t len = std::min(kBlockSize, count - base);
             block_.fill(rng, len);
             if (decode_block(len)) {
-                SMN_TALLY(++decode_stats_.blocks_decoded);
+                ++decode_stats_.blocks_decoded;
                 apply_block(base, len, width, height, on_move);
             } else {
-                SMN_TALLY(++decode_stats_.blocks_scalar);
+                ++decode_stats_.blocks_scalar;
                 for (std::size_t i = 0; i < len; ++i) {
                     const auto a = base + i;
                     apply(a, direction_mask(xs_[a], ys_[a], width, height),
@@ -223,7 +221,7 @@ private:
             const std::size_t len = std::min(kBlockSize, count - base);
             block_.fill(rng, len);
             if (kind_ == WalkKind::kLazyPaper && decode_block(len)) {
-                SMN_TALLY(++decode_stats_.blocks_decoded);
+                ++decode_stats_.blocks_decoded;
                 // Common path: every buffered word decoded rejection-free.
                 for (std::size_t i = 0; i < len; ++i) {
                     const auto a = index_of(base + i);
@@ -234,7 +232,7 @@ private:
                 // Exact scalar path: ablation walks, and the ~2^-64 case of
                 // a Lemire rejection inside the block. Consumes the same
                 // buffered words through BlockRng, so the stream matches.
-                SMN_TALLY(++decode_stats_.blocks_scalar);
+                ++decode_stats_.blocks_scalar;
                 for (std::size_t i = 0; i < len; ++i) {
                     const auto a = index_of(base + i);
                     const auto mask = direction_mask(xs_[a], ys_[a], width, height);
@@ -345,7 +343,7 @@ private:
     rng::BlockRng block_;                   ///< block-drawn raw RNG words
     std::vector<std::int32_t> draws_;       ///< decoded u per block slot (int32: SIMD lane width)
     std::vector<std::int32_t> moving_;      ///< scratch: step_subset selection
-    DecodeStats decode_stats_;              ///< telemetry tallies (obs/tally.hpp)
+    DecodeStats decode_stats_;              ///< telemetry tallies
 };
 
 }  // namespace smn::walk

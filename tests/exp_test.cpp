@@ -911,7 +911,7 @@ TEST(Writer, FailedUnitsRecordListsEveryFailure) {
     EXPECT_EQ(units[1]->at("error").str(), "second");
 }
 
-#if SMN_FAILPOINTS_ENABLED && defined(GTEST_HAS_DEATH_TEST)
+#if defined(GTEST_HAS_DEATH_TEST)
 
 TEST(JsonlWriterDeathTest, CrashLeavesOnlyCompleteRecords) {
     // Crash-atomicity: the writer flushes at record boundaries, so a
@@ -948,7 +948,7 @@ TEST(JsonlWriterDeathTest, CrashLeavesOnlyCompleteRecords) {
     EXPECT_EQ(records, 2);
 }
 
-#endif  // SMN_FAILPOINTS_ENABLED && GTEST_HAS_DEATH_TEST
+#endif  // GTEST_HAS_DEATH_TEST
 
 TEST(BuiltinScenarios, GridBroadcastIsThreadInvariant) {
     exp::register_builtin_scenarios();

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "io/journal.hpp"
@@ -207,6 +208,131 @@ TEST(SweepJournal, MalformedMidFileLineIsAHardError) {
     EXPECT_THROW((SweepJournal{file.path(), fp, true}), JournalError);
 }
 
+// ------------------------------------------------ malformed-line corpus
+
+// Every way a record line can break the grammar
+//   unit <scenario> <index> wall=<double> <name>=<double> ...
+// One good record sits in front of the bad line, so a resume that
+// silently skipped the line would still find a unit to replay.
+struct BadRecord {
+    const char* name;
+    const char* line;
+};
+
+const BadRecord kBadRecords[] = {
+    {"EmptyLine", ""},
+    {"WrongKeyword", "record gossip 1 wall=0 m=1"},
+    {"KeywordCase", "Unit gossip 1 wall=0 m=1"},
+    {"KeywordOnly", "unit"},
+    {"MissingIndex", "unit gossip"},
+    {"NonNumericIndex", "unit gossip x wall=0"},
+    {"NegativeIndex", "unit gossip -1 wall=0"},
+    {"SignedIndex", "unit gossip +1 wall=0"},
+    {"FractionalIndex", "unit gossip 1.5 wall=0"},
+    {"OverflowingIndex", "unit gossip 99999999999 wall=0"},
+    {"MissingWall", "unit gossip 1 m=1"},
+    {"EmptyWallValue", "unit gossip 1 wall= m=1"},
+    {"NonNumericValue", "unit gossip 1 wall=0 m=abc"},
+    {"TrailingGarbageValue", "unit gossip 1 wall=0 m=1x"},
+    {"FieldWithoutEquals", "unit gossip 1 wall=0 m"},
+    {"EmptyMetricName", "unit gossip 1 wall=0 =1"},
+    {"DoubleSpace", "unit gossip 1 wall=0  m=1"},
+};
+
+enum class Placement { kMidFile, kFinalLine, kTornTail };
+
+constexpr std::uint64_t kCorpusFingerprint = 0x00C0FFEE00C0FFEEULL;
+
+/// Writes a header, one good unit (gossip 0), then `bad` placed per `where`.
+void write_corpus_journal(const std::string& path, const char* bad, Placement where) {
+    { SweepJournal journal{path, kCorpusFingerprint, /*resume=*/false}; }
+    std::ofstream app{path, std::ios::app | std::ios::binary};
+    app << "unit gossip 0 wall=0.5 m=1\n";
+    switch (where) {
+        case Placement::kMidFile: app << bad << "\nunit gossip 2 wall=0 m=3\n"; break;
+        case Placement::kFinalLine: app << bad << '\n'; break;
+        case Placement::kTornTail: app << bad; break;
+    }
+}
+
+class MalformedRecord
+    : public ::testing::TestWithParam<std::tuple<BadRecord, Placement>> {};
+
+// Corruption before the final newline is damage, not a crash signature:
+// resuming would silently change results, so it must refuse.
+TEST_P(MalformedRecord, CompleteLineIsAHardError) {
+    const auto& [bad, where] = GetParam();
+    TempFile file{"corpus"};
+    write_corpus_journal(file.path(), bad.line, where);
+    EXPECT_THROW((SweepJournal{file.path(), kCorpusFingerprint, true}), JournalError)
+        << bad.line;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, MalformedRecord,
+    ::testing::Combine(::testing::ValuesIn(kBadRecords),
+                       ::testing::Values(Placement::kMidFile, Placement::kFinalLine)),
+    [](const auto& info) {
+        return std::string{std::get<0>(info.param).name} +
+               (std::get<1>(info.param) == Placement::kMidFile ? "_MidFile" : "_FinalLine");
+    });
+
+class TornRecord : public ::testing::TestWithParam<BadRecord> {};
+
+// A crash can stop an append after any byte, so a tail with no newline
+// is discarded whatever it holds; the good unit in front of it replays
+// and the next append starts on a fresh line.
+TEST_P(TornRecord, UnterminatedTailIsDiscarded) {
+    TempFile file{"torn_corpus"};
+    write_corpus_journal(file.path(), GetParam().line, Placement::kTornTail);
+    {
+        SweepJournal resumed{file.path(), kCorpusFingerprint, true};
+        EXPECT_EQ(resumed.replayed(), 1u);
+        ASSERT_NE(resumed.find("gossip", 0), nullptr);
+        EXPECT_EQ(resumed.find("gossip", 0)->wall_seconds, 0.5);
+        JournalUnit unit;
+        unit.metrics["m"] = 2.0;
+        resumed.record("gossip", 1, unit);
+    }
+    SweepJournal again{file.path(), kCorpusFingerprint, true};
+    EXPECT_EQ(again.replayed(), 2u);
+    ASSERT_NE(again.find("gossip", 1), nullptr);
+    EXPECT_EQ(again.find("gossip", 1)->metrics.at("m"), 2.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, TornRecord, ::testing::ValuesIn(kBadRecords),
+    [](const auto& info) { return std::string{info.param.name}; });
+
+// Header lines that must not be taken for a v1 journal whose fingerprint
+// is 0x0000000000000001.
+struct BadHeader {
+    const char* name;
+    const char* line;
+};
+
+class MalformedHeader : public ::testing::TestWithParam<BadHeader> {};
+
+TEST_P(MalformedHeader, IsRejectedAtResume) {
+    TempFile file{"header"};
+    std::ofstream{file.path(), std::ios::trunc | std::ios::binary}
+        << GetParam().line << "\nunit gossip 0 wall=0 m=1\n";
+    EXPECT_THROW((SweepJournal{file.path(), 1, true}), JournalError) << GetParam().line;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, MalformedHeader,
+    ::testing::Values(
+        BadHeader{"Empty", ""},
+        BadHeader{"WrongVersion", "smn-sweep-journal v2 fingerprint=0000000000000001"},
+        BadHeader{"WrongCase", "SMN-SWEEP-JOURNAL v1 fingerprint=0000000000000001"},
+        BadHeader{"ShortFingerprint", "smn-sweep-journal v1 fingerprint=1"},
+        BadHeader{"LongFingerprint", "smn-sweep-journal v1 fingerprint=00000000000000001"},
+        BadHeader{"NonHexFingerprint", "smn-sweep-journal v1 fingerprint=000000000000000g"},
+        BadHeader{"SignedFingerprint", "smn-sweep-journal v1 fingerprint=+000000000000001"},
+        BadHeader{"TrailingSpace", "smn-sweep-journal v1 fingerprint=0000000000000001 "}),
+    [](const auto& info) { return std::string{info.param.name}; });
+
 TEST(SweepJournal, NotAJournalRejected) {
     TempFile file{"notjournal"};
     std::ofstream{file.path(), std::ios::trunc} << "{\"schema\":1}\n{\"x\":2}\n";
@@ -225,8 +351,6 @@ TEST(SweepJournal, UnrepresentableNamesRejectedAtRecordTime) {
     unit.metrics.clear();
     EXPECT_THROW(journal.record("bad scenario", 2, unit), JournalError);
 }
-
-#if SMN_FAILPOINTS_ENABLED
 
 TEST(SweepJournal, AppendFailPointSurfacesAsInjectedFault) {
     TempFile file{"fp_append"};
@@ -266,8 +390,6 @@ TEST(SweepJournal, ShortWritesAreRetriedToCompletion) {
     EXPECT_EQ(found->metrics, unit.metrics);
     EXPECT_EQ(found->wall_seconds, unit.wall_seconds);
 }
-
-#endif  // SMN_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace smn::io

@@ -154,7 +154,7 @@ class RealTree(unittest.TestCase):
 
         with open(REPO_ROOT / "tools" / "lint" / "layers.toml", "rb") as fh:
             layers = tomllib.load(fh)["layers"]
-        self.assertEqual(layers["net"], ["util"], "net depends on util only")
+        self.assertEqual(layers["io"], ["util"], "io depends on util only")
         self.assertEqual(layers["obs"], [], "obs is a leaf")
         for dep in ("core", "exp", "sim"):
             self.assertNotIn(dep, layers["graph"], f"graph must not depend on {dep}")

@@ -1,17 +1,24 @@
 // util_test.cpp — the persistent WorkerPool: dynamic shard scheduling,
-// per-run worker limits, lazy growth, and in-pool exception capture.
+// per-run worker limits, lazy growth, and in-pool exception capture; the
+// fail-point harness; and the exact double text round-trip of number.hpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/failpoint.hpp"
+#include "util/number.hpp"
 #include "util/worker_pool.hpp"
 
 namespace smn::util {
@@ -118,8 +125,6 @@ TEST(WorkerPool, SerialPoolPropagatesExceptions) {
         std::out_of_range);
 }
 
-#if SMN_FAILPOINTS_ENABLED
-
 /// Disarms every site when the test ends, so failpoint state never leaks
 /// into unrelated tests in the same process.
 class FailPointTest : public ::testing::Test {
@@ -191,7 +196,79 @@ TEST_F(FailPointTest, MalformedSpecsRejected) {
     EXPECT_THROW(fp.configure("a=1@0,a=1@0"), std::invalid_argument);    // duplicate site
 }
 
-#endif  // SMN_FAILPOINTS_ENABLED
+
+// --------------------------------------------------- double round-trip
+
+struct NamedDouble {
+    const char* name;
+    double value;
+};
+
+class DoubleRoundTrip : public ::testing::TestWithParam<NamedDouble> {};
+
+// The journal's replay promise: a value that travels through the text
+// form comes back with the same bits and re-renders to the same bytes.
+TEST_P(DoubleRoundTrip, RenderThenParseIsExact) {
+    const double value = GetParam().value;
+    const auto text = render_double(value);
+    double parsed = 0.0;
+    ASSERT_TRUE(parse_double(text, parsed)) << text;
+    if (std::isnan(value)) {
+        EXPECT_TRUE(std::isnan(parsed)) << text;
+    } else {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed), std::bit_cast<std::uint64_t>(value))
+            << text;
+    }
+    EXPECT_EQ(render_double(parsed), text);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Values, DoubleRoundTrip,
+    ::testing::Values(
+        NamedDouble{"Zero", 0.0},
+        NamedDouble{"NegativeZero", -0.0},
+        NamedDouble{"One", 1.0},
+        NamedDouble{"PointOnePlusPointTwo", 0.1 + 0.2},
+        NamedDouble{"OneThird", 1.0 / 3.0},
+        NamedDouble{"Avogadro", 6.02214076e23},
+        NamedDouble{"NegativeDecimal", -123.456},
+        NamedDouble{"AboveTwoToThe53", 9007199254740994.0},
+        NamedDouble{"MinSubnormal", std::numeric_limits<double>::denorm_min()},
+        NamedDouble{"NegativeMinSubnormal", -std::numeric_limits<double>::denorm_min()},
+        NamedDouble{"MinNormal", std::numeric_limits<double>::min()},
+        NamedDouble{"Max", std::numeric_limits<double>::max()},
+        NamedDouble{"Infinity", std::numeric_limits<double>::infinity()},
+        NamedDouble{"NegativeInfinity", -std::numeric_limits<double>::infinity()},
+        NamedDouble{"NaN", std::numeric_limits<double>::quiet_NaN()}),
+    [](const auto& info) { return std::string{info.param.name}; });
+
+struct NamedToken {
+    const char* name;
+    const char* text;
+};
+
+class DoubleParseRejects : public ::testing::TestWithParam<NamedToken> {};
+
+// A token must be consumed whole: a prefix that happens to parse is not
+// the value the writer rendered.
+TEST_P(DoubleParseRejects, PartialOrEmptyToken) {
+    double out = 0.0;
+    EXPECT_FALSE(parse_double(GetParam().text, out)) << '"' << GetParam().text << '"';
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tokens, DoubleParseRejects,
+    ::testing::Values(NamedToken{"Empty", ""},
+                      NamedToken{"Word", "x"},
+                      NamedToken{"TrailingLetter", "1x"},
+                      NamedToken{"TrailingSpace", "1 "},
+                      NamedToken{"BareExponent", "1e"},
+                      NamedToken{"DoubleSign", "--1"},
+                      NamedToken{"DecimalComma", "1,5"},
+                      NamedToken{"TwoPoints", "1.2.3"},
+                      NamedToken{"LonePoint", "."},
+                      NamedToken{"UnclosedNanPayload", "nan("}),
+    [](const auto& info) { return std::string{info.param.name}; });
 
 }  // namespace
 }  // namespace smn::util

@@ -2,7 +2,7 @@
 //
 // Lists registered scenarios and runs declarative parameter sweeps over
 // them, writing one structured record per (scenario, parameter point) to
-// JSONL or CSV. Replications are farmed over sim::run_replications
+// JSONL or CSV. Replications are farmed over sim::ReplicationPool
 // workers with deterministic per-replication seeds, so the emitted
 // results are bit-identical for any --threads value (timings, which are
 // host-dependent, are opt-in via --timings).
@@ -22,14 +22,6 @@
 // byte-identical to an uninterrupted run. --retries=N retries a throwing
 // replication; units that fail every attempt are reported in a
 // "failed_units" record (exit 3) while healthy units complete.
-//
-// Distributed sweeps (docs/robustness.md): --workers=N farms units out
-// to N spawned copies of this binary (--serve=SOCKET) through a
-// lease-based coordinator. Worker death, heartbeat loss, and torn result
-// frames reassign units with bounded retries; the pool shrinking to zero
-// degrades to inline serial execution; output stays byte-identical to a
-// serial run throughout, including across a coordinator crash recovered
-// with --journal/--resume.
 #include <csignal>
 #include <unistd.h>
 
@@ -49,14 +41,10 @@
 #include "exp/sweep.hpp"
 #include "exp/writer.hpp"
 #include "io/journal.hpp"
-#include "net/coordinator.hpp"
-#include "net/worker.hpp"
 #include "obs/provenance.hpp"
 #include "obs/step_trace.hpp"
-#include "rng/rng.hpp"
 #include "sim/args.hpp"
 #include "stats/table.hpp"
-#include "util/failpoint.hpp"
 #include "util/worker_pool.hpp"
 
 namespace {
@@ -164,64 +152,6 @@ std::vector<std::string> split_names(const std::string& text) {
     return names;
 }
 
-/// Worker mode (--serve=SOCKET): connect to the coordinator, learn the
-/// (scenario, sweep, seed, reps) job from its hello, verify the sweep
-/// fingerprint against this build, then compute leased units until told
-/// to shut down. The per-unit computation is *identical* to the local
-/// runner's body — same point binding, same seed derivation, same
-/// unit_body fail point — which is what makes distributed results
-/// byte-identical to serial ones.
-int run_worker_mode(const std::string& socket_path) {
-    // The coordinator owns lifecycle: a terminal Ctrl-C reaches the whole
-    // process group, so the worker ignores SIGINT and waits for the
-    // coordinator's shutdown message, socket EOF, or SIGTERM (which the
-    // coordinator escalates to, and which PDEATHSIG delivers if the
-    // coordinator dies outright).
-    std::signal(SIGINT, SIG_IGN);
-
-    struct Job {
-        const exp::Scenario* scenario{nullptr};
-        std::vector<exp::ScenarioParams> bound;
-        std::vector<std::uint64_t> point_seeds;
-        int reps{1};
-    };
-    auto job = std::make_shared<Job>();
-
-    net::WorkerHooks hooks;
-    hooks.prepare = [job](const net::Message& hello) {
-        job->scenario = &exp::ScenarioRegistry::instance().at(hello.scenario);
-        const auto points = exp::SweepSpec::parse(hello.sweep_text).points();
-        job->bound.clear();
-        job->point_seeds.clear();
-        for (const auto& values : points) {
-            job->bound.emplace_back(job->scenario->params, values);
-            job->point_seeds.push_back(
-                exp::point_seed(hello.seed, job->scenario->name, values));
-        }
-        job->reps = hello.reps;
-        return io::sweep_fingerprint(hello.seed, hello.reps,
-                                     {{hello.scenario, hello.sweep_text}},
-                                     obs::build_info().git_sha);
-    };
-    hooks.unit_seed = [job](int unit) {
-        const auto u = static_cast<std::size_t>(unit);
-        return rng::replication_seed(job->point_seeds.at(u / job->reps),
-                                     u % static_cast<std::size_t>(job->reps));
-    };
-    hooks.run_unit = [job](int unit, std::uint64_t seed,
-                           std::map<std::string, double>& metrics,
-                           double& wall_seconds) {
-        const auto u = static_cast<std::size_t>(unit);
-        util::failpoint("unit_body");
-        const auto begin = std::chrono::steady_clock::now();
-        metrics = job->scenario->run_rep(job->bound.at(u / job->reps), seed);
-        wall_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - begin)
-                .count();
-    };
-    return net::run_worker(socket_path, hooks);
-}
-
 int run(int argc, char** argv) {
     sim::Args args{argc, argv};
     const bool list = args.get_flag("list");
@@ -253,18 +183,8 @@ int run(int argc, char** argv) {
     const bool journal_flag = args.get_flag("journal");
     const std::string journal_arg = args.get_string("journal", "");
     const std::string resume_path = args.get_string("resume", "");
-    // Distributed sweeps (docs/robustness.md): --workers=N runs the sweep
-    // through the net:: fabric — this process coordinates, N spawned
-    // copies of this binary (--serve=SOCKET) compute units under lease.
-    // --heartbeat-ms tunes liveness detection (tests shrink it).
-    const std::string serve_path = args.get_string("serve", "");
-    const int fabric_workers = static_cast<int>(args.get_int("workers", 0));
-    const int heartbeat_ms = static_cast<int>(args.get_int("heartbeat-ms", 250));
     args.reject_unknown();
-    if (!serve_path.empty()) return run_worker_mode(serve_path);
     if (options.retries < 0) throw std::invalid_argument("--retries must be >= 0");
-    if (fabric_workers < 0) throw std::invalid_argument("--workers must be >= 0");
-    if (heartbeat_ms < 1) throw std::invalid_argument("--heartbeat-ms must be >= 1");
     if (!resume_path.empty() && (journal_flag || !journal_arg.empty())) {
         throw std::invalid_argument("--resume already names the journal; drop --journal");
     }
@@ -330,16 +250,6 @@ int run(int argc, char** argv) {
         std::signal(SIGINT, handle_stop_signal);
         std::signal(SIGTERM, handle_stop_signal);
     }
-    // Coordinator mode always traps the stop signals, journal or not:
-    // Ctrl-C must drop pending leases, shut every worker down (no
-    // orphans), and exit 130 — scripts/distributed_sweep.sh asserts this.
-    const std::string fabric_socket =
-        "/tmp/smn_lab." + std::to_string(::getpid()) + ".sock";
-    if (fabric_workers > 0) {
-        options.stop = &g_stop;
-        std::signal(SIGINT, handle_stop_signal);
-        std::signal(SIGTERM, handle_stop_signal);
-    }
 
     // Output stream: stdout for "-", else a fresh file (parents created).
     std::ofstream file;
@@ -392,62 +302,6 @@ int run(int argc, char** argv) {
                   << " point(s) x " << options.reps << " rep(s), sweep \"" << sweep_texts[i]
                   << "\"\n";
         progress.begin(scenario->name);
-        if (fabric_workers > 0) {
-            // Per-scenario dispatch backend: a Coordinator over spawned
-            // --serve copies of this binary. The fabric fingerprint binds
-            // (seed, reps, scenario, sweep text, build sha), so a worker
-            // from a different build refuses the handshake outright.
-            const auto* fabric_scenario = scenario;
-            const std::string fabric_sweep = sweep_texts[i];
-            options.dispatch = [&options, fabric_scenario, fabric_sweep,
-                                fabric_socket, fabric_workers,
-                                heartbeat_ms](exp::DispatchContext& ctx) {
-                net::CoordinatorConfig cfg;
-                cfg.socket_path = fabric_socket;
-                cfg.spawn_workers = fabric_workers;
-                cfg.spawn_argv = {"/proc/self/exe", "--serve=" + fabric_socket};
-                cfg.heartbeat_ms = heartbeat_ms;
-                cfg.total_units = ctx.total_units;
-                cfg.ledger.max_attempts = 1 + options.retries;
-                cfg.sweep_fingerprint = io::sweep_fingerprint(
-                    options.seed, options.reps,
-                    {{fabric_scenario->name, fabric_sweep}},
-                    obs::build_info().git_sha);
-                cfg.scenario = fabric_scenario->name;
-                cfg.seed = options.seed;
-                cfg.reps = options.reps;
-                cfg.sweep_text = fabric_sweep;
-                cfg.stop = &g_stop;
-                net::CoordinatorHooks hooks;
-                hooks.unit_seed = ctx.unit_seed;
-                hooks.run_inline = [&ctx](int unit, double& wall_seconds) {
-                    return ctx.compute(unit, wall_seconds);
-                };
-                hooks.deliver = ctx.deliver;
-                net::Coordinator coordinator{std::move(cfg), std::move(hooks)};
-                const auto outcome = coordinator.run(ctx.units);
-                if (outcome.reassignments > 0 || outcome.duplicates > 0 ||
-                    outcome.inline_units > 0) {
-                    std::cerr << "[smn_lab] fabric: " << outcome.reassignments
-                              << " reassignment(s), " << outcome.duplicates
-                              << " duplicate result(s) deduped, "
-                              << outcome.inline_units << " unit(s) degraded to "
-                              << "inline\n";
-                }
-                exp::DispatchReport report;
-                report.skipped = outcome.skipped;
-                for (const auto& failure : outcome.failures) {
-                    sim::UnitFailure unit_failure;
-                    unit_failure.unit = failure.unit;
-                    unit_failure.attempts = failure.attempts;
-                    unit_failure.message = failure.message;
-                    unit_failure.error = std::make_exception_ptr(
-                        std::runtime_error(failure.message));
-                    report.failures.push_back(std::move(unit_failure));
-                }
-                return report;
-            };
-        }
         std::vector<exp::PointResult> results;
         try {
             results = exp::run_sweep(*scenario, sweep, options);
