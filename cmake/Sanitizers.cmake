@@ -3,7 +3,7 @@
 # SMN_SANITIZE enables AddressSanitizer + UndefinedBehaviorSanitizer
 # tree-wide (the `asan` preset); SMN_SANITIZE_THREAD enables
 # ThreadSanitizer (the `tsan` preset — guards the WorkerPool /
-# ReplicationPool / sharded-scan concurrency). Compile and link flags must
+# ReplicationPool concurrency). Compile and link flags must
 # match across every object, so both apply globally rather than
 # per-target. TSan is incompatible with ASan, so the two are mutually
 # exclusive.

@@ -20,8 +20,8 @@ jsonl="${out_dir}/step_throughput.jsonl"
 
 # --threads=1 keeps replications sequential so steps_per_s measures the
 # single-threaded step loop; 3 reps amortize process noise. --counters
-# feeds perf_gate.py's derived rates (replay ratio, bypass fraction, pair
-# survivor rate) so each BENCH point records how the machinery engaged.
+# feeds perf_gate.py's derived rates (pair survivor rate, DSU fast-hit
+# rate, relink fraction) so each BENCH point records how the machinery engaged.
 run() {
     "${build_dir}/smn_lab" --scenario=step_throughput --sweep="$1" \
         --reps=3 --threads=1 --timings --counters --out="${jsonl}.part"

@@ -34,16 +34,12 @@ def canonical_key(params):
 
 
 def derived_rates(counters):
-    """Telemetry ratios worth eyeballing next to steps/s: how much of the
-    incremental machinery actually engaged on this point."""
+    """Telemetry ratios worth eyeballing next to steps/s: how the pair scan,
+    the DSU and the walk behaved on this point."""
     rates = {}
     def ratio(name, num, den):
         if den > 0:
             rates[name] = round(num / den, 4)
-    units = counters.get("scan.units_replayed", 0) + counters.get("scan.units_rescanned", 0)
-    ratio("replay_ratio", counters.get("scan.units_replayed", 0), units)
-    ratio("bypass_fraction", counters.get("scan.bypass_passes", 0),
-          counters.get("scan.passes", 0))
     ratio("pair_survivor_rate", counters.get("scan.pairs_survived", 0),
           counters.get("scan.pairs_tested", 0))
     ratio("dsu_fast_hit_rate", counters.get("dsu.fast_path_hits", 0),

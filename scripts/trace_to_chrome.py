@@ -10,7 +10,7 @@ timestamps, so the timeline is synthetic: each step's four phases (walk,
 index, components, exchange) are laid end to end as complete ("X") events,
 which preserves every duration and proportion while keeping the trace
 self-contained. Counter ("C") tracks carry the per-step telemetry series:
-informed agents, components, rescanned/replayed units, pairs tested — so
+informed agents, components, occupied/scanned cells, pairs tested — so
 the counter panels line up under the phase spans.
 """
 import json
@@ -20,10 +20,9 @@ PHASES = ["walk_s", "index_s", "components_s", "exchange_s"]
 
 COUNTER_TRACKS = {
     "progress": ["informed", "components"],
-    "scan units": ["units", "rescanned", "replayed"],
+    "scan cells": ["units", "rescanned"],
     "pairs": ["pairs_tested", "pairs_survived"],
-    "edge cache": ["edges_cached", "edges_replayed"],
-    "index": ["index_moves", "index_relinks", "dirty_buckets"],
+    "moves": ["index_moves", "index_relinks"],
     "dsu": ["dsu_unites", "dsu_fast_hits"],
     "walk decode": ["blocks_decoded", "blocks_scalar"],
 }
@@ -60,7 +59,7 @@ def main():
         events.append({
             "name": "step", "cat": "step", "ph": "X",
             "pid": 1, "tid": 1, "ts": step_begin, "dur": ts - step_begin,
-            "args": {"step": step, "bypass": rec.get("bypass", 0)},
+            "args": {"step": step},
         })
         for track, fields in COUNTER_TRACKS.items():
             events.append({

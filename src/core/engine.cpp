@@ -81,15 +81,11 @@ std::vector<std::pair<const char*, double>> BroadcastProcess::counters() const {
         {"scan.bypass_passes", d(scan.bypass_passes)},
         {"scan.units_rescanned", d(scan.rescanned_units)},
         {"scan.units_replayed", d(scan.replayed_units)},
-        {"scan.dirty_buckets", d(scan.dirty_buckets)},
         {"scan.pairs_tested", d(scan.pairs_tested)},
         {"scan.pairs_survived", d(scan.pairs_survived)},
-        {"scan.edges_cached", d(scan.edges_cached)},
         {"scan.edges_replayed", d(scan.edges_replayed)},
         {"index.moves", d(index.moves)},
         {"index.relinks", d(index.relinks)},
-        {"index.dirty_marks", d(index.dirty_marks)},
-        {"index.rebuilds", d(index.rebuilds)},
         {"dsu.unites", d(dsu.unites)},
         {"dsu.fast_path_hits", d(dsu.fast_path_hits)},
         {"walk.blocks_decoded", d(walk.blocks_decoded)},
@@ -117,13 +113,8 @@ obs::StepRecord BroadcastProcess::trace_totals() const noexcept {
     cur.exchange_s = ph.exchange_s;
     const auto& scan = builder_.scan_stats();
     cur.rescanned = scan.rescanned_units;
-    cur.replayed = scan.replayed_units;
-    cur.bypass = scan.bypass_passes;
     cur.pairs_tested = scan.pairs_tested;
     cur.pairs_survived = scan.pairs_survived;
-    cur.edges_cached = scan.edges_cached;
-    cur.edges_replayed = scan.edges_replayed;
-    cur.dirty_buckets = scan.dirty_buckets;
     const auto& index = builder_.index_stats();
     cur.index_moves = index.moves;
     cur.index_relinks = index.relinks;
@@ -148,13 +139,8 @@ void BroadcastProcess::trace_step() {
     rec.components_s = cur.components_s - trace_prev_.components_s;
     rec.exchange_s = cur.exchange_s - trace_prev_.exchange_s;
     rec.rescanned = cur.rescanned - trace_prev_.rescanned;
-    rec.replayed = cur.replayed - trace_prev_.replayed;
-    rec.bypass = cur.bypass - trace_prev_.bypass;
     rec.pairs_tested = cur.pairs_tested - trace_prev_.pairs_tested;
     rec.pairs_survived = cur.pairs_survived - trace_prev_.pairs_survived;
-    rec.edges_cached = cur.edges_cached - trace_prev_.edges_cached;
-    rec.edges_replayed = cur.edges_replayed - trace_prev_.edges_replayed;
-    rec.dirty_buckets = cur.dirty_buckets - trace_prev_.dirty_buckets;
     rec.index_moves = cur.index_moves - trace_prev_.index_moves;
     rec.index_relinks = cur.index_relinks - trace_prev_.index_relinks;
     rec.dsu_unites = cur.dsu_unites - trace_prev_.dsu_unites;
@@ -176,21 +162,12 @@ void BroadcastProcess::step() {
     const auto t0 = stamp();
     // Once the rumor has saturated and nothing observes the partition,
     // neither the component pass nor the exchange can affect observable
-    // state — and with the component pass deferred, maintaining the
-    // spatial index per move is pointless too. The step degenerates to
-    // the walk; components() rebuilds index + partition on demand.
+    // state. The step degenerates to the walk; components() recomputes
+    // the partition on demand.
     const bool lazy = observers_.empty() && rumor_.all_informed();
-    // A fresh dirty epoch — unless state is deferred, in which case the
-    // index will be rebuilt from scratch anyway.
-    if (!lazy && !stale_) builder_.begin_step();
-    // Boundary-crossing agents feed the incremental spatial index; the
-    // constructor's build() indexed the ensemble's (stable) position
-    // storage, so only the component pass below runs over the dirty
-    // region. No hook while deferred: the on-demand build() re-links
-    // everything.
-    const bool hook = !lazy && !stale_;
-    const auto report = [this, hook](walk::AgentId a, grid::Point from, grid::Point to) {
-        if (hook) builder_.on_move(a, from, to);
+    // Moves of observed steps are tallied into the index.* counters.
+    const auto report = [this, lazy](walk::AgentId a, grid::Point from, grid::Point to) {
+        if (!lazy) builder_.on_move(a, from, to);
     };
     if (config_.mobility == Mobility::kAllMove) {
         agents_.step_all(rng_, report);
@@ -209,13 +186,8 @@ void BroadcastProcess::step() {
         trace_step();
         return;
     }
-    if (stale_) {
-        // First observed step after deferred ones: re-index from scratch.
-        builder_.build(agents_.positions(), dsu_);
-        stale_ = false;
-    } else {
-        builder_.rebuild_components(agents_.positions(), dsu_);
-    }
+    builder_.build(agents_.positions(), dsu_);
+    stale_ = false;
     const auto t2 = stamp();
     exchange();
     if (timing_) {
@@ -229,9 +201,9 @@ void BroadcastProcess::step() {
 
 void BroadcastProcess::refresh_components() {
     if (!stale_) return;  // partition is current as of the last full step
-    // Deferred steps walked without index maintenance: re-index from
-    // scratch, which also recomputes the partition. Accounted under the
-    // rebuild phase so phase_timings() subtraction stays consistent.
+    // Deferred steps skipped the component pass: recompute it. Accounted
+    // under the rebuild phase so phase_timings() subtraction stays
+    // consistent.
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
     using clock = std::chrono::steady_clock;
     const auto t0 = timing_ ? clock::now() : clock::time_point{};
@@ -248,10 +220,10 @@ void BroadcastProcess::set_phase_timing(bool on) noexcept {
 StepPhaseTimings BroadcastProcess::phase_timings() const noexcept {
     StepPhaseTimings timings;
     timings.walk_s = walk_seconds_;
-    timings.index_s = builder_.prep_seconds();
-    // Clamp: clock granularity can make the prep total nominally exceed
+    timings.index_s = builder_.index_seconds();
+    // Clamp: clock granularity can make the sort total nominally exceed
     // the enclosing rebuild total.
-    timings.components_s = std::max(0.0, rebuild_seconds_ - builder_.prep_seconds());
+    timings.components_s = std::max(0.0, rebuild_seconds_ - builder_.index_seconds());
     timings.exchange_s = exchange_seconds_;
     return timings;
 }

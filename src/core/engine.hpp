@@ -70,10 +70,10 @@ struct EngineConfig {
 
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see BroadcastProcess::set_phase_timing).
-/// index_s is the component pass's index-prep portion (CSR snapshot +
-/// taint expansion inside the builder); components_s is the remainder of
-/// the rebuild (pair scan / edge replay + unions); walk_s includes the
-/// O(1) per-move index updates reported from the walk kernel.
+/// walk_s is the walk kernel (its per-move hook only tallies moves);
+/// index_s is the component pass's counting sort of the agents into the
+/// cell list; components_s is the remainder of the pass (pair scan +
+/// unions); exchange_s is the rumor exchange.
 struct StepPhaseTimings {
     double walk_s{0.0};
     double index_s{0.0};
@@ -105,9 +105,10 @@ public:
     /// range.
     explicit BroadcastProcess(const EngineConfig& config);
 
-    // Non-copyable: the incremental spatial index views the ensemble's
-    // position storage, which a copy would silently keep aliasing. Moves
-    // are fine (vector storage survives a move).
+    // Non-copyable: the destructor flushes the cumulative counters into
+    // the process-wide registry, and a copy would flush them twice (it
+    // would also share the claimed trace sink). Moves are fine: a
+    // moved-from shell flushes nothing.
     BroadcastProcess(const BroadcastProcess&) = delete;
     BroadcastProcess& operator=(const BroadcastProcess&) = delete;
     BroadcastProcess(BroadcastProcess&&) = default;
@@ -182,7 +183,7 @@ private:
     std::vector<std::uint8_t> root_informed_;  ///< scratch, size k
     std::vector<std::uint8_t> move_mask_;      ///< scratch for frog mobility
     std::vector<std::int32_t> labels_;         ///< scratch: component labels
-    bool stale_{false};  ///< index + component pass deferred (post-completion)
+    bool stale_{false};  ///< component pass deferred (post-completion)
     bool timing_{false};
     double walk_seconds_{0.0};
     double rebuild_seconds_{0.0};

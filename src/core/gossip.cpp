@@ -28,11 +28,8 @@ GossipProcess::GossipProcess(const EngineConfig& config)
 
 void GossipProcess::step() {
     ++t_;
-    builder_.begin_step();
-    agents_.step_all(rng_, [this](walk::AgentId a, grid::Point from, grid::Point to) {
-        builder_.on_move(a, from, to);
-    });
-    builder_.rebuild_components(agents_.positions(), dsu_);
+    agents_.step_all(rng_);
+    builder_.build(agents_.positions(), dsu_);
     exchange();
 }
 

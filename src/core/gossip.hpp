@@ -32,14 +32,6 @@ public:
     /// a source of its own rumor).
     explicit GossipProcess(const EngineConfig& config);
 
-    // Non-copyable: the incremental spatial index views the ensemble's
-    // position storage, which a copy would silently keep aliasing. Moves
-    // are fine (vector storage survives a move).
-    GossipProcess(const GossipProcess&) = delete;
-    GossipProcess& operator=(const GossipProcess&) = delete;
-    GossipProcess(GossipProcess&&) = default;
-    GossipProcess& operator=(GossipProcess&&) = default;
-
     /// Advances one time step: move, rebuild G_t(r), exchange rumor sets.
     void step();
 

@@ -227,7 +227,6 @@ void write_provenance(std::ostream& os, const RunProvenance& run) {
     line += ",\"obs_enabled\":";
     line += info.obs_enabled ? "true" : "false";
     line += ",\"threads\":" + std::to_string(run.threads);
-    line += ",\"step_threads\":" + std::to_string(run.step_threads);
     line += ",\"seed\":" + std::to_string(run.seed);
     line += ",\"reps\":" + std::to_string(run.reps);
     line += "}\n";

@@ -72,7 +72,6 @@ private:
 /// Run-level context for the provenance header record.
 struct RunProvenance {
     int threads{0};        ///< resolved replication thread count
-    int step_threads{0};   ///< resolved intra-step thread count
     std::uint64_t seed{0};
     int reps{0};
 };

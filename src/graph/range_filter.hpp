@@ -1,8 +1,9 @@
 // range_filter.hpp — masked in-range tests for the visibility pair scan.
 //
 // The hot predicate of VisibilityGraphBuilder is "is agent j within
-// distance r of agent i" over short contiguous candidate slices (a bucket
-// row segment or a gathered bucket). At percolation occupancy (≈1 agent
+// distance r of agent i" over short contiguous candidate slices of the
+// sorted cell list (a cell's later members plus its E cell, or the SW|S|SE
+// slice of the next cell row). At percolation occupancy (≈1 agent
 // per bucket) those slices are 1–8 agents long, so a classic
 // full-vector-plus-scalar-tail loop would almost never take the vector
 // path. Instead the kernel here is *masked fixed width*: it always loads
@@ -10,17 +11,17 @@
 // every candidate slice into exactly one vector op.
 //
 // Contract: callers must keep xs/ys readable for kRangeLanes elements
-// from the given offset even when count < kRangeLanes — the scan buffers
-// (RowBuffer, ScanScratch) are padded with kRangePad value-initialized
+// from the given offset even when count < kRangeLanes — the cell list's
+// sorted arrays are padded with spatial::BucketIndex::kPad ≥ kRangePad
 // elements for this; the padded lanes are computed on and then discarded
 // by the mask, so their contents never affect the result.
 //
 // The returned bit i (i < count) is set iff candidate i is in range. The
 // caller iterates survivors in ascending bit order (countr_zero /
 // clear-lowest), which is exactly the scalar iteration order — so the
-// DSU union sequence, the cached-edge arenas, and therefore the
-// trajectories are bit-identical to the scalar scan (and across SIMD
-// backends; the force-scalar CI leg replays the same goldens).
+// DSU union sequence, and therefore the trajectories, are bit-identical
+// to the scalar scan (and across SIMD backends; the force-scalar CI leg
+// replays the same goldens).
 //
 // Metrics: L1 and L∞ are 8-wide int32 lane math. Distances fit int32
 // because coordinates come from a Grid2D, whose node count fits int32

@@ -2,8 +2,8 @@
 //
 // StepTrace is a fixed-capacity ring of StepRecord entries, one per engine
 // step: the four phase wall-clock spans plus the step's deltas of every
-// engine counter (units rescanned/replayed, pairs tested/survived, DSU
-// unions, index moves, …) and a few instantaneous gauges (informed agents,
+// engine counter (cells scanned, pairs tested/survived, DSU unions, walk
+// moves, …) and a few instantaneous gauges (informed agents,
 // component count). The ring keeps the *latest* `capacity` steps; pushes
 // past capacity overwrite the oldest and bump `dropped`, so a week-long
 // run can leave a trace armed without unbounded memory.
@@ -33,21 +33,16 @@ namespace smn::obs {
 /// One engine step's telemetry: phase spans, counter deltas, gauges.
 struct StepRecord {
     std::int64_t step{0};        ///< engine time t
-    double walk_s{0.0};          ///< walk phase (incl. per-move index updates)
-    double index_s{0.0};         ///< component-pass index prep
-    double components_s{0.0};    ///< pair scan / replay + unions
+    double walk_s{0.0};          ///< walk phase
+    double index_s{0.0};         ///< counting sort into the cell list
+    double components_s{0.0};    ///< pair scan + unions
     double exchange_s{0.0};      ///< rumor exchange
-    std::int64_t units{0};       ///< occupied scan units at the pass
-    std::int64_t rescanned{0};   ///< units re-enumerated this step
-    std::int64_t replayed{0};    ///< units replayed from the edge cache
-    std::int64_t bypass{0};      ///< 1 if the pass ran in bypass mode
+    std::int64_t units{0};       ///< occupied cells at the pass
+    std::int64_t rescanned{0};   ///< cells scanned this step
     std::int64_t pairs_tested{0};     ///< candidate pairs distance-tested
-    std::int64_t pairs_survived{0};   ///< in-range pairs reaching the sink
-    std::int64_t edges_cached{0};     ///< spanning edges written by rescans
-    std::int64_t edges_replayed{0};   ///< spanning edges replayed from cache
-    std::int64_t dirty_buckets{0};    ///< buckets stamped dirty this step
-    std::int64_t index_moves{0};      ///< BucketIndex::move calls
-    std::int64_t index_relinks{0};    ///< moves that crossed a bucket boundary
+    std::int64_t pairs_survived{0};   ///< in-range pairs reaching the DSU
+    std::int64_t index_moves{0};      ///< walk moves reported to the builder
+    std::int64_t index_relinks{0};    ///< moves that changed cell
     std::int64_t dsu_unites{0};       ///< DSU merges performed
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
@@ -131,13 +126,8 @@ private:
         field_d("exchange_s", r.exchange_s);
         field_i("units", r.units);
         field_i("rescanned", r.rescanned);
-        field_i("replayed", r.replayed);
-        field_i("bypass", r.bypass);
         field_i("pairs_tested", r.pairs_tested);
         field_i("pairs_survived", r.pairs_survived);
-        field_i("edges_cached", r.edges_cached);
-        field_i("edges_replayed", r.edges_replayed);
-        field_i("dirty_buckets", r.dirty_buckets);
         field_i("index_moves", r.index_moves);
         field_i("index_relinks", r.index_relinks);
         field_i("dsu_unites", r.dsu_unites);

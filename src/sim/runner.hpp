@@ -47,15 +47,10 @@ namespace smn::sim {
 }
 
 /// Effective replication-level worker count for `threads` requested
-/// workers and `reps` replications. Clamps to [1, reps] (idle workers are
-/// never spawned) and divides by util::step_threads() when step-level
-/// parallelism is on, so replication workers × step workers never exceeds
-/// the requested thread budget (SMN_THREADS × SMN_STEP_THREADS
-/// oversubscription would otherwise multiply).
+/// workers and `reps` replications: clamped to [1, reps], so idle workers
+/// are never spawned.
 [[nodiscard]] inline int replication_workers(int threads, int reps) noexcept {
     int workers = threads < 1 ? 1 : threads;
-    const int step = util::step_threads();
-    if (step > 1) workers = std::max(1, workers / step);
     if (reps >= 0) workers = std::min(workers, reps);
     return std::max(workers, 1);
 }

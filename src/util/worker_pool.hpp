@@ -1,36 +1,25 @@
 // worker_pool.hpp — a persistent in-process worker pool with dynamic
 // shard scheduling.
 //
-// The pool serves two distinct parallelism layers:
-//   - *inside* one simulation step: the visibility graph's sharded pair
-//     scan (a handful of coarse shards per run), and
-//   - *across* replications: sim::ReplicationPool (sim/runner.hpp) hands
-//     out replication indices as shards, one replication per shard.
-// Spawning threads per run would dominate both workloads, so the pool
-// keeps its workers alive between run() calls and hands out shard indices
-// from a shared queue — any worker may take any shard (dynamic
-// scheduling), which is safe because shard outputs are written to
-// per-shard buffers and either merged by the caller in fixed shard order
-// (the scan) or already index-addressed (replications). That merge-by-
-// index, not the scheduling, is what keeps results deterministic; a slow
-// shard therefore never strands work behind a static stride.
+// The pool serves replication-level parallelism: sim::ReplicationPool
+// (sim/runner.hpp) hands out replication indices as shards, one
+// replication per shard. Spawning threads per run would dominate that
+// workload, so the pool keeps its workers alive between run() calls and
+// hands out shard indices from a shared queue — any worker may take any
+// shard (dynamic scheduling), which is safe because shard outputs are
+// index-addressed. That, not the scheduling, is what keeps results
+// deterministic; a slow shard therefore never strands work behind a
+// static stride.
 //
 // Exceptions thrown by a shard are captured inside the pool: the first
 // one cancels the shards not yet handed out (in-flight shards finish) and
 // is rethrown on the caller's thread once every worker has drained. A
 // throwing task body is thus an ordinary error, not std::terminate.
-//
-// The per-step thread count comes from SMN_STEP_THREADS (default 1 = no
-// pool, no threads, zero overhead). It is deliberately separate from
-// SMN_THREADS: replication-level parallelism multiplies with step-level
-// parallelism, and sim::replication_workers() divides the replication
-// worker count by step_threads() so the product never oversubscribes.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -38,19 +27,6 @@
 #include <vector>
 
 namespace smn::util {
-
-/// Number of intra-step worker threads: the SMN_STEP_THREADS environment
-/// variable clamped to [1, 64]; 1 (fully serial) when unset or invalid.
-[[nodiscard]] inline int step_threads() noexcept {
-    if (const char* env = std::getenv("SMN_STEP_THREADS")) {
-        char* end = nullptr;
-        const long parsed = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && parsed >= 1 && parsed <= 64) {
-            return static_cast<int>(parsed);
-        }
-    }
-    return 1;
-}
 
 /// Persistent pool of `workers` threads (including the caller, which
 /// participates in run()). run(shards, task) invokes task(shard, worker)

@@ -135,8 +135,8 @@ public:
     void step_all(rng::Rng& rng) { step_all(rng, [](AgentId, grid::Point, grid::Point) {}); }
 
     /// As step_all, additionally reporting `on_move(agent, from, to)` for
-    /// every agent whose node changed (in agent order) — the hook the
-    /// incremental spatial index hangs off.
+    /// every agent whose node changed (in agent order) — the hook engines
+    /// tally moves through.
     template <typename OnMove>
     void step_all(rng::Rng& rng, OnMove&& on_move) {
         if (kind_ != WalkKind::kLazyPaper) {

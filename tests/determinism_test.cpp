@@ -1,7 +1,7 @@
 // determinism_test.cpp — the step-loop overhaul's "zero behavioral drift"
 // contract (ISSUE 3).
 //
-// The PR 3 hot path (incremental BucketIndex, half-neighborhood pair
+// The hot path (per-step sorted cell list, half-neighborhood pair
 // enumeration, SoA ensemble with block-drawn RNG) must reproduce the seed
 // implementation bit-for-bit: same engine-word consumption per agent per
 // step, same component partitions, hence identical T_B and rumor
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -267,45 +266,6 @@ INSTANTIATE_TEST_SUITE_P(
         PathwiseParam{12, 8, 2, Mobility::kInformedOnly, walk::WalkKind::kLazyPaper, 25},
         PathwiseParam{12, 8, 0, Mobility::kInformedOnly, walk::WalkKind::kLazyPaper, 26},
         PathwiseParam{10, 14, 4, Mobility::kInformedOnly, walk::WalkKind::kSimple, 27}));
-
-// ------------------------------------------- step-thread invariance (PR 4)
-
-// SMN_STEP_THREADS shards the component pass inside one step; the
-// per-shard edge buffers are merged in fixed row order, so full engine
-// trajectories — T_B, informed series, both mobilities — must be
-// bit-identical at any thread count.
-TEST(StepThreadInvariance, TrajectoriesAreBitIdenticalAcrossStepThreads) {
-    const struct {
-        grid::Coord side;
-        std::int32_t k;
-        std::int64_t radius;
-        Mobility mobility;
-    } configs[] = {
-        {24, 40, 2, Mobility::kAllMove},
-        {24, 40, 2, Mobility::kInformedOnly},
-        {32, 24, 4, Mobility::kAllMove},
-    };
-    for (const auto& c : configs) {
-        std::vector<BroadcastResult> results;
-        for (const char* threads : {"1", "4"}) {
-            ASSERT_EQ(setenv("SMN_STEP_THREADS", threads, 1), 0);
-            EngineConfig cfg;
-            cfg.side = c.side;
-            cfg.k = c.k;
-            cfg.radius = c.radius;
-            cfg.mobility = c.mobility;
-            cfg.seed = 424242;
-            BroadcastOptions options;
-            options.max_steps = 4000;
-            options.record_series = true;
-            results.push_back(run_broadcast(cfg, options));
-            unsetenv("SMN_STEP_THREADS");
-        }
-        EXPECT_EQ(results[0].broadcast_time, results[1].broadcast_time);
-        EXPECT_EQ(results[0].steps_run, results[1].steps_run);
-        EXPECT_EQ(results[0].informed_series, results[1].informed_series);
-    }
-}
 
 // ----------------------------------------------------- thread invariance
 

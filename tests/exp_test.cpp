@@ -602,7 +602,6 @@ TEST(JsonlWriter, CountersAreOptInAndDivertedFromObsMetrics) {
 TEST(Writer, ProvenanceRecordCarriesBuildAndRunContext) {
     exp::RunProvenance run;
     run.threads = 4;
-    run.step_threads = 2;
     run.seed = 77;
     run.reps = 3;
     std::ostringstream os;
@@ -613,7 +612,6 @@ TEST(Writer, ProvenanceRecordCarriesBuildAndRunContext) {
     EXPECT_FALSE(record.at("git_sha").str().empty());
     EXPECT_FALSE(record.at("simd").str().empty());
     EXPECT_EQ(record.at("threads").number(), 4.0);
-    EXPECT_EQ(record.at("step_threads").number(), 2.0);
     EXPECT_EQ(record.at("seed").number(), 77.0);
     EXPECT_EQ(record.at("reps").number(), 3.0);
 }
@@ -685,6 +683,27 @@ TEST(BuiltinScenarios, QuickSweepsProduceValidRecords) {
             const auto record = check_record(os.str());
             EXPECT_EQ(record.at("scenario").str(), scenario->name);
         }
+    }
+}
+
+// Regression: radii past the grid diameter used to crash (INT32_MAX
+// overflowed the cell geometry), fail every replication (2^31 truncated to
+// a negative cell side) or report a wrong T_B (2^32 + 1 truncated to a
+// cell side of 1). Any radius ≥ the diameter connects every pair, so the
+// rumor floods everyone at t = 0.
+TEST(BuiltinScenarios, HugeRadiusBroadcastsAtTimeZero) {
+    exp::register_builtin_scenarios();
+    const auto& scenario = exp::ScenarioRegistry::instance().at("grid_broadcast");
+    exp::RunOptions options;
+    options.reps = 3;
+    options.threads = 1;
+    for (const char* radius : {"40", "2147483647", "2147483648", "4294967297"}) {
+        const auto result = exp::run_point(
+            scenario, {{"side", "16"}, {"k", "8"}, {"radius", radius}}, options);
+        EXPECT_TRUE(result.failures.empty()) << radius;
+        EXPECT_EQ(result.metric("completed").mean(), 1.0) << radius;
+        EXPECT_EQ(result.metric("broadcast_time").count(), 3) << radius;
+        EXPECT_EQ(result.metric("broadcast_time").max(), 0.0) << radius;
     }
 }
 

@@ -2,10 +2,11 @@
 // statistics, percolation thresholds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <numeric>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "graph/dsu.hpp"
@@ -192,10 +193,10 @@ TEST(Visibility, BuilderIsReusableAcrossSteps) {
     }
 }
 
-// The engine's incremental protocol: one build(), then per-step walk moves
-// reported through on_move() and components recomputed from the maintained
-// index. Must match the brute-force reference at every step, for the ISSUE
-// 3 radius grid r ∈ {0, 1, 2, 5} under all three metrics.
+// The engine's step protocol: one build(), then per-step walk moves
+// reported through on_move() and components recomputed by
+// rebuild_components(). Must match the brute-force reference at every
+// step, for the radius grid r ∈ {0, 1, 2, 5} under all three metrics.
 struct IncrementalVisParam {
     std::int64_t radius;
     Metric metric;
@@ -244,14 +245,13 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalVisParam{2, Metric::kEuclidean},
                       IncrementalVisParam{5, Metric::kEuclidean}));
 
-// The PR 4 dirty-region protocol under adversarial move sequences:
-// single-cell steps, teleports, and frog-style partial rounds where most
-// agents stay frozen (the replay-heavy regime). After every round the
-// replayed partition must equal build_naive's, for the full radius grid
+// Adversarial move sequences: single-cell steps, teleports, and frog-style
+// partial rounds where most agents stay frozen. After every round the
+// partition must equal build_naive's, for the full radius grid
 // r ∈ {0, 1, 2, 5} under all three metrics.
-class VisibilityDirtyReplay : public ::testing::TestWithParam<IncrementalVisParam> {};
+class VisibilityPartialMoves : public ::testing::TestWithParam<IncrementalVisParam> {};
 
-TEST_P(VisibilityDirtyReplay, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
+TEST_P(VisibilityPartialMoves, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
     const auto param = GetParam();
     const auto g = Grid2D::square(20);
     rng::Rng rng{static_cast<std::uint64_t>(4400 + param.radius * 7 +
@@ -265,7 +265,7 @@ TEST_P(VisibilityDirtyReplay, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
     for (int round = 0; round < 60; ++round) {
         builder.begin_step();
         // Frog-style partial round: only a random subset moves (often a
-        // small one, so most scan units stay clean and must replay).
+        // small one).
         const auto movers = 1 + rng.below(round % 3 == 0 ? pos.size() : 4);
         for (std::uint64_t m = 0; m < movers; ++m) {
             const auto a = static_cast<std::int32_t>(rng.below(pos.size()));
@@ -287,15 +287,12 @@ TEST_P(VisibilityDirtyReplay, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
             << grid::metric_name(param.metric);
     }
     if (param.radius >= 1) {
-        // The small partial rounds above must actually exercise the
-        // replay path — otherwise this test proves nothing about it.
-        EXPECT_GT(builder.replayed_units(), 0) << "replay path never taken";
-        EXPECT_GT(builder.rescanned_units(), 0);
+        EXPECT_GT(builder.scan_stats().rescanned_units, 0);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RadiiAndMetrics, VisibilityDirtyReplay,
+    RadiiAndMetrics, VisibilityPartialMoves,
     ::testing::Values(IncrementalVisParam{0, Metric::kManhattan},
                       IncrementalVisParam{1, Metric::kManhattan},
                       IncrementalVisParam{2, Metric::kManhattan},
@@ -307,45 +304,98 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalVisParam{2, Metric::kEuclidean},
                       IncrementalVisParam{5, Metric::kEuclidean}));
 
-// SMN_STEP_THREADS must not change a single union outcome: the sharded
-// scan merges per-shard edge buffers in fixed row order, so the DSU state
-// — not just the partition — matches the serial pass for the same move
-// sequence.
-TEST(VisibilityStepThreads, ShardedScanIsBitIdenticalToSerial) {
-    const auto g = Grid2D::square(24);
-    for (const std::int64_t radius : {1, 3}) {
-        std::vector<std::vector<std::int32_t>> roots_by_threads;
-        for (const char* threads : {"1", "4"}) {
-            ASSERT_EQ(setenv("SMN_STEP_THREADS", threads, 1), 0);
-            rng::Rng rng{static_cast<std::uint64_t>(7100 + radius)};
-            VisibilityGraphBuilder builder{g, radius};
-            EXPECT_EQ(builder.scan_threads(), threads[0] - '0');
-            DisjointSets dsu{0};
-            std::vector<Point> pos;
-            for (int i = 0; i < 60; ++i) {
-                pos.push_back(walk::AgentEnsemble::random_node(g, rng));
-            }
-            builder.build(pos, dsu);
-            std::vector<std::int32_t> roots;
-            for (int round = 0; round < 30; ++round) {
-                builder.begin_step();
-                for (std::size_t a = 0; a < pos.size(); ++a) {
-                    if (rng.below(3) == 0) continue;  // partial rounds too
-                    const auto from = pos[a];
-                    pos[a] = walk::step(g, from, rng);
-                    if (pos[a] != from) {
-                        builder.on_move(static_cast<std::int32_t>(a), from, pos[a]);
-                    }
-                }
-                builder.rebuild_components(pos, dsu);
-                for (std::int32_t a = 0; a < 60; ++a) roots.push_back(dsu.find(a));
-            }
-            roots_by_threads.push_back(std::move(roots));
-            unsetenv("SMN_STEP_THREADS");
+// The cell-list pass against build_naive across the occupancy range the
+// paper cares about and its edges: far below the percolation point
+// (r_c = 4r), at it (r_c = r), dense (r_c = r/2), and every agent inside
+// one cell. Each point runs on a side r does not divide, on a side it may
+// divide, and on sides at or below r (a single cell row and column). The
+// pass must also count exactly the occupied cells.
+enum class Occupancy { kSparse, kCritical, kDense, kOneCell };
+
+struct CellListParam {
+    std::int64_t radius;
+    Metric metric;
+    Occupancy occupancy;
+};
+
+class VisibilityCellList : public ::testing::TestWithParam<CellListParam> {};
+
+TEST_P(VisibilityCellList, MatchesNaiveComponents) {
+    const auto param = GetParam();
+    const auto r = param.radius;
+    rng::Rng rng{static_cast<std::uint64_t>(7000 + r * 31 + static_cast<int>(param.metric) * 7 +
+                                            static_cast<int>(param.occupancy))};
+    for (const auto side : {grid::Coord{23}, grid::Coord{32},
+                            static_cast<grid::Coord>(std::max<std::int64_t>(1, r - 1)),
+                            static_cast<grid::Coord>(r)}) {
+        const auto g = Grid2D::square(side);
+        const auto n = std::int64_t{side} * side;
+        // k = n / r_c² for the target percolation radius r_c.
+        const auto k_for = [&](double rc) {
+            return static_cast<int>(std::clamp<double>(static_cast<double>(n) / (rc * rc), 2, 400));
+        };
+        int k = 30;
+        switch (param.occupancy) {
+            case Occupancy::kSparse: k = k_for(4.0 * static_cast<double>(r)); break;
+            case Occupancy::kCritical: k = k_for(static_cast<double>(r)); break;
+            case Occupancy::kDense: k = k_for(static_cast<double>(r) / 2.0); break;
+            case Occupancy::kOneCell: break;
         }
-        EXPECT_EQ(roots_by_threads[0], roots_by_threads[1]) << "radius " << radius;
+        VisibilityGraphBuilder builder{g, r, param.metric};
+        DisjointSets fast{0};
+        DisjointSets slow{0};
+        for (int round = 0; round < 6; ++round) {
+            // Alternate the agent count so the builder also sees k shrink.
+            const int agents = round % 2 == 0 ? k : std::max(1, k / 2);
+            std::vector<Point> pos;
+            if (param.occupancy == Occupancy::kOneCell) {
+                const auto cells = static_cast<std::uint64_t>((side + r - 1) / r);
+                const auto cx = static_cast<grid::Coord>(rng.below(cells) * r);
+                const auto cy = static_cast<grid::Coord>(rng.below(cells) * r);
+                const auto span_x = static_cast<std::uint64_t>(
+                    std::min<std::int64_t>(r, side - cx));
+                const auto span_y = static_cast<std::uint64_t>(
+                    std::min<std::int64_t>(r, side - cy));
+                for (int i = 0; i < agents; ++i) {
+                    pos.push_back({static_cast<grid::Coord>(cx + rng.below(span_x)),
+                                   static_cast<grid::Coord>(cy + rng.below(span_y))});
+                }
+            } else {
+                for (int i = 0; i < agents; ++i) {
+                    pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+                }
+            }
+            builder.build(pos, fast);
+            VisibilityGraphBuilder::build_naive(pos, r, param.metric, slow);
+            EXPECT_EQ(canonical(fast), canonical(slow))
+                << "side " << side << " k " << agents << " round " << round;
+            std::set<std::pair<std::int64_t, std::int64_t>> cells;
+            const auto cell_side = std::min<std::int64_t>(r, 2 * (side - 1));
+            for (const auto& p : pos) {
+                cells.emplace(p.x / std::max<std::int64_t>(cell_side, 1),
+                              p.y / std::max<std::int64_t>(cell_side, 1));
+            }
+            EXPECT_EQ(builder.occupied_units(), static_cast<std::int64_t>(cells.size()))
+                << "side " << side;
+        }
     }
 }
+
+std::vector<CellListParam> cell_list_params() {
+    std::vector<CellListParam> params;
+    for (const std::int64_t r : {1, 2, 3, 5}) {
+        for (const auto metric : {Metric::kManhattan, Metric::kChebyshev, Metric::kEuclidean}) {
+            for (const auto occupancy : {Occupancy::kSparse, Occupancy::kCritical,
+                                         Occupancy::kDense, Occupancy::kOneCell}) {
+                params.push_back({r, metric, occupancy});
+            }
+        }
+    }
+    return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(RadiiMetricsOccupancies, VisibilityCellList,
+                         ::testing::ValuesIn(cell_list_params()));
 
 // ---------------------------------------------------------- ComponentStats
 

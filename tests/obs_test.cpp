@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -221,11 +222,11 @@ TEST(EngineTrace, RecordsCarryGaugesAndStepNumbers) {
     }
 }
 
-// The central sanity invariant of the incremental rebuild: every occupied
-// scan unit is either replayed from the edge cache or re-enumerated, so
-// the per-step counter deltas must tile the occupied-unit count exactly.
-// Checked through the trace (whose rescanned/replayed fields are per-step
-// deltas and whose units field is the occupied count at the same pass).
+// The central sanity invariant of the component pass: every occupied cell
+// is scanned exactly once per pass and nothing is replayed, so the
+// per-step rescanned delta must equal the occupied-cell count. Checked
+// through the trace (whose rescanned field is a per-step delta and whose
+// units field is the occupied count at the same pass).
 TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     StepTrace trace;
     core::BroadcastProcess process{small_config()};
@@ -236,13 +237,19 @@ TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     ASSERT_GE(trace.size(), 10u);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto& rec = trace.at(i);
-        EXPECT_EQ(rec.rescanned + rec.replayed, rec.units)
-            << "step " << rec.step << " (bypass=" << rec.bypass << ")";
+        EXPECT_EQ(rec.rescanned, rec.units) << "step " << rec.step;
+    }
+    for (const auto& [name, value] : process.counters()) {
+        const std::string_view n{name};
+        if (n == "scan.units_replayed" || n == "scan.bypass_passes" ||
+            n == "scan.edges_replayed") {
+            EXPECT_EQ(value, 0.0) << n;
+        }
     }
 }
 
-// Same invariant straight at the builder layer, covering forced bypass
-// passes (teleport storms dirty enough buckets to trip the heuristic).
+// Same invariant straight at the builder layer, under churn: quiet rounds
+// of two single-cell steps alternate with teleport storms.
 TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
     const auto g = grid::Grid2D::square(20);
     rng::Rng rng{99};
@@ -252,12 +259,8 @@ TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
     for (int i = 0; i < 40; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
     builder.build(pos, dsu);
     auto prev = builder.scan_stats();
-    bool saw_bypass = false;
-    bool saw_replay = false;
     for (int round = 0; round < 50; ++round) {
         builder.begin_step();
-        // Alternate a quiet round (replay-heavy) with a teleport storm
-        // (bypass-heavy) so both scan modes face the invariant.
         const std::size_t movers = round % 2 == 0 ? 2 : pos.size();
         for (std::size_t m = 0; m < movers; ++m) {
             const auto a = static_cast<std::int32_t>(rng.below(pos.size()));
@@ -270,15 +273,14 @@ TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
         }
         builder.rebuild_components(pos, dsu);
         const auto cur = builder.scan_stats();
-        const auto scanned = (cur.rescanned_units - prev.rescanned_units) +
-                             (cur.replayed_units - prev.replayed_units);
-        EXPECT_EQ(scanned, builder.occupied_units()) << "round " << round;
-        saw_bypass = saw_bypass || cur.bypass_passes > prev.bypass_passes;
-        saw_replay = saw_replay || cur.replayed_units > prev.replayed_units;
+        EXPECT_EQ(cur.rescanned_units - prev.rescanned_units, builder.occupied_units())
+            << "round " << round;
+        EXPECT_EQ(cur.passes - prev.passes, 1) << "round " << round;
+        EXPECT_EQ(cur.replayed_units, 0);
+        EXPECT_EQ(cur.bypass_passes, 0);
+        EXPECT_EQ(cur.edges_replayed, 0);
         prev = cur;
     }
-    EXPECT_TRUE(saw_bypass) << "churn rounds never tripped the bypass heuristic";
-    EXPECT_TRUE(saw_replay) << "quiet rounds never took the replay path";
 }
 
 TEST(EngineCounters, ReportsTheDocumentedNames) {
@@ -289,7 +291,7 @@ TEST(EngineCounters, ReportsTheDocumentedNames) {
     for (const char* expected :
          {"scan.passes", "scan.units_rescanned", "scan.units_replayed",
           "scan.bypass_passes", "scan.pairs_tested", "scan.pairs_survived",
-          "scan.edges_cached", "scan.edges_replayed", "index.moves", "dsu.unites",
+          "scan.edges_replayed", "index.moves", "index.relinks", "dsu.unites",
           "walk.blocks_decoded"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
             << "missing counter " << expected;

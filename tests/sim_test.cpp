@@ -274,54 +274,14 @@ TEST(Runner, ReplicationOrderIsDeterministicAtOneTwoSevenThreads) {
 
 // Regression: run_replications used to spawn `threads` std::threads even
 // when reps < threads (idle workers per call). replication_workers clamps
-// to the work available and divides by SMN_STEP_THREADS so the
-// replication × step product never oversubscribes the thread budget.
-/// Pins SMN_STEP_THREADS for one test and restores the prior value on
-/// exit, so env-sensitive tests don't clobber a deliberately-set test
-/// environment (the tsan CI job runs the whole binary at
-/// SMN_STEP_THREADS=4).
-class ScopedStepThreads {
-public:
-    explicit ScopedStepThreads(const char* value) {
-        if (const char* old = std::getenv("SMN_STEP_THREADS")) saved_ = old;
-        if (value) {
-            setenv("SMN_STEP_THREADS", value, 1);
-        } else {
-            unsetenv("SMN_STEP_THREADS");
-        }
-    }
-    ~ScopedStepThreads() {
-        if (saved_.empty()) {
-            unsetenv("SMN_STEP_THREADS");
-        } else {
-            setenv("SMN_STEP_THREADS", saved_.c_str(), 1);
-        }
-    }
-
-private:
-    std::string saved_;
-};
-
+// to the work available.
 TEST(Runner, ReplicationWorkersClampsToReps) {
-    const ScopedStepThreads pin{nullptr};  // pin the env-sensitive divisor
     EXPECT_EQ(replication_workers(16, 1), 1);
     EXPECT_EQ(replication_workers(16, 3), 3);
     EXPECT_EQ(replication_workers(4, 100), 4);
     EXPECT_EQ(replication_workers(0, 10), 1);
     EXPECT_EQ(replication_workers(-3, 10), 1);
     EXPECT_EQ(replication_workers(8, 0), 1);
-}
-
-TEST(Runner, ReplicationWorkersDividesByStepThreads) {
-    {
-        const ScopedStepThreads pin{"4"};
-        EXPECT_EQ(replication_workers(8, 100), 2);  // 2 × 4 = the 8 requested
-        EXPECT_EQ(replication_workers(4, 100), 1);
-        EXPECT_EQ(replication_workers(2, 100), 1);  // never below 1
-        EXPECT_EQ(replication_workers(16, 3), 3);   // reps still clamp last
-    }
-    const ScopedStepThreads pin{nullptr};
-    EXPECT_EQ(replication_workers(8, 100), 8);
 }
 
 TEST(Runner, SingleRepAtManyThreads) {

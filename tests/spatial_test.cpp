@@ -1,12 +1,9 @@
-// spatial_test.cpp — OccupancyMap and BucketIndex, including randomized
-// equivalence against the brute-force reference.
+// spatial_test.cpp — OccupancyMap and the BucketIndex cell list, including
+// randomized equivalence against the brute-force reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <set>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "grid/grid.hpp"
@@ -219,162 +216,62 @@ TEST(Bucket, RadiusLargerThanBucketSideFindsAllNeighbors) {
     }
 }
 
-// -------------------------------------------------- dirty-step protocol
-
-TEST(BucketDirty, MoveStampsSourceAndDestinationBuckets) {
-    const auto g = Grid2D::square(16);
-    BucketIndex idx{g, 4};
-    std::vector<Point> pos{{1, 1}, {9, 9}};
-    idx.rebuild(pos);
-    EXPECT_TRUE(idx.dirty_buckets().empty());  // rebuild opens a clean epoch
-
-    idx.begin_step();
-    pos[0] = {5, 1};  // bucket (0,0) -> (1,0)
-    idx.move(0, {1, 1}, pos[0]);
-    const auto dirty = idx.dirty_buckets();
-    ASSERT_EQ(dirty.size(), 2u);
-    EXPECT_EQ(dirty[0], idx.bucket_of({1, 1}));
-    EXPECT_EQ(dirty[1], idx.bucket_of({5, 1}));
-    EXPECT_TRUE(idx.is_dirty(idx.bucket_of({1, 1})));
-    EXPECT_TRUE(idx.is_dirty(idx.bucket_of({5, 1})));
-    EXPECT_FALSE(idx.is_dirty(idx.bucket_of({9, 9})));
-    idx.end_step();
-    EXPECT_TRUE(idx.dirty_buckets().empty());
-    EXPECT_FALSE(idx.is_dirty(idx.bucket_of({5, 1})));
-}
-
-TEST(BucketDirty, WithinBucketMoveStillDirtiesItsBucket) {
-    // Positions inside a bucket decide edge existence, so a node change
-    // that stays in the same bucket must dirty it too.
-    const auto g = Grid2D::square(16);
-    BucketIndex idx{g, 4};
-    std::vector<Point> pos{{1, 1}};
-    idx.rebuild(pos);
-    idx.begin_step();
-    pos[0] = {2, 1};
-    idx.move(0, {1, 1}, pos[0]);
-    ASSERT_EQ(idx.dirty_buckets().size(), 1u);
-    EXPECT_EQ(idx.dirty_buckets()[0], idx.bucket_of({1, 1}));
-}
-
-TEST(BucketDirty, MarksAreIdempotentPerEpochAndEpochsSeparate) {
-    const auto g = Grid2D::square(16);
-    BucketIndex idx{g, 2};
-    std::vector<Point> pos{{0, 0}, {1, 1}};
-    idx.rebuild(pos);
-    idx.begin_step();
-    pos[0] = {1, 0};
-    idx.move(0, {0, 0}, pos[0]);
-    pos[1] = {0, 1};
-    idx.move(1, {1, 1}, pos[1]);  // same bucket: no duplicate mark
-    EXPECT_EQ(idx.dirty_buckets().size(), 1u);
-    idx.begin_step();  // new epoch discards the previous marks
-    EXPECT_TRUE(idx.dirty_buckets().empty());
-    pos[0] = {4, 4};
-    idx.move(0, {1, 0}, pos[0]);  // teleport: both endpoints stamped
-    EXPECT_EQ(idx.dirty_buckets().size(), 2u);
-}
-
-// Canonical unordered-pair set of all in-range pairs, brute force.
-std::set<std::pair<std::int32_t, std::int32_t>> naive_pairs(std::span<const Point> pos,
-                                                            std::int64_t radius,
-                                                            Metric metric) {
-    std::set<std::pair<std::int32_t, std::int32_t>> pairs;
-    for (std::size_t i = 0; i < pos.size(); ++i) {
-        for (std::size_t j = i + 1; j < pos.size(); ++j) {
-            if (grid::within(pos[i], pos[j], radius, metric)) {
-                pairs.emplace(static_cast<std::int32_t>(i), static_cast<std::int32_t>(j));
-            }
-        }
-    }
-    return pairs;
-}
-
-// Collects every unordered in-range pair through per-agent radius queries
-// (the pair *enumeration* itself now lives in VisibilityGraphBuilder and
-// is property-tested in graph_test; this exercises the index's query
-// surface after incremental moves).
-std::set<std::pair<std::int32_t, std::int32_t>> enumerated_pairs(BucketIndex& idx,
-                                                                 std::span<const Point> pos,
-                                                                 std::int64_t radius,
-                                                                 Metric metric) {
-    std::set<std::pair<std::int32_t, std::int32_t>> pairs;
-    for (std::size_t a = 0; a < pos.size(); ++a) {
-        idx.for_each_within(pos[a], radius, metric, [&](std::int32_t b) {
-            if (b <= static_cast<std::int32_t>(a)) return;  // unordered, no self
-            pairs.emplace(static_cast<std::int32_t>(a), b);
-        });
-    }
-    return pairs;
-}
-
-// The incremental move() path: apply random move sequences (mostly
-// single-cell steps, occasional teleports) and check pair coverage and
-// point queries against brute force after every batch — for all three
-// metrics and r ∈ {0, 1, 2, 5} (the ISSUE 3 grid).
-struct IncrementalParam {
-    grid::Coord side;
-    int agents;
-    std::int64_t radius;
-    Metric metric;
-};
-
-class BucketIncremental : public ::testing::TestWithParam<IncrementalParam> {};
-
-TEST_P(BucketIncremental, MoveSequencesMatchNaive) {
-    const auto param = GetParam();
-    const auto g = Grid2D::square(param.side);
-    rng::Rng rng{static_cast<std::uint64_t>(param.side * 131 + param.agents + param.radius)};
-    auto idx = BucketIndex::for_radius(g, param.radius);
-
+// The sorted layout the visibility pass walks: rows are contiguous and
+// ordered, cells within a row ascend by column, and agents within a cell
+// keep ascending id order (both counting-sort passes are stable).
+TEST(Bucket, RebuildSortsByRowThenColumnThenId) {
+    const auto g = Grid2D::square(10);
+    BucketIndex idx{g, 3};  // 3 does not divide 10: a ragged last row/column
+    rng::Rng rng{5};
     std::vector<Point> pos;
-    for (int i = 0; i < param.agents; ++i) {
-        pos.push_back(walk::AgentEnsemble::random_node(g, rng));
-    }
+    for (int i = 0; i < 60; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
     idx.rebuild(pos);
-
-    for (int batch = 0; batch < 25; ++batch) {
-        const int moves = 1 + static_cast<int>(rng.below(8));
-        for (int m = 0; m < moves; ++m) {
-            const auto a = static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(param.agents)));
-            const auto from = pos[static_cast<std::size_t>(a)];
-            Point to;
-            if (rng.below(8) == 0) {
-                to = walk::AgentEnsemble::random_node(g, rng);  // teleport
-            } else {
-                std::array<Point, Grid2D::kMaxDegree> nbr;
-                const auto deg = g.neighbors(from, nbr);
-                to = nbr[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(deg)))];
+    ASSERT_EQ(idx.size(), pos.size());
+    EXPECT_EQ(idx.row_begin(0), 0u);
+    EXPECT_EQ(idx.row_end(idx.buckets_y() - 1), pos.size());
+    std::vector<std::int32_t> seen;
+    for (grid::Coord row = 0; row < idx.buckets_y(); ++row) {
+        for (auto s = idx.row_begin(row); s < idx.row_end(row); ++s) {
+            const auto a = idx.ids()[s];
+            seen.push_back(a);
+            const auto p = pos[static_cast<std::size_t>(a)];
+            EXPECT_EQ(idx.xs()[s], p.x);
+            EXPECT_EQ(idx.ys()[s], p.y);
+            EXPECT_EQ(p.y / 3, row);
+            EXPECT_EQ(idx.cols()[s], p.x / 3);
+            if (s > idx.row_begin(row)) {
+                const auto prev_col = idx.cols()[s - 1];
+                EXPECT_LE(prev_col, idx.cols()[s]);
+                if (prev_col == idx.cols()[s]) {
+                    EXPECT_LT(idx.ids()[s - 1], a);
+                }
             }
-            pos[static_cast<std::size_t>(a)] = to;
-            idx.move(a, from, to);
         }
-        EXPECT_EQ(enumerated_pairs(idx, pos, param.radius, param.metric),
-                  naive_pairs(pos, param.radius, param.metric))
-            << "batch " << batch;
-        const auto probe = pos[static_cast<std::size_t>(rng.below(pos.size()))];
-        std::set<std::int32_t> fast;
-        std::set<std::int32_t> slow;
-        idx.for_each_within(probe, param.radius, param.metric,
-                            [&](std::int32_t a) { fast.insert(a); });
-        BucketIndex::for_each_within_naive(pos, probe, param.radius, param.metric,
-                                           [&](std::int32_t a) { slow.insert(a); });
-        EXPECT_EQ(fast, slow) << "batch " << batch;
     }
+    std::sort(seen.begin(), seen.end());
+    for (std::size_t a = 0; a < seen.size(); ++a) EXPECT_EQ(seen[a], static_cast<std::int32_t>(a));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MovesRadiiMetrics, BucketIncremental,
-    ::testing::Values(IncrementalParam{12, 18, 0, Metric::kManhattan},
-                      IncrementalParam{12, 18, 1, Metric::kManhattan},
-                      IncrementalParam{16, 30, 2, Metric::kManhattan},
-                      IncrementalParam{16, 30, 5, Metric::kManhattan},
-                      IncrementalParam{16, 30, 2, Metric::kChebyshev},
-                      IncrementalParam{16, 30, 5, Metric::kChebyshev},
-                      IncrementalParam{16, 30, 2, Metric::kEuclidean},
-                      IncrementalParam{16, 30, 5, Metric::kEuclidean},
-                      IncrementalParam{48, 10, 5, Metric::kManhattan},   // sparse
-                      IncrementalParam{10, 60, 1, Metric::kManhattan}));  // dense
+// Radii far beyond the grid used to overflow the cell geometry (a side of
+// INT32_MAX wrapped width + side - 1; 2^31 truncated to a negative side;
+// 2^32 + 1 truncated to a side of 1). for_radius clamps the side to the
+// grid diameter, and queries clamp the radius the same way.
+TEST(Bucket, HugeRadiusClampsToTheGridDiameter) {
+    const auto g = Grid2D::square(16);
+    const std::vector<Point> pos{{0, 0}, {15, 15}, {7, 3}};
+    for (const std::int64_t radius : {std::int64_t{40}, std::int64_t{2147483647},
+                                      std::int64_t{2147483648}, std::int64_t{4294967297}}) {
+        auto idx = BucketIndex::for_radius(g, radius);
+        EXPECT_EQ(idx.bucket_side(), 30) << radius;
+        EXPECT_EQ(idx.buckets_x(), 1);
+        idx.rebuild(pos);
+        for (const auto metric : {Metric::kManhattan, Metric::kChebyshev, Metric::kEuclidean}) {
+            int found = 0;
+            idx.for_each_within({0, 0}, radius, metric, [&](std::int32_t) { ++found; });
+            EXPECT_EQ(found, 3) << radius;
+        }
+    }
+}
 
 }  // namespace
 }  // namespace smn::spatial

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -23,17 +22,6 @@
 
 namespace smn::util {
 namespace {
-
-TEST(StepThreads, EnvironmentOverride) {
-    ASSERT_EQ(setenv("SMN_STEP_THREADS", "4", 1), 0);
-    EXPECT_EQ(step_threads(), 4);
-    ASSERT_EQ(setenv("SMN_STEP_THREADS", "0", 1), 0);
-    EXPECT_EQ(step_threads(), 1);  // out of range → serial
-    ASSERT_EQ(setenv("SMN_STEP_THREADS", "4x", 1), 0);
-    EXPECT_EQ(step_threads(), 1);  // trailing garbage → serial
-    ASSERT_EQ(unsetenv("SMN_STEP_THREADS"), 0);
-    EXPECT_EQ(step_threads(), 1);
-}
 
 TEST(WorkerPool, RunsEveryShardExactlyOnce) {
     WorkerPool pool{4};

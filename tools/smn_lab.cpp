@@ -45,7 +45,6 @@
 #include "obs/step_trace.hpp"
 #include "sim/args.hpp"
 #include "stats/table.hpp"
-#include "util/worker_pool.hpp"
 
 namespace {
 
@@ -274,7 +273,6 @@ int run(int argc, char** argv) {
         // (scripts/lab_quick.sh checks exactly that).
         exp::RunProvenance prov;
         prov.threads = options.threads > 0 ? options.threads : sim::default_threads();
-        prov.step_threads = util::step_threads();
         prov.seed = options.seed;
         prov.reps = options.reps;
         exp::write_provenance(os, prov);
