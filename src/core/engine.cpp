@@ -10,8 +10,6 @@
 
 namespace smn::core {
 
-namespace {
-
 EngineConfig validate(EngineConfig config) {
     if (config.side < 1) {
         throw std::invalid_argument("EngineConfig: side must be >= 1");
@@ -28,6 +26,8 @@ EngineConfig validate(EngineConfig config) {
     }
     return config;
 }
+
+namespace {
 
 rng::Rng make_rng(const EngineConfig& config) { return rng::Rng{config.seed}; }
 
@@ -90,6 +90,7 @@ std::vector<std::pair<const char*, double>> BroadcastProcess::counters() const {
         {"dsu.fast_path_hits", d(dsu.fast_path_hits)},
         {"walk.blocks_decoded", d(walk.blocks_decoded)},
         {"walk.blocks_scalar", d(walk.blocks_scalar)},
+        {"exchange.linked", d(exchange_linked_)},
     };
 }
 
@@ -239,30 +240,36 @@ std::optional<std::int64_t> BroadcastProcess::run_until_complete(std::int64_t ma
 void BroadcastProcess::exchange() {
     // Saturated: no component can learn anything new.
     if (rumor_.all_informed()) return;
-    // Pass 1: one find per agent (the labels buffer remembers it for pass
-    // 2, so this is the only find pass), classifying each component —
-    // bit 0: has an informed member, bit 1: has an uninformed member.
-    std::fill(root_informed_.begin(), root_informed_.end(), std::uint8_t{0});
-    const auto k = config_.k;
-    labels_.resize(static_cast<std::size_t>(k));
+    // Only linked agents (members of components of size >= 2) can learn or
+    // teach, so both passes run over builder_.linked(), not all k agents.
+    const auto linked = builder_.linked();
+    exchange_linked_ += static_cast<std::int64_t>(linked.size());
+    // Pass 1: one find per linked agent (labels_ remembers it for pass 2),
+    // classifying each component — bit 0: has an informed member, bit 1:
+    // has an uninformed member.
+    labels_.resize(linked.size());
     bool any_mixed = false;
-    for (std::int32_t a = 0; a < k; ++a) {
+    for (std::size_t i = 0; i < linked.size(); ++i) {
+        const auto a = linked[i];
         const auto root = dsu_.find(a);
-        labels_[static_cast<std::size_t>(a)] = root;
+        labels_[i] = root;
         auto& state = root_informed_[static_cast<std::size_t>(root)];
         state |= rumor_.is_informed(a) ? std::uint8_t{1} : std::uint8_t{2};
         any_mixed |= state == 3;
     }
     // Pass 2: flood only mixed components (fully informed ones — the
-    // common case late in a run — need no work). Skipped outright when
-    // every informed component is homogeneous.
-    if (!any_mixed) return;
-    for (std::int32_t a = 0; a < k; ++a) {
-        const auto root = static_cast<std::size_t>(labels_[static_cast<std::size_t>(a)]);
-        if (root_informed_[root] == 3 && !rumor_.is_informed(a)) {
-            rumor_.inform(a, t_);
+    // common case late in a run — need no work).
+    if (any_mixed) {
+        for (std::size_t i = 0; i < linked.size(); ++i) {
+            const auto a = linked[i];
+            if (root_informed_[static_cast<std::size_t>(labels_[i])] == 3 &&
+                !rumor_.is_informed(a)) {
+                rumor_.inform(a, t_);
+            }
         }
     }
+    // Clear only the roots this exchange touched.
+    for (const auto root : labels_) root_informed_[static_cast<std::size_t>(root)] = 0;
 }
 
 void BroadcastProcess::notify() {

@@ -68,6 +68,12 @@ struct EngineConfig {
     [[nodiscard]] std::int64_t n() const noexcept { return std::int64_t{side} * side; }
 };
 
+/// Returns `config` unchanged if it describes a runnable process; throws
+/// std::invalid_argument ("EngineConfig: ...") on side < 1, k < 1,
+/// radius < 0, or source outside [0, k). Both engines validate through it
+/// before building anything.
+[[nodiscard]] EngineConfig validate(EngineConfig config);
+
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see BroadcastProcess::set_phase_timing).
 /// walk_s is the walk kernel (its per-move hook only tallies moves);
@@ -100,9 +106,8 @@ public:
 /// Single-rumor dissemination process (broadcast; Frog model via config).
 class BroadcastProcess {
 public:
-    /// Validates the config, places agents, performs the t = 0 exchange.
-    /// Throws std::invalid_argument on k < 1, radius < 0, or source out of
-    /// range.
+    /// Validates the config (see validate()), places agents, performs the
+    /// t = 0 exchange.
     explicit BroadcastProcess(const EngineConfig& config);
 
     // Non-copyable: the destructor flushes the cumulative counters into
@@ -155,8 +160,8 @@ public:
     [[nodiscard]] StepPhaseTimings phase_timings() const noexcept;
 
     /// Name → value of every engine counter, cumulative since
-    /// construction (scan.*, index.*, dsu.*, walk.*). Values are int64
-    /// tallies widened to double for the metric pipeline.
+    /// construction (scan.*, index.*, dsu.*, walk.*, exchange.*). Values
+    /// are int64 tallies widened to double for the metric pipeline.
     [[nodiscard]] std::vector<std::pair<const char*, double>> counters() const;
 
     /// Attaches a per-step trace sink (non-owning; nullptr detaches).
@@ -180,9 +185,10 @@ private:
     SingleRumor rumor_;
     std::int64_t t_{0};
     std::vector<Observer*> observers_;
-    std::vector<std::uint8_t> root_informed_;  ///< scratch, size k
+    std::vector<std::uint8_t> root_informed_;  ///< scratch, size k; all 0 between exchanges
     std::vector<std::uint8_t> move_mask_;      ///< scratch for frog mobility
-    std::vector<std::int32_t> labels_;         ///< scratch: component labels
+    std::vector<std::int32_t> labels_;         ///< scratch: roots of the linked agents
+    std::int64_t exchange_linked_{0};          ///< Σ |linked()| over exchanges that ran
     bool stale_{false};  ///< component pass deferred (post-completion)
     bool timing_{false};
     double walk_seconds_{0.0};

@@ -2,26 +2,23 @@
 
 #include <algorithm>
 #include <bit>
-#include <stdexcept>
 
 #include "core/bounds.hpp"
 
 namespace smn::core {
 
 GossipProcess::GossipProcess(const EngineConfig& config)
-    : config_{config},
-      rng_{config.seed},
-      agents_{grid::Grid2D::square(config.side), config.k, rng_, config.walk},
-      builder_{agents_.grid(), config.radius, config.metric},
-      dsu_{static_cast<std::size_t>(config.k)},
-      rumors_{MultiRumorState::one_rumor_per_agent(config.k)},
-      rumor_known_count_(static_cast<std::size_t>(config.k), 1),
-      rumor_complete_time_(static_cast<std::size_t>(config.k), -1),
-      component_or_(static_cast<std::size_t>(config.k) * rumors_.words_per_agent(), 0) {
-    if (config.k < 1) throw std::invalid_argument("GossipProcess: k must be >= 1");
-    if (config.radius < 0) throw std::invalid_argument("GossipProcess: radius must be >= 0");
-    known_pairs_ = config.k;  // each agent knows its own rumor
-    if (config.k == 1) rumor_complete_time_[0] = 0;
+    : config_{validate(config)},
+      rng_{config_.seed},
+      agents_{grid::Grid2D::square(config_.side), config_.k, rng_, config_.walk},
+      builder_{agents_.grid(), config_.radius, config_.metric},
+      dsu_{static_cast<std::size_t>(config_.k)},
+      rumors_{MultiRumorState::one_rumor_per_agent(config_.k)},
+      rumor_known_count_(static_cast<std::size_t>(config_.k), 1),
+      rumor_complete_time_(static_cast<std::size_t>(config_.k), -1),
+      component_or_(static_cast<std::size_t>(config_.k) * rumors_.words_per_agent(), 0) {
+    known_pairs_ = config_.k;  // each agent knows its own rumor
+    if (config_.k == 1) rumor_complete_time_[0] = 0;
     builder_.build(agents_.positions(), dsu_);
     exchange();
 }
@@ -44,14 +41,18 @@ std::optional<std::int64_t> GossipProcess::run_until_complete(std::int64_t max_s
 void GossipProcess::exchange() {
     const auto k = config_.k;
     const auto words = rumors_.words_per_agent();
+    // Only linked agents (members of components of size >= 2) can learn or
+    // teach, so every pass runs over builder_.linked(), not all k agents.
+    const auto linked = builder_.linked();
 
-    // One find pass: both OR/distribute passes then index by plain labels.
-    graph::component_labels(dsu_, labels_);
-
-    // Pass 1: OR the rumor sets of each component into its root's slot.
+    // Pass 1: one find per linked agent (labels_ remembers it for pass 2),
+    // ORing the rumor sets of each component into its root's slot.
+    labels_.resize(linked.size());
     touched_roots_.clear();
-    for (std::int32_t a = 0; a < k; ++a) {
-        const auto root = labels_[static_cast<std::size_t>(a)];
+    for (std::size_t i = 0; i < linked.size(); ++i) {
+        const auto a = linked[i];
+        const auto root = dsu_.find(a);
+        labels_[i] = root;
         auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
         if (root == a) touched_roots_.push_back(root);  // every set has its root as a member
         for (std::size_t w = 0; w < words; ++w) acc[w] |= rumors_.word(a, w);
@@ -60,9 +61,9 @@ void GossipProcess::exchange() {
     // Pass 2: distribute the union back to every member and account for
     // newly learned rumors (merge_word keeps the per-agent knowledge
     // counters — and thus MultiRumorState::complete() — up to date).
-    for (std::int32_t a = 0; a < k; ++a) {
-        const auto root = labels_[static_cast<std::size_t>(a)];
-        const auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
+    for (std::size_t i = 0; i < linked.size(); ++i) {
+        const auto a = linked[i];
+        const auto* acc = &component_or_[static_cast<std::size_t>(labels_[i]) * words];
         for (std::size_t w = 0; w < words; ++w) {
             std::uint64_t gained = rumors_.merge_word(a, w, acc[w]);
             if (gained == 0) continue;

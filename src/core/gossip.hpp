@@ -28,8 +28,9 @@ namespace smn::core {
 /// Multi-rumor dissemination process (one rumor per agent initially).
 class GossipProcess {
 public:
-    /// Same config as broadcast; `config.source` is ignored (every agent is
-    /// a source of its own rumor).
+    /// Same config and validation as broadcast (see validate());
+    /// `config.source` is otherwise ignored (every agent is a source of its
+    /// own rumor).
     explicit GossipProcess(const EngineConfig& config);
 
     /// Advances one time step: move, rebuild G_t(r), exchange rumor sets.
@@ -70,7 +71,7 @@ private:
     std::vector<std::int64_t> rumor_complete_time_;   ///< per rumor: completion time
     std::vector<std::uint64_t> component_or_;          ///< scratch: per-root OR accumulator
     std::vector<std::int32_t> touched_roots_;          ///< scratch
-    std::vector<std::int32_t> labels_;                 ///< scratch: component labels
+    std::vector<std::int32_t> labels_;                 ///< scratch: roots of the linked agents
 };
 
 /// Result of one gossip replication.

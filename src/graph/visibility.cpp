@@ -16,20 +16,17 @@ VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::in
       radius_{radius},
       eff_radius_{static_cast<grid::Coord>(std::clamp<std::int64_t>(radius, 0, grid.diameter()))},
       metric_{metric},
-      occupancy_{grid},
+      first_at_(radius == 0 ? static_cast<std::size_t>(grid.size()) : 0, -1),
       cells_{spatial::BucketIndex::for_radius(grid, radius)} {}
 
 void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, DisjointSets& dsu) {
     dsu.reset(positions.size());
+    // Unlist the previous build's linked agents: O(|linked|), never O(k).
+    for (const auto a : linked_) linked_flag_[static_cast<std::size_t>(a)] = 0;
+    linked_.clear();
+    linked_flag_.resize(positions.size());
     if (radius_ == 0) {
-        // Co-location: union every agent on a node with the node's first
-        // agent; O(k) total.
-        occupancy_.rebuild(positions);
-        for (const auto node : occupancy_.occupied_nodes()) {
-            const auto first = occupancy_.first_at(grid_.point_of(node));
-            occupancy_.for_each_at(grid_.point_of(node),
-                                   [&](std::int32_t a) { dsu.unite(first, a); });
-        }
+        colocation_pass(positions, dsu);
         return;
     }
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
@@ -47,13 +44,36 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     }
 }
 
+/// Co-location (r = 0) in one pass over the agents: the first agent seen
+/// on a node stays its component's root and absorbs every later one.
+/// first_at_ is all -1 between builds; touched_ logs the nodes to reset.
+void VisibilityGraphBuilder::colocation_pass(std::span<const grid::Point> positions,
+                                             DisjointSets& dsu) {
+    const auto k = static_cast<std::int32_t>(positions.size());
+    for (std::int32_t a = 0; a < k; ++a) {
+        const auto node = grid_.node_id(positions[static_cast<std::size_t>(a)]);
+        auto& first = first_at_[static_cast<std::size_t>(node)];
+        if (first < 0) {
+            first = a;
+            touched_.push_back(node);
+            continue;
+        }
+        link(first);
+        link(a);
+        (void)dsu.unite_root(first, a);
+    }
+    for (const auto node : touched_) first_at_[static_cast<std::size_t>(node)] = -1;
+    touched_.clear();
+}
+
 /// The component pass over the sorted cell list, one cell row at a time.
 /// Each member i of an occupied cell [o, e) is tested against the later
 /// members of its cell and the E cell (the next run of the row, if its
 /// column is one more) — together one contiguous slice [i + 1, east) —
 /// and against the SW|S|SE cells, which are one contiguous slice of the
 /// next row found by a monotone two-pointer. In-range pairs are staged
-/// per row and then drained into the DSU in one tight loop.
+/// per row and then drained into the DSU in one tight loop, which also
+/// lists both ends of every pair in linked_.
 template <grid::Metric M>
 void VisibilityGraphBuilder::component_pass(DisjointSets& dsu) {
     const auto* ids = cells_.ids();
@@ -114,7 +134,9 @@ void VisibilityGraphBuilder::component_pass(DisjointSets& dsu) {
             if (a != last_a) {
                 last_a = a;
                 root_a = dsu.find(a);
+                link(a);
             }
+            link(pair_b_[i]);
             root_a = dsu.unite_root(root_a, pair_b_[i]);
         }
     }

@@ -8,7 +8,9 @@
 // the builder unions agents directly into a DisjointSets via the spatial
 // index.
 //
-//  * r = 0  — co-location only; uses OccupancyMap, O(k).
+//  * r = 0  — co-location only: one pass over the agents with a node →
+//             first-agent table; the first agent seen on a node absorbs
+//             every later one. O(k), no self-unions.
 //  * r ≥ 1  — one component pass per step: a counting sort of the agents
 //             into a cell list with cell side r (spatial::BucketIndex),
 //             then one walk over the cell rows. Each occupied cell is
@@ -20,6 +22,11 @@
 // Components cannot be maintained under edge deletions, so every pass
 // recomputes the DSU from scratch; only the partition is specified, not
 // the DSU's root choice or union order.
+//
+// Below r_c almost every agent is alone in its component, so each build
+// also lists the *linked* agents — the members of every non-singleton
+// component — in O(pairs). Exchanges iterate that list instead of all k
+// agents: a singleton can neither learn nor teach.
 //
 // ComponentStats summarizes a partition: component count, maximum size
 // ("islands" of Definition 2 / Lemma 6), size histogram, and the largest
@@ -34,7 +41,6 @@
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
 
 namespace smn::graph {
 
@@ -68,9 +74,14 @@ public:
     VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
                            grid::Metric metric = grid::Metric::kManhattan);
 
-    /// Computes the components of G_t(r) for the given positions.
-    /// Postcondition: dsu.element_count() == positions.size().
+    /// Computes the components of G_t(r) for the given positions and the
+    /// linked() list. Postcondition: dsu.element_count() == positions.size().
     void build(std::span<const grid::Point> positions, DisjointSets& dsu);
+
+    /// Members of every component of size >= 2 after the last build(), each
+    /// exactly once, in no specified order: the agents with at least one
+    /// in-range partner.
+    [[nodiscard]] std::span<const std::int32_t> linked() const noexcept { return linked_; }
 
     /// Same as build(): every pass re-sorts the positions, so there is no
     /// incremental state to maintain.
@@ -110,7 +121,7 @@ public:
     [[nodiscard]] const IndexStats& index_stats() const noexcept { return index_stats_; }
 
     /// Occupied cells scanned by the last pass (0 for r = 0, where the
-    /// occupancy path visits nodes, not cells).
+    /// co-location pass visits agents, not cells).
     [[nodiscard]] std::int64_t occupied_units() const noexcept { return occupied_units_; }
 
     /// Brute-force O(k²) reference builder used by tests.
@@ -120,13 +131,26 @@ public:
 private:
     template <grid::Metric M>
     void component_pass(DisjointSets& dsu);
+    void colocation_pass(std::span<const grid::Point> positions, DisjointSets& dsu);
+
+    /// Appends `a` to linked_ unless it is already listed.
+    void link(std::int32_t a) noexcept {
+        auto& flag = linked_flag_[static_cast<std::size_t>(a)];
+        if (flag == 0) {
+            flag = 1;
+            linked_.push_back(a);
+        }
+    }
 
     grid::Grid2D grid_;
     std::int64_t radius_;
     grid::Coord eff_radius_;  ///< radius clamped to the grid diameter
     grid::Metric metric_;
-    spatial::OccupancyMap occupancy_;  ///< used when radius == 0
-    spatial::BucketIndex cells_;       ///< used when radius >= 1
+    std::vector<std::int32_t> first_at_;  ///< r = 0: node → first agent seen (-1: none)
+    std::vector<grid::NodeId> touched_;   ///< r = 0: nodes set in first_at_
+    spatial::BucketIndex cells_;          ///< used when radius >= 1
+    std::vector<std::int32_t> linked_;       ///< see linked()
+    std::vector<std::uint8_t> linked_flag_;  ///< agent → listed in linked_
     std::vector<std::int32_t> pair_a_;  ///< staged in-range pairs, first ids
     std::vector<std::int32_t> pair_b_;  ///< staged in-range pairs, second ids
     std::int64_t occupied_units_{0};

@@ -17,6 +17,8 @@
 //     the real scenarios, including the Frog model and step_throughput.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "core/broadcast.hpp"
 #include "core/engine.hpp"
 #include "core/gossip.hpp"
+#include "core/rumor.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/writer.hpp"
@@ -163,6 +166,39 @@ TEST(GoldenGossip, ReproducesSeedImplementationBitForBit) {
     EXPECT_DOUBLE_EQ(res.mean_rumor_broadcast_time, 88.666666666666671);
 }
 
+// Multi-word rumor bitsets (k > 64) at r = 0 and at r = 1 (Chebyshev),
+// captured from the build before the exchange went sparse.
+TEST(GoldenGossip, MultiWordRumorSetsReproduceBitForBit) {
+    const struct {
+        grid::Coord side;
+        std::int32_t k;
+        std::int64_t radius;
+        grid::Metric metric;
+        std::uint64_t seed;
+        std::int64_t tg;
+        std::int64_t min_tb;
+        double mean_tb;
+    } goldens[] = {
+        {32, 130, 0, grid::Metric::kManhattan, 1, 408, 235, 322.19230769230768},
+        {32, 130, 0, grid::Metric::kManhattan, 2, 396, 205, 285.76153846153846},
+        {24, 70, 1, grid::Metric::kChebyshev, 3, 125, 63, 77.671428571428578},
+        {24, 70, 1, grid::Metric::kChebyshev, 4, 176, 76, 84.128571428571433},
+    };
+    for (const auto& golden : goldens) {
+        EngineConfig cfg;
+        cfg.side = golden.side;
+        cfg.k = golden.k;
+        cfg.radius = golden.radius;
+        cfg.metric = golden.metric;
+        cfg.seed = golden.seed;
+        const auto res = run_gossip(cfg);
+        EXPECT_EQ(res.gossip_time, golden.tg) << "seed " << golden.seed;
+        EXPECT_EQ(res.max_rumor_broadcast_time, golden.tg) << "seed " << golden.seed;
+        EXPECT_EQ(res.min_rumor_broadcast_time, golden.min_tb) << "seed " << golden.seed;
+        EXPECT_DOUBLE_EQ(res.mean_rumor_broadcast_time, golden.mean_tb) << "seed " << golden.seed;
+    }
+}
+
 // ------------------------------------------------- reference-loop pathwise
 
 // Re-implements the engine from first principles: scalar per-agent
@@ -265,7 +301,91 @@ INSTANTIATE_TEST_SUITE_P(
         PathwiseParam{14, 10, 3, Mobility::kAllMove, walk::WalkKind::kLazyHalf, 24},
         PathwiseParam{12, 8, 2, Mobility::kInformedOnly, walk::WalkKind::kLazyPaper, 25},
         PathwiseParam{12, 8, 0, Mobility::kInformedOnly, walk::WalkKind::kLazyPaper, 26},
+        PathwiseParam{8, 24, 0, Mobility::kInformedOnly, walk::WalkKind::kLazyHalf, 28},
         PathwiseParam{10, 14, 4, Mobility::kInformedOnly, walk::WalkKind::kSimple, 27}));
+
+// The gossip engine against a first-principles loop: scalar walk::step
+// draws, the O(k²) build_naive, and a dense O(k) exchange from public
+// calls (OR every agent's rumor words into its root's slot, merge_word the
+// union back into every agent). Every per-rumor broadcast time must match.
+std::vector<std::int64_t> reference_rumor_times(const EngineConfig& cfg, std::int64_t max_steps) {
+    const auto g = grid::Grid2D::square(cfg.side);
+    rng::Rng rng{cfg.seed};
+    std::vector<grid::Point> pos;
+    for (std::int32_t i = 0; i < cfg.k; ++i) {
+        pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+    }
+    const auto k = static_cast<std::size_t>(cfg.k);
+    auto rumors = MultiRumorState::one_rumor_per_agent(cfg.k);
+    const auto words = rumors.words_per_agent();
+    std::vector<std::uint64_t> acc(k * words);
+    std::vector<std::int32_t> known(k, 1);
+    std::vector<std::int64_t> times(k, cfg.k == 1 ? 0 : -1);
+    graph::DisjointSets dsu{k};
+    const auto exchange = [&](std::int64_t t) {
+        std::fill(acc.begin(), acc.end(), std::uint64_t{0});
+        for (std::int32_t a = 0; a < cfg.k; ++a) {
+            const auto root = static_cast<std::size_t>(dsu.find(a));
+            for (std::size_t w = 0; w < words; ++w) acc[root * words + w] |= rumors.word(a, w);
+        }
+        for (std::int32_t a = 0; a < cfg.k; ++a) {
+            const auto root = static_cast<std::size_t>(dsu.find(a));
+            for (std::size_t w = 0; w < words; ++w) {
+                for (auto gained = rumors.merge_word(a, w, acc[root * words + w]); gained != 0;
+                     gained &= gained - 1) {
+                    const auto r = w * 64 + static_cast<std::size_t>(std::countr_zero(gained));
+                    if (++known[r] == cfg.k) times[r] = t;
+                }
+            }
+        }
+    };
+    graph::VisibilityGraphBuilder::build_naive(pos, cfg.radius, cfg.metric, dsu);
+    exchange(0);
+    for (std::int64_t t = 1; !rumors.complete() && t <= max_steps; ++t) {
+        for (auto& p : pos) p = walk::step(g, p, rng, cfg.walk);
+        graph::VisibilityGraphBuilder::build_naive(pos, cfg.radius, cfg.metric, dsu);
+        exchange(t);
+    }
+    return times;
+}
+
+struct GossipPathwiseParam {
+    grid::Coord side;
+    std::int32_t k;
+    std::int64_t radius;
+    grid::Metric metric;
+    std::uint64_t seed;
+};
+
+class GossipPathwiseEquivalence : public ::testing::TestWithParam<GossipPathwiseParam> {};
+
+TEST_P(GossipPathwiseEquivalence, PerRumorTimesMatchDenseReferenceLoop) {
+    const auto param = GetParam();
+    EngineConfig cfg;
+    cfg.side = param.side;
+    cfg.k = param.k;
+    cfg.radius = param.radius;
+    cfg.metric = param.metric;
+    cfg.seed = param.seed;
+    constexpr std::int64_t kMaxSteps = 20000;
+    GossipProcess engine{cfg};
+    const auto tg = engine.run_until_complete(kMaxSteps);
+    ASSERT_TRUE(tg.has_value());
+    const auto ref = reference_rumor_times(cfg, kMaxSteps);
+    for (std::int32_t r = 0; r < cfg.k; ++r) {
+        EXPECT_EQ(engine.rumor_broadcast_time(r), ref[static_cast<std::size_t>(r)])
+            << "rumor " << r;
+    }
+    EXPECT_EQ(*tg, *std::max_element(ref.begin(), ref.end()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Radii, GossipPathwiseEquivalence,
+    ::testing::Values(GossipPathwiseParam{20, 70, 0, grid::Metric::kManhattan, 41},
+                      GossipPathwiseParam{14, 40, 0, grid::Metric::kManhattan, 42},
+                      GossipPathwiseParam{24, 90, 1, grid::Metric::kManhattan, 43},
+                      GossipPathwiseParam{24, 70, 1, grid::Metric::kChebyshev, 44},
+                      GossipPathwiseParam{32, 130, 3, grid::Metric::kEuclidean, 45}));
 
 // ----------------------------------------------------- thread invariance
 

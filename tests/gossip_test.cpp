@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/broadcast.hpp"
 #include "core/gossip.hpp"
@@ -17,6 +19,32 @@ TEST(Gossip, SingleAgentIsCompleteAtStart) {
     EXPECT_TRUE(p.complete());
     EXPECT_EQ(p.run_until_complete(10), 0);
     EXPECT_EQ(p.rumor_broadcast_time(0), 0);
+}
+
+// Both engines validate through core::validate(), so each bad field is
+// reported by the config check before any member is built.
+TEST(Gossip, RejectsBadConfigsLikeBroadcast) {
+    EngineConfig bad_k;
+    bad_k.k = 0;
+    EngineConfig bad_side;
+    bad_side.side = 0;
+    EngineConfig bad_radius;
+    bad_radius.radius = -1;
+    for (const auto& cfg : {bad_k, bad_side, bad_radius}) {
+        for (const bool gossip : {true, false}) {
+            try {
+                if (gossip) {
+                    GossipProcess p{cfg};
+                } else {
+                    BroadcastProcess p{cfg};
+                }
+                ADD_FAILURE() << "no throw for k " << cfg.k << " side " << cfg.side
+                              << " radius " << cfg.radius;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_EQ(std::string{e.what()}.rfind("EngineConfig:", 0), 0u) << e.what();
+            }
+        }
+    }
 }
 
 TEST(Gossip, KnownPairsStartAtKAndGrowMonotonically) {

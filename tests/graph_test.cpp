@@ -6,6 +6,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
 #include "walk/ensemble.hpp"
+#include "walk/step.hpp"
 
 namespace smn::graph {
 namespace {
@@ -396,6 +398,83 @@ std::vector<CellListParam> cell_list_params() {
 
 INSTANTIATE_TEST_SUITE_P(RadiiMetricsOccupancies, VisibilityCellList,
                          ::testing::ValuesIn(cell_list_params()));
+
+// linked() against build_naive: after every build it must list exactly
+// the members of the naive partition's components of size >= 2, each once.
+// One builder per occupancy runs consecutive builds over walking agents
+// (and one round with fewer agents), so flags left by the previous build
+// are exercised. Occupancies: far below r_c, at r_c, dense, every agent on
+// one node (side 1), and r >= side.
+enum class LinkedOccupancy { kSparse, kCritical, kDense, kOneNode, kRadiusCoversGrid };
+
+struct LinkedParam {
+    std::int64_t radius;
+    Metric metric;
+};
+
+class VisibilityLinked : public ::testing::TestWithParam<LinkedParam> {};
+
+TEST_P(VisibilityLinked, ListsExactlyTheNonSingletonMembers) {
+    const auto [r, metric] = GetParam();
+    rng::Rng rng{static_cast<std::uint64_t>(9100 + r * 17 + static_cast<int>(metric))};
+    const auto reach = static_cast<double>(std::max<std::int64_t>(r, 1));
+    for (const auto occupancy : {LinkedOccupancy::kSparse, LinkedOccupancy::kCritical,
+                                 LinkedOccupancy::kDense, LinkedOccupancy::kOneNode,
+                                 LinkedOccupancy::kRadiusCoversGrid}) {
+        grid::Coord side = 32;
+        if (occupancy == LinkedOccupancy::kOneNode) side = 1;
+        if (occupancy == LinkedOccupancy::kRadiusCoversGrid) {
+            side = static_cast<grid::Coord>(std::max<std::int64_t>(r, 1));
+        }
+        const auto g = Grid2D::square(side);
+        const auto n = static_cast<double>(g.size());
+        // k = n / r_c² for the target percolation radius r_c.
+        const auto k_for = [&](double rc) {
+            return static_cast<int>(std::clamp<double>(n / (rc * rc), 2, 400));
+        };
+        int k = 40;
+        switch (occupancy) {
+            case LinkedOccupancy::kSparse: k = k_for(4.0 * reach); break;
+            case LinkedOccupancy::kCritical: k = k_for(reach); break;
+            case LinkedOccupancy::kDense: k = k_for(reach / 2.0); break;
+            default: break;
+        }
+        std::vector<Point> pos;
+        for (int i = 0; i < k; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+        VisibilityGraphBuilder builder{g, r, metric};
+        DisjointSets fast{0};
+        DisjointSets slow{0};
+        for (int round = 0; round < 6; ++round) {
+            for (auto& p : pos) p = walk::step(g, p, rng, walk::WalkKind::kLazyPaper);
+            const auto agents = round == 3 ? std::max(1, k / 2) : k;
+            const std::span<const Point> now{pos.data(), static_cast<std::size_t>(agents)};
+            builder.build(now, fast);
+            VisibilityGraphBuilder::build_naive(now, r, metric, slow);
+            ASSERT_EQ(canonical(fast), canonical(slow)) << "round " << round;
+            std::vector<std::int32_t> expected;
+            for (std::int32_t a = 0; a < agents; ++a) {
+                if (slow.size_of(a) >= 2) expected.push_back(a);
+            }
+            std::vector<std::int32_t> listed(builder.linked().begin(), builder.linked().end());
+            std::sort(listed.begin(), listed.end());
+            EXPECT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end())
+                << "an agent is listed twice; occupancy " << static_cast<int>(occupancy)
+                << " round " << round;
+            EXPECT_EQ(listed, expected)
+                << "occupancy " << static_cast<int>(occupancy) << " side " << side << " k "
+                << agents << " round " << round;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RadiiMetrics, VisibilityLinked,
+    ::testing::Values(LinkedParam{0, Metric::kManhattan}, LinkedParam{0, Metric::kChebyshev},
+                      LinkedParam{0, Metric::kEuclidean}, LinkedParam{1, Metric::kManhattan},
+                      LinkedParam{1, Metric::kChebyshev}, LinkedParam{1, Metric::kEuclidean},
+                      LinkedParam{2, Metric::kManhattan}, LinkedParam{2, Metric::kChebyshev},
+                      LinkedParam{2, Metric::kEuclidean}, LinkedParam{5, Metric::kManhattan},
+                      LinkedParam{5, Metric::kChebyshev}, LinkedParam{5, Metric::kEuclidean}));
 
 // ---------------------------------------------------------- ComponentStats
 
