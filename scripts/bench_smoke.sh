@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Smoke-run two representative bench programs with tiny parameters.
-# Catches bench bit-rot (stale APIs, broken CLI parsing) without burning
-# CI minutes on full experiment sweeps. Usage: scripts/bench_smoke.sh [build-dir]
+# Smoke-run the two perf tools with tiny parameters. Catches bench bit-rot
+# (stale APIs, broken CLI parsing) without burning CI minutes on full
+# measurements. Usage: scripts/bench_smoke.sh [build-dir]
 set -euo pipefail
 
 build_dir="${1:-build}"
 
-"${build_dir}/bench_broadcast_vs_n" --quick --reps=2 --k=4
+"${build_dir}/bench_replication_pool" --quick
 
 if [ -x "${build_dir}/bench_micro_kernels" ]; then
     "${build_dir}/bench_micro_kernels" --benchmark_min_time=0.01

@@ -1,6 +1,6 @@
 // bounds.hpp — every closed-form bound and scale in the paper.
 //
-// These are the predictions the bench harnesses compare measurements
+// These are the predictions the claim tests compare measurements
 // against. Θ̃/O-bounds carry no constants, so the functions return the
 // *scale* (the bound with constant 1); fits remove the constant by
 // centering in log space.
@@ -70,7 +70,7 @@ namespace smn::core::bounds {
 
 /// Tessellation cell side ℓ = √(14 n log³n/(c₃ k)) from Sec. 3.1, clamped
 /// to [1, grid side]. `c3` is the (unknown) constant of Lemma 3; the proofs
-/// only need it positive, so benches pass an empirical value.
+/// only need it positive, so callers pass an empirical value.
 [[nodiscard]] inline double cell_side(std::int64_t n, std::int64_t k, double c3) noexcept {
     const double nn = static_cast<double>(n);
     const double ln = log_floor(nn);

@@ -2,7 +2,7 @@
 //
 // run_broadcast wires a BroadcastProcess to the requested observers, runs
 // it to completion (or to the step cap) and returns everything a table row
-// needs. This is the main entry point for benches, examples and most
+// needs. This is the main entry point for scenarios, examples and most
 // integration tests; the class API in engine.hpp remains available for
 // custom loops.
 #pragma once

@@ -8,8 +8,9 @@
 // the source — a constant-speed wavefront through the tessellation, which
 // is what caps T_B at Θ̃(n/√k).
 //
-// CellReachObserver records exactly t_Q for every cell, letting benches
-// and tests verify the wavefront directly (experiment E22).
+// CellReachObserver records exactly t_Q for every cell, letting the
+// cell_spread lab scenario and its claim test verify the wavefront
+// directly (experiment E22).
 #pragma once
 
 #include <algorithm>

@@ -8,8 +8,8 @@
 // because all k rumors ride the same meetings.
 //
 // GossipProcess also reports per-rumor broadcast times, so one gossip run
-// yields k correlated samples of T_B (used by bench_gossip to show the
-// max-over-rumors behaviour).
+// yields k correlated samples of T_B (the gossip lab scenario reports
+// their mean and minimum next to T_G).
 #pragma once
 
 #include <cstdint>

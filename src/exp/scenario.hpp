@@ -5,8 +5,9 @@
 // maps (bound parameters, derived seed) to a set of named scalar metrics.
 // Scenarios register themselves in the process-wide ScenarioRegistry (via
 // ScenarioRegistrar / SMN_REGISTER_SCENARIO) and are discovered by name —
-// the `smn_lab` driver, the bench programs, and the tests all run the same
-// registered workloads through the same API.
+// the `smn_lab` driver and the tests (including the claim tests that
+// assert the paper's predictions) run the same registered workloads
+// through the same API.
 //
 // Replication bodies must be pure up to their seed: given the same bound
 // parameters and seed they return the same metrics, and distinct

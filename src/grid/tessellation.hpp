@@ -4,7 +4,7 @@
 // ℓ = sqrt(14 n log³n / (c₃ k)) and tracks when each cell is first reached
 // by an informed agent ("explored"). The Tessellation class implements the
 // same partition and is used by the frontier/coverage observers and by the
-// cell-exploration experiment (E17 uses it indirectly).
+// cell-exploration experiment (E22, the cell_spread scenario).
 //
 // Cells on the top/right border may be smaller than ℓ when ℓ does not
 // divide the grid side — exactly as in the paper's tessellation, which only

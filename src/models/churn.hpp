@@ -14,7 +14,7 @@
 //  * reset_knowledge = false — pure relocation (an agent teleports but
 //    keeps its knowledge). Teleportation mixes positions faster than
 //    diffusion, so moderate churn *accelerates* broadcast — an
-//    instructive contrast measured by bench_churn (E23).
+//    instructive contrast measured by the churn lab scenario (E23).
 #pragma once
 
 #include <cstdint>

@@ -11,8 +11,9 @@
 // rely on R+ρ = Ω(√log n) making the step-reachability graph connected —
 // precisely the assumption the main paper drops.
 //
-// bench_dense_baseline reproduces the Θ(√n/R) series; the contrast with
-// the sparse regime (radius-independent T_B) is the paper's headline.
+// The dense_baseline lab scenario reproduces the Θ(√n/R) series; the
+// contrast with the sparse regime (radius-independent T_B) is the paper's
+// headline.
 #pragma once
 
 #include <cstdint>

@@ -4,9 +4,9 @@
 // principle: restricting walks to the bounded grid changes hitting
 // probabilities only by constants, so boundaries do not affect the
 // Θ̃(n/√k) law. This model provides the direct system-level check: the
-// same broadcast process on a TORUS (no boundary at all). bench_ablations
-// Part D compares T_B on both domains — the paper's argument predicts
-// agreement up to a constant close to 1.
+// same broadcast process on a TORUS (no boundary at all). The ablation
+// claim test (E20 part D) compares T_B on both domains — the paper's
+// argument predicts agreement up to a constant close to 1.
 //
 // Co-location exchange (r = 0) only: radius queries on a torus need
 // wrap-aware geometry that the paper never uses (its domain is bounded),

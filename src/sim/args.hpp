@@ -1,6 +1,7 @@
-// args.hpp — minimal command-line options for the bench harnesses.
+// args.hpp — minimal command-line options for smn_lab, the perf tools and
+// the examples.
 //
-// Every bench binary accepts `--key=value` overrides plus built-in flags:
+// Every such binary accepts `--key=value` overrides plus built-in flags:
 //   --quick      shrink problem sizes / replication counts (CI smoke mode)
 //   --csv        emit CSV instead of the aligned table
 //   --threads=N  worker threads for replication runners (default:

@@ -2,7 +2,7 @@
 //
 // RunningStats accumulates count/mean/variance/min/max in one pass with
 // Welford's numerically stable update; Sample additionally retains the
-// observations for quantiles and bootstrap resampling.
+// observations for quantiles.
 #pragma once
 
 #include <algorithm>

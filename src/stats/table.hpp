@@ -1,9 +1,10 @@
-// table.hpp — column-aligned tables for benches and EXPERIMENTS.md.
+// table.hpp — column-aligned tables for the examples, the perf tools and
+// smn_lab's listings.
 //
-// Every bench binary prints its result as a Table: a header row plus data
-// rows, rendered either as aligned plain text (default, what the paper's
-// tables would look like) or CSV (`--csv` flag in the harness). Cells are
-// strings; numeric helpers format with sensible precision.
+// A Table is a header row plus data rows, rendered either as aligned plain
+// text (default, what the paper's tables would look like) or CSV (`--csv`
+// flag in the harness). Cells are strings; numeric helpers format with
+// sensible precision.
 #pragma once
 
 #include <cstdint>

@@ -10,9 +10,9 @@
 //                              D = {x : ||x−a₀|| ≤ d and ||x−b₀|| ≤ d},
 //                              within T = d² steps?  P ≥ c₃/log d.
 //
-// The bench harnesses estimate these probabilities over many replications
-// and report P·log d, which the lemmas predict to be bounded below by a
-// constant.
+// The hitting_probability and meeting_probability lab scenarios estimate
+// these probabilities over many replications; the claim tests assert that
+// P·log d stays bounded below by a constant, as the lemmas predict.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,8 @@
 // O(t* log k), where t* is the MAXIMUM over starting positions of the
 // expected first-meeting time of two walks — O(n log n) on the grid by
 // Aldous–Fill [1]. These helpers measure first-meeting times directly:
-// bench_meeting_time (E21) shows t̄(n) ~ n log n and locates the worst
-// starting geometry (opposite corners).
+// the meeting_time lab scenario (E21) shows t̄(n) ~ n log n and locates
+// the worst starting geometry (opposite corners).
 #pragma once
 
 #include <cstdint>

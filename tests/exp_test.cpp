@@ -328,8 +328,11 @@ TEST(Registry, BuiltinScenariosArePresent) {
     exp::register_builtin_scenarios();
     const auto& registry = exp::ScenarioRegistry::instance();
     EXPECT_GE(registry.size(), 6U);
-    for (const char* name : {"grid_broadcast", "frog_broadcast", "torus_broadcast",
-                             "percolation_radius", "gossip", "meeting_time", "churn"}) {
+    for (const char* name :
+         {"grid_broadcast", "frog_broadcast", "torus_broadcast", "percolation_radius", "gossip",
+          "meeting_time", "churn", "barriers", "cell_spread", "cover_time", "coverage",
+          "dense_baseline", "frontier", "hitting_probability", "islands", "meeting_probability",
+          "percolation", "predator_prey", "walk_range"}) {
         EXPECT_NE(registry.find(name), nullptr) << name;
         EXPECT_FALSE(registry.at(name).params.empty()) << name;
     }
@@ -705,6 +708,25 @@ TEST(BuiltinScenarios, HugeRadiusBroadcastsAtTimeZero) {
         EXPECT_EQ(result.metric("broadcast_time").count(), 3) << radius;
         EXPECT_EQ(result.metric("broadcast_time").max(), 0.0) << radius;
     }
+}
+
+// Regression: starts=adjacent on a 1 x 1 grid drew rng.below(0) and put
+// the second walker off the grid, yet reported a normal-looking record.
+TEST(BuiltinScenarios, MeetingTimeRejectsAdjacentStartsWithoutRoom) {
+    exp::register_builtin_scenarios();
+    const auto& scenario = exp::ScenarioRegistry::instance().at("meeting_time");
+    exp::RunOptions options;
+    options.reps = 2;
+    options.threads = 1;
+    EXPECT_THROW((void)exp::run_point(scenario, {{"side", "1"}, {"starts", "adjacent"}}, options),
+                 std::invalid_argument);
+    options.tolerate_failures = true;
+    const auto result =
+        exp::run_point(scenario, {{"side", "1"}, {"starts", "adjacent"}}, options);
+    EXPECT_EQ(result.failures.size(), 2U);
+    EXPECT_EQ(result.metrics.count("meeting_time"), 0U);
+    const auto two = exp::run_point(scenario, {{"side", "2"}, {"starts", "adjacent"}}, options);
+    EXPECT_TRUE(two.failures.empty());
 }
 
 // ---------------------------------------------------------------------------

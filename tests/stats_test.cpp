@@ -1,5 +1,5 @@
-// stats_test.cpp — RunningStats, Sample, regression, bootstrap, histogram,
-// table formatting.
+// stats_test.cpp — RunningStats, Sample, regression, histogram, table
+// formatting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "rng/rng.hpp"
-#include "stats/bootstrap.hpp"
 #include "stats/histogram.hpp"
 #include "stats/regression.hpp"
 #include "stats/running_stats.hpp"
@@ -192,46 +191,6 @@ TEST(Regression, LogRmsDetectsShapeMismatch) {
         pred.push_back(std::pow(x, -1.0));
     }
     EXPECT_GT(log_rms_error_centered(obs, pred), 0.3);
-}
-
-// --------------------------------------------------------------- bootstrap
-
-TEST(Bootstrap, MeanCiCoversTruth) {
-    rng::Rng data_rng{3};
-    std::vector<double> sample;
-    for (int i = 0; i < 400; ++i) sample.push_back(rng::Rng{data_rng.next_u64()}.uniform(0.0, 10.0));
-    rng::Rng boot_rng{4};
-    const auto ci = bootstrap_mean_ci(sample, 0.95, 500, boot_rng);
-    EXPECT_TRUE(ci.contains(5.0)) << "[" << ci.lo << ", " << ci.hi << "]";
-    EXPECT_LT(ci.width(), 2.0);
-    EXPECT_GT(ci.width(), 0.0);
-}
-
-TEST(Bootstrap, MedianCiCoversTruth) {
-    rng::Rng data_rng{5};
-    std::vector<double> sample;
-    for (int i = 0; i < 400; ++i) sample.push_back(data_rng.uniform(0.0, 2.0));
-    rng::Rng boot_rng{6};
-    const auto ci = bootstrap_median_ci(sample, 0.95, 500, boot_rng);
-    EXPECT_TRUE(ci.contains(1.0)) << "[" << ci.lo << ", " << ci.hi << "]";
-}
-
-TEST(Bootstrap, DeterministicGivenSeed) {
-    const std::vector<double> sample{1, 2, 3, 4, 5, 6, 7, 8};
-    rng::Rng a{7};
-    rng::Rng b{7};
-    const auto ca = bootstrap_mean_ci(sample, 0.9, 200, a);
-    const auto cb = bootstrap_mean_ci(sample, 0.9, 200, b);
-    EXPECT_DOUBLE_EQ(ca.lo, cb.lo);
-    EXPECT_DOUBLE_EQ(ca.hi, cb.hi);
-}
-
-TEST(Bootstrap, SingletonSampleDegenerates) {
-    const std::vector<double> sample{3.0};
-    rng::Rng rng{8};
-    const auto ci = bootstrap_mean_ci(sample, 0.95, 100, rng);
-    EXPECT_DOUBLE_EQ(ci.lo, 3.0);
-    EXPECT_DOUBLE_EQ(ci.hi, 3.0);
 }
 
 // --------------------------------------------------------------- histogram
