@@ -50,23 +50,17 @@ namespace smn::graph {
 class VisibilityGraphBuilder {
 public:
     /// Cumulative scan telemetry: cell- and pass-level counts plus the
-    /// per-pair tallies. The replay fields are kept for consumers that
-    /// compare counters by name; the pass has no edge cache, so they are
-    /// always 0.
+    /// per-pair tallies.
     struct ScanStats {
         std::int64_t passes{0};            ///< component passes (r >= 1)
-        std::int64_t bypass_passes{0};     ///< always 0
-        std::int64_t replayed_units{0};    ///< always 0
         std::int64_t rescanned_units{0};   ///< occupied cells scanned
         std::int64_t pairs_tested{0};      ///< candidate pairs distance-tested
         std::int64_t pairs_survived{0};    ///< in-range pairs reaching the DSU
-        std::int64_t edges_replayed{0};    ///< always 0
-    };
-
-    /// Walk moves reported through on_move() (r >= 1 only).
-    struct IndexStats {
-        std::int64_t moves{0};    ///< on_move() calls
-        std::int64_t relinks{0};  ///< moves that changed cell
+        // Paperbench-only (see the block at the end of the public section):
+        // the pass has no edge cache, so these are always 0.
+        std::int64_t bypass_passes{0};
+        std::int64_t replayed_units{0};
+        std::int64_t edges_replayed{0};
     };
 
     /// `radius` is the transmission radius r >= 0; `metric` defaults to the
@@ -83,26 +77,6 @@ public:
     /// in-range partner.
     [[nodiscard]] std::span<const std::int32_t> linked() const noexcept { return linked_; }
 
-    /// Same as build(): every pass re-sorts the positions, so there is no
-    /// incremental state to maintain.
-    void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu) {
-        build(positions, dsu);
-    }
-
-    /// No-op: the pass keeps no per-step state.
-    void begin_step() noexcept {}
-
-    /// Tallies one walk move into index_stats(); O(1), touches no index
-    /// state. Reported moves never change any partition.
-    void on_move(std::int32_t /*agent*/, grid::Point from, grid::Point to) noexcept {
-        if (radius_ < 1) return;
-        ++index_stats_.moves;
-        if (cells_.cell_of(from.x) != cells_.cell_of(to.x) ||
-            cells_.cell_of(from.y) != cells_.cell_of(to.y)) {
-            ++index_stats_.relinks;
-        }
-    }
-
     [[nodiscard]] std::int64_t radius() const noexcept { return radius_; }
     [[nodiscard]] grid::Metric metric() const noexcept { return metric_; }
 
@@ -117,9 +91,6 @@ public:
     /// Full cumulative scan telemetry (see ScanStats).
     [[nodiscard]] const ScanStats& scan_stats() const noexcept { return stats_; }
 
-    /// Move tallies reported through on_move() (see IndexStats).
-    [[nodiscard]] const IndexStats& index_stats() const noexcept { return index_stats_; }
-
     /// Occupied cells scanned by the last pass (0 for r = 0, where the
     /// co-location pass visits agents, not cells).
     [[nodiscard]] std::int64_t occupied_units() const noexcept { return occupied_units_; }
@@ -127,6 +98,38 @@ public:
     /// Brute-force O(k²) reference builder used by tests.
     static void build_naive(std::span<const grid::Point> positions, std::int64_t radius,
                             grid::Metric metric, DisjointSets& dsu);
+
+    // ---- For paperbench's shadow loop only; deleted together with that
+    // caller (and with the three always-0 ScanStats fields) when the
+    // shadow is refreshed (ROADMAP.md, item 2). Library code must not call
+    // these; the walk adapters that feed on_move() are the matching block
+    // in walk/ensemble.hpp.
+
+    /// Walk moves reported through on_move() (r >= 1 only).
+    struct IndexStats {
+        std::int64_t moves{0};    ///< on_move() calls
+        std::int64_t relinks{0};  ///< moves that changed cell
+    };
+
+    /// Same as build().
+    void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu) {
+        build(positions, dsu);
+    }
+
+    /// No-op: the pass keeps no per-step state.
+    void begin_step() noexcept {}
+
+    /// Tallies one walk move into index_stats(); touches no pass state.
+    void on_move(std::int32_t /*agent*/, grid::Point from, grid::Point to) noexcept {
+        if (radius_ < 1) return;
+        ++index_stats_.moves;
+        if (cells_.cell_of(from.x) != cells_.cell_of(to.x) ||
+            cells_.cell_of(from.y) != cells_.cell_of(to.y)) {
+            ++index_stats_.relinks;
+        }
+    }
+
+    [[nodiscard]] const IndexStats& index_stats() const noexcept { return index_stats_; }
 
 private:
     template <grid::Metric M>
@@ -157,7 +160,7 @@ private:
     bool timing_{false};
     double index_seconds_{0.0};
     ScanStats stats_;          ///< cumulative scan telemetry
-    IndexStats index_stats_;   ///< cumulative on_move() tallies
+    IndexStats index_stats_;   ///< paperbench-only on_move() tallies
 };
 
 /// Summary of a component partition of k agents.

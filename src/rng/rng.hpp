@@ -98,7 +98,11 @@ public:
     /// block (each agent draws at least once) before refilling.
     void fill(Rng& rng, std::size_t count) {
         buffer_.resize(count);
-        for (auto& word : buffer_) word = rng.next_u64();
+        // Draw through a local copy: a store into buffer_ may alias the
+        // engine state, which would otherwise round-trip memory every word.
+        Rng local = rng;
+        for (auto& word : buffer_) word = local.next_u64();
+        rng = local;
         cursor_ = 0;
     }
 

@@ -24,9 +24,8 @@
 // Lemire decode runs 4 words per 64-bit vector (walk/decode.hpp) and the
 // position update runs 8 agents per 32-bit vector — boundary mask, packed
 // step-table gather, SoA stores and the AoS mirror interleave are all
-// branch-free lane math; only agents that actually moved re-enter scalar
-// code, in ascending lane order, to fire the on_move hook. Lanes are just
-// a partition of the agent order, so the trajectories (and the word
+// branch-free lane math, and no lane leaves the vector path. Lanes are
+// just a partition of the agent order, so the trajectories (and the word
 // stream, which the decode never reorders) stay bit-identical across
 // backends — the force-scalar CI leg replays the same goldens to prove it.
 #pragma once
@@ -132,16 +131,9 @@ public:
     }
 
     /// Advances every agent by one synchronized step.
-    void step_all(rng::Rng& rng) { step_all(rng, [](AgentId, grid::Point, grid::Point) {}); }
-
-    /// As step_all, additionally reporting `on_move(agent, from, to)` for
-    /// every agent whose node changed (in agent order) — the hook engines
-    /// tally moves through.
-    template <typename OnMove>
-    void step_all(rng::Rng& rng, OnMove&& on_move) {
+    void step_all(rng::Rng& rng) {
         if (kind_ != WalkKind::kLazyPaper) {
-            step_indices(
-                rng, positions_.size(), [](std::size_t i) { return i; }, on_move);
+            step_indices(rng, positions_.size(), [](std::size_t i) { return i; });
             return;
         }
         // Lazy-paper fast path: agent ids are contiguous, so both decode
@@ -157,13 +149,13 @@ public:
             block_.fill(rng, len);
             if (decode_block(len)) {
                 ++decode_stats_.blocks_decoded;
-                apply_block(base, len, width, height, on_move);
+                apply_block(base, len, width, height);
             } else {
                 ++decode_stats_.blocks_scalar;
                 for (std::size_t i = 0; i < len; ++i) {
                     const auto a = base + i;
                     apply(a, direction_mask(xs_[a], ys_[a], width, height),
-                          static_cast<unsigned>(block_.below(rng, 5)), on_move);
+                          static_cast<unsigned>(block_.below(rng, 5)));
                 }
             }
         }
@@ -172,26 +164,38 @@ public:
     /// Advances only the agents for which `should_move[a]` is true; the
     /// others stay frozen (Frog-model dynamics, Sec. 4).
     void step_subset(rng::Rng& rng, std::span<const std::uint8_t> should_move) {
-        step_subset(rng, should_move, [](AgentId, grid::Point, grid::Point) {});
-    }
-
-    /// As step_subset, with the per-move hook of step_all.
-    template <typename OnMove>
-    void step_subset(rng::Rng& rng, std::span<const std::uint8_t> should_move,
-                     OnMove&& on_move) {
         assert(should_move.size() == positions_.size());
         moving_.clear();
         for (std::size_t i = 0; i < should_move.size(); ++i) {
             if (should_move[i]) moving_.push_back(static_cast<std::int32_t>(i));
         }
-        step_indices(
-            rng, moving_.size(),
-            [this](std::size_t i) { return static_cast<std::size_t>(moving_[i]); }, on_move);
+        step_indices(rng, moving_.size(),
+                     [this](std::size_t i) { return static_cast<std::size_t>(moving_[i]); });
     }
 
     /// Advances a single agent by one step.
     void step_one(AgentId a, rng::Rng& rng) noexcept {
         set_position(a, step(grid_, position(a), rng, kind_));
+    }
+
+    // ---- For paperbench's shadow loop only; deleted together with that
+    // caller when the shadow is refreshed (ROADMAP.md, item 2). Library
+    // code must not call these. Each runs the hook-free step above, then
+    // reports `on_move(agent, from, to)` for every agent whose node
+    // changed, in ascending agent order.
+    template <typename OnMove>
+    void step_all(rng::Rng& rng, OnMove&& on_move) {
+        before_.assign(positions_.begin(), positions_.end());
+        step_all(rng);
+        report_moves(on_move);
+    }
+
+    template <typename OnMove>
+    void step_subset(rng::Rng& rng, std::span<const std::uint8_t> should_move,
+                     OnMove&& on_move) {
+        before_.assign(positions_.begin(), positions_.end());
+        step_subset(rng, should_move);
+        report_moves(on_move);
     }
 
 private:
@@ -213,8 +217,8 @@ private:
 
     /// Batched step over `count` agents selected by `index_of` (identity
     /// for step_all, the moving-agent list for step_subset), in order.
-    template <typename IndexFn, typename OnMove>
-    void step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of, OnMove&& on_move) {
+    template <typename IndexFn>
+    void step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of) {
         const auto width = grid_.width();
         const auto height = grid_.height();
         for (std::size_t base = 0; base < count; base += kBlockSize) {
@@ -226,7 +230,7 @@ private:
                 for (std::size_t i = 0; i < len; ++i) {
                     const auto a = index_of(base + i);
                     apply(a, direction_mask(xs_[a], ys_[a], width, height),
-                          static_cast<unsigned>(draws_[i]), on_move);
+                          static_cast<unsigned>(draws_[i]));
                 }
             } else {
                 // Exact scalar path: ablation walks, and the ~2^-64 case of
@@ -245,7 +249,7 @@ private:
                             u = std::min<std::uint64_t>(block_.below(rng, 2 * deg), 4);
                             break;
                     }
-                    apply(a, mask, static_cast<unsigned>(u), on_move);
+                    apply(a, mask, static_cast<unsigned>(u));
                 }
             }
         }
@@ -265,12 +269,10 @@ private:
     /// mirrors apply()/direction_mask() exactly — cmpgt against the
     /// boundary coordinates builds the presence mask, a gather through
     /// kStepTablePacked turns mask*5+u into (dx, dy), and the AoS Point
-    /// mirror is refreshed with an interleaved store. Only lanes whose
-    /// packed delta is nonzero moved; they fire on_move in ascending lane
-    /// order, which is exactly the scalar agent order.
-    template <typename OnMove>
-    void apply_block(std::size_t base, std::size_t len, grid::Coord width, grid::Coord height,
-                     OnMove&& on_move) {
+    /// mirror is refreshed with an interleaved store. Every lane is stored
+    /// unconditionally (a stay adds a zero delta), so no lane ever leaves
+    /// the vector path.
+    void apply_block(std::size_t base, std::size_t len, grid::Coord width, grid::Coord height) {
         namespace s = util::simd;
         static_assert(sizeof(grid::Point) == 2 * sizeof(grid::Coord));
         constexpr auto kLanes = static_cast<std::size_t>(s::kI32Lanes);
@@ -281,58 +283,57 @@ private:
         const auto two = s::I32x8::splat(2);
         const auto four = s::I32x8::splat(4);
         const auto eight = s::I32x8::splat(8);
-        std::int32_t ox[kLanes];
-        std::int32_t oy[kLanes];
+        // Hoisted: the vector stores may alias any memory, so data() of the
+        // member vectors would otherwise be reloaded every iteration.
+        std::int32_t* const xs = xs_.data() + base;
+        std::int32_t* const ys = ys_.data() + base;
+        auto* const points = reinterpret_cast<std::int32_t*>(positions_.data() + base);
+        const std::int32_t* const draws = draws_.data();
+        const std::size_t full = len - len % kLanes;
         std::size_t i = 0;
-        for (; i + kLanes <= len; i += kLanes) {
-            const std::size_t a0 = base + i;
-            const auto xv = s::I32x8::load(xs_.data() + a0);
-            const auto yv = s::I32x8::load(ys_.data() + a0);
+        for (; i < full; i += kLanes) {
+            const auto xv = s::I32x8::load(xs + i);
+            const auto yv = s::I32x8::load(ys + i);
             // direction_mask(), lane-wise: x+1 < width ⇔ x < width−1.
             auto mask = s::bit_and(s::cmpgt(xv, zero), one);
             mask = s::bit_or(mask, s::bit_and(s::cmpgt(xmax, xv), two));
             mask = s::bit_or(mask, s::bit_and(s::cmpgt(yv, zero), four));
             mask = s::bit_or(mask, s::bit_and(s::cmpgt(ymax, yv), eight));
-            const auto uv = s::I32x8::load(draws_.data() + i);
+            const auto uv = s::I32x8::load(draws + i);
             const auto idx = s::add(s::add(s::shift_left<2>(mask), mask), uv);
             const auto delta = s::gather(kStepTablePacked.data(), idx);
             const auto dx = s::shift_right_arith<16>(s::shift_left<16>(delta));
             const auto dy = s::shift_right_arith<16>(delta);
             const auto nx = s::add(xv, dx);
             const auto ny = s::add(yv, dy);
-            const unsigned moved = ~s::move_mask(s::cmpeq(delta, zero)) & 0xFFu;
-            if (moved != 0) {
-                xv.store(ox);
-                yv.store(oy);
-            }
-            nx.store(xs_.data() + a0);
-            ny.store(ys_.data() + a0);
-            s::store_interleaved(reinterpret_cast<std::int32_t*>(positions_.data() + a0), nx,
-                                 ny);
-            for (unsigned bits = moved; bits != 0; bits &= bits - 1) {
-                const auto lane = static_cast<std::size_t>(std::countr_zero(bits));
-                const std::size_t a = a0 + lane;
-                on_move(static_cast<AgentId>(a), grid::Point{ox[lane], oy[lane]},
-                        positions_[a]);
-            }
+            nx.store(xs + i);
+            ny.store(ys + i);
+            s::store_interleaved(points + 2 * i, nx, ny);
         }
         for (; i < len; ++i) {
             const std::size_t a = base + i;
             apply(a, direction_mask(xs_[a], ys_[a], width, height),
-                  static_cast<unsigned>(draws_[i]), on_move);
+                  static_cast<unsigned>(draws_[i]));
         }
     }
 
     /// Pass 2: apply one decoded draw via the direction table.
-    template <typename OnMove>
-    void apply(std::size_t a, unsigned mask, unsigned u, OnMove&& on_move) {
+    void apply(std::size_t a, unsigned mask, unsigned u) noexcept {
         const auto d = kStepTable[mask * 5 + u];
-        if ((d.dx | d.dy) == 0) return;
-        const grid::Point from = positions_[a];
-        xs_[a] = static_cast<grid::Coord>(from.x + d.dx);
-        ys_[a] = static_cast<grid::Coord>(from.y + d.dy);
+        xs_[a] = static_cast<grid::Coord>(xs_[a] + d.dx);
+        ys_[a] = static_cast<grid::Coord>(ys_[a] + d.dy);
         positions_[a] = grid::Point{xs_[a], ys_[a]};
-        on_move(static_cast<AgentId>(a), from, positions_[a]);
+    }
+
+    /// Paperbench-only adapter tail (see the block above): reports every
+    /// agent whose node differs from before_, in ascending agent order.
+    template <typename OnMove>
+    void report_moves(OnMove&& on_move) const {
+        for (std::size_t a = 0; a < positions_.size(); ++a) {
+            if (positions_[a] != before_[a]) {
+                on_move(static_cast<AgentId>(a), before_[a], positions_[a]);
+            }
+        }
     }
 
     grid::Grid2D grid_;
@@ -343,6 +344,7 @@ private:
     rng::BlockRng block_;                   ///< block-drawn raw RNG words
     std::vector<std::int32_t> draws_;       ///< decoded u per block slot (int32: SIMD lane width)
     std::vector<std::int32_t> moving_;      ///< scratch: step_subset selection
+    std::vector<grid::Point> before_;       ///< scratch: positions before an adapter step
     DecodeStats decode_stats_;              ///< telemetry tallies
 };
 

@@ -195,10 +195,10 @@ TEST(Visibility, BuilderIsReusableAcrossSteps) {
     }
 }
 
-// The engine's step protocol: one build(), then per-step walk moves
-// reported through on_move() and components recomputed by
-// rebuild_components(). Must match the brute-force reference at every
-// step, for the radius grid r ∈ {0, 1, 2, 5} under all three metrics.
+// The engine's step protocol: one build() at t = 0, then a walk step and
+// a fresh build() every step. Must match the brute-force reference at
+// every step, for the radius grid r ∈ {0, 1, 2, 5} under all three
+// metrics.
 struct IncrementalVisParam {
     std::int64_t radius;
     Metric metric;
@@ -219,14 +219,8 @@ TEST_P(VisibilityIncremental, MoveSequencesMatchNaiveComponents) {
     VisibilityGraphBuilder::build_naive(pos, param.radius, param.metric, slow);
     EXPECT_EQ(canonical(fast), canonical(slow));
     for (int step = 0; step < 40; ++step) {
-        for (std::size_t a = 0; a < pos.size(); ++a) {
-            const auto from = pos[a];
-            pos[a] = walk::step(g, from, rng);
-            if (pos[a] != from) {
-                builder.on_move(static_cast<std::int32_t>(a), from, pos[a]);
-            }
-        }
-        builder.rebuild_components(pos, fast);
+        for (auto& p : pos) p = walk::step(g, p, rng);
+        builder.build(pos, fast);
         VisibilityGraphBuilder::build_naive(pos, param.radius, param.metric, slow);
         EXPECT_EQ(canonical(fast), canonical(slow))
             << "step " << step << " r " << param.radius << " metric "
@@ -265,7 +259,6 @@ TEST_P(VisibilityPartialMoves, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
     for (int i = 0; i < 36; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
     builder.build(pos, fast);
     for (int round = 0; round < 60; ++round) {
-        builder.begin_step();
         // Frog-style partial round: only a random subset moves (often a
         // small one).
         const auto movers = 1 + rng.below(round % 3 == 0 ? pos.size() : 4);
@@ -278,11 +271,9 @@ TEST_P(VisibilityPartialMoves, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
             } else {
                 to = walk::step(g, from, rng);
             }
-            if (to == from) continue;
             pos[static_cast<std::size_t>(a)] = to;
-            builder.on_move(a, from, to);
         }
-        builder.rebuild_components(pos, fast);
+        builder.build(pos, fast);
         VisibilityGraphBuilder::build_naive(pos, param.radius, param.metric, slow);
         EXPECT_EQ(canonical(fast), canonical(slow))
             << "round " << round << " r " << param.radius << " metric "

@@ -239,13 +239,6 @@ TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
         const auto& rec = trace.at(i);
         EXPECT_EQ(rec.rescanned, rec.units) << "step " << rec.step;
     }
-    for (const auto& [name, value] : process.counters()) {
-        const std::string_view n{name};
-        if (n == "scan.units_replayed" || n == "scan.bypass_passes" ||
-            n == "scan.edges_replayed") {
-            EXPECT_EQ(value, 0.0) << n;
-        }
-    }
 }
 
 // Same invariant straight at the builder layer, under churn: quiet rounds
@@ -260,25 +253,19 @@ TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
     builder.build(pos, dsu);
     auto prev = builder.scan_stats();
     for (int round = 0; round < 50; ++round) {
-        builder.begin_step();
         const std::size_t movers = round % 2 == 0 ? 2 : pos.size();
         for (std::size_t m = 0; m < movers; ++m) {
             const auto a = static_cast<std::int32_t>(rng.below(pos.size()));
             const auto from = pos[static_cast<std::size_t>(a)];
             const auto to = movers > 2 ? walk::AgentEnsemble::random_node(g, rng)
                                        : walk::step(g, from, rng);
-            if (to == from) continue;
             pos[static_cast<std::size_t>(a)] = to;
-            builder.on_move(a, from, to);
         }
-        builder.rebuild_components(pos, dsu);
+        builder.build(pos, dsu);
         const auto cur = builder.scan_stats();
         EXPECT_EQ(cur.rescanned_units - prev.rescanned_units, builder.occupied_units())
             << "round " << round;
         EXPECT_EQ(cur.passes - prev.passes, 1) << "round " << round;
-        EXPECT_EQ(cur.replayed_units, 0);
-        EXPECT_EQ(cur.bypass_passes, 0);
-        EXPECT_EQ(cur.edges_replayed, 0);
         prev = cur;
     }
 }
@@ -289,12 +276,20 @@ TEST(EngineCounters, ReportsTheDocumentedNames) {
     std::vector<std::string> names;
     for (const auto& [name, value] : process.counters()) names.emplace_back(name);
     for (const char* expected :
-         {"scan.passes", "scan.units_rescanned", "scan.units_replayed",
-          "scan.bypass_passes", "scan.pairs_tested", "scan.pairs_survived",
-          "scan.edges_replayed", "index.moves", "index.relinks", "dsu.unites",
-          "walk.blocks_decoded"}) {
+         {"scan.passes", "scan.units_rescanned", "scan.pairs_tested", "scan.pairs_survived",
+          "dsu.unites", "walk.blocks_decoded"}) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
             << "missing counter " << expected;
+    }
+    // Removed, not zeroed: paperbench's traced run compares engine and
+    // shadow counters name by name, so a stale key reading 0 would fail it.
+    for (const auto& name : names) {
+        EXPECT_FALSE(name.starts_with("index.")) << "removed counter " << name;
+    }
+    for (const char* removed :
+         {"scan.bypass_passes", "scan.units_replayed", "scan.edges_replayed"}) {
+        EXPECT_EQ(std::find(names.begin(), names.end(), removed), names.end())
+            << "removed counter " << removed;
     }
 }
 

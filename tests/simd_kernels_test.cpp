@@ -228,4 +228,68 @@ TEST(EnsembleSimd, StepSubsetMatchesPerAgentReference) {
     }
 }
 
+// ------------------------------------------ move-hook adapters vs kernel
+
+struct Move {
+    walk::AgentId agent;
+    Point from;
+    Point to;
+    friend bool operator==(const Move&, const Move&) = default;
+};
+
+/// The OnMove overloads are adapters over the hook-free kernel: they must
+/// leave bit-identical positions and RNG stream, and report exactly the
+/// agents whose node changed, in ascending order, with the true endpoints.
+/// Boundary-heavy grids, every walk kind, and k off the 8-lane and
+/// 1024-agent block boundaries.
+TEST(EnsembleSimd, MoveHookAdaptersMatchHookFreeStep) {
+    const std::array<Grid2D, 3> grids{Grid2D{5, 4}, Grid2D{1, 7}, Grid2D::square(9)};
+    const std::array<walk::WalkKind, 3> kinds{
+        walk::WalkKind::kLazyPaper, walk::WalkKind::kSimple, walk::WalkKind::kLazyHalf};
+    for (const auto& g : grids) {
+        for (const auto kind : kinds) {
+            for (const std::int32_t k : {13, 1031, 2053}) {
+                rng::Rng rng_a{static_cast<std::uint64_t>(k)};
+                rng::Rng rng_b{static_cast<std::uint64_t>(k)};
+                walk::AgentEnsemble hooked{g, k, rng_a, kind};
+                walk::AgentEnsemble plain{g, k, rng_b, kind};
+                std::vector<std::uint8_t> mask(static_cast<std::size_t>(k), 0);
+                for (std::size_t a = 0; a < mask.size(); a += 3) mask[a] = 1;
+                std::vector<Move> reported;
+                std::size_t total_moved = 0;
+                const auto hook = [&reported](walk::AgentId a, Point from, Point to) {
+                    reported.push_back({a, from, to});
+                };
+                for (int t = 0; t < 12; ++t) {
+                    const std::vector<Point> before(plain.positions().begin(),
+                                                    plain.positions().end());
+                    reported.clear();
+                    if (t % 2 == 0) {
+                        hooked.step_all(rng_a, hook);
+                        plain.step_all(rng_b);
+                    } else {
+                        hooked.step_subset(rng_a, mask, hook);
+                        plain.step_subset(rng_b, mask);
+                    }
+                    std::vector<Move> moved;
+                    for (std::int32_t a = 0; a < k; ++a) {
+                        const auto i = static_cast<std::size_t>(a);
+                        ASSERT_EQ(hooked.position(a), plain.position(a))
+                            << walk::walk_kind_name(kind) << " k=" << k << " t=" << t;
+                        if (plain.position(a) != before[i]) {
+                            moved.push_back({a, before[i], plain.position(a)});
+                        }
+                    }
+                    ASSERT_EQ(rng_a.next_u64(), rng_b.next_u64()) << "t=" << t;
+                    total_moved += moved.size();
+                    ASSERT_TRUE(reported == moved)
+                        << walk::walk_kind_name(kind) << " k=" << k << " t=" << t << ": "
+                        << reported.size() << " reported, " << moved.size() << " moved";
+                }
+                EXPECT_GT(total_moved, 0u);
+            }
+        }
+    }
+}
+
 }  // namespace
