@@ -34,8 +34,8 @@ def canonical_key(params):
 
 
 def derived_rates(counters):
-    """Telemetry ratios worth eyeballing next to steps/s: how the pair scan
-    and the DSU behaved on this point."""
+    """Telemetry ratios worth eyeballing next to steps/s: how the pair scan,
+    the DSU and the walk behaved on this point."""
     rates = {}
     def ratio(name, num, den):
         if den > 0:
@@ -44,6 +44,8 @@ def derived_rates(counters):
           counters.get("scan.pairs_tested", 0))
     ratio("dsu_fast_hit_rate", counters.get("dsu.fast_path_hits", 0),
           counters.get("dsu.fast_path_hits", 0) + counters.get("dsu.unites", 0))
+    ratio("relink_fraction", counters.get("index.relinks", 0),
+          counters.get("index.moves", 0))
     return rates
 
 

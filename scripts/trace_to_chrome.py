@@ -22,6 +22,7 @@ COUNTER_TRACKS = {
     "progress": ["informed", "components"],
     "scan cells": ["units", "rescanned"],
     "pairs": ["pairs_tested", "pairs_survived"],
+    "moves": ["index_moves", "index_relinks"],
     "dsu": ["dsu_unites", "dsu_fast_hits"],
     "walk decode": ["blocks_decoded", "blocks_scalar"],
 }

@@ -72,14 +72,20 @@ BroadcastProcess::~BroadcastProcess() {
 
 std::vector<std::pair<const char*, double>> BroadcastProcess::counters() const {
     const auto& scan = builder_.scan_stats();
+    const auto& index = builder_.index_stats();
     const auto& dsu = dsu_.stats();
     const auto& walk = agents_.decode_stats();
     const auto d = [](std::int64_t v) { return static_cast<double>(v); };
     return {
         {"scan.passes", d(scan.passes)},
+        {"scan.bypass_passes", d(scan.bypass_passes)},
         {"scan.units_rescanned", d(scan.rescanned_units)},
+        {"scan.units_replayed", d(scan.replayed_units)},
         {"scan.pairs_tested", d(scan.pairs_tested)},
         {"scan.pairs_survived", d(scan.pairs_survived)},
+        {"scan.edges_replayed", d(scan.edges_replayed)},
+        {"index.moves", d(index.moves)},
+        {"index.relinks", d(index.relinks)},
         {"dsu.unites", d(dsu.unites)},
         {"dsu.fast_path_hits", d(dsu.fast_path_hits)},
         {"walk.blocks_decoded", d(walk.blocks_decoded)},
@@ -110,6 +116,9 @@ obs::StepRecord BroadcastProcess::trace_totals() const noexcept {
     cur.rescanned = scan.rescanned_units;
     cur.pairs_tested = scan.pairs_tested;
     cur.pairs_survived = scan.pairs_survived;
+    const auto& index = builder_.index_stats();
+    cur.index_moves = index.moves;
+    cur.index_relinks = index.relinks;
     const auto& dsu = dsu_.stats();
     cur.dsu_unites = dsu.unites;
     cur.dsu_fast_hits = dsu.fast_path_hits;
@@ -133,6 +142,8 @@ void BroadcastProcess::trace_step() {
     rec.rescanned = cur.rescanned - trace_prev_.rescanned;
     rec.pairs_tested = cur.pairs_tested - trace_prev_.pairs_tested;
     rec.pairs_survived = cur.pairs_survived - trace_prev_.pairs_survived;
+    rec.index_moves = cur.index_moves - trace_prev_.index_moves;
+    rec.index_relinks = cur.index_relinks - trace_prev_.index_relinks;
     rec.dsu_unites = cur.dsu_unites - trace_prev_.dsu_unites;
     rec.dsu_fast_hits = cur.dsu_fast_hits - trace_prev_.dsu_fast_hits;
     rec.blocks_decoded = cur.blocks_decoded - trace_prev_.blocks_decoded;

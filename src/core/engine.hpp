@@ -77,8 +77,9 @@ struct EngineConfig {
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see BroadcastProcess::set_phase_timing).
 /// walk_s is the walk kernel; index_s is the component pass's counting
-/// sort of the agents into the cell list; components_s is the remainder of
-/// the pass (pair scan + unions); exchange_s is the rumor exchange.
+/// sort of the agents into the cell list plus its index.* motion tally;
+/// components_s is the remainder of the pass (pair scan + unions);
+/// exchange_s is the rumor exchange.
 struct StepPhaseTimings {
     double walk_s{0.0};
     double index_s{0.0};
@@ -159,7 +160,7 @@ public:
     [[nodiscard]] StepPhaseTimings phase_timings() const noexcept;
 
     /// Name → value of every engine counter, cumulative since
-    /// construction (scan.*, dsu.*, walk.*, exchange.*). Values
+    /// construction (scan.*, index.*, dsu.*, walk.*, exchange.*). Values
     /// are int64 tallies widened to double for the metric pipeline.
     [[nodiscard]] std::vector<std::pair<const char*, double>> counters() const;
 

@@ -33,6 +33,7 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     using clock = std::chrono::steady_clock;
     const auto sort_begin = timing_ ? clock::now() : clock::time_point{};
     cells_.rebuild(positions);
+    tally_moves(positions);
     if (timing_) {
         index_seconds_ += std::chrono::duration<double>(clock::now() - sort_begin).count();
     }
@@ -42,6 +43,21 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
         case grid::Metric::kChebyshev: component_pass<grid::Metric::kChebyshev>(dsu); break;
         case grid::Metric::kEuclidean: component_pass<grid::Metric::kEuclidean>(dsu); break;
     }
+}
+
+/// Counts the agents whose node changed since the last pass, and takes
+/// the cell changes from the cell list. The first pass (or one over a
+/// different agent count) only records the positions.
+void VisibilityGraphBuilder::tally_moves(std::span<const grid::Point> positions) {
+    if (prev_.size() == positions.size()) {
+        std::int64_t moves = 0;
+        for (std::size_t a = 0; a < prev_.size(); ++a) {
+            moves += static_cast<std::int64_t>(positions[a] != prev_[a]);
+        }
+        index_stats_.moves += moves;
+        index_stats_.relinks += static_cast<std::int64_t>(cells_.relinked());
+    }
+    prev_.assign(positions.begin(), positions.end());
 }
 
 /// Co-location (r = 0) in one pass over the agents: the first agent seen

@@ -50,17 +50,25 @@ namespace smn::graph {
 class VisibilityGraphBuilder {
 public:
     /// Cumulative scan telemetry: cell- and pass-level counts plus the
-    /// per-pair tallies.
+    /// per-pair tallies. The replay fields are kept for consumers that
+    /// compare counters by name (paperbench's shadow loop, until ROADMAP.md
+    /// item 2); the pass has no edge cache, so they are always 0.
     struct ScanStats {
         std::int64_t passes{0};            ///< component passes (r >= 1)
+        std::int64_t bypass_passes{0};     ///< always 0
+        std::int64_t replayed_units{0};    ///< always 0
         std::int64_t rescanned_units{0};   ///< occupied cells scanned
         std::int64_t pairs_tested{0};      ///< candidate pairs distance-tested
         std::int64_t pairs_survived{0};    ///< in-range pairs reaching the DSU
-        // Paperbench-only (see the block at the end of the public section):
-        // the pass has no edge cache, so these are always 0.
-        std::int64_t bypass_passes{0};
-        std::int64_t replayed_units{0};
-        std::int64_t edges_replayed{0};
+        std::int64_t edges_replayed{0};    ///< always 0
+    };
+
+    /// Agent motion between consecutive passes (r >= 1 only), found by
+    /// comparing each pass's positions and cells with the previous
+    /// pass's: the walk reports no moves.
+    struct IndexStats {
+        std::int64_t moves{0};    ///< agents whose node changed
+        std::int64_t relinks{0};  ///< agents whose cell changed
     };
 
     /// `radius` is the transmission radius r >= 0; `metric` defaults to the
@@ -77,6 +85,25 @@ public:
     /// in-range partner.
     [[nodiscard]] std::span<const std::int32_t> linked() const noexcept { return linked_; }
 
+    // ---- For paperbench's shadow loop only; deleted together with that
+    // caller when the shadow is refreshed (ROADMAP.md, item 2). Library
+    // code must not call these; the walk adapters that feed on_move() are
+    // the matching block in walk/ensemble.hpp.
+
+    /// Same as build(): every pass re-sorts the positions, so there is no
+    /// incremental state to maintain.
+    void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu) {
+        build(positions, dsu);
+    }
+
+    /// No-op: the pass keeps no per-step state.
+    void begin_step() noexcept {}
+
+    /// No-op: build() tallies index_stats() itself.
+    void on_move(std::int32_t /*agent*/, grid::Point /*from*/, grid::Point /*to*/) noexcept {}
+
+    // ---- End of the paperbench-only block.
+
     [[nodiscard]] std::int64_t radius() const noexcept { return radius_; }
     [[nodiscard]] grid::Metric metric() const noexcept { return metric_; }
 
@@ -91,6 +118,9 @@ public:
     /// Full cumulative scan telemetry (see ScanStats).
     [[nodiscard]] const ScanStats& scan_stats() const noexcept { return stats_; }
 
+    /// Cumulative motion tallies (see IndexStats).
+    [[nodiscard]] const IndexStats& index_stats() const noexcept { return index_stats_; }
+
     /// Occupied cells scanned by the last pass (0 for r = 0, where the
     /// co-location pass visits agents, not cells).
     [[nodiscard]] std::int64_t occupied_units() const noexcept { return occupied_units_; }
@@ -99,42 +129,11 @@ public:
     static void build_naive(std::span<const grid::Point> positions, std::int64_t radius,
                             grid::Metric metric, DisjointSets& dsu);
 
-    // ---- For paperbench's shadow loop only; deleted together with that
-    // caller (and with the three always-0 ScanStats fields) when the
-    // shadow is refreshed (ROADMAP.md, item 2). Library code must not call
-    // these; the walk adapters that feed on_move() are the matching block
-    // in walk/ensemble.hpp.
-
-    /// Walk moves reported through on_move() (r >= 1 only).
-    struct IndexStats {
-        std::int64_t moves{0};    ///< on_move() calls
-        std::int64_t relinks{0};  ///< moves that changed cell
-    };
-
-    /// Same as build().
-    void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu) {
-        build(positions, dsu);
-    }
-
-    /// No-op: the pass keeps no per-step state.
-    void begin_step() noexcept {}
-
-    /// Tallies one walk move into index_stats(); touches no pass state.
-    void on_move(std::int32_t /*agent*/, grid::Point from, grid::Point to) noexcept {
-        if (radius_ < 1) return;
-        ++index_stats_.moves;
-        if (cells_.cell_of(from.x) != cells_.cell_of(to.x) ||
-            cells_.cell_of(from.y) != cells_.cell_of(to.y)) {
-            ++index_stats_.relinks;
-        }
-    }
-
-    [[nodiscard]] const IndexStats& index_stats() const noexcept { return index_stats_; }
-
 private:
     template <grid::Metric M>
     void component_pass(DisjointSets& dsu);
     void colocation_pass(std::span<const grid::Point> positions, DisjointSets& dsu);
+    void tally_moves(std::span<const grid::Point> positions);
 
     /// Appends `a` to linked_ unless it is already listed.
     void link(std::int32_t a) noexcept {
@@ -156,11 +155,12 @@ private:
     std::vector<std::uint8_t> linked_flag_;  ///< agent → listed in linked_
     std::vector<std::int32_t> pair_a_;  ///< staged in-range pairs, first ids
     std::vector<std::int32_t> pair_b_;  ///< staged in-range pairs, second ids
+    std::vector<grid::Point> prev_;     ///< r >= 1: positions at the last pass
     std::int64_t occupied_units_{0};
     bool timing_{false};
     double index_seconds_{0.0};
     ScanStats stats_;          ///< cumulative scan telemetry
-    IndexStats index_stats_;   ///< paperbench-only on_move() tallies
+    IndexStats index_stats_;   ///< cumulative motion tallies
 };
 
 /// Summary of a component partition of k agents.

@@ -3,7 +3,7 @@
 // StepTrace is a fixed-capacity ring of StepRecord entries, one per engine
 // step: the four phase wall-clock spans plus the step's deltas of every
 // engine counter (cells scanned, pairs tested/survived, DSU unions, walk
-// RNG blocks, …) and a few instantaneous gauges (informed agents,
+// moves, …) and a few instantaneous gauges (informed agents,
 // component count). The ring keeps the *latest* `capacity` steps; pushes
 // past capacity overwrite the oldest and bump `dropped`, so a week-long
 // run can leave a trace armed without unbounded memory.
@@ -41,6 +41,8 @@ struct StepRecord {
     std::int64_t rescanned{0};   ///< cells scanned this step
     std::int64_t pairs_tested{0};     ///< candidate pairs distance-tested
     std::int64_t pairs_survived{0};   ///< in-range pairs reaching the DSU
+    std::int64_t index_moves{0};      ///< agents whose node changed since the last pass
+    std::int64_t index_relinks{0};    ///< moves that changed cell
     std::int64_t dsu_unites{0};       ///< DSU merges performed
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
@@ -126,6 +128,8 @@ private:
         field_i("rescanned", r.rescanned);
         field_i("pairs_tested", r.pairs_tested);
         field_i("pairs_survived", r.pairs_survived);
+        field_i("index_moves", r.index_moves);
+        field_i("index_relinks", r.index_relinks);
         field_i("dsu_unites", r.dsu_unites);
         field_i("dsu_fast_hits", r.dsu_fast_hits);
         field_i("blocks_decoded", r.blocks_decoded);

@@ -98,11 +98,7 @@ public:
     /// block (each agent draws at least once) before refilling.
     void fill(Rng& rng, std::size_t count) {
         buffer_.resize(count);
-        // Draw through a local copy: a store into buffer_ may alias the
-        // engine state, which would otherwise round-trip memory every word.
-        Rng local = rng;
-        for (auto& word : buffer_) word = local.next_u64();
-        rng = local;
+        for (auto& word : buffer_) word = rng.next_u64();
         cursor_ = 0;
     }
 

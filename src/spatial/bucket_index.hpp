@@ -84,6 +84,7 @@ public:
     /// into the sorted arrays, so the span need not outlive the call.
     void rebuild(std::span<const grid::Point> positions) {
         const auto k = positions.size();
+        const bool same_agents = agent_col_.size() == k;
         agent_col_.resize(k);
         agent_row_.resize(k);
         by_col_.resize(k);
@@ -93,12 +94,17 @@ public:
         cols_.resize(k + kPad);
         std::fill(col_off_.begin(), col_off_.end(), 0);
         std::fill(row_off_.begin(), row_off_.end(), 0);
+        std::size_t relinked = 0;
         for (std::size_t a = 0; a < k; ++a) {
-            agent_col_[a] = cell_of(positions[a].x);
-            agent_row_[a] = cell_of(positions[a].y);
-            ++col_off_[static_cast<std::size_t>(agent_col_[a]) + 1];
-            ++row_off_[static_cast<std::size_t>(agent_row_[a]) + 1];
+            const auto col = cell_of(positions[a].x);
+            const auto row = cell_of(positions[a].y);
+            relinked += static_cast<std::size_t>((col != agent_col_[a]) | (row != agent_row_[a]));
+            agent_col_[a] = col;
+            agent_row_[a] = row;
+            ++col_off_[static_cast<std::size_t>(col) + 1];
+            ++row_off_[static_cast<std::size_t>(row) + 1];
         }
+        relinked_ = same_agents ? relinked : 0;
         // Pass 1: stable by column. The inclusive scan turns col_off_[c]
         // into column c's begin, used as its write cursor.
         for (std::size_t c = 1; c < col_off_.size(); ++c) col_off_[c] += col_off_[c - 1];
@@ -133,6 +139,10 @@ public:
     [[nodiscard]] const grid::Coord* xs() const noexcept { return xs_.data(); }
     [[nodiscard]] const grid::Coord* ys() const noexcept { return ys_.data(); }
     [[nodiscard]] const grid::Coord* cols() const noexcept { return cols_.data(); }
+
+    /// Agents whose cell differs from the one the previous rebuild gave
+    /// them (0 when the agent count changed in between).
+    [[nodiscard]] std::size_t relinked() const noexcept { return relinked_; }
 
     /// Agents indexed by the last rebuild.
     [[nodiscard]] std::size_t size() const noexcept { return by_col_.size(); }
@@ -197,6 +207,7 @@ private:
     std::vector<grid::Coord> xs_;          ///< sorted slot -> x
     std::vector<grid::Coord> ys_;          ///< sorted slot -> y
     std::vector<grid::Coord> cols_;        ///< sorted slot -> cell column
+    std::size_t relinked_{0};              ///< see relinked()
 };
 
 }  // namespace smn::spatial
