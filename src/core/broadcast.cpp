@@ -12,31 +12,22 @@ BroadcastResult run_broadcast(const EngineConfig& config, const BroadcastOptions
                                  ? options.max_steps
                                  : bounds::default_max_steps(config.n(), config.k);
 
+    BroadcastProcess process{config};
+    InformedCountObserver counter;
     if (options.record_series) {
         // The t = 0 exchange happens inside the constructor, before an
-        // observer can attach, so reconstruct the process with the observer
-        // recording from scratch: build process, attach, and re-emit the
-        // initial state by reading the rumor directly.
-        BroadcastProcess process{config};
-        InformedCountObserver counter;
+        // observer can attach, so replay the initial state by hand.
         counter.on_step(StepView{.time = 0,
                                  .positions = process.agents().positions(),
                                  .components = process.components(),
                                  .rumor = process.rumor()});
         process.attach(counter);
-        const auto tb = process.run_until_complete(cap);
-        result.completed = tb.has_value();
-        result.broadcast_time = tb.value_or(-1);
-        result.steps_run = process.time();
-        result.informed_series = counter.series();
-        return result;
     }
-
-    BroadcastProcess process{config};
     const auto tb = process.run_until_complete(cap);
     result.completed = tb.has_value();
     result.broadcast_time = tb.value_or(-1);
     result.steps_run = process.time();
+    result.informed_series = counter.series();
     return result;
 }
 

@@ -2,48 +2,30 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "core/bounds.hpp"
 
 namespace smn::core {
 
-GossipProcess::GossipProcess(const EngineConfig& config)
-    : config_{validate(config)},
-      rng_{config_.seed},
-      agents_{grid::Grid2D::square(config_.side), config_.k, rng_, config_.walk},
-      builder_{agents_.grid(), config_.radius, config_.metric},
-      dsu_{static_cast<std::size_t>(config_.k)},
-      rumors_{MultiRumorState::one_rumor_per_agent(config_.k)},
-      rumor_known_count_(static_cast<std::size_t>(config_.k), 1),
-      rumor_complete_time_(static_cast<std::size_t>(config_.k), -1),
-      component_or_(static_cast<std::size_t>(config_.k) * rumors_.words_per_agent(), 0) {
-    known_pairs_ = config_.k;  // each agent knows its own rumor
-    if (config_.k == 1) rumor_complete_time_[0] = 0;
-    builder_.build(agents_.positions(), dsu_);
-    exchange();
-}
-
-void GossipProcess::step() {
-    ++t_;
-    agents_.step_all(rng_);
-    builder_.build(agents_.positions(), dsu_);
-    exchange();
-}
-
-std::optional<std::int64_t> GossipProcess::run_until_complete(std::int64_t max_steps) {
-    while (!complete()) {
-        if (t_ >= max_steps) return std::nullopt;
-        step();
+GossipExchange::GossipExchange(const EngineConfig& config)
+    : rumors_{MultiRumorState::one_rumor_per_agent(config.k)},
+      known_pairs_{config.k},  // each agent knows its own rumor
+      rumor_known_count_(static_cast<std::size_t>(config.k), 1),
+      rumor_complete_time_(static_cast<std::size_t>(config.k), -1),
+      component_or_(static_cast<std::size_t>(config.k) * rumors_.words_per_agent(), 0) {
+    if (config.mobility == Mobility::kInformedOnly) {
+        // "Only informed agents move" has no meaning when every agent
+        // knows some rumors and not others.
+        throw std::invalid_argument("EngineConfig: frog mobility is defined for broadcast only");
     }
-    return t_;
+    if (config.k == 1) rumor_complete_time_[0] = 0;
 }
 
-void GossipProcess::exchange() {
-    const auto k = config_.k;
+void GossipExchange::run(std::span<const std::int32_t> linked, graph::DisjointSets& dsu,
+                         std::int64_t t) {
+    const auto k = rumors_.agent_count();
     const auto words = rumors_.words_per_agent();
-    // Only linked agents (members of components of size >= 2) can learn or
-    // teach, so every pass runs over builder_.linked(), not all k agents.
-    const auto linked = builder_.linked();
 
     // Pass 1: one find per linked agent (labels_ remembers it for pass 2),
     // ORing the rumor sets of each component into its root's slot.
@@ -51,7 +33,7 @@ void GossipProcess::exchange() {
     touched_roots_.clear();
     for (std::size_t i = 0; i < linked.size(); ++i) {
         const auto a = linked[i];
-        const auto root = dsu_.find(a);
+        const auto root = dsu.find(a);
         labels_[i] = root;
         auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
         if (root == a) touched_roots_.push_back(root);  // every set has its root as a member
@@ -73,7 +55,7 @@ void GossipProcess::exchange() {
                 gained &= gained - 1;
                 const auto r = static_cast<std::size_t>(w * 64 + static_cast<std::size_t>(bit));
                 if (++rumor_known_count_[r] == k && rumor_complete_time_[r] < 0) {
-                    rumor_complete_time_[r] = t_;
+                    rumor_complete_time_[r] = t;
                 }
             }
         }

@@ -7,45 +7,42 @@
 // Corollary 2: T_G = Õ(n/√k) — the same scale as a single broadcast,
 // because all k rumors ride the same meetings.
 //
+// GossipProcess is the broadcast engine's DisseminationLoop (engine.hpp)
+// with GossipExchange as its knowledge state: the same walks, G_t(r),
+// phase timing, counters, step trace and registry flush, so
+// smn_lab --scenario=gossip --trace/--counters reports the engine like
+// any broadcast run. The trace's `informed` gauge counts the agents that
+// know every rumor. Frog mobility is rejected ("only informed agents
+// move" has no meaning for rumor sets), and observers are broadcast-only.
+//
 // GossipProcess also reports per-rumor broadcast times, so one gossip run
 // yields k correlated samples of T_B (the gossip lab scenario reports
 // their mean and minimum next to T_G).
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "core/rumor.hpp"
 #include "graph/dsu.hpp"
-#include "graph/visibility.hpp"
-#include "rng/rng.hpp"
-#include "walk/ensemble.hpp"
 
 namespace smn::core {
 
-/// Multi-rumor dissemination process (one rumor per agent initially).
-class GossipProcess {
+/// Gossip's knowledge state and exchange: one rumor per agent initially
+/// (MultiRumorState), each component ORing its members' rumor sets, plus
+/// per-rumor knowledge counts and completion times.
+class GossipExchange {
 public:
-    /// Same config and validation as broadcast (see validate());
-    /// `config.source` is otherwise ignored (every agent is a source of its
-    /// own rumor).
-    explicit GossipProcess(const EngineConfig& config);
+    explicit GossipExchange(const EngineConfig& config);
 
-    /// Advances one time step: move, rebuild G_t(r), exchange rumor sets.
-    void step();
-
-    /// Steps until every agent knows every rumor, or `max_steps`.
-    /// Returns T_G or nullopt on timeout.
-    std::optional<std::int64_t> run_until_complete(std::int64_t max_steps);
-
-    [[nodiscard]] std::int64_t time() const noexcept { return t_; }
-    [[nodiscard]] bool complete() const noexcept {
-        return known_pairs_ == std::int64_t{config_.k} * config_.k;
-    }
+    /// Every agent knows every rumor.
+    [[nodiscard]] bool complete() const noexcept { return rumors_.complete(); }
+    /// Agents that know every rumor.
+    [[nodiscard]] std::int32_t done_agents() const noexcept { return rumors_.done_agents(); }
+    /// The rumor sets M_a(t).
     [[nodiscard]] const MultiRumorState& rumors() const noexcept { return rumors_; }
-    [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
     /// First time rumor `r` was known by all agents; −1 if not yet.
     [[nodiscard]] std::int64_t rumor_broadcast_time(std::int32_t r) const noexcept {
@@ -56,23 +53,26 @@ public:
     /// k² at completion.
     [[nodiscard]] std::int64_t known_pairs() const noexcept { return known_pairs_; }
 
-private:
-    void exchange();
+protected:
+    /// Merges the rumor sets of each component of `dsu`; `linked` lists
+    /// the members of its non-singleton components.
+    void run(std::span<const std::int32_t> linked, graph::DisjointSets& dsu, std::int64_t t);
 
-    EngineConfig config_;
-    rng::Rng rng_;
-    walk::AgentEnsemble agents_;
-    graph::VisibilityGraphBuilder builder_;
-    graph::DisjointSets dsu_;
+private:
     MultiRumorState rumors_;
-    std::int64_t t_{0};
-    std::int64_t known_pairs_{0};
+    std::int64_t known_pairs_;
     std::vector<std::int32_t> rumor_known_count_;     ///< per rumor: #agents knowing it
     std::vector<std::int64_t> rumor_complete_time_;   ///< per rumor: completion time
     std::vector<std::uint64_t> component_or_;          ///< scratch: per-root OR accumulator
     std::vector<std::int32_t> touched_roots_;          ///< scratch
     std::vector<std::int32_t> labels_;                 ///< scratch: roots of the linked agents
 };
+
+/// Multi-rumor dissemination process (one rumor per agent initially).
+/// Same config and validation as broadcast, except that
+/// Mobility::kInformedOnly is rejected; `config.source` is otherwise
+/// ignored (every agent is a source of its own rumor).
+using GossipProcess = DisseminationLoop<GossipExchange>;
 
 /// Result of one gossip replication.
 struct GossipResult {

@@ -1,7 +1,8 @@
 #include "models/barrier.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+
+#include "models/colocation.hpp"
 
 namespace smn::models {
 
@@ -10,7 +11,7 @@ BarrierBroadcast::BarrierBroadcast(const grid::ObstacleGrid& domain,
     : domain_{domain},
       config_{config},
       rng_{config.seed},
-      head_(static_cast<std::size_t>(domain.size()), -1) {
+      occupancy_{domain.base()} {
     if (config.k < 1) throw std::invalid_argument("BarrierBroadcast: k must be >= 1");
     if (domain.open_count() == 0) {
         throw std::invalid_argument("BarrierBroadcast: domain has no open nodes");
@@ -22,7 +23,6 @@ BarrierBroadcast::BarrierBroadcast(const grid::ObstacleGrid& domain,
     informed_.assign(static_cast<std::size_t>(config.k), 0);
     informed_[0] = 1;
     informed_count_ = 1;
-    next_.assign(static_cast<std::size_t>(config.k), -1);
     exchange();  // t = 0 co-location flooding
 }
 
@@ -41,36 +41,8 @@ std::optional<std::int64_t> BarrierBroadcast::run_until_complete(std::int64_t ma
 }
 
 void BarrierBroadcast::exchange() {
-    // Rebuild occupancy lists.
-    for (const auto node : dirty_) head_[static_cast<std::size_t>(node)] = -1;
-    dirty_.clear();
-    for (std::int32_t a = 0; a < config_.k; ++a) {
-        const auto node = domain_.node_id(positions_[static_cast<std::size_t>(a)]);
-        auto& head = head_[static_cast<std::size_t>(node)];
-        if (head == -1) dirty_.push_back(node);
-        next_[static_cast<std::size_t>(a)] = head;
-        head = a;
-    }
-    // Flood each occupied node's group if it holds an informed agent.
-    for (const auto node : dirty_) {
-        bool any_informed = false;
-        for (auto a = head_[static_cast<std::size_t>(node)]; a != -1;
-             a = next_[static_cast<std::size_t>(a)]) {
-            if (informed_[static_cast<std::size_t>(a)]) {
-                any_informed = true;
-                break;
-            }
-        }
-        if (!any_informed) continue;
-        for (auto a = head_[static_cast<std::size_t>(node)]; a != -1;
-             a = next_[static_cast<std::size_t>(a)]) {
-            auto& flag = informed_[static_cast<std::size_t>(a)];
-            if (!flag) {
-                flag = 1;
-                ++informed_count_;
-            }
-        }
-    }
+    occupancy_.rebuild(positions_);
+    informed_count_ += flood_colocated(occupancy_, informed_);
 }
 
 BarrierResult run_barrier_broadcast(const grid::ObstacleGrid& domain,

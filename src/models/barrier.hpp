@@ -20,6 +20,7 @@
 #include "grid/obstacle_grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
+#include "spatial/occupancy.hpp"
 #include "walk/step.hpp"
 
 namespace smn::models {
@@ -70,11 +71,7 @@ private:
     std::vector<std::uint8_t> informed_;
     std::int32_t informed_count_{0};
     std::int64_t t_{0};
-    // Intrusive per-node occupancy (same structure as spatial::OccupancyMap,
-    // over the obstacle grid's id space).
-    std::vector<std::int32_t> head_;
-    std::vector<std::int32_t> next_;
-    std::vector<grid::NodeId> dirty_;
+    spatial::OccupancyMap occupancy_;  ///< over the domain's base grid
 };
 
 /// Convenience driver.

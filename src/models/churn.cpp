@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "models/colocation.hpp"
 #include "walk/ensemble.hpp"
 
 namespace smn::models {
@@ -50,21 +51,7 @@ void ChurnBroadcast::step() {
 
 void ChurnBroadcast::exchange() {
     occupancy_.rebuild(positions_);
-    for (const auto node : occupancy_.occupied_nodes()) {
-        const auto point = grid_.point_of(node);
-        bool any_informed = false;
-        occupancy_.for_each_at(point, [&](std::int32_t a) {
-            any_informed = any_informed || informed_[static_cast<std::size_t>(a)] != 0;
-        });
-        if (!any_informed) continue;
-        occupancy_.for_each_at(point, [&](std::int32_t a) {
-            auto& flag = informed_[static_cast<std::size_t>(a)];
-            if (!flag) {
-                flag = 1;
-                ++informed_count_;
-            }
-        });
-    }
+    informed_count_ += flood_colocated(occupancy_, informed_);
 }
 
 ChurnResult ChurnBroadcast::run(std::int64_t max_steps) {

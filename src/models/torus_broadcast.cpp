@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/bounds.hpp"
+#include "models/colocation.hpp"
 
 namespace smn::models {
 
@@ -10,7 +11,7 @@ TorusBroadcast::TorusBroadcast(const TorusConfig& config)
     : config_{config},
       rng_{config.seed},
       torus_{grid::Torus2D::square(config.side)},
-      head_(static_cast<std::size_t>(torus_.size()), -1) {
+      occupancy_{grid::Grid2D::square(config.side)} {
     if (config.k < 1) throw std::invalid_argument("TorusBroadcast: k must be >= 1");
     positions_.reserve(static_cast<std::size_t>(config.k));
     for (std::int32_t a = 0; a < config.k; ++a) {
@@ -21,7 +22,6 @@ TorusBroadcast::TorusBroadcast(const TorusConfig& config)
     informed_.assign(static_cast<std::size_t>(config.k), 0);
     informed_[0] = 1;
     informed_count_ = 1;
-    next_.assign(static_cast<std::size_t>(config.k), -1);
     exchange();  // t = 0
 }
 
@@ -40,34 +40,8 @@ std::optional<std::int64_t> TorusBroadcast::run_until_complete(std::int64_t max_
 }
 
 void TorusBroadcast::exchange() {
-    for (const auto node : dirty_) head_[static_cast<std::size_t>(node)] = -1;
-    dirty_.clear();
-    for (std::int32_t a = 0; a < config_.k; ++a) {
-        const auto node = torus_.node_id(positions_[static_cast<std::size_t>(a)]);
-        auto& head = head_[static_cast<std::size_t>(node)];
-        if (head == -1) dirty_.push_back(node);
-        next_[static_cast<std::size_t>(a)] = head;
-        head = a;
-    }
-    for (const auto node : dirty_) {
-        bool any_informed = false;
-        for (auto a = head_[static_cast<std::size_t>(node)]; a != -1;
-             a = next_[static_cast<std::size_t>(a)]) {
-            if (informed_[static_cast<std::size_t>(a)]) {
-                any_informed = true;
-                break;
-            }
-        }
-        if (!any_informed) continue;
-        for (auto a = head_[static_cast<std::size_t>(node)]; a != -1;
-             a = next_[static_cast<std::size_t>(a)]) {
-            auto& flag = informed_[static_cast<std::size_t>(a)];
-            if (!flag) {
-                flag = 1;
-                ++informed_count_;
-            }
-        }
-    }
+    occupancy_.rebuild(positions_);
+    informed_count_ += flood_colocated(occupancy_, informed_);
 }
 
 TorusResult run_torus_broadcast(const TorusConfig& config, std::int64_t max_steps) {

@@ -9,9 +9,10 @@
 // run can leave a trace armed without unbounded memory.
 //
 // Arming: smn_lab --trace=FILE arms the process-wide one-shot sink, and
-// the first BroadcastProcess constructed afterwards claims it (an atomic
-// exchange — exactly one replication traces, whichever engine is built
-// first; run with --threads=1 --reps=1 to pin it to a specific one).
+// the first engine constructed afterwards — broadcast or gossip — claims
+// it (an atomic exchange — exactly one replication traces, whichever
+// engine is built first; run with --threads=1 --reps=1 to pin it to a
+// specific one).
 // Tracing is purely observational: the claiming engine enables its phase
 // timing, which touches only timing fields, never trajectories.
 //
@@ -47,7 +48,7 @@ struct StepRecord {
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
     std::int64_t blocks_scalar{0};    ///< blocks replayed scalar (rejection/ablation)
-    std::int64_t informed{0};         ///< informed agents after the exchange
+    std::int64_t informed{0};         ///< agents knowing every rumor after the exchange
     std::int64_t components{0};       ///< components of G_t(r)
 };
 

@@ -1,11 +1,12 @@
-// occupancy.hpp — node → agents map, the r = 0 fast path.
+// occupancy.hpp — node → agents map for co-location (r = 0) exchanges.
 //
 // When the transmission radius is zero (Sec. 3.1 proves the upper bound in
 // exactly this regime), two agents communicate iff they sit on the same
-// node. OccupancyMap groups agent ids by node id using intrusive singly
-// linked lists over two flat arrays (head per node, next per agent), so a
-// full rebuild costs O(k) and no allocation; clearing uses a dirty-node log
-// so it is O(#occupied nodes), never O(n).
+// node; the standalone torus, barrier and churn models exchange through
+// this map. OccupancyMap groups agent ids by node id using intrusive
+// singly linked lists over two flat arrays (head per node, next per
+// agent), so a full rebuild costs O(k) and no allocation; clearing uses a
+// dirty-node log so it is O(#occupied nodes), never O(n).
 #pragma once
 
 #include <cassert>
@@ -31,7 +32,7 @@ public:
     void rebuild(std::span<const grid::Point> positions) {
         for (const auto node : dirty_) head_[static_cast<std::size_t>(node)] = kNone;
         dirty_.clear();
-        next_.assign(positions.size(), kNone);
+        next_.resize(positions.size());  // every entry is written below
         for (std::size_t a = 0; a < positions.size(); ++a) {
             const auto node = grid_.node_id(positions[a]);
             auto& head = head_[static_cast<std::size_t>(node)];
@@ -41,13 +42,19 @@ public:
         }
     }
 
-    /// Calls `fn(agent_id)` for every agent on node `p`.
+    /// Calls `fn(agent_id)` for every agent on node `node`.
     template <typename Fn>
-    void for_each_at(grid::Point p, Fn&& fn) const {
-        for (auto a = head_[static_cast<std::size_t>(grid_.node_id(p))]; a != kNone;
+    void for_each_on(grid::NodeId node, Fn&& fn) const {
+        for (auto a = head_[static_cast<std::size_t>(node)]; a != kNone;
              a = next_[static_cast<std::size_t>(a)]) {
             fn(a);
         }
+    }
+
+    /// Calls `fn(agent_id)` for every agent on node `p`.
+    template <typename Fn>
+    void for_each_at(grid::Point p, Fn&& fn) const {
+        for_each_on(grid_.node_id(p), fn);
     }
 
     /// First agent on node `p` (kNone if empty).

@@ -47,6 +47,22 @@ TEST(Gossip, RejectsBadConfigsLikeBroadcast) {
     }
 }
 
+// "Only informed agents move" has no meaning when knowledge is a rumor
+// set, so gossip refuses the Frog mobility instead of running all-move.
+TEST(Gossip, RejectsFrogMobility) {
+    EngineConfig cfg;
+    cfg.side = 12;
+    cfg.k = 8;
+    cfg.mobility = Mobility::kInformedOnly;
+    try {
+        GossipProcess p{cfg};
+        ADD_FAILURE() << "no throw for frog gossip";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string{e.what()}.rfind("EngineConfig:", 0), 0u) << e.what();
+    }
+    EXPECT_NO_THROW(BroadcastProcess{cfg});
+}
+
 TEST(Gossip, KnownPairsStartAtKAndGrowMonotonically) {
     EngineConfig cfg;
     cfg.side = 12;

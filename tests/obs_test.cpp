@@ -1,7 +1,8 @@
 // obs_test.cpp — telemetry layer: registry counters/gauges/histograms
 // (including exact sums under concurrent increments), the bounded
 // step-trace ring and its claim-once arming protocol, and the engine-level
-// contracts: tracing never perturbs trajectories, per-step scan counters
+// contracts, checked on both engines (broadcast and gossip share one step
+// loop): tracing never perturbs trajectories, per-step scan counters
 // satisfy rescanned + replayed == occupied units, and the destructor
 // flushes each engine's tallies into the registry exactly once.
 #include <gtest/gtest.h>
@@ -12,10 +13,12 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/gossip.hpp"
 #include "graph/dsu.hpp"
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
@@ -183,43 +186,103 @@ core::EngineConfig small_config() {
     return cfg;
 }
 
-std::vector<std::int64_t> informed_series(core::BroadcastProcess& process, int steps) {
+/// The trajectory each engine contract compares: informed agents for
+/// broadcast, known (agent, rumor) pairs for gossip.
+std::int64_t progress(const core::BroadcastProcess& process) {
+    return process.rumor().informed_count();
+}
+std::int64_t progress(const core::GossipProcess& process) { return process.known_pairs(); }
+
+/// Agents that know every rumor (the trace's `informed` gauge), counted
+/// from the knowledge state.
+std::int64_t agents_knowing_all(const core::BroadcastProcess& process) {
+    return process.rumor().informed_count();
+}
+std::int64_t agents_knowing_all(const core::GossipProcess& process) {
+    std::int64_t count = 0;
+    for (std::int32_t a = 0; a < process.config().k; ++a) count += process.rumors().knows_all(a);
+    return count;
+}
+
+template <typename Process>
+std::vector<std::int64_t> progress_series(Process& process, int steps) {
     std::vector<std::int64_t> series;
     for (int s = 0; s < steps; ++s) {
         process.step();
-        series.push_back(process.rumor().informed_count());
+        series.push_back(progress(process));
     }
     return series;
 }
 
-TEST(EngineTrace, TracingNeverPerturbsTrajectories) {
+template <typename Process>
+void expect_tracing_never_perturbs() {
     constexpr int kSteps = 40;
-    core::BroadcastProcess plain{small_config()};
-    const auto baseline = informed_series(plain, kSteps);
+    Process plain{small_config()};
+    const auto baseline = progress_series(plain, kSteps);
 
     StepTrace trace;
     arm_trace(&trace);
-    core::BroadcastProcess traced{small_config()};
-    const auto with_trace = informed_series(traced, kSteps);
+    Process traced{small_config()};
+    const auto with_trace = progress_series(traced, kSteps);
     disarm_trace();
 
     EXPECT_EQ(baseline, with_trace);
     EXPECT_EQ(trace.size(), static_cast<std::size_t>(kSteps));
 }
 
-TEST(EngineTrace, RecordsCarryGaugesAndStepNumbers) {
+TEST(EngineTrace, TracingNeverPerturbsTrajectories) {
+    expect_tracing_never_perturbs<core::BroadcastProcess>();
+    expect_tracing_never_perturbs<core::GossipProcess>();
+}
+
+template <typename Process>
+void expect_records_carry_gauges() {
     StepTrace trace;
-    core::BroadcastProcess process{small_config()};
+    Process process{small_config()};
     process.set_trace(&trace);
-    for (int s = 0; s < 10; ++s) process.step();
+    std::vector<std::int64_t> done;
+    for (int s = 0; s < 10; ++s) {
+        process.step();
+        done.push_back(agents_knowing_all(process));
+    }
     ASSERT_EQ(trace.size(), 10u);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto& rec = trace.at(i);
         EXPECT_EQ(rec.step, static_cast<std::int64_t>(i + 1));
-        EXPECT_GE(rec.informed, 1);
+        if constexpr (std::is_same_v<Process, core::BroadcastProcess>) {
+            EXPECT_GE(rec.informed, 1);
+        }
+        EXPECT_EQ(rec.informed, done[i]);
         EXPECT_GE(rec.components, 1);
         EXPECT_GE(rec.units, 1);
     }
+}
+
+TEST(EngineTrace, RecordsCarryGaugesAndStepNumbers) {
+    expect_records_carry_gauges<core::BroadcastProcess>();
+    expect_records_carry_gauges<core::GossipProcess>();
+}
+
+// GoldenGossip.ReproducesSeedImplementationBitForBit's first config, run
+// with the trace armed: the gossip engine claims it, traces every step,
+// and reproduces the same T_G and rumor times.
+TEST(EngineTrace, ArmedTraceLeavesGossipGoldensIntact) {
+    core::EngineConfig cfg;
+    cfg.side = 12;
+    cfg.k = 6;
+    cfg.radius = 2;
+    cfg.seed = 4;
+    StepTrace trace;
+    arm_trace(&trace);
+    const auto res = core::run_gossip(cfg);
+    disarm_trace();
+    EXPECT_EQ(res.gossip_time, 117);
+    EXPECT_EQ(res.max_rumor_broadcast_time, 117);
+    EXPECT_EQ(res.min_rumor_broadcast_time, 79);
+    EXPECT_DOUBLE_EQ(res.mean_rumor_broadcast_time, 99.666666666666671);
+    ASSERT_EQ(trace.size(), 117u);
+    EXPECT_EQ(trace.at(116).step, 117);
+    EXPECT_EQ(trace.at(116).informed, cfg.k);
 }
 
 // The central sanity invariant of the component pass: every occupied cell
@@ -318,11 +381,17 @@ TEST(BuilderCounters, IndexStatsCountMotionBetweenPasses) {
     EXPECT_EQ(colocation.index_stats().relinks, 0);
 }
 
-TEST(EngineCounters, ReportsTheDocumentedNames) {
-    core::BroadcastProcess process{small_config()};
+template <typename Process>
+std::vector<std::string> counter_names() {
+    Process process{small_config()};
     for (int s = 0; s < 5; ++s) process.step();
     std::vector<std::string> names;
     for (const auto& [name, value] : process.counters()) names.emplace_back(name);
+    return names;
+}
+
+TEST(EngineCounters, ReportsTheDocumentedNames) {
+    const auto names = counter_names<core::BroadcastProcess>();
     for (const char* expected :
          {"scan.passes", "scan.units_rescanned", "scan.units_replayed",
           "scan.bypass_passes", "scan.pairs_tested", "scan.pairs_survived",
@@ -331,23 +400,30 @@ TEST(EngineCounters, ReportsTheDocumentedNames) {
         EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
             << "missing counter " << expected;
     }
+    EXPECT_EQ(counter_names<core::GossipProcess>(), names);
 }
 
-TEST(EngineCounters, DestructorFlushesToRegistryExactlyOnce) {
+template <typename Process>
+void expect_flush_exactly_once() {
     Registry::instance().reset_all();
     double passes = 0.0;
     {
-        core::BroadcastProcess process{small_config()};
+        Process process{small_config()};
         for (int s = 0; s < 8; ++s) process.step();
         for (const auto& [name, value] : process.counters()) {
             if (std::string_view{name} == "scan.passes") passes = value;
         }
         // A moved-from shell must not flush again on destruction.
-        core::BroadcastProcess moved{std::move(process)};
+        Process moved{std::move(process)};
     }
     EXPECT_GT(passes, 0.0);
     EXPECT_EQ(Registry::instance().counter("engine.scan.passes").value(),
               static_cast<std::int64_t>(passes));
+}
+
+TEST(EngineCounters, DestructorFlushesToRegistryExactlyOnce) {
+    expect_flush_exactly_once<core::BroadcastProcess>();
+    expect_flush_exactly_once<core::GossipProcess>();
 }
 
 TEST(Provenance, BuildInfoIsPopulated) {

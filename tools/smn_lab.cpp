@@ -278,9 +278,9 @@ int run(int argc, char** argv) {
         exp::write_provenance(os, prov);
     }
 
-    // --trace: arm a step-trace ring; the first BroadcastProcess
-    // constructed afterwards claims it (obs::claim_trace) and records one
-    // replication's per-step timeline. Observational only.
+    // --trace: arm a step-trace ring; the first engine (broadcast or
+    // gossip) constructed afterwards claims it (obs::claim_trace) and
+    // records one replication's per-step timeline. Observational only.
     obs::StepTrace trace;
     if (!trace_path.empty()) obs::arm_trace(&trace);
 
