@@ -24,4 +24,20 @@ if ! cmp "${out_dir}/det-t1.jsonl" "${out_dir}/det-t7.jsonl"; then
 fi
 rm -f "${out_dir}/det-t1.jsonl" "${out_dir}/det-t7.jsonl"
 
+# --csv selects CSV output (its first line is the header), and it
+# conflicts with an explicit --format=jsonl.
+"${build_dir}/smn_lab" --scenario=gossip --quick --reps=1 --csv --no-progress \
+    >"${out_dir}/csv-flag.out" 2>/dev/null
+csv_head="$(head -n 1 "${out_dir}/csv-flag.out")"
+rm -f "${out_dir}/csv-flag.out"
+if [[ "${csv_head}" != scenario,* ]]; then
+    echo "ERROR: smn_lab --csv did not write CSV (first line: ${csv_head})" >&2
+    exit 1
+fi
+if "${build_dir}/smn_lab" --scenario=gossip --quick --reps=1 --csv --format=jsonl \
+    --no-progress >/dev/null 2>&1; then
+    echo "ERROR: smn_lab accepted --csv together with --format=jsonl" >&2
+    exit 1
+fi
+
 echo "lab quick pass OK: $(wc -l < "${out_dir}/quick.jsonl") records in ${out_dir}/quick.jsonl"

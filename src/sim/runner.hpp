@@ -1,15 +1,15 @@
-// runner.hpp — deterministic multi-threaded replication runner.
+// runner.hpp — deterministic multi-threaded replication pool.
 //
 // Experiments estimate expectations (and tails) over many independent
 // replications with heavy-tailed per-replication cost (a near-critical
 // replication can run orders of magnitude longer than its siblings).
-// run_replications farms replication indices over a persistent,
+// ReplicationPool farms unit indices over a persistent,
 // dynamically-scheduled worker pool: workers pull the next index from a
 // shared queue, so a slow replication never strands the rest of a static
-// stride. Every replication derives its own RNG seed from (base_seed,
-// rep_index) and lands in its own result slot, so the aggregate result is
-// bit-identical regardless of thread count or scheduling — a property the
-// integration tests assert.
+// stride. exp::run_sweep derives every replication's RNG seed from
+// (point_seed, rep_index) and writes it to its own result slot, so the
+// aggregate result is bit-identical regardless of thread count or
+// scheduling — a property the exp tests assert.
 #pragma once
 
 #include <algorithm>
@@ -23,8 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "rng/rng.hpp"
-#include "stats/running_stats.hpp"
 #include "util/worker_pool.hpp"
 
 namespace smn::sim {
@@ -55,6 +53,16 @@ namespace smn::sim {
     return std::max(workers, 1);
 }
 
+/// Record of one unit whose body kept throwing after every retry. The
+/// original exception is carried as an exception_ptr so callers that want
+/// fail-fast semantics can rethrow it with its concrete type intact.
+struct UnitFailure {
+    int unit{-1};          ///< unit index the failing body was given
+    int attempts{0};       ///< total attempts made (1 + retries)
+    std::string message;   ///< what() of the final exception
+    std::exception_ptr error;  ///< the final exception itself
+};
+
 /// Process-wide persistent pool for replication-level parallelism.
 ///
 /// Replication bodies are handed out dynamically (each worker pulls the
@@ -66,19 +74,10 @@ namespace smn::sim {
 /// util::WorkerPool).
 ///
 /// Dispatch is serialized: if the pool is already busy — a concurrent
-/// run() from another thread, or a replication body recursively running
-/// replications — the new call falls back to inline serial execution,
-/// which is always correct because results never depend on scheduling.
-/// Record of one unit whose body kept throwing after every retry. The
-/// original exception is carried as an exception_ptr so callers that want
-/// fail-fast semantics can rethrow it with its concrete type intact.
-struct UnitFailure {
-    int unit{-1};          ///< unit index the failing body was given
-    int attempts{0};       ///< total attempts made (1 + retries)
-    std::string message;   ///< what() of the final exception
-    std::exception_ptr error;  ///< the final exception itself
-};
-
+/// run_units() from another thread, or a replication body recursively
+/// running replications — the new call falls back to inline serial
+/// execution, which is always correct because results never depend on
+/// scheduling.
 class ReplicationPool {
 public:
     /// Pool telemetry snapshot. The unit counters cost one atomic per
@@ -186,21 +185,6 @@ public:
         return failures;
     }
 
-    /// Runs `reps` replications of `body` and returns the per-replication
-    /// results in replication order. `body(rep, seed)` gets the
-    /// deterministic seed derived from (base_seed, rep); R must be
-    /// default-constructible and move-assignable.
-    template <typename R, typename Body>
-    [[nodiscard]] std::vector<R> run(int reps, std::uint64_t base_seed, Body&& body,
-                                     int threads) {
-        std::vector<R> results(reps < 0 ? 0 : static_cast<std::size_t>(reps));
-        run_units(reps, threads, [&](int rep) {
-            results[static_cast<std::size_t>(rep)] =
-                body(rep, rng::replication_seed(base_seed, static_cast<std::uint64_t>(rep)));
-        });
-        return results;
-    }
-
 private:
     ReplicationPool() : pool_{1} {}
 
@@ -221,34 +205,5 @@ private:
     std::atomic<std::int64_t> units_pooled_{0};
     std::atomic<std::int64_t> units_inline_{0};
 };
-
-/// Runs `reps` replications of `body` over at most `threads` workers of
-/// the shared ReplicationPool and returns the per-replication results in
-/// replication order. `body(rep, seed)` must be thread-safe with respect
-/// to distinct `rep` values; `seed` is the derived deterministic seed for
-/// that replication. R carries structured per-replication results (e.g. a
-/// metrics map), not just scalars.
-template <typename R, typename Body>
-[[nodiscard]] std::vector<R> run_replications_as(int reps, std::uint64_t base_seed, Body&& body,
-                                                 int threads = default_threads()) {
-    return ReplicationPool::instance().run<R>(reps, base_seed, std::forward<Body>(body),
-                                              threads);
-}
-
-/// Scalar convenience overload of run_replications_as.
-[[nodiscard]] inline std::vector<double> run_replications(
-    int reps, std::uint64_t base_seed, const std::function<double(int, std::uint64_t)>& body,
-    int threads = default_threads()) {
-    return run_replications_as<double>(reps, base_seed, body, threads);
-}
-
-/// Convenience: runs replications and accumulates them into a Sample.
-[[nodiscard]] inline stats::Sample sample_replications(
-    int reps, std::uint64_t base_seed, const std::function<double(int, std::uint64_t)>& body,
-    int threads = default_threads()) {
-    stats::Sample sample;
-    for (const double v : run_replications(reps, base_seed, body, threads)) sample.add(v);
-    return sample;
-}
 
 }  // namespace smn::sim

@@ -53,7 +53,6 @@
 // Experiment support
 #include "sim/args.hpp"
 #include "sim/runner.hpp"
-#include "stats/histogram.hpp"
 #include "stats/regression.hpp"
 #include "stats/running_stats.hpp"
 #include "stats/table.hpp"

@@ -396,7 +396,8 @@ TEST(RunPoint, AggregatesInReplicationOrder) {
 TEST(RunPoint, BitIdenticalAcrossThreadCounts) {
     const auto scenario = synthetic_scenario();
     std::vector<std::string> outputs;
-    for (const int threads : {1, 4, 16}) {
+    const std::vector<int> thread_counts{1, 2, 4, 7, 16};
+    for (const int threads : thread_counts) {
         exp::RunOptions options;
         options.reps = 13;
         options.seed = 99;
@@ -406,8 +407,39 @@ TEST(RunPoint, BitIdenticalAcrossThreadCounts) {
         exp::JsonlWriter{os}.write(result);
         outputs.push_back(os.str());
     }
-    EXPECT_EQ(outputs[0], outputs[1]);
-    EXPECT_EQ(outputs[0], outputs[2]);
+    for (std::size_t i = 1; i < outputs.size(); ++i) {
+        EXPECT_EQ(outputs[0], outputs[i]) << thread_counts[i] << " threads";
+    }
+}
+
+TEST(RunPoint, ReplicationSeedsDeriveFromPointSeed) {
+    // Replication `rep` of a point runs on replication_seed(point_seed,
+    // rep); the seed travels back as two exact 32-bit halves.
+    auto scenario = synthetic_scenario();
+    scenario.run_rep = [](const exp::ScenarioParams&, std::uint64_t seed) {
+        exp::Metrics m;
+        m["seed_hi"] = static_cast<double>(seed >> 32U);
+        m["seed_lo"] = static_cast<double>(seed & 0xFFFFFFFFU);
+        return m;
+    };
+    const exp::ParamValues point{{"a", "4"}};
+    for (const int threads : {1, 4}) {
+        exp::RunOptions options;
+        options.reps = 8;
+        options.seed = 99;
+        options.threads = threads;
+        const auto result = exp::run_point(scenario, point, options);
+        const auto point_seed = exp::point_seed(options.seed, scenario.name, point);
+        const auto hi = result.metric("seed_hi").values();
+        const auto lo = result.metric("seed_lo").values();
+        ASSERT_EQ(hi.size(), 8U);
+        for (std::size_t rep = 0; rep < hi.size(); ++rep) {
+            const auto seed = (static_cast<std::uint64_t>(hi[rep]) << 32U) |
+                              static_cast<std::uint64_t>(lo[rep]);
+            EXPECT_EQ(seed, rng::replication_seed(point_seed, rep))
+                << "rep " << rep << ", " << threads << " threads";
+        }
+    }
 }
 
 TEST(RunSweep, VisitsEveryPointInOrder) {

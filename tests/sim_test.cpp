@@ -1,7 +1,8 @@
-// sim_test.cpp — CLI args and the deterministic replication runner.
+// sim_test.cpp — CLI args and the shared replication pool.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -199,82 +200,11 @@ TEST(Args, ThreadsRejectsBadValues) {
 
 // ------------------------------------------------------------------ runner
 
-TEST(Runner, ProducesOneResultPerReplication) {
-    const auto results = run_replications(
-        10, 42, [](int rep, std::uint64_t) { return static_cast<double>(rep); }, 4);
-    ASSERT_EQ(results.size(), 10u);
-    for (int rep = 0; rep < 10; ++rep) {
-        EXPECT_DOUBLE_EQ(results[static_cast<std::size_t>(rep)], static_cast<double>(rep));
-    }
-}
-
-TEST(Runner, SeedsAreDeterministicAndPerReplication) {
-    std::vector<std::uint64_t> seen(8, 0);
-    (void)run_replications(
-        8, 99,
-        [&](int rep, std::uint64_t seed) {
-            seen[static_cast<std::size_t>(rep)] = seed;
-            return 0.0;
-        },
-        1);
-    for (int rep = 0; rep < 8; ++rep) {
-        EXPECT_EQ(seen[static_cast<std::size_t>(rep)],
-                  rng::replication_seed(99, static_cast<std::uint64_t>(rep)));
-    }
-}
-
-TEST(Runner, ThreadCountDoesNotChangeResults) {
-    const auto body = [](int rep, std::uint64_t seed) {
-        // Some seed-dependent computation.
-        rng::Rng rng{seed};
-        double total = 0.0;
-        for (int i = 0; i <= rep; ++i) total += rng.uniform();
-        return total;
-    };
-    const auto serial = run_replications(20, 7, body, 1);
-    const auto par2 = run_replications(20, 7, body, 2);
-    const auto par8 = run_replications(20, 7, body, 8);
-    EXPECT_EQ(serial, par2);
-    EXPECT_EQ(serial, par8);
-}
-
-TEST(Runner, MoreThreadsThanWork) {
-    const auto results = run_replications(
-        3, 1, [](int rep, std::uint64_t) { return static_cast<double>(rep * rep); }, 16);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_DOUBLE_EQ(results[2], 4.0);
-}
-
-TEST(Runner, SampleAggregatesAll) {
-    const auto sample = sample_replications(
-        100, 5, [](int, std::uint64_t seed) { return rng::Rng{seed}.uniform(); }, 4);
-    EXPECT_EQ(sample.count(), 100);
-    EXPECT_GT(sample.mean(), 0.3);
-    EXPECT_LT(sample.mean(), 0.7);
-}
-
 TEST(Runner, DefaultThreadsIsPositive) { EXPECT_GE(default_threads(), 1); }
 
-// Replication-order determinism across the thread counts the lab's
-// acceptance criterion names: a serial run, an even split, and a count
-// that divides the work unevenly.
-TEST(Runner, ReplicationOrderIsDeterministicAtOneTwoSevenThreads) {
-    const auto body = [](int rep, std::uint64_t seed) {
-        rng::Rng rng{seed};
-        double total = static_cast<double>(rep);
-        for (int i = 0; i < 50; ++i) total += rng.uniform();
-        return total;
-    };
-    const auto serial = run_replications(23, 2026, body, 1);
-    ASSERT_EQ(serial.size(), 23u);
-    for (const int threads : {2, 7}) {
-        EXPECT_EQ(serial, run_replications(23, 2026, body, threads)) << threads;
-    }
-}
-
-// Regression: run_replications used to spawn `threads` std::threads even
-// when reps < threads (idle workers per call). replication_workers clamps
-// to the work available.
+// Regression: the runner used to spawn `threads` std::threads even when
+// reps < threads (idle workers per call). replication_workers clamps to
+// the work available.
 TEST(Runner, ReplicationWorkersClampsToReps) {
     EXPECT_EQ(replication_workers(16, 1), 1);
     EXPECT_EQ(replication_workers(16, 3), 3);
@@ -284,107 +214,89 @@ TEST(Runner, ReplicationWorkersClampsToReps) {
     EXPECT_EQ(replication_workers(8, 0), 1);
 }
 
+/// Runs unit(u) for every u in [0, units) on the shared pool and returns
+/// the results in unit order.
+std::vector<int> run_units(int units, int threads, int (*unit)(int)) {
+    std::vector<int> results(static_cast<std::size_t>(units), -1);
+    ReplicationPool::instance().run_units(
+        units, threads, [&](int u) { results[static_cast<std::size_t>(u)] = unit(u); });
+    return results;
+}
+
+TEST(Runner, MoreThreadsThanWork) {
+    const auto results = run_units(3, 16, [](int u) { return u * u; });
+    EXPECT_EQ(results, (std::vector<int>{0, 1, 4}));
+}
+
 TEST(Runner, SingleRepAtManyThreads) {
-    // reps=1 exercises the clamped pool path: one unit, one worker.
-    const auto results = run_replications(
-        1, 77, [](int rep, std::uint64_t) { return static_cast<double>(rep + 41); }, 16);
-    ASSERT_EQ(results.size(), 1U);
-    EXPECT_DOUBLE_EQ(results[0], 41.0);
-}
-
-TEST(Runner, StructuredResultsThroughTypedApi) {
-    struct RepOutcome {
-        double value{0.0};
-        std::uint64_t seed{0};
-        int rep{-1};
-    };
-    const auto results = run_replications_as<RepOutcome>(
-        12, 31,
-        [](int rep, std::uint64_t seed) {
-            return RepOutcome{static_cast<double>(rep) * 2.0, seed, rep};
-        },
-        4);
-    ASSERT_EQ(results.size(), 12U);
-    for (int rep = 0; rep < 12; ++rep) {
-        const auto& outcome = results[static_cast<std::size_t>(rep)];
-        EXPECT_EQ(outcome.rep, rep);
-        EXPECT_DOUBLE_EQ(outcome.value, rep * 2.0);
-        EXPECT_EQ(outcome.seed, rng::replication_seed(31, static_cast<std::uint64_t>(rep)));
-    }
-}
-
-TEST(Runner, BodyExceptionSurfacesOnCallerThread) {
-    // A throwing body used to hit std::terminate inside a raw std::thread;
-    // the pool now captures it and rethrows here, at any thread count.
-    for (const int threads : {1, 4, 16}) {
-        EXPECT_THROW((void)run_replications(
-                         9, 3,
-                         [](int rep, std::uint64_t) -> double {
-                             if (rep == 4) throw std::runtime_error("rep 4 boom");
-                             return 0.0;
-                         },
-                         threads),
-                     std::runtime_error)
-            << threads;
-    }
-}
-
-TEST(Runner, SkewedWorkloadIsThreadInvariant) {
-    // One replication ~100× slower than its siblings: dynamic scheduling
-    // must not change any result slot.
-    const auto body = [](int rep, std::uint64_t seed) {
-        rng::Rng rng{seed};
-        const int spins = rep == 0 ? 200000 : 2000;
-        double total = 0.0;
-        for (int i = 0; i < spins; ++i) total += rng.uniform();
-        return total;
-    };
-    const auto serial = run_replications(16, 555, body, 1);
-    for (const int threads : {4, 16}) {
-        EXPECT_EQ(serial, run_replications(16, 555, body, threads)) << threads;
-    }
+    // One unit exercises the clamped pool path: one unit, one worker.
+    EXPECT_EQ(run_units(1, 16, [](int u) { return u + 41; }), std::vector<int>{41});
 }
 
 TEST(Runner, PersistentPoolSurvivesManyCalls) {
-    // Back-to-back calls reuse the shared pool's workers; results stay
-    // deterministic call after call.
-    const auto body = [](int rep, std::uint64_t seed) {
-        return static_cast<double>(seed % 1000 + static_cast<std::uint64_t>(rep));
-    };
-    const auto expected = run_replications(10, 1234, body, 1);
+    // Back-to-back calls reuse the shared pool's workers; every unit runs
+    // exactly once, call after call.
+    const auto unit = [](int u) { return 3 * u + 1; };
+    const auto expected = run_units(10, 1, unit);
     for (int round = 0; round < 25; ++round) {
-        EXPECT_EQ(expected, run_replications(10, 1234, body, 4)) << round;
+        EXPECT_EQ(expected, run_units(10, 4, unit)) << round;
     }
 }
 
 TEST(Runner, NestedReplicationsRunInline) {
-    // A body that itself runs replications must not deadlock on the shared
+    // A unit that itself dispatches units must not deadlock on the shared
     // pool: the inner call detects the busy pool and runs inline.
-    const auto results = run_replications(
-        6, 9,
-        [](int, std::uint64_t seed) {
-            const auto inner = run_replications(
-                4, seed, [](int rep, std::uint64_t) { return static_cast<double>(rep); }, 4);
-            double total = 0.0;
-            for (const double v : inner) total += v;
-            return total;
-        },
-        4);
-    ASSERT_EQ(results.size(), 6U);
-    for (const double v : results) EXPECT_DOUBLE_EQ(v, 6.0);
+    const auto results = run_units(6, 4, [](int) {
+        int total = 0;
+        for (const int v : run_units(4, 4, [](int u) { return u; })) total += v;
+        return total;
+    });
+    EXPECT_EQ(results, std::vector<int>(6, 6));
 }
 
+/// Sets SMN_THREADS for one scope and restores the caller's value (or its
+/// absence) on exit, so the suite's own SMN_THREADS survives this test.
+class ScopedThreadsEnv {
+public:
+    ScopedThreadsEnv() {
+        if (const char* value = std::getenv("SMN_THREADS")) saved_ = value;
+    }
+    ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
+    ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
+    ~ScopedThreadsEnv() {
+        if (saved_) {
+            setenv("SMN_THREADS", saved_->c_str(), 1);
+        } else {
+            unsetenv("SMN_THREADS");
+        }
+    }
+
+private:
+    std::optional<std::string> saved_;
+};
+
 TEST(Runner, SmnThreadsEnvironmentOverride) {
-    ASSERT_EQ(setenv("SMN_THREADS", "3", 1), 0);
-    EXPECT_EQ(default_threads(), 3);
-    // Out-of-range or junk values fall back to the hardware default.
-    ASSERT_EQ(setenv("SMN_THREADS", "0", 1), 0);
-    const int fallback = default_threads();
-    EXPECT_GE(fallback, 1);
-    ASSERT_EQ(setenv("SMN_THREADS", "lots", 1), 0);
-    EXPECT_EQ(default_threads(), fallback);
-    ASSERT_EQ(unsetenv("SMN_THREADS"), 0);
-    EXPECT_GE(default_threads(), 1);
+    const auto current = [] {
+        const char* value = std::getenv("SMN_THREADS");
+        return std::string{value != nullptr ? value : "<unset>"};
+    };
+    const std::string before = current();
+    {
+        const ScopedThreadsEnv restore;
+        ASSERT_EQ(setenv("SMN_THREADS", "3", 1), 0);
+        EXPECT_EQ(default_threads(), 3);
+        // Out-of-range or junk values fall back to the hardware default.
+        ASSERT_EQ(setenv("SMN_THREADS", "0", 1), 0);
+        const int fallback = default_threads();
+        EXPECT_GE(fallback, 1);
+        ASSERT_EQ(setenv("SMN_THREADS", "lots", 1), 0);
+        EXPECT_EQ(default_threads(), fallback);
+        ASSERT_EQ(unsetenv("SMN_THREADS"), 0);
+        EXPECT_GE(default_threads(), 1);
+    }
+    // The caller's setting (CI runs this suite at SMN_THREADS=4) survives,
+    // so later pool tests keep running at it.
+    EXPECT_EQ(current(), before);
 }
 
 }  // namespace

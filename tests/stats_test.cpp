@@ -1,13 +1,12 @@
-// stats_test.cpp — RunningStats, Sample, regression, histogram, table
-// formatting.
+// stats_test.cpp — RunningStats, Sample, regression, table formatting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "rng/rng.hpp"
-#include "stats/histogram.hpp"
 #include "stats/regression.hpp"
 #include "stats/running_stats.hpp"
 #include "stats/table.hpp"
@@ -191,40 +190,6 @@ TEST(Regression, LogRmsDetectsShapeMismatch) {
         pred.push_back(std::pow(x, -1.0));
     }
     EXPECT_GT(log_rms_error_centered(obs, pred), 0.3);
-}
-
-// --------------------------------------------------------------- histogram
-
-TEST(Histogram, RejectsBadArguments) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-    Histogram h{0.0, 10.0, 10};
-    for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
-    h.add(-1.0);
-    h.add(10.0);
-    h.add(25.0);
-    EXPECT_EQ(h.total(), 13);
-    EXPECT_EQ(h.underflow(), 1);
-    EXPECT_EQ(h.overflow(), 2);
-    for (int b = 0; b < 10; ++b) EXPECT_EQ(h.count(b), 1) << b;
-}
-
-TEST(Histogram, TailFraction) {
-    Histogram h{0.0, 10.0, 10};
-    for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i % 10) + 0.5);
-    EXPECT_NEAR(h.tail_fraction(5.0), 0.5, 1e-12);
-    EXPECT_NEAR(h.tail_fraction(0.0), 1.0, 1e-12);
-    EXPECT_NEAR(h.tail_fraction(10.0), 0.0, 1e-12);
-}
-
-TEST(Histogram, BinEdges) {
-    Histogram h{0.0, 100.0, 4};
-    EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bin_lo(1), 25.0);
-    EXPECT_DOUBLE_EQ(h.bin_lo(3), 75.0);
 }
 
 // ------------------------------------------------------------------- table

@@ -158,6 +158,12 @@ int run(int argc, char** argv) {
     const std::string sweep_arg = args.get_string("sweep", "");
     const std::string out_path = args.get_string("out", "-");
     std::string format = args.get_string("format", "");
+    if (args.csv()) {
+        if (!format.empty() && format != "csv") {
+            throw std::invalid_argument("--csv conflicts with --format=" + format);
+        }
+        format = "csv";
+    }
     const bool timings = args.get_flag("timings");
     // Telemetry opt-ins, both host/build-dependent (never in default
     // output): --counters appends the per-record "counters" object plus a
