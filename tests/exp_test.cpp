@@ -1043,4 +1043,44 @@ TEST(BuiltinScenarios, GridBroadcastIsThreadInvariant) {
     EXPECT_EQ(outputs[0], outputs[2]);
 }
 
+/// Names of every built-in scenario, in registry order.
+std::vector<std::string> builtin_scenario_names() {
+    exp::register_builtin_scenarios();
+    std::vector<std::string> names;
+    for (const auto* scenario : exp::ScenarioRegistry::instance().all()) {
+        names.push_back(scenario->name);
+    }
+    return names;
+}
+
+class ScenarioQuickSweep : public ::testing::TestWithParam<std::string> {};
+
+// The determinism contract, per scenario: each quick sweep writes the same
+// JSONL bytes at one worker thread and at seven (a count that divides no
+// quick sweep's work evenly), as `smn_lab --quick --reps=3` does in
+// scripts/lab_quick.sh.
+TEST_P(ScenarioQuickSweep, ByteIdenticalAtOneAndSevenThreads) {
+    const auto& scenario = exp::ScenarioRegistry::instance().at(GetParam());
+    const auto sweep = exp::SweepSpec::parse(scenario.quick_sweep);
+    std::vector<std::string> outputs;
+    for (const int threads : {1, 7}) {
+        exp::RunOptions options;
+        options.reps = 3;
+        options.quick = true;
+        options.threads = threads;
+        std::ostringstream os;
+        exp::JsonlWriter writer{os};
+        for (const auto& result : exp::run_sweep(scenario, sweep, options)) writer.write(result);
+        outputs.push_back(os.str());
+    }
+    EXPECT_FALSE(outputs[0].empty());
+    EXPECT_EQ(outputs[0], outputs[1]);
+}
+
+INSTANTIATE_TEST_SUITE_P(BuiltinScenarios, ScenarioQuickSweep,
+                         ::testing::ValuesIn(builtin_scenario_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                             return info.param;
+                         });
+
 }  // namespace

@@ -1,13 +1,17 @@
 // sim_test.cpp — CLI args and the shared replication pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "rng/rng.hpp"
 #include "sim/args.hpp"
 #include "sim/runner.hpp"
 
@@ -221,6 +225,144 @@ std::vector<int> run_units(int units, int threads, int (*unit)(int)) {
     ReplicationPool::instance().run_units(
         units, threads, [&](int u) { results[static_cast<std::size_t>(u)] = unit(u); });
     return results;
+}
+
+/// Runs a seeded replication body, body(rep, replication_seed(base, rep)),
+/// for every rep on the shared pool and returns the values in rep order —
+/// the way exp::run_point drives the pool.
+template <typename Body>
+std::vector<double> run_seeded(int reps, std::uint64_t base, int threads, Body body) {
+    std::vector<double> results(static_cast<std::size_t>(reps), -1.0);
+    ReplicationPool::instance().run_units(reps, threads, [&](int rep) {
+        results[static_cast<std::size_t>(rep)] =
+            body(rep, rng::replication_seed(base, static_cast<std::uint64_t>(rep)));
+    });
+    return results;
+}
+
+TEST(Runner, ProducesOneResultPerReplication) {
+    // Every unit runs exactly once and lands in its own slot.
+    for (const int threads : {1, 4, 16}) {
+        std::vector<std::atomic<int>> calls(10);
+        const auto results = run_units(10, threads, [](int u) { return u; });
+        ReplicationPool::instance().run_units(
+            10, threads, [&](int u) { calls[static_cast<std::size_t>(u)].fetch_add(1); });
+        for (int u = 0; u < 10; ++u) {
+            EXPECT_EQ(results[static_cast<std::size_t>(u)], u) << threads;
+            EXPECT_EQ(calls[static_cast<std::size_t>(u)].load(), 1) << threads;
+        }
+    }
+}
+
+TEST(Runner, ThreadCountDoesNotChangeResults) {
+    const auto body = [](int rep, std::uint64_t seed) {
+        // Some seed-dependent computation.
+        rng::Rng rng{seed};
+        double total = 0.0;
+        for (int i = 0; i <= rep; ++i) total += rng.uniform();
+        return total;
+    };
+    const auto serial = run_seeded(20, 7, 1, body);
+    EXPECT_EQ(serial, run_seeded(20, 7, 2, body));
+    EXPECT_EQ(serial, run_seeded(20, 7, 8, body));
+}
+
+// Replication-order determinism across the thread counts the lab's
+// acceptance criterion names: a serial run, an even split, and a count
+// that divides the work unevenly.
+TEST(Runner, ReplicationOrderIsDeterministicAtOneTwoSevenThreads) {
+    const auto body = [](int rep, std::uint64_t seed) {
+        rng::Rng rng{seed};
+        double total = static_cast<double>(rep);
+        for (int i = 0; i < 50; ++i) total += rng.uniform();
+        return total;
+    };
+    const auto serial = run_seeded(23, 2026, 1, body);
+    ASSERT_EQ(serial.size(), 23U);
+    for (const int threads : {2, 7}) {
+        EXPECT_EQ(serial, run_seeded(23, 2026, threads, body)) << threads;
+    }
+}
+
+TEST(Runner, SkewedWorkloadIsThreadInvariant) {
+    // One replication ~100x slower than its siblings: dynamic scheduling
+    // must not change any result slot.
+    const auto body = [](int rep, std::uint64_t seed) {
+        rng::Rng rng{seed};
+        const int spins = rep == 0 ? 200000 : 2000;
+        double total = 0.0;
+        for (int i = 0; i < spins; ++i) total += rng.uniform();
+        return total;
+    };
+    const auto serial = run_seeded(16, 555, 1, body);
+    for (const int threads : {4, 16}) {
+        EXPECT_EQ(serial, run_seeded(16, 555, threads, body)) << threads;
+    }
+}
+
+TEST(Runner, BodyExceptionSurfacesOnCallerThread) {
+    // A throwing unit is captured by the pool and rethrown here, at any
+    // thread count, and the pool serves the next dispatch normally.
+    for (const int threads : {1, 4, 16}) {
+        EXPECT_THROW(ReplicationPool::instance().run_units(9, threads,
+                                                           [](int u) {
+                                                               if (u == 4) {
+                                                                   throw std::runtime_error(
+                                                                       "unit 4 boom");
+                                                               }
+                                                           }),
+                     std::runtime_error)
+            << threads;
+        EXPECT_EQ(run_units(5, threads, [](int u) { return u + 1; }),
+                  (std::vector<int>{1, 2, 3, 4, 5}))
+            << threads;
+    }
+}
+
+TEST(Runner, TolerantRunRetriesTransientFailures) {
+    // Every unit throws on its first attempt only: one retry recovers all
+    // of them, and each body ran exactly twice.
+    for (const int threads : {1, 4}) {
+        std::vector<std::atomic<int>> attempts(12);
+        const auto failures = ReplicationPool::instance().run_units_tolerant(
+            12, threads, 1, [&](int u) {
+                if (attempts[static_cast<std::size_t>(u)].fetch_add(1) == 0) {
+                    throw std::runtime_error("transient");
+                }
+            });
+        EXPECT_TRUE(failures.empty()) << threads;
+        for (const auto& count : attempts) EXPECT_EQ(count.load(), 2) << threads;
+    }
+}
+
+TEST(Runner, TolerantRunRecordsPersistentFailuresInUnitOrder) {
+    // Units 7 and 2 always throw std::runtime_error, unit 9 a non-std
+    // exception; the rest complete once each. Failures come back sorted by
+    // unit, with every attempt counted and the final exception kept.
+    for (const int threads : {1, 4, 16}) {
+        std::vector<std::atomic<int>> attempts(11);
+        const auto failures = ReplicationPool::instance().run_units_tolerant(
+            11, threads, 2, [&](int u) {
+                attempts[static_cast<std::size_t>(u)].fetch_add(1);
+                if (u == 2 || u == 7) throw std::runtime_error("unit " + std::to_string(u));
+                if (u == 9) throw 9;
+            });
+        ASSERT_EQ(failures.size(), 3U) << threads;
+        EXPECT_EQ(failures[0].unit, 2);
+        EXPECT_EQ(failures[1].unit, 7);
+        EXPECT_EQ(failures[2].unit, 9);
+        EXPECT_EQ(failures[0].message, "unit 2");
+        EXPECT_EQ(failures[1].message, "unit 7");
+        EXPECT_EQ(failures[2].message, "unknown exception");
+        for (const auto& failure : failures) EXPECT_EQ(failure.attempts, 3);
+        EXPECT_THROW(std::rethrow_exception(failures[1].error), std::runtime_error);
+        EXPECT_THROW(std::rethrow_exception(failures[2].error), int);
+        for (int u = 0; u < 11; ++u) {
+            const bool failing = u == 2 || u == 7 || u == 9;
+            EXPECT_EQ(attempts[static_cast<std::size_t>(u)].load(), failing ? 3 : 1)
+                << "unit " << u << " at " << threads;
+        }
+    }
 }
 
 TEST(Runner, MoreThreadsThanWork) {
