@@ -64,8 +64,8 @@ double run_static(const Workload& w, int threads) {
 /// Current engine: all (point, rep) units through one pool pass.
 double run_pooled(const Workload& w, int threads) {
     const auto begin = clock_type::now();
-    smn::sim::ReplicationPool::instance().run_units(
-        w.points * w.reps, threads,
+    (void)smn::sim::ReplicationPool::instance().run_units(
+        w.points * w.reps, threads, 0,
         [&](int unit) { std::this_thread::sleep_for(w.cost(unit / w.reps, unit % w.reps)); });
     return std::chrono::duration<double>(clock_type::now() - begin).count();
 }

@@ -75,7 +75,7 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     std::atomic<std::size_t> skipped{0};
     const auto pool_before = sim::ReplicationPool::instance().stats();
     const auto sweep_begin = clock::now();
-    const auto failed_units = sim::ReplicationPool::instance().run_units_tolerant(
+    const auto failed_units = sim::ReplicationPool::instance().run_units(
         static_cast<int>(total), threads, options.retries, [&](int unit) {
             const auto u = static_cast<std::size_t>(unit);
             if (replayed[u] != 0) return;
@@ -205,7 +205,7 @@ const stats::Sample& PointResult::metric(const std::string& name) const {
 std::uint64_t point_seed(std::uint64_t base, const std::string& scenario,
                          const ParamValues& values) noexcept {
     std::uint64_t hash = fnv1a(scenario, 0xCBF29CE484222325ULL);
-    hash = fnv1a("\x1f" + canonical_point(values), hash);
+    hash = fnv1a(canonical_point(values), fnv1a("\x1f", hash));  // FNV-1a streams
     return rng::mix64(base ^ rng::mix64(hash));
 }
 

@@ -53,7 +53,7 @@ struct RunOptions {
     /// Extra attempts for a unit whose body throws (--retries). Retries
     /// are sound because units are pure functions of their index: a retry
     /// recomputes the identical result (see sim::ReplicationPool::
-    /// run_units_tolerant).
+    /// run_units).
     int retries{0};
     /// When true, a unit that still throws after every retry is recorded
     /// in PointResult::failures and the remaining units complete; when

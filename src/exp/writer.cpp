@@ -256,26 +256,6 @@ void write_counters_total(std::ostream& os) {
         }
         line += '}';
     }
-    bool any_hist = false;
-    registry.for_each_histogram([&](const std::string& name, const obs::Histogram& hist) {
-        line += any_hist ? "," : ",\"histograms\":{";
-        any_hist = true;
-        line += '"' + json_escape(name) + "\":{\"count\":" + std::to_string(hist.count());
-        line += ",\"sum\":" + std::to_string(hist.sum());
-        line += ",\"buckets\":[";
-        // Trailing zero buckets are elided: the array holds buckets
-        // 0..last-nonzero of the power-of-two histogram.
-        int last = -1;
-        for (int i = 0; i < obs::Histogram::kBuckets; ++i) {
-            if (hist.bucket(i) != 0) last = i;
-        }
-        for (int i = 0; i <= last; ++i) {
-            if (i) line += ',';
-            line += std::to_string(hist.bucket(i));
-        }
-        line += "]}";
-    });
-    if (any_hist) line += '}';
     line += "}\n";
     os << line;
     os.flush();

@@ -90,7 +90,7 @@ void write_provenance(std::ostream& os, const RunProvenance& run);
 void write_failed_units(std::ostream& os, const std::vector<PointResult>& results);
 
 /// Writes the `{"record":"counters_total",...}` trailer line: the
-/// process-wide obs::Registry snapshot (counters, gauges, histograms)
+/// process-wide obs::Registry snapshot (counters and gauges)
 /// accumulated over the whole run, including the "engine."-prefixed
 /// flushes from destroyed engines. Only meaningful under --counters.
 void write_counters_total(std::ostream& os);

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <stdexcept>
 
 #include "sim/runner.hpp"
@@ -109,13 +108,11 @@ int Args::threads() const {
     if (it == values_.end()) return default_threads();
     try {
         const std::int64_t threads = parse_int_strict(it->second);
-        if (threads < 1 || threads > std::numeric_limits<int>::max()) {
-            throw std::invalid_argument(it->second);
-        }
+        if (threads < 1 || threads > kMaxThreads) throw std::invalid_argument(it->second);
         return static_cast<int>(threads);
     } catch (const std::exception&) {
-        throw std::invalid_argument("--threads expects an integer >= 1, got '" + it->second +
-                                    "'");
+        throw std::invalid_argument("--threads expects an integer in [1, " +
+                                    std::to_string(kMaxThreads) + "], got '" + it->second + "'");
     }
 }
 
@@ -156,8 +153,8 @@ void Args::print_help(std::ostream& os) const {
         os << "  --" << key << "  (default: " << fallback << ")\n";
     }
     os << "built-in:\n"
-       << "  --threads=N  worker threads (default: " << default_threads()
-       << ", env override SMN_THREADS)\n"
+       << "  --threads=N  worker threads, 1.." << kMaxThreads << " (default: "
+       << default_threads() << ", env override SMN_THREADS)\n"
        << "  --quick      shrink problem sizes for smoke runs\n"
        << "  --csv        machine-readable CSV output\n"
        << "  --help       this listing\n";

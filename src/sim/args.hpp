@@ -4,7 +4,7 @@
 // Every such binary accepts `--key=value` overrides plus built-in flags:
 //   --quick      shrink problem sizes / replication counts (CI smoke mode)
 //   --csv        emit CSV instead of the aligned table
-//   --threads=N  worker threads for replication runners (default:
+//   --threads=N  worker threads for replication runners, 1..1024 (default:
 //                sim::default_threads(), which honors $SMN_THREADS)
 //   --help       print every declared key with its fallback value and exit
 // Unknown keys throw (all of them listed in one message), and duplicate
@@ -45,9 +45,10 @@ public:
     /// True if `--help` was passed.
     [[nodiscard]] bool help() const noexcept { return help_; }
 
-    /// Worker-thread count: `--threads=N` when given (must be >= 1), else
-    /// sim::default_threads() (which honors the SMN_THREADS environment
-    /// variable). The key is built in — never rejected as unknown.
+    /// Worker-thread count: `--threads=N` when given (must lie in
+    /// [1, sim::kMaxThreads]), else sim::default_threads() (which honors
+    /// the SMN_THREADS environment variable). The key is built in — never
+    /// rejected as unknown.
     [[nodiscard]] int threads() const;
 
     /// Call after all get_* calls. If `--help` was passed, prints the

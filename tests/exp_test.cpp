@@ -661,6 +661,20 @@ TEST(Writer, CountersTotalSnapshotsTheRegistry) {
     EXPECT_EQ(record.at("counters").at("test.writer_total").number(), 42.0);
 }
 
+TEST(Writer, CountersTotalHoldsCountersAndGaugesOnly) {
+    // The registry has counters and gauges, nothing else: the trailer is
+    // exactly the two name maps plus its own schema/record keys.
+    obs::Registry::instance().reset_all();
+    obs::Registry::instance().gauge("test.writer_peak").set_max(7);
+    std::ostringstream os;
+    exp::write_counters_total(os);
+    const auto record = parse_json(os.str());
+    EXPECT_EQ(record.at("gauges").at("test.writer_peak").number(), 7.0);
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : record.object()) keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"counters", "gauges", "record", "schema"}));
+}
+
 TEST(JsonlWriter, EscapesAndNonFiniteNumbers) {
     EXPECT_EQ(exp::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     exp::PointResult result;

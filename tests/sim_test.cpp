@@ -2,13 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rng/rng.hpp"
@@ -185,6 +189,18 @@ TEST(Args, ThreadsOptionIsBuiltIn) {
     Args args{static_cast<int>(argv.size()), argv.data()};
     EXPECT_EQ(args.threads(), 5);
     args.reject_unknown();  // never rejected, even though no get_* declared it
+    // The upper bound is inclusive (parsing only: no thread starts here).
+    auto max_argv = argv_of({"--threads=1024"});
+    EXPECT_EQ((Args{static_cast<int>(max_argv.size()), max_argv.data()}.threads()), kMaxThreads);
+}
+
+TEST(Args, HelpStatesTheThreadsRange) {
+    auto argv = argv_of({});
+    Args args{static_cast<int>(argv.size()), argv.data()};
+    std::ostringstream os;
+    args.print_help(os);
+    EXPECT_NE(os.str().find("--threads=N  worker threads, 1..1024"), std::string::npos)
+        << os.str();
 }
 
 TEST(Args, ThreadsDefaultsToDefaultThreads) {
@@ -195,7 +211,7 @@ TEST(Args, ThreadsDefaultsToDefaultThreads) {
 
 TEST(Args, ThreadsRejectsBadValues) {
     for (const char* bad : {"--threads=0", "--threads=-2", "--threads=many", "--threads=4x",
-                            "--threads=", "--threads=99999999999"}) {
+                            "--threads=", "--threads=1025", "--threads=99999999999"}) {
         auto argv = argv_of({bad});
         Args args{static_cast<int>(argv.size()), argv.data()};
         EXPECT_THROW((void)args.threads(), std::invalid_argument) << bad;
@@ -222,8 +238,10 @@ TEST(Runner, ReplicationWorkersClampsToReps) {
 /// the results in unit order.
 std::vector<int> run_units(int units, int threads, int (*unit)(int)) {
     std::vector<int> results(static_cast<std::size_t>(units), -1);
-    ReplicationPool::instance().run_units(
-        units, threads, [&](int u) { results[static_cast<std::size_t>(u)] = unit(u); });
+    EXPECT_TRUE(ReplicationPool::instance()
+                    .run_units(units, threads, 0,
+                               [&](int u) { results[static_cast<std::size_t>(u)] = unit(u); })
+                    .empty());
     return results;
 }
 
@@ -233,10 +251,14 @@ std::vector<int> run_units(int units, int threads, int (*unit)(int)) {
 template <typename Body>
 std::vector<double> run_seeded(int reps, std::uint64_t base, int threads, Body body) {
     std::vector<double> results(static_cast<std::size_t>(reps), -1.0);
-    ReplicationPool::instance().run_units(reps, threads, [&](int rep) {
-        results[static_cast<std::size_t>(rep)] =
-            body(rep, rng::replication_seed(base, static_cast<std::uint64_t>(rep)));
-    });
+    EXPECT_TRUE(ReplicationPool::instance()
+                    .run_units(reps, threads, 0,
+                               [&](int rep) {
+                                   results[static_cast<std::size_t>(rep)] = body(
+                                       rep, rng::replication_seed(
+                                                base, static_cast<std::uint64_t>(rep)));
+                               })
+                    .empty());
     return results;
 }
 
@@ -245,8 +267,10 @@ TEST(Runner, ProducesOneResultPerReplication) {
     for (const int threads : {1, 4, 16}) {
         std::vector<std::atomic<int>> calls(10);
         const auto results = run_units(10, threads, [](int u) { return u; });
-        ReplicationPool::instance().run_units(
-            10, threads, [&](int u) { calls[static_cast<std::size_t>(u)].fetch_add(1); });
+        EXPECT_TRUE(ReplicationPool::instance()
+                        .run_units(10, threads, 0,
+                                   [&](int u) { calls[static_cast<std::size_t>(u)].fetch_add(1); })
+                        .empty());
         for (int u = 0; u < 10; ++u) {
             EXPECT_EQ(results[static_cast<std::size_t>(u)], u) << threads;
             EXPECT_EQ(calls[static_cast<std::size_t>(u)].load(), 1) << threads;
@@ -301,30 +325,46 @@ TEST(Runner, SkewedWorkloadIsThreadInvariant) {
 }
 
 TEST(Runner, BodyExceptionSurfacesOnCallerThread) {
-    // A throwing unit is captured by the pool and rethrown here, at any
-    // thread count, and the pool serves the next dispatch normally.
+    // A throwing unit comes back to the caller as a failure carrying its
+    // exception, at any thread count, and the pool serves the next
+    // dispatch normally.
     for (const int threads : {1, 4, 16}) {
-        EXPECT_THROW(ReplicationPool::instance().run_units(9, threads,
-                                                           [](int u) {
-                                                               if (u == 4) {
-                                                                   throw std::runtime_error(
-                                                                       "unit 4 boom");
-                                                               }
-                                                           }),
-                     std::runtime_error)
-            << threads;
+        const auto failures = ReplicationPool::instance().run_units(9, threads, 0, [](int u) {
+            if (u == 4) throw std::runtime_error("unit 4 boom");
+        });
+        ASSERT_EQ(failures.size(), 1U) << threads;
+        EXPECT_EQ(failures[0].unit, 4) << threads;
+        EXPECT_EQ(failures[0].attempts, 1) << threads;
+        EXPECT_EQ(failures[0].message, "unit 4 boom") << threads;
+        EXPECT_THROW(std::rethrow_exception(failures[0].error), std::runtime_error) << threads;
         EXPECT_EQ(run_units(5, threads, [](int u) { return u + 1; }),
                   (std::vector<int>{1, 2, 3, 4, 5}))
             << threads;
     }
 }
 
-TEST(Runner, TolerantRunRetriesTransientFailures) {
+TEST(Runner, FailingUnitNeverStopsTheOthers) {
+    // Unit 0 throws at once while the rest dawdle: no unit is cancelled,
+    // every other unit runs exactly once, and only unit 0 is reported.
+    for (const int threads : {1, 4, 16}) {
+        std::vector<std::atomic<int>> calls(200);
+        const auto failures = ReplicationPool::instance().run_units(200, threads, 0, [&](int u) {
+            calls[static_cast<std::size_t>(u)].fetch_add(1);
+            if (u == 0) throw std::logic_error("early");
+            std::this_thread::sleep_for(std::chrono::microseconds{50});
+        });
+        ASSERT_EQ(failures.size(), 1U) << threads;
+        EXPECT_EQ(failures[0].unit, 0) << threads;
+        for (const auto& count : calls) EXPECT_EQ(count.load(), 1) << threads;
+    }
+}
+
+TEST(Runner, RetriesTransientFailures) {
     // Every unit throws on its first attempt only: one retry recovers all
     // of them, and each body ran exactly twice.
     for (const int threads : {1, 4}) {
         std::vector<std::atomic<int>> attempts(12);
-        const auto failures = ReplicationPool::instance().run_units_tolerant(
+        const auto failures = ReplicationPool::instance().run_units(
             12, threads, 1, [&](int u) {
                 if (attempts[static_cast<std::size_t>(u)].fetch_add(1) == 0) {
                     throw std::runtime_error("transient");
@@ -335,13 +375,13 @@ TEST(Runner, TolerantRunRetriesTransientFailures) {
     }
 }
 
-TEST(Runner, TolerantRunRecordsPersistentFailuresInUnitOrder) {
+TEST(Runner, RecordsPersistentFailuresInUnitOrder) {
     // Units 7 and 2 always throw std::runtime_error, unit 9 a non-std
     // exception; the rest complete once each. Failures come back sorted by
     // unit, with every attempt counted and the final exception kept.
     for (const int threads : {1, 4, 16}) {
         std::vector<std::atomic<int>> attempts(11);
-        const auto failures = ReplicationPool::instance().run_units_tolerant(
+        const auto failures = ReplicationPool::instance().run_units(
             11, threads, 2, [&](int u) {
                 attempts[static_cast<std::size_t>(u)].fetch_add(1);
                 if (u == 2 || u == 7) throw std::runtime_error("unit " + std::to_string(u));
@@ -365,6 +405,59 @@ TEST(Runner, TolerantRunRecordsPersistentFailuresInUnitOrder) {
     }
 }
 
+TEST(Runner, RetryStopsAtTheFirstSuccess) {
+    // A unit that fails twice and then succeeds uses 3 of its 6 allowed
+    // attempts and is not reported.
+    for (const int threads : {1, 4}) {
+        std::vector<std::atomic<int>> attempts(8);
+        const auto failures = ReplicationPool::instance().run_units(8, threads, 5, [&](int u) {
+            if (attempts[static_cast<std::size_t>(u)].fetch_add(1) < 2) {
+                throw std::runtime_error("flaky");
+            }
+        });
+        EXPECT_TRUE(failures.empty()) << threads;
+        for (const auto& count : attempts) EXPECT_EQ(count.load(), 3) << threads;
+    }
+}
+
+TEST(Runner, NegativeRetriesMeanOneAttempt) {
+    std::atomic<int> attempts{0};
+    const auto failures = ReplicationPool::instance().run_units(1, 1, -3, [&](int) {
+        attempts.fetch_add(1);
+        throw std::runtime_error("always");
+    });
+    ASSERT_EQ(failures.size(), 1U);
+    EXPECT_EQ(failures[0].attempts, 1);
+    EXPECT_EQ(attempts.load(), 1);
+}
+
+TEST(Runner, FailureKeepsTheFinalAttemptsException) {
+    // Each attempt throws a different message: the record carries the last.
+    for (const int threads : {1, 4}) {
+        std::atomic<int> attempts{0};
+        const auto failures = ReplicationPool::instance().run_units(2, threads, 2, [&](int u) {
+            if (u == 1) throw std::runtime_error("attempt " + std::to_string(++attempts));
+        });
+        ASSERT_EQ(failures.size(), 1U) << threads;
+        EXPECT_EQ(failures[0].message, "attempt 3") << threads;
+        try {
+            std::rethrow_exception(failures[0].error);
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "attempt 3") << threads;
+        }
+    }
+}
+
+TEST(Runner, ZeroUnitsRunNothing) {
+    for (const int threads : {1, 4}) {
+        std::atomic<int> calls{0};
+        EXPECT_TRUE(ReplicationPool::instance()
+                        .run_units(0, threads, 0, [&](int) { calls.fetch_add(1); })
+                        .empty());
+        EXPECT_EQ(calls.load(), 0) << threads;
+    }
+}
+
 TEST(Runner, MoreThreadsThanWork) {
     const auto results = run_units(3, 16, [](int u) { return u * u; });
     EXPECT_EQ(results, (std::vector<int>{0, 1, 4}));
@@ -383,6 +476,86 @@ TEST(Runner, PersistentPoolSurvivesManyCalls) {
     for (int round = 0; round < 25; ++round) {
         EXPECT_EQ(expected, run_units(10, 4, unit)) << round;
     }
+}
+
+TEST(Runner, AtMostThreadsWorkersTakePart) {
+    // Grow the pool past the request first, so idle workers are there to
+    // be (wrongly) woken.
+    EXPECT_EQ(run_units(8, 8, [](int u) { return u; }).size(), 8U);
+    std::mutex mutex;
+    std::set<std::thread::id> seen;
+    EXPECT_TRUE(ReplicationPool::instance()
+                    .run_units(64, 2, 0,
+                               [&](int) {
+                                   const std::lock_guard<std::mutex> lock{mutex};
+                                   seen.insert(std::this_thread::get_id());
+                               })
+                    .empty());
+    EXPECT_GE(seen.size(), 1U);
+    EXPECT_LE(seen.size(), 2U);
+}
+
+TEST(Runner, PoolGrowsToTheLargestRequest) {
+    auto& pool = ReplicationPool::instance();
+    EXPECT_EQ(run_units(5, 5, [](int u) { return u; }).size(), 5U);
+    const int grown = pool.stats().workers;
+    EXPECT_GE(grown, 5);
+    EXPECT_EQ(run_units(5, 2, [](int u) { return u; }).size(), 5U);
+    EXPECT_EQ(pool.stats().workers, grown);  // never shrinks
+}
+
+TEST(Runner, StatsCountPooledAndInlineUnits) {
+    // These totals feed the pool.* record counters: a serial dispatch runs
+    // inline, a parallel one through the pool, and each is one run.
+    auto& pool = ReplicationPool::instance();
+    const auto before = pool.stats();
+    EXPECT_EQ(run_units(6, 1, [](int u) { return u; }).size(), 6U);
+    const auto serial = pool.stats();
+    EXPECT_EQ(serial.runs - before.runs, 1);
+    EXPECT_EQ(serial.units_inline - before.units_inline, 6);
+    EXPECT_EQ(serial.units_pooled, before.units_pooled);
+    EXPECT_EQ(run_units(9, 3, [](int u) { return u; }).size(), 9U);
+    const auto pooled = pool.stats();
+    EXPECT_EQ(pooled.runs - serial.runs, 1);
+    EXPECT_EQ(pooled.units_pooled - serial.units_pooled, 9);
+    EXPECT_EQ(pooled.units_inline, serial.units_inline);
+    EXPECT_GE(pooled.worker_busy_seconds, serial.worker_busy_seconds);
+    EXPECT_GE(pooled.workers, 3);
+}
+
+TEST(Runner, ConcurrentDispatchesBothComplete) {
+    // Two threads dispatch at once: whichever finds the pool busy runs
+    // inline, and each still runs every one of its units exactly once.
+    std::vector<std::atomic<int>> first(40);
+    std::vector<std::atomic<int>> second(40);
+    const auto dispatch = [](std::vector<std::atomic<int>>& calls) {
+        EXPECT_TRUE(ReplicationPool::instance()
+                        .run_units(40, 4, 0,
+                                   [&](int u) {
+                                       calls[static_cast<std::size_t>(u)].fetch_add(1);
+                                       std::this_thread::sleep_for(std::chrono::microseconds{20});
+                                   })
+                        .empty());
+    };
+    std::thread other{[&] { dispatch(second); }};
+    dispatch(first);
+    other.join();
+    for (const auto& count : first) EXPECT_EQ(count.load(), 1);
+    for (const auto& count : second) EXPECT_EQ(count.load(), 1);
+}
+
+TEST(Runner, NestedFailureStaysWithTheInnerDispatch) {
+    // A failure inside a nested dispatch is returned to the unit that ran
+    // it; the outer dispatch sees a healthy unit.
+    std::atomic<int> inner_failures{0};
+    const auto outer = ReplicationPool::instance().run_units(4, 4, 0, [&](int) {
+        const auto inner = ReplicationPool::instance().run_units(3, 4, 0, [](int u) {
+            if (u == 2) throw std::runtime_error("inner");
+        });
+        inner_failures.fetch_add(static_cast<int>(inner.size()));
+    });
+    EXPECT_TRUE(outer.empty());
+    EXPECT_EQ(inner_failures.load(), 4);
 }
 
 TEST(Runner, NestedReplicationsRunInline) {
@@ -433,6 +606,10 @@ TEST(Runner, SmnThreadsEnvironmentOverride) {
         EXPECT_GE(fallback, 1);
         ASSERT_EQ(setenv("SMN_THREADS", "lots", 1), 0);
         EXPECT_EQ(default_threads(), fallback);
+        ASSERT_EQ(setenv("SMN_THREADS", "1025", 1), 0);  // above kMaxThreads
+        EXPECT_EQ(default_threads(), fallback);
+        ASSERT_EQ(setenv("SMN_THREADS", "1024", 1), 0);  // parsed only, no thread starts
+        EXPECT_EQ(default_threads(), kMaxThreads);
         ASSERT_EQ(unsetenv("SMN_THREADS"), 0);
         EXPECT_GE(default_threads(), 1);
     }

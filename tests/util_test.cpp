@@ -1,117 +1,20 @@
-// util_test.cpp — the persistent WorkerPool: dynamic shard scheduling,
-// per-run worker limits, lazy growth, and in-pool exception capture; the
-// fail-point harness; and the exact double text round-trip of number.hpp.
+// util_test.cpp — the fail-point harness and the exact double text
+// round-trip of number.hpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/failpoint.hpp"
 #include "util/number.hpp"
-#include "util/worker_pool.hpp"
 
 namespace smn::util {
 namespace {
-
-TEST(WorkerPool, RunsEveryShardExactlyOnce) {
-    WorkerPool pool{4};
-    std::vector<std::atomic<int>> hits(37);
-    pool.run(37, [&](int shard, int worker) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, 4);
-        hits[static_cast<std::size_t>(shard)].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ReusableAcrossRuns) {
-    WorkerPool pool{3};
-    for (int round = 0; round < 50; ++round) {
-        std::atomic<int> sum{0};
-        pool.run(round % 7 + 1, [&](int shard, int) { sum.fetch_add(shard + 1); });
-        const int n = round % 7 + 1;
-        EXPECT_EQ(sum.load(), n * (n + 1) / 2) << round;
-    }
-}
-
-TEST(WorkerPool, MaxWorkersLimitsParticipation) {
-    WorkerPool pool{8};
-    std::mutex mutex;
-    std::set<int> workers_seen;
-    pool.run(
-        64,
-        [&](int, int worker) {
-            std::lock_guard<std::mutex> lock{mutex};
-            workers_seen.insert(worker);
-        },
-        2);
-    EXPECT_LE(workers_seen.size(), 2U);
-    for (const int w : workers_seen) EXPECT_LT(w, 2);
-}
-
-TEST(WorkerPool, EnsureWorkersGrows) {
-    WorkerPool pool{1};
-    EXPECT_EQ(pool.workers(), 1);
-    pool.ensure_workers(3);
-    EXPECT_EQ(pool.workers(), 3);
-    pool.ensure_workers(2);  // never shrinks
-    EXPECT_EQ(pool.workers(), 3);
-    std::vector<std::atomic<int>> hits(20);
-    pool.run(20, [&](int shard, int worker) {
-        EXPECT_LT(worker, 3);
-        hits[static_cast<std::size_t>(shard)].fetch_add(1);
-    });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ExceptionSurfacesOnCallerThread) {
-    WorkerPool pool{4};
-    for (int round = 0; round < 3; ++round) {  // pool survives a throwing run
-        EXPECT_THROW(
-            pool.run(32,
-                     [&](int shard, int) {
-                         if (shard == 5) throw std::runtime_error("shard 5 failed");
-                     }),
-            std::runtime_error);
-        // The pool is intact: a following clean run completes normally.
-        std::atomic<int> done{0};
-        pool.run(8, [&](int, int) { done.fetch_add(1); });
-        EXPECT_EQ(done.load(), 8);
-    }
-}
-
-TEST(WorkerPool, ExceptionCancelsUndistributedShards) {
-    WorkerPool pool{2};
-    std::atomic<int> executed{0};
-    EXPECT_THROW(pool.run(200,
-                          [&](int shard, int) {
-                              executed.fetch_add(1);
-                              if (shard == 0) throw std::logic_error("early");
-                              // Non-throwing shards dawdle so the cancel
-                              // (microseconds after shard 0's immediate
-                              // throw) beats a full drain by a wide margin.
-                              std::this_thread::sleep_for(std::chrono::milliseconds{1});
-                          }),
-                 std::logic_error);
-    EXPECT_LT(executed.load(), 200);
-}
-
-TEST(WorkerPool, SerialPoolPropagatesExceptions) {
-    WorkerPool pool{1};
-    EXPECT_THROW(
-        pool.run(4, [](int shard, int) { if (shard == 2) throw std::out_of_range("x"); }),
-        std::out_of_range);
-}
 
 /// Disarms every site when the test ends, so failpoint state never leaks
 /// into unrelated tests in the same process.
