@@ -133,7 +133,6 @@ void BM_InRangeMask(benchmark::State& state) {
     // occupancy: short runs (the count argument) over padded SoA rows.
     const auto count = static_cast<std::size_t>(state.range(0));
     const bool scalar = state.range(1) != 0;
-    const auto g = grid::Grid2D::square(256);
     rng::Rng rng{8};
     constexpr std::size_t kProbes = 4096;
     std::vector<std::int32_t> xs(kProbes + graph::kRangePad);

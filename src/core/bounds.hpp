@@ -38,20 +38,6 @@ namespace smn::core::bounds {
            log_floor(static_cast<double>(k)) / static_cast<double>(k);
 }
 
-/// The general infection-time bound O(t* log k) of Dimitriou, Nikoletseas,
-/// Spirakis [10] specialized to the grid via t* = O(n log n) [1]:
-/// O(n log n log k).
-[[nodiscard]] inline double dns_infection_scale(std::int64_t n, std::int64_t k) noexcept {
-    return static_cast<double>(n) * log_floor(static_cast<double>(n)) *
-           log_floor(static_cast<double>(k));
-}
-
-/// Dense-regime broadcast scale Θ(√n/R) of Clementi et al. [7]
-/// (k = Θ(n), mobility ρ = O(R), R = Ω(√log n)).
-[[nodiscard]] inline double clementi_dense_scale(std::int64_t n, std::int64_t R) noexcept {
-    return std::sqrt(static_cast<double>(n)) / static_cast<double>(R);
-}
-
 /// Cover-time bound for k independent walks on the n-grid (Sec. 4
 /// by-product): O((n log²n)/k + n log n).
 [[nodiscard]] inline double cover_time_scale(std::int64_t n, std::int64_t k) noexcept {

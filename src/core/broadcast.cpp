@@ -1,7 +1,5 @@
 #include "core/broadcast.hpp"
 
-#include "core/observers.hpp"
-
 namespace smn::core {
 
 BroadcastResult run_broadcast(const EngineConfig& config, const BroadcastOptions& options) {
@@ -13,21 +11,19 @@ BroadcastResult run_broadcast(const EngineConfig& config, const BroadcastOptions
                                  : bounds::default_max_steps(config.n(), config.k);
 
     BroadcastProcess process{config};
-    InformedCountObserver counter;
-    if (options.record_series) {
-        // The t = 0 exchange happens inside the constructor, before an
-        // observer can attach, so replay the initial state by hand.
-        counter.on_step(StepView{.time = 0,
-                                 .positions = process.agents().positions(),
-                                 .components = process.components(),
-                                 .rumor = process.rumor()});
-        process.attach(counter);
+    const auto record = [&] {
+        if (options.record_series) {
+            result.informed_series.push_back(process.rumor().informed_count());
+        }
+    };
+    record();
+    while (!process.complete() && process.time() < cap) {
+        process.step();
+        record();
     }
-    const auto tb = process.run_until_complete(cap);
-    result.completed = tb.has_value();
-    result.broadcast_time = tb.value_or(-1);
+    result.completed = process.complete();
+    result.broadcast_time = result.completed ? process.time() : -1;
     result.steps_run = process.time();
-    result.informed_series = counter.series();
     return result;
 }
 

@@ -1,8 +1,8 @@
 // broadcast.hpp — one-call broadcast driver.
 //
-// run_broadcast wires a BroadcastProcess to the requested observers, runs
-// it to completion (or to the step cap) and returns everything a table row
-// needs. This is the main entry point for scenarios, examples and most
+// run_broadcast steps a BroadcastProcess to completion (or to the step
+// cap), recording the informed count if asked, and returns everything a
+// table row needs. This is the main entry point for scenarios, examples and most
 // integration tests; the class API in engine.hpp remains available for
 // custom loops.
 #pragma once

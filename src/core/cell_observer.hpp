@@ -10,7 +10,8 @@
 //
 // CellReachObserver records exactly t_Q for every cell, letting the
 // cell_spread lab scenario and its claim test verify the wavefront
-// directly (experiment E22).
+// directly (experiment E22). Like the recorders of core/observers.hpp it
+// only reads the process: its caller feeds it on_step(process.view()).
 #pragma once
 
 #include <algorithm>
@@ -23,7 +24,7 @@
 namespace smn::core {
 
 /// Records the first time each tessellation cell hosts an informed agent.
-class CellReachObserver final : public Observer {
+class CellReachObserver {
 public:
     /// `cell_side` is the tessellation pitch ℓ (the paper's
     /// ℓ = √(14 n log³n/(c₃k)), but any pitch shows the wavefront).
@@ -31,7 +32,7 @@ public:
         : tessellation_{grid, cell_side},
           reach_time_(static_cast<std::size_t>(tessellation_.cell_count()), -1) {}
 
-    void on_step(const StepView& view) override {
+    void on_step(const StepView& view) {
         for (std::int32_t a = 0; a < view.rumor.agent_count(); ++a) {
             if (!view.rumor.is_informed(a)) continue;
             const auto cell = tessellation_.cell_of(view.positions[static_cast<std::size_t>(a)]);
@@ -42,7 +43,7 @@ public:
                 if (reached_ == tessellation_.cell_count() && all_reached_time_ < 0) {
                     all_reached_time_ = view.time;
                 }
-                if (source_cell_ < 0) source_cell_ = cell;  // first cell = source's
+                if (source_cell_ < 0) source_cell_ = cell;
             }
         }
     }
@@ -66,11 +67,15 @@ public:
     /// First time all cells were reached (the paper's T*); −1 if not yet.
     [[nodiscard]] std::int64_t all_reached_time() const noexcept { return all_reached_time_; }
 
-    /// Cell of the source's first recorded position.
+    /// The first cell reached: the cell of the lowest-id informed agent at
+    /// the first recorded step. That is the source's cell when source = 0,
+    /// or when r = 0 (every agent informed at t = 0 stands on the source's
+    /// node); −1 before any step is recorded.
     [[nodiscard]] grid::CellId source_cell() const noexcept { return source_cell_; }
 
     /// Mean reach time of the cells at L1 cell-distance `d` from the
-    /// source cell (−1 if no cell at that distance was reached).
+    /// source cell; −1 as soon as any cell at that distance is unreached,
+    /// and when no cell lies at that distance or nothing is recorded yet.
     [[nodiscard]] double mean_reach_at_distance(std::int64_t d) const {
         if (source_cell_ < 0) return -1.0;
         const auto src = tessellation_.cell_point(source_cell_);

@@ -62,11 +62,10 @@ void DisseminationLoop<Exchange>::step() {
     using clock = std::chrono::steady_clock;
     const auto stamp = [this] { return timing_ ? clock::now() : clock::time_point{}; };
     const auto t0 = stamp();
-    // Once the knowledge has saturated and nothing observes the
-    // partition, neither the component pass nor the exchange can
-    // affect observable state. The step degenerates to the walk;
-    // components() recomputes the partition on demand.
-    const bool lazy = observers_.empty() && this->complete();
+    // Once the knowledge has saturated, neither the component pass nor
+    // the exchange can affect observable state. The step degenerates to
+    // the walk; components() recomputes the partition on demand.
+    const bool lazy = this->complete();
     walk();
     const auto t1 = stamp();
     if (timing_) walk_seconds_ += std::chrono::duration<double>(t1 - t0).count();
@@ -85,7 +84,6 @@ void DisseminationLoop<Exchange>::step() {
         exchange_seconds_ += std::chrono::duration<double>(t3 - t2).count();
     }
     trace_step();
-    notify();
 }
 
 template class DisseminationLoop<BroadcastExchange>;

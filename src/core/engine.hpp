@@ -14,15 +14,16 @@
 //
 // Mobility::kInformedOnly switches to the Frog-model dynamics of Sec. 4
 // (only informed agents move; uninformed agents stay frozen until they are
-// informed). Everything else (exchange rule, observers, termination) is
-// identical, which is exactly how the paper extends its theorems.
+// informed). Everything else (exchange rule, termination) is identical,
+// which is exactly how the paper extends its theorems.
 //
 // The loop itself is DisseminationLoop<Exchange>: GossipProcess
 // (core/gossip.hpp) runs the same walks, G_t(r) and telemetry with rumor
 // sets in place of the one rumor, so only the Exchange type differs.
 //
-// Observers attach to a BroadcastProcess and see the state after each
-// later exchange (run_broadcast replays t = 0 for them).
+// The engine records nothing: code that measures the process (with the
+// recorders of core/observers.hpp and core/cell_observer.hpp) owns the
+// step loop and hands view() to its recorders at the steps it wants.
 #pragma once
 
 #include <algorithm>
@@ -96,20 +97,11 @@ struct StepPhaseTimings {
     double exchange_s{0.0};
 };
 
-/// State snapshot passed to observers after each exchange.
+/// Broadcast state after an exchange, as the recorders read it.
 struct StepView {
     std::int64_t time;                          ///< current t (0 = initial)
     std::span<const grid::Point> positions;     ///< agent positions at t
-    graph::DisjointSets& components;            ///< partition of G_t(r)
     const SingleRumor& rumor;                   ///< knowledge state at t
-};
-
-/// Hook into the simulation loop. Observers are non-owning and must
-/// outlive the process they are attached to.
-class Observer {
-public:
-    virtual ~Observer() = default;
-    virtual void on_step(const StepView& view) = 0;
 };
 
 /// Broadcast's knowledge state and exchange: one rumor (SingleRumor),
@@ -148,8 +140,8 @@ private:
 /// GossipProcess in gossip.hpp.
 template <typename Exchange>
 class DisseminationLoop : public Exchange {
-    /// Frog mobility and observers read the single per-agent informed
-    /// flag, so only broadcast has them.
+    /// Frog mobility and view() read the single per-agent informed flag,
+    /// so only broadcast has them.
     static constexpr bool kSingleRumor = std::is_same_v<Exchange, BroadcastExchange>;
 
 public:
@@ -219,19 +211,19 @@ public:
     [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
     /// The component partition of G_t(r) at the current time step. Once
-    /// the knowledge has saturated and no observers are attached, step()
-    /// skips the (unobservable) component pass; this accessor recomputes
-    /// it on demand, so callers always see the partition of the current
-    /// positions.
+    /// the knowledge has saturated, step() skips the (unobservable)
+    /// component pass; this accessor recomputes it on demand, so callers
+    /// always see the partition of the current positions.
     [[nodiscard]] graph::DisjointSets& components() {
         refresh_components();
         return dsu_;
     }
 
-    /// Broadcast only: attaches an observer (non-owning). It misses the
-    /// t = 0 callback, which happens at construction; run_broadcast
-    /// replays it.
-    void attach(Observer& observer) requires kSingleRumor { observers_.push_back(&observer); }
+    /// Broadcast only: the state at the current time, for a recorder's
+    /// on_step().
+    [[nodiscard]] StepView view() const requires kSingleRumor {
+        return StepView{.time = t_, .positions = agents_.positions(), .rumor = this->rumor()};
+    }
 
     /// Enables cumulative per-phase wall-clock attribution of step().
     void set_phase_timing(bool on) noexcept {
@@ -321,17 +313,6 @@ private:
         this->run(linked, dsu_, t_);
     }
 
-    void notify() {
-        if constexpr (kSingleRumor) {
-            if (observers_.empty()) return;
-            StepView view{.time = t_,
-                          .positions = agents_.positions(),
-                          .components = dsu_,
-                          .rumor = this->rumor()};
-            for (auto* obs : observers_) obs->on_step(view);
-        }
-    }
-
     void refresh_components() {
         if (!stale_) return;  // partition is current as of the last full step
         // Deferred steps skipped the component pass: recompute it.
@@ -403,7 +384,6 @@ private:
     graph::VisibilityGraphBuilder builder_;
     graph::DisjointSets dsu_;
     std::int64_t t_{0};
-    std::vector<Observer*> observers_;
     std::vector<std::uint8_t> move_mask_;  ///< scratch for frog mobility
     std::int64_t exchange_linked_{0};      ///< Σ |linked()| over exchanges that ran
     bool stale_{false};  ///< component pass deferred (post-completion)

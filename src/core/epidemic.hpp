@@ -1,10 +1,11 @@
 // epidemic.hpp — analytics over informed-count time series.
 //
-// The informed-count series s(t) (from InformedCountObserver or
-// BroadcastResult::informed_series) is the system's epidemic curve. These
-// helpers extract the milestones practitioners plan against — time to
-// 10%/50%/90% informed — and the "last-straggler tail" T_B − t_90 that the
-// paper's analysis attributes to the final meetings of isolated agents.
+// The informed-count series s(t) (BroadcastResult::informed_series, which
+// run_broadcast fills when record_series is set) is the system's epidemic
+// curve. These helpers extract the milestones practitioners plan against —
+// time to 10%/50%/90% informed — and the "last-straggler tail" T_B − t_90
+// that the paper's analysis attributes to the final meetings of isolated
+// agents.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@
 // smn_lab --scenario=gossip --trace/--counters reports the engine like
 // any broadcast run. The trace's `informed` gauge counts the agents that
 // know every rumor. Frog mobility is rejected ("only informed agents
-// move" has no meaning for rumor sets), and observers are broadcast-only.
+// move" has no meaning for rumor sets), and view() is broadcast-only.
 //
 // GossipProcess also reports per-rumor broadcast times, so one gossip run
 // yields k correlated samples of T_B (the gossip lab scenario reports

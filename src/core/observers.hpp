@@ -1,50 +1,32 @@
-// observers.hpp — instrumentation hooks for the dissemination loop.
+// observers.hpp — recorders of what the paper's analysis measures.
 //
-// Each observer captures one quantity the paper's analysis reasons about:
+// Each recorder reads one quantity off the dissemination process and never
+// changes it. Whoever owns the step loop calls on_step(process.view()) at
+// the steps it wants recorded:
 //
-//  * InformedCountObserver — |{a : m ∈ M_a(t)}| per step, the basic
-//                            epidemic curve behind Theorem 1's cell
-//                            argument.
-//  * FrontierObserver      — x(t), the rightmost grid column touched by an
-//                            informed agent (the "informed area" frontier
-//                            of Sec. 3.2); Lemma 7 bounds its speed.
-//  * CoverageObserver      — the set of nodes visited by informed agents;
-//                            its completion time is the coverage time T_C
-//                            of Sec. 4.
-//  * IslandObserver        — maximum component size of G_t(γ) for an
-//                            independently chosen island parameter γ
-//                            (Definition 2); Lemma 6 bounds it by log n.
+//  * FrontierObserver — x(t), the rightmost grid column touched by an
+//                       informed agent (the "informed area" frontier of
+//                       Sec. 3.2); Lemma 7 bounds its speed.
+//  * CoverageObserver — the set of nodes visited by informed agents; its
+//                       completion time is the coverage time T_C of Sec. 4.
+//
+// The tessellation wavefront t_Q of Sec. 3.1 is CellReachObserver
+// (core/cell_observer.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 
 namespace smn::core {
 
-/// Records the number of informed agents at every step.
-class InformedCountObserver final : public Observer {
-public:
-    void on_step(const StepView& view) override {
-        series_.push_back(view.rumor.informed_count());
-    }
-
-    /// series()[t] = informed count at time t (index 0 = after the t = 0
-    /// exchange).
-    [[nodiscard]] const std::vector<std::int32_t>& series() const noexcept { return series_; }
-
-private:
-    std::vector<std::int32_t> series_;
-};
-
 /// Records x(t): the largest x-coordinate ever occupied by an informed
 /// agent up to each time t (monotone non-decreasing by construction).
-class FrontierObserver final : public Observer {
+class FrontierObserver {
 public:
-    void on_step(const StepView& view) override {
+    void on_step(const StepView& view) {
         for (std::int32_t a = 0; a < view.rumor.agent_count(); ++a) {
             if (view.rumor.is_informed(a)) {
                 const auto x = view.positions[static_cast<std::size_t>(a)].x;
@@ -75,12 +57,12 @@ private:
 
 /// Tracks the set of grid nodes visited by informed agents; completion is
 /// the coverage time T_C.
-class CoverageObserver final : public Observer {
+class CoverageObserver {
 public:
     explicit CoverageObserver(const grid::Grid2D& grid)
         : grid_{grid}, visited_(static_cast<std::size_t>(grid.size()), 0) {}
 
-    void on_step(const StepView& view) override {
+    void on_step(const StepView& view) {
         for (std::int32_t a = 0; a < view.rumor.agent_count(); ++a) {
             if (!view.rumor.is_informed(a)) continue;
             const auto id = grid_.node_id(view.positions[static_cast<std::size_t>(a)]);
@@ -107,35 +89,6 @@ private:
     std::vector<std::uint8_t> visited_;
     std::int64_t covered_{0};
     std::int64_t coverage_time_{-1};
-};
-
-/// Measures islands (Definition 2): components of G_t(γ) for a caller-
-/// chosen parameter γ, independent of the engine's transmission radius.
-class IslandObserver final : public Observer {
-public:
-    IslandObserver(const grid::Grid2D& grid, std::int64_t gamma,
-                   grid::Metric metric = grid::Metric::kManhattan)
-        : builder_{grid, gamma, metric}, dsu_{0} {}
-
-    void on_step(const StepView& view) override {
-        builder_.build(view.positions, dsu_);
-        graph::component_stats(dsu_, stats_, scratch_);
-        if (stats_.max_size > max_island_) max_island_ = stats_.max_size;
-        series_.push_back(stats_.max_size);
-    }
-
-    /// Largest island observed at any time so far (Lemma 6 bounds this by
-    /// log n w.h.p. for γ = √(n/(4e⁶k))).
-    [[nodiscard]] std::int64_t max_island() const noexcept { return max_island_; }
-    [[nodiscard]] const std::vector<std::int64_t>& series() const noexcept { return series_; }
-
-private:
-    graph::VisibilityGraphBuilder builder_;
-    graph::DisjointSets dsu_;
-    graph::ComponentStats stats_;            ///< reused across steps
-    std::vector<std::int64_t> scratch_;      ///< reused per-root size buffer
-    std::int64_t max_island_{0};
-    std::vector<std::int64_t> series_;
 };
 
 }  // namespace smn::core

@@ -4,7 +4,7 @@
 //
 //  * SingleRumor      — broadcast (Sec. 3): one bit per agent plus the
 //                       first-informed time, enough for T_B and for every
-//                       observer.
+//                       recorder.
 //  * MultiRumorState  — gossip (Corollary 2): a bitset of rumors per agent
 //                       (M_a(t) in the paper). Component exchange ORs the
 //                       bitsets of all members — "within the same connected
@@ -64,7 +64,7 @@ public:
         }
     }
 
-    /// Raw byte flags (index = agent id) for observers.
+    /// Raw byte flags (index = agent id); Frog mobility copies them.
     [[nodiscard]] std::span<const std::uint8_t> flags() const noexcept { return informed_; }
 
 private:

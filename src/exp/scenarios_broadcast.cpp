@@ -182,15 +182,11 @@ SMN_REGISTER_SCENARIO(
                 core::BroadcastProcess process{cfg};
                 core::CellReachObserver cells{process.grid(),
                                               static_cast<grid::Coord>(p.get_int("cell"))};
-                // Replay t = 0, which the observer missed by attaching late.
-                cells.on_step(core::StepView{.time = 0,
-                                             .positions = process.agents().positions(),
-                                             .components = process.components(),
-                                             .rumor = process.rumor()});
-                process.attach(cells);
+                cells.on_step(process.view());
                 const auto cap = 4 * core::bounds::default_max_steps(cfg.n(), cfg.k);
                 while ((!process.complete() || !cells.all_reached()) && process.time() < cap) {
                     process.step();
+                    cells.on_step(process.view());
                 }
                 const bool done = process.complete() && cells.all_reached();
                 Metrics m;
@@ -235,9 +231,11 @@ SMN_REGISTER_SCENARIO(
                     1, static_cast<std::int64_t>(gamma * gamma / (144.0 * ln)));
                 core::BroadcastProcess process{cfg};
                 core::FrontierObserver frontier;
-                process.attach(frontier);
                 const auto cap = core::bounds::default_max_steps(cfg.n(), cfg.k);
-                while (!process.complete() && process.time() < cap) process.step();
+                while (!process.complete() && process.time() < cap) {
+                    process.step();
+                    frontier.on_step(process.view());
+                }
                 Metrics m;
                 m["completed"] = process.complete() ? 1.0 : 0.0;
                 m["steps"] = static_cast<double>(process.time());

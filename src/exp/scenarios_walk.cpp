@@ -10,7 +10,6 @@
 #include "models/coverage.hpp"
 #include "walk/ensemble.hpp"
 #include "walk/meeting.hpp"
-#include "walk/meeting_time.hpp"
 #include "walk/tracker.hpp"
 
 namespace smn::exp {
@@ -63,11 +62,12 @@ SMN_REGISTER_SCENARIO(
                         "meeting_time: starts must be random, adjacent, or corners, got '" +
                         starts + "'");
                 }
-                const auto met = walk::first_meeting_time(g, a, b, cap, rng);
+                const auto res = walk::meet_within(g, a, b, cap, rng);
+                const auto time = static_cast<double>(res.met ? res.meet_time : cap);
                 Metrics m;
-                m["capped"] = met.has_value() ? 0.0 : 1.0;
-                m["meeting_time"] = static_cast<double>(met.value_or(cap));
-                m["steps"] = static_cast<double>(met.value_or(cap));
+                m["capped"] = res.met ? 0.0 : 1.0;
+                m["meeting_time"] = time;
+                m["steps"] = time;
                 return m;
             },
     });

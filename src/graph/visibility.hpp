@@ -179,7 +179,7 @@ struct ComponentStats {
 
 /// Computes statistics of the partition currently held by `dsu` into `out`,
 /// reusing out.size_histogram and the caller-provided per-root size scratch
-/// (resized as needed) — the allocation-free form for per-step observers.
+/// (resized as needed) — the allocation-free form for per-step callers.
 void component_stats(DisjointSets& dsu, ComponentStats& out,
                      std::vector<std::int64_t>& root_size_scratch);
 

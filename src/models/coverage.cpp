@@ -57,13 +57,7 @@ BroadcastCoverageResult run_broadcast_with_coverage(const core::EngineConfig& co
 
     core::BroadcastProcess process{config};
     core::CoverageObserver coverage{process.grid()};
-    // Replay the t = 0 state for the observer (construction already did the
-    // initial exchange).
-    coverage.on_step(core::StepView{.time = 0,
-                                    .positions = process.agents().positions(),
-                                    .components = process.components(),
-                                    .rumor = process.rumor()});
-    process.attach(coverage);
+    coverage.on_step(process.view());
 
     BroadcastCoverageResult result;
     // T_B may already be reached at t = 0 (k = 1, or everyone in one
@@ -74,6 +68,7 @@ BroadcastCoverageResult run_broadcast_with_coverage(const core::EngineConfig& co
     }
     while (!coverage.covered_all() && process.time() < cap) {
         process.step();
+        coverage.on_step(process.view());
         if (process.complete() && result.broadcast_time < 0) {
             result.broadcast_time = process.time();
             result.broadcast_completed = true;

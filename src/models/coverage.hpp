@@ -9,8 +9,8 @@
 //
 //  * coverage time T_C — first time every node has been visited by an
 //    *informed* agent during a broadcast. The paper argues T_C ≈ T_B in
-//    both the dynamic and the Frog model. Implemented by attaching
-//    CoverageObserver to a BroadcastProcess.
+//    both the dynamic and the Frog model. Implemented by feeding a
+//    BroadcastProcess's state to CoverageObserver after every step.
 #pragma once
 
 #include <cstdint>

@@ -53,12 +53,6 @@ public:
     /// Bernoulli trial with success probability p (clamped to [0,1]).
     bool bernoulli(double p) noexcept { return uniform() < p; }
 
-    /// Picks a uniformly random element index of a non-empty span.
-    template <typename T>
-    std::size_t pick_index(std::span<const T> items) noexcept {
-        return static_cast<std::size_t>(below(items.size()));
-    }
-
     /// Fisher–Yates shuffle (deterministic given the seed, unlike
     /// std::shuffle whose draw pattern is implementation-defined).
     template <typename T>

@@ -17,7 +17,6 @@
 #include "walk/diffusion.hpp"       // MSD / kernel diffusion constants
 #include "walk/ensemble.hpp"        // k synchronized agents
 #include "walk/meeting.hpp"         // Lemma 1 / Lemma 3 probes
-#include "walk/meeting_time.hpp"    // first-meeting times (t* of [10])
 #include "walk/step.hpp"            // the lazy 1/5 kernel (+ ablations)
 #include "walk/tracker.hpp"         // range & displacement (Lemma 2)
 
@@ -33,9 +32,9 @@
 #include "core/broadcast.hpp"       // run_broadcast
 #include "core/cell_observer.hpp"   // tessellation wavefront (Sec. 3.1)
 #include "core/epidemic.hpp"        // milestones over informed-count series
-#include "core/engine.hpp"          // BroadcastProcess + observers hook
+#include "core/engine.hpp"          // BroadcastProcess (the Sec. 2 loop)
 #include "core/gossip.hpp"          // run_gossip (Corollary 2)
-#include "core/observers.hpp"       // frontier, coverage, islands, counts
+#include "core/observers.hpp"       // frontier and coverage recorders
 #include "core/rumor.hpp"
 
 // Related models (Sec. 4 and baselines)

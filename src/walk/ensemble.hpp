@@ -9,7 +9,7 @@
 // x/y coordinate arrays (vectorization-friendly, and the batched decode
 // pass below touches only raw RNG words and one byte per agent); an
 // array-of-Point mirror is kept coherent in the same pass so the wide
-// span<const Point> API surface (spatial indexes, observers, renderers)
+// span<const Point> API surface (spatial indexes, recorders, renderers)
 // stays zero-copy.
 //
 // Stepping is batched: raw RNG words are drawn in blocks (rng::BlockRng)
@@ -116,10 +116,6 @@ public:
     /// may hold this span across steps.
     [[nodiscard]] std::span<const grid::Point> positions() const noexcept { return positions_; }
 
-    /// SoA coordinate views (index = agent id).
-    [[nodiscard]] std::span<const grid::Coord> xs() const noexcept { return xs_; }
-    [[nodiscard]] std::span<const grid::Coord> ys() const noexcept { return ys_; }
-
     /// Moves one agent (used by models where only a subset moves, e.g. the
     /// Frog model).
     void set_position(AgentId a, grid::Point p) noexcept {
@@ -171,11 +167,6 @@ public:
         }
         step_indices(rng, moving_.size(),
                      [this](std::size_t i) { return static_cast<std::size_t>(moving_[i]); });
-    }
-
-    /// Advances a single agent by one step.
-    void step_one(AgentId a, rng::Rng& rng) noexcept {
-        set_position(a, step(grid_, position(a), rng, kind_));
     }
 
     // ---- For paperbench's shadow loop only; deleted together with that

@@ -12,7 +12,10 @@
 //
 // The hitting_probability and meeting_probability lab scenarios estimate
 // these probabilities over many replications; the claim tests assert that
-// P·log d stays bounded below by a constant, as the lemmas predict.
+// P·log d stays bounded below by a constant, as the lemmas predict. With a
+// cap ≫ n log n in place of d², meet_within also measures the first-meeting
+// time t* behind the O(t* log k) bound of [10] quoted in Sec. 1.1 (the
+// meeting_time scenario, E21).
 #pragma once
 
 #include <cstdint>

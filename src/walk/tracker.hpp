@@ -75,11 +75,6 @@ public:
         return visited_[static_cast<std::size_t>(grid_.node_id(p))] != 0;
     }
 
-    /// Ids of all distinct nodes visited, in first-visit order.
-    [[nodiscard]] const std::vector<grid::NodeId>& visit_log() const noexcept {
-        return visit_log_;
-    }
-
 private:
     void mark(grid::Point p) {
         const auto id = grid_.node_id(p);

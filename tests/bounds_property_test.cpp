@@ -1,6 +1,6 @@
 // bounds_property_test.cpp — parameterized consistency sweep over the
 // paper's closed-form bounds, plus synthetic-input unit tests for the
-// observers (driven by hand-built StepViews, no engine needed).
+// recorders (driven by hand-built StepViews, no engine needed).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "core/bounds.hpp"
 #include "core/observers.hpp"
 #include "core/rumor.hpp"
-#include "graph/dsu.hpp"
 #include "graph/percolation.hpp"
 
 namespace smn {
@@ -88,17 +87,14 @@ INSTANTIATE_TEST_SUITE_P(
                       NkParam{16384, 64}, NkParam{65536, 256}, NkParam{65536, 8192},
                       NkParam{1 << 20, 1024}));
 
-// --------------------------------------- observers on synthetic StepViews
+// --------------------------------------- recorders on synthetic StepViews
 
 // Builds a StepView over caller-owned containers.
 struct SyntheticStep {
     std::vector<grid::Point> positions;
-    graph::DisjointSets dsu{0};
 
-    core::StepView view(std::int64_t t, const core::SingleRumor& rumor) {
-        dsu.reset(positions.size());
-        return core::StepView{
-            .time = t, .positions = positions, .components = dsu, .rumor = rumor};
+    core::StepView view(std::int64_t t, const core::SingleRumor& rumor) const {
+        return core::StepView{.time = t, .positions = positions, .rumor = rumor};
     }
 };
 
@@ -184,18 +180,6 @@ TEST(CoverageSynthetic, CoverageTimeSetOnceComplete) {
     }
     EXPECT_TRUE(cov.covered_all());
     EXPECT_EQ(cov.coverage_time(), 3);
-}
-
-TEST(InformedCountSynthetic, MirrorsRumorState) {
-    core::SingleRumor rumor{4, 2};
-    SyntheticStep step;
-    step.positions = {{0, 0}, {1, 1}, {2, 2}, {3, 3}};
-    core::InformedCountObserver counter;
-    counter.on_step(step.view(0, rumor));
-    rumor.inform(0, 1);
-    rumor.inform(3, 1);
-    counter.on_step(step.view(1, rumor));
-    EXPECT_EQ(counter.series(), (std::vector<std::int32_t>{1, 3}));
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // churn_test.cpp — broadcast under agent churn, and CellReachObserver.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/cell_observer.hpp"
 #include "core/engine.hpp"
 #include "models/churn.hpp"
@@ -128,10 +130,7 @@ TEST(CellReach, TracksSourceCellAtTimeZero) {
     cfg.seed = 3;
     core::BroadcastProcess process{cfg};
     core::CellReachObserver cells{process.grid(), 4};
-    cells.on_step(core::StepView{.time = 0,
-                                 .positions = process.agents().positions(),
-                                 .components = process.components(),
-                                 .rumor = process.rumor()});
+    cells.on_step(process.view());
     EXPECT_GE(cells.reached_count(), 1);
     EXPECT_GE(cells.source_cell(), 0);
     EXPECT_EQ(cells.reach_time(cells.source_cell()), 0);
@@ -144,8 +143,10 @@ TEST(CellReach, EventuallyReachesAllCells) {
     cfg.seed = 4;
     core::BroadcastProcess process{cfg};
     core::CellReachObserver cells{process.grid(), 4};
-    process.attach(cells);
-    for (int t = 0; t < 200000 && !cells.all_reached(); ++t) process.step();
+    for (int t = 0; t < 200000 && !cells.all_reached(); ++t) {
+        process.step();
+        cells.on_step(process.view());
+    }
     EXPECT_TRUE(cells.all_reached());
     EXPECT_GE(cells.all_reached_time(), 0);
     for (grid::CellId c = 0; c < cells.tessellation().cell_count(); ++c) {
@@ -161,12 +162,11 @@ TEST(CellReach, ReachTimesRoughlyIncreaseWithDistance) {
     cfg.seed = 5;
     core::BroadcastProcess process{cfg};
     core::CellReachObserver cells{process.grid(), 8};
-    cells.on_step(core::StepView{.time = 0,
-                                 .positions = process.agents().positions(),
-                                 .components = process.components(),
-                                 .rumor = process.rumor()});
-    process.attach(cells);
-    for (int t = 0; t < 500000 && !cells.all_reached(); ++t) process.step();
+    cells.on_step(process.view());
+    for (int t = 0; t < 500000 && !cells.all_reached(); ++t) {
+        process.step();
+        cells.on_step(process.view());
+    }
     ASSERT_TRUE(cells.all_reached());
     // The wavefront: the nearest ring is reached before the farthest ring.
     const auto max_d = cells.max_cell_distance();
@@ -181,12 +181,21 @@ TEST(CellReach, MeanReachAtUnreachedDistanceIsNegative) {
     cfg.seed = 6;
     core::BroadcastProcess process{cfg};
     core::CellReachObserver cells{process.grid(), 4};
-    cells.on_step(core::StepView{.time = 0,
-                                 .positions = process.agents().positions(),
-                                 .components = process.components(),
-                                 .rumor = process.rumor()});
+    cells.on_step(process.view());
     // Only the t = 0 snapshot: distant rings are unreached.
     EXPECT_LT(cells.mean_reach_at_distance(cells.max_cell_distance()), 0.0);
+
+    // A half-reached ring reads −1 too, not the mean of its reached cells:
+    // of the two cells at distance 1 from the source cell (0, 0), only
+    // (1, 0) hosts an informed agent.
+    core::CellReachObserver ring{process.grid(), 4};
+    core::SingleRumor rumor{2, 0};
+    rumor.inform(1, 0);
+    const std::vector<grid::Point> positions{{0, 0}, {5, 0}};
+    ring.on_step(core::StepView{.time = 3, .positions = positions, .rumor = rumor});
+    EXPECT_EQ(ring.mean_reach_at_distance(0), 3.0);
+    EXPECT_EQ(ring.reach_time(ring.tessellation().cell_of({5, 0})), 3);
+    EXPECT_LT(ring.mean_reach_at_distance(1), 0.0);
 }
 
 }  // namespace

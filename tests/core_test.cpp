@@ -1,12 +1,14 @@
-// core_test.cpp — rumor state, engine semantics, observers, broadcast
+// core_test.cpp — rumor state, engine semantics, recorders, broadcast
 // driver, bounds formulas.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/bounds.hpp"
 #include "core/broadcast.hpp"
+#include "core/cell_observer.hpp"
 #include "core/engine.hpp"
 #include "core/observers.hpp"
 #include "core/rumor.hpp"
@@ -309,8 +311,10 @@ TEST(Observers, FrontierIsMonotone) {
     cfg.seed = 12;
     BroadcastProcess p{cfg};
     FrontierObserver frontier;
-    p.attach(frontier);
-    for (int t = 0; t < 200 && !p.complete(); ++t) p.step();
+    for (int t = 0; t < 200 && !p.complete(); ++t) {
+        p.step();
+        frontier.on_step(p.view());
+    }
     const auto& series = frontier.series();
     ASSERT_FALSE(series.empty());
     for (std::size_t i = 1; i < series.size(); ++i) EXPECT_GE(series[i], series[i - 1]);
@@ -318,17 +322,19 @@ TEST(Observers, FrontierIsMonotone) {
     EXPECT_GE(series.front(), 0);
 }
 
+// max_window_advance on a real run (bounds_property_test feeds synthetic
+// series).
 TEST(Observers, FrontierWindowAdvance) {
     FrontierObserver frontier;
-    // Feed a synthetic series through on_step? Not possible without an
-    // engine; test max_window_advance on a real run instead.
     EngineConfig cfg;
     cfg.side = 16;
     cfg.k = 12;
     cfg.seed = 13;
     BroadcastProcess p{cfg};
-    p.attach(frontier);
-    for (int t = 0; t < 300 && !p.complete(); ++t) p.step();
+    for (int t = 0; t < 300 && !p.complete(); ++t) {
+        p.step();
+        frontier.on_step(p.view());
+    }
     const auto adv5 = frontier.max_window_advance(5);
     const auto adv50 = frontier.max_window_advance(50);
     EXPECT_GE(adv50, adv5);       // longer windows dominate
@@ -342,8 +348,10 @@ TEST(Observers, CoverageReachesAllNodesEventually) {
     cfg.seed = 14;
     BroadcastProcess p{cfg};
     CoverageObserver cov{p.grid()};
-    p.attach(cov);
-    for (int t = 0; t < 200000 && !cov.covered_all(); ++t) p.step();
+    for (int t = 0; t < 200000 && !cov.covered_all(); ++t) {
+        p.step();
+        cov.on_step(p.view());
+    }
     EXPECT_TRUE(cov.covered_all());
     EXPECT_GE(cov.coverage_time(), 0);
     EXPECT_EQ(cov.covered_count(), p.grid().size());
@@ -356,28 +364,52 @@ TEST(Observers, CoverageCountIsMonotoneAndBounded) {
     cfg.seed = 15;
     BroadcastProcess p{cfg};
     CoverageObserver cov{p.grid()};
-    p.attach(cov);
     std::int64_t prev = 0;
     for (int t = 0; t < 300; ++t) {
         p.step();
+        cov.on_step(p.view());
         EXPECT_GE(cov.covered_count(), prev);
         EXPECT_LE(cov.covered_count(), p.grid().size());
         prev = cov.covered_count();
     }
 }
 
-TEST(Observers, IslandObserverBoundsComponentSize) {
+// The recorders only read the process: an engine whose state feeds all
+// three of them after every step, through T_B and 300 saturated steps
+// beyond, walks exactly like an unobserved twin.
+TEST(Observers, RecordingNeverPerturbsTheRun) {
     EngineConfig cfg;
-    cfg.side = 32;
-    cfg.k = 16;
-    cfg.seed = 16;
-    BroadcastProcess p{cfg};
-    IslandObserver islands{p.grid(), 3};
-    p.attach(islands);
-    for (int t = 0; t < 100 && !p.complete(); ++t) p.step();
-    EXPECT_GE(islands.max_island(), 1);
-    EXPECT_LE(islands.max_island(), cfg.k);
-    EXPECT_EQ(islands.series().size(), static_cast<std::size_t>(p.time()));
+    cfg.side = 16;
+    cfg.k = 12;
+    cfg.radius = 1;
+    cfg.seed = 20;
+    BroadcastProcess observed{cfg};
+    BroadcastProcess twin{cfg};
+    ASSERT_FALSE(observed.complete());
+    FrontierObserver frontier;
+    CoverageObserver coverage{observed.grid()};
+    CellReachObserver cells{observed.grid(), 4};
+    const auto record = [&] {
+        const auto view = observed.view();
+        frontier.on_step(view);
+        coverage.on_step(view);
+        cells.on_step(view);
+    };
+    record();
+    std::int64_t tb_observed = -1;
+    std::int64_t tb_twin = -1;
+    while (tb_observed < 0 || observed.time() < tb_observed + 300) {
+        ASSERT_LT(observed.time(), 1000000);
+        observed.step();
+        twin.step();
+        record();
+        ASSERT_TRUE(std::ranges::equal(observed.agents().positions(), twin.agents().positions()))
+            << "t = " << observed.time();
+        if (tb_observed < 0 && observed.complete()) tb_observed = observed.time();
+        if (tb_twin < 0 && twin.complete()) tb_twin = twin.time();
+    }
+    EXPECT_EQ(tb_observed, tb_twin);
+    EXPECT_EQ(static_cast<std::int64_t>(frontier.series().size()), observed.time() + 1);
 }
 
 // ------------------------------------------------------- broadcast driver

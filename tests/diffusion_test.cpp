@@ -7,7 +7,7 @@
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
 #include "walk/diffusion.hpp"
-#include "walk/meeting_time.hpp"
+#include "walk/meeting.hpp"
 
 namespace smn::walk {
 namespace {
@@ -62,17 +62,32 @@ TEST(Diffusion, BoundarySaturatesMsd) {
 
 // ------------------------------------------------------------ meeting time
 
+/// Mean first-meeting time over `reps` trials from fixed starts; trials
+/// that exceed `cap` contribute `cap`.
+double mean_meeting_time(const Grid2D& grid, Point a0, Point b0, std::int64_t cap, int reps,
+                         rng::Rng& rng, WalkKind kind = WalkKind::kLazyPaper) {
+    double total = 0.0;
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto res = meet_within(grid, a0, b0, cap, rng, kind);
+        total += static_cast<double>(res.met ? res.meet_time : cap);
+    }
+    return total / reps;
+}
+
 TEST(MeetingTime, ColocatedStartsMeetAtZero) {
     const auto g = Grid2D::square(10);
     rng::Rng rng{4};
-    EXPECT_EQ(first_meeting_time(g, {3, 3}, {3, 3}, 10, rng), 0);
+    const auto res = meet_within(g, {3, 3}, {3, 3}, 10, rng);
+    EXPECT_TRUE(res.met);
+    EXPECT_EQ(res.meet_time, 0);
 }
 
-TEST(MeetingTime, CapReturnsNullopt) {
+TEST(MeetingTime, CapReportsNoMeeting) {
     const auto g = Grid2D::square(60);
     rng::Rng rng{5};
-    const auto t = first_meeting_time(g, {0, 0}, {59, 59}, 3, rng);
-    EXPECT_FALSE(t.has_value());
+    const auto res = meet_within(g, {0, 0}, {59, 59}, 3, rng);
+    EXPECT_FALSE(res.met);
+    EXPECT_EQ(res.meet_time, -1);
 }
 
 TEST(MeetingTime, AdjacentFasterThanCorners) {
@@ -116,8 +131,7 @@ TEST(MeetingTime, SimpleWalkOddParityNeverMeets) {
     const auto g = Grid2D::square(8);
     rng::Rng rng{9};
     for (int rep = 0; rep < 10; ++rep) {
-        const auto t = first_meeting_time(g, {3, 3}, {4, 3}, 20000, rng, WalkKind::kSimple);
-        EXPECT_FALSE(t.has_value());
+        EXPECT_FALSE(meet_within(g, {3, 3}, {4, 3}, 20000, rng, WalkKind::kSimple).met);
     }
 }
 

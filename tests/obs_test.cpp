@@ -3,8 +3,9 @@
 // step-trace ring and its claim-once arming protocol, and the engine-level
 // contracts, checked on both engines (broadcast and gossip share one step
 // loop): tracing never perturbs trajectories, per-step scan counters
-// satisfy rescanned + replayed == occupied units, and the destructor
-// flushes each engine's tallies into the registry exactly once.
+// satisfy rescanned + replayed == occupied units, saturated steps skip the
+// component pass even while recorded, and the destructor flushes each
+// engine's tallies into the registry exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_observer.hpp"
 #include "core/engine.hpp"
 #include "core/gossip.hpp"
 #include "graph/dsu.hpp"
@@ -269,6 +271,37 @@ TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     }
 }
 
+/// Cumulative scan.passes of an engine.
+template <typename Process>
+double scan_passes(const Process& process) {
+    for (const auto& [name, value] : process.counters()) {
+        if (std::string_view{name} == "scan.passes") return value;
+    }
+    return -1.0;
+}
+
+// Recording reads the process and holds nothing back: with a cell
+// recorder fed every step, each saturated step still skips the component
+// pass, so scan.passes stops growing once complete().
+TEST(EngineCounters, SaturatedStepsSkipTheComponentPass) {
+    core::BroadcastProcess process{small_config()};
+    core::CellReachObserver cells{process.grid(), 6};
+    cells.on_step(process.view());
+    for (int s = 0; s < 100000 && !process.complete(); ++s) {
+        process.step();
+        cells.on_step(process.view());
+    }
+    ASSERT_TRUE(process.complete());
+    const double at_completion = scan_passes(process);
+    EXPECT_GT(at_completion, 0.0);
+    for (int s = 0; s < 50; ++s) {
+        process.step();
+        cells.on_step(process.view());
+    }
+    EXPECT_EQ(scan_passes(process), at_completion);
+    EXPECT_GT(cells.reached_count(), 0);
+}
+
 // Same invariant straight at the builder layer, under churn: quiet rounds
 // of two single-cell steps alternate with teleport storms.
 TEST(BuilderCounters, ScanStatsTileOccupiedUnitsUnderChurn) {
@@ -368,9 +401,7 @@ void expect_flush_exactly_once() {
     {
         Process process{small_config()};
         for (int s = 0; s < 8; ++s) process.step();
-        for (const auto& [name, value] : process.counters()) {
-            if (std::string_view{name} == "scan.passes") passes = value;
-        }
+        passes = scan_passes(process);
         // A moved-from shell must not flush again on destruction.
         Process moved{std::move(process)};
     }
