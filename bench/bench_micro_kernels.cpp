@@ -1,9 +1,9 @@
 // bench_micro_kernels — Experiment E18 (engineering, not a paper claim).
 //
 // google-benchmark timings of the hot kernels that set the simulator's
-// throughput: walk stepping, occupancy/bucket rebuilds, visibility
-// component construction at several radii, component flooding, and a full
-// engine step. These justify the performance envelope quoted in DESIGN.md
+// throughput: walk stepping, the r = 0 co-location pass, cell-list
+// rebuilds, visibility component construction at several radii, component
+// flooding, and a full engine step. These justify the performance envelope quoted in DESIGN.md
 // (O(k) expected per time step at sparse densities).
 #include <benchmark/benchmark.h>
 
@@ -16,7 +16,6 @@
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
 #include "walk/decode.hpp"
 #include "walk/ensemble.hpp"
 
@@ -37,19 +36,30 @@ void BM_WalkStepAll(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkStepAll)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_OccupancyRebuild(benchmark::State& state) {
-    const auto k = static_cast<std::int32_t>(state.range(0));
-    const auto g = grid::Grid2D::square(256);
+// The r = 0 component pass (the builder's build() over its stamped
+// co-location table) in isolation, over 64 precomputed frames of a walk
+// so that consecutive passes see moved agents, as in the engine.
+void BM_ColocationPass(benchmark::State& state) {
+    const auto g = grid::Grid2D::square(static_cast<grid::Coord>(state.range(0)));
+    const auto k = static_cast<std::int32_t>(state.range(1));
     rng::Rng rng{2};
     walk::AgentEnsemble agents{g, k, rng};
-    spatial::OccupancyMap occ{g};
+    std::vector<std::vector<grid::Point>> frames;
+    for (int f = 0; f < 64; ++f) {
+        agents.step_all(rng);
+        frames.emplace_back(agents.positions().begin(), agents.positions().end());
+    }
+    graph::VisibilityGraphBuilder builder{g, 0};
+    graph::DisjointSets dsu{static_cast<std::size_t>(k)};
+    std::size_t f = 0;
     for (auto _ : state) {
-        occ.rebuild(agents.positions());
-        benchmark::DoNotOptimize(occ.occupied_nodes().data());
+        builder.build(frames[f], dsu);
+        f = (f + 1) % frames.size();
+        benchmark::DoNotOptimize(builder.linked().data());
     }
     state.SetItemsProcessed(state.iterations() * k);
 }
-BENCHMARK(BM_OccupancyRebuild)->Arg(256)->Arg(4096);
+BENCHMARK(BM_ColocationPass)->Args({256, 1024})->Args({1024, 1024});
 
 void BM_BucketRebuild(benchmark::State& state) {
     const auto k = static_cast<std::int32_t>(state.range(0));

@@ -231,6 +231,7 @@ SMN_REGISTER_SCENARIO(
                     1, static_cast<std::int64_t>(gamma * gamma / (144.0 * ln)));
                 core::BroadcastProcess process{cfg};
                 core::FrontierObserver frontier;
+                frontier.on_step(process.view());  // x(0)
                 const auto cap = core::bounds::default_max_steps(cfg.n(), cfg.k);
                 while (!process.complete() && process.time() < cap) {
                     process.step();

@@ -16,7 +16,7 @@ VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::in
       radius_{radius},
       eff_radius_{static_cast<grid::Coord>(std::clamp<std::int64_t>(radius, 0, grid.diameter()))},
       metric_{metric},
-      first_at_(radius == 0 ? static_cast<std::size_t>(grid.size()) : 0, -1),
+      colocation_{radius == 0 ? grid.size() : 0},
       cells_{spatial::BucketIndex::for_radius(grid, radius)} {}
 
 void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, DisjointSets& dsu) {
@@ -26,7 +26,7 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     linked_.clear();
     linked_flag_.resize(positions.size());
     if (radius_ == 0) {
-        colocation_pass(positions, dsu);
+        colocation_pass(colocation_, grid_, positions, dsu, [this](std::int32_t a) { link(a); });
         return;
     }
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
@@ -58,28 +58,6 @@ void VisibilityGraphBuilder::tally_moves(std::span<const grid::Point> positions)
         index_stats_.relinks += static_cast<std::int64_t>(cells_.relinked());
     }
     prev_.assign(positions.begin(), positions.end());
-}
-
-/// Co-location (r = 0) in one pass over the agents: the first agent seen
-/// on a node stays its component's root and absorbs every later one.
-/// first_at_ is all -1 between builds; touched_ logs the nodes to reset.
-void VisibilityGraphBuilder::colocation_pass(std::span<const grid::Point> positions,
-                                             DisjointSets& dsu) {
-    const auto k = static_cast<std::int32_t>(positions.size());
-    for (std::int32_t a = 0; a < k; ++a) {
-        const auto node = grid_.node_id(positions[static_cast<std::size_t>(a)]);
-        auto& first = first_at_[static_cast<std::size_t>(node)];
-        if (first < 0) {
-            first = a;
-            touched_.push_back(node);
-            continue;
-        }
-        link(first);
-        link(a);
-        (void)dsu.unite_root(first, a);
-    }
-    for (const auto node : touched_) first_at_[static_cast<std::size_t>(node)] = -1;
-    touched_.clear();
 }
 
 /// The component pass over the sorted cell list, one cell row at a time.

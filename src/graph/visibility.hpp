@@ -8,9 +8,9 @@
 // the builder unions agents directly into a DisjointSets via the spatial
 // index.
 //
-//  * r = 0  — co-location only: one pass over the agents with a node →
-//             first-agent table; the first agent seen on a node absorbs
-//             every later one. O(k), no self-unions.
+//  * r = 0  — co-location only: one pass over the agents through the
+//             stamped node table (spatial::ColocationTable); the first
+//             agent seen on a node absorbs every later one. O(k).
 //  * r ≥ 1  — one component pass per step: a counting sort of the agents
 //             into a cell list with cell side r (spatial::BucketIndex),
 //             then one walk over the cell rows. Each occupied cell is
@@ -41,6 +41,7 @@
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "spatial/bucket_index.hpp"
+#include "spatial/colocation_table.hpp"
 
 namespace smn::graph {
 
@@ -132,7 +133,6 @@ public:
 private:
     template <grid::Metric M>
     void component_pass(DisjointSets& dsu);
-    void colocation_pass(std::span<const grid::Point> positions, DisjointSets& dsu);
     void tally_moves(std::span<const grid::Point> positions);
 
     /// Appends `a` to linked_ unless it is already listed.
@@ -148,9 +148,8 @@ private:
     std::int64_t radius_;
     grid::Coord eff_radius_;  ///< radius clamped to the grid diameter
     grid::Metric metric_;
-    std::vector<std::int32_t> first_at_;  ///< r = 0: node → first agent seen (-1: none)
-    std::vector<grid::NodeId> touched_;   ///< r = 0: nodes set in first_at_
-    spatial::BucketIndex cells_;          ///< used when radius >= 1
+    spatial::ColocationTable colocation_;  ///< r = 0 only; empty otherwise
+    spatial::BucketIndex cells_;           ///< used when radius >= 1
     std::vector<std::int32_t> linked_;       ///< see linked()
     std::vector<std::uint8_t> linked_flag_;  ///< agent → listed in linked_
     std::vector<std::int32_t> pair_a_;  ///< staged in-range pairs, first ids
@@ -162,6 +161,24 @@ private:
     ScanStats stats_;          ///< cumulative scan telemetry
     IndexStats index_stats_;   ///< cumulative motion tallies
 };
+
+/// The r = 0 component pass over `table` (any BasicColocationTable, so
+/// tests can reach the stamp wrap): the first agent to claim a node absorbs
+/// every later one, and `link` gets both ends of every union. `dsu` must
+/// hold positions.size() singletons.
+template <typename Table, typename Link>
+void colocation_pass(Table& table, const grid::Grid2D& grid,
+                     std::span<const grid::Point> positions, DisjointSets& dsu, Link&& link) {
+    const auto pass = table.begin_pass();
+    const auto k = static_cast<std::int32_t>(positions.size());
+    for (std::int32_t a = 0; a < k; ++a) {
+        const auto first = pass.claim(grid.node_id(positions[static_cast<std::size_t>(a)]), a);
+        if (first == spatial::kNone) continue;
+        link(first);
+        link(a);
+        (void)dsu.unite_root(first, a);
+    }
+}
 
 /// Summary of a component partition of k agents.
 struct ComponentStats {

@@ -11,7 +11,7 @@ BarrierBroadcast::BarrierBroadcast(const grid::ObstacleGrid& domain,
     : domain_{domain},
       config_{config},
       rng_{config.seed},
-      occupancy_{domain.base()} {
+      colocation_{domain.base().size()} {
     if (config.k < 1) throw std::invalid_argument("BarrierBroadcast: k must be >= 1");
     if (domain.open_count() == 0) {
         throw std::invalid_argument("BarrierBroadcast: domain has no open nodes");
@@ -41,8 +41,7 @@ std::optional<std::int64_t> BarrierBroadcast::run_until_complete(std::int64_t ma
 }
 
 void BarrierBroadcast::exchange() {
-    occupancy_.rebuild(positions_);
-    informed_count_ += flood_colocated(occupancy_, informed_);
+    informed_count_ += flood_colocated(colocation_, domain_, positions_, informed_);
 }
 
 BarrierResult run_barrier_broadcast(const grid::ObstacleGrid& domain,

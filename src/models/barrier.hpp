@@ -20,7 +20,7 @@
 #include "grid/obstacle_grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
-#include "spatial/occupancy.hpp"
+#include "spatial/colocation_table.hpp"
 #include "walk/step.hpp"
 
 namespace smn::models {
@@ -71,7 +71,7 @@ private:
     std::vector<std::uint8_t> informed_;
     std::int32_t informed_count_{0};
     std::int64_t t_{0};
-    spatial::OccupancyMap occupancy_;  ///< over the domain's base grid
+    spatial::ColocationTable colocation_;  ///< over the domain's node ids
 };
 
 /// Convenience driver.

@@ -11,7 +11,7 @@ ChurnBroadcast::ChurnBroadcast(const ChurnConfig& config)
     : config_{config},
       rng_{config.seed},
       grid_{grid::Grid2D::square(config.side)},
-      occupancy_{grid_} {
+      colocation_{grid_.size()} {
     if (config.k < 1) throw std::invalid_argument("ChurnBroadcast: k must be >= 1");
     if (config.churn_rate < 0.0 || config.churn_rate > 1.0) {
         throw std::invalid_argument("ChurnBroadcast: churn_rate must be in [0, 1]");
@@ -50,8 +50,7 @@ void ChurnBroadcast::step() {
 }
 
 void ChurnBroadcast::exchange() {
-    occupancy_.rebuild(positions_);
-    informed_count_ += flood_colocated(occupancy_, informed_);
+    informed_count_ += flood_colocated(colocation_, grid_, positions_, informed_);
 }
 
 ChurnResult ChurnBroadcast::run(std::int64_t max_steps) {

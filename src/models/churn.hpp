@@ -24,7 +24,7 @@
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
-#include "spatial/occupancy.hpp"
+#include "spatial/colocation_table.hpp"
 #include "walk/step.hpp"
 
 namespace smn::models {
@@ -74,7 +74,7 @@ private:
     std::int32_t informed_count_{0};
     std::int64_t replacements_{0};
     std::int64_t t_{0};
-    spatial::OccupancyMap occupancy_;
+    spatial::ColocationTable colocation_;
 };
 
 /// Convenience driver.

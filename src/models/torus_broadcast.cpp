@@ -11,7 +11,7 @@ TorusBroadcast::TorusBroadcast(const TorusConfig& config)
     : config_{config},
       rng_{config.seed},
       torus_{grid::Torus2D::square(config.side)},
-      occupancy_{grid::Grid2D::square(config.side)} {
+      colocation_{torus_.size()} {
     if (config.k < 1) throw std::invalid_argument("TorusBroadcast: k must be >= 1");
     positions_.reserve(static_cast<std::size_t>(config.k));
     for (std::int32_t a = 0; a < config.k; ++a) {
@@ -40,8 +40,7 @@ std::optional<std::int64_t> TorusBroadcast::run_until_complete(std::int64_t max_
 }
 
 void TorusBroadcast::exchange() {
-    occupancy_.rebuild(positions_);
-    informed_count_ += flood_colocated(occupancy_, informed_);
+    informed_count_ += flood_colocated(colocation_, torus_, positions_, informed_);
 }
 
 TorusResult run_torus_broadcast(const TorusConfig& config, std::int64_t max_steps) {

@@ -21,7 +21,7 @@
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
-#include "spatial/occupancy.hpp"
+#include "spatial/colocation_table.hpp"
 #include "walk/step.hpp"
 
 namespace smn::models {
@@ -62,7 +62,7 @@ private:
     std::vector<std::uint8_t> informed_;
     std::int32_t informed_count_{0};
     std::int64_t t_{0};
-    spatial::OccupancyMap occupancy_;  ///< over a Grid2D with the torus's node ids
+    spatial::ColocationTable colocation_;  ///< over the torus's node ids
 };
 
 /// Convenience driver; max_steps = −1 uses a generous default.

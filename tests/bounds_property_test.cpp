@@ -21,6 +21,8 @@ struct NkParam {
     std::int64_t k;
 };
 
+void PrintTo(const NkParam& p, std::ostream* os) { *os << "n" << p.n << "_k" << p.k; }
+
 class BoundsSweep : public ::testing::TestWithParam<NkParam> {};
 
 TEST_P(BoundsSweep, OrderingsAndPositivity) {

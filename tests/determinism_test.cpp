@@ -61,6 +61,11 @@ struct GoldenRun {
     std::uint64_t series_hash;
 };
 
+void PrintTo(const GoldenRun& g, std::ostream* os) {
+    *os << "side" << g.side << "_k" << g.k << "_r" << g.radius << "_metric" << g.metric << "_w"
+        << g.walk << "_m" << g.mobility << "_s" << g.seed;
+}
+
 class GoldenBroadcast : public ::testing::TestWithParam<GoldenRun> {};
 
 TEST_P(GoldenBroadcast, ReproducesSeedImplementationBitForBit) {
@@ -270,6 +275,11 @@ struct PathwiseParam {
     std::uint64_t seed;
 };
 
+void PrintTo(const PathwiseParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.k << "_r" << p.radius << "_m"
+        << static_cast<int>(p.mobility) << "_w" << static_cast<int>(p.walk) << "_s" << p.seed;
+}
+
 class PathwiseEquivalence : public ::testing::TestWithParam<PathwiseParam> {};
 
 TEST_P(PathwiseEquivalence, EngineMatchesFirstPrinciplesLoop) {
@@ -356,6 +366,11 @@ struct GossipPathwiseParam {
     grid::Metric metric;
     std::uint64_t seed;
 };
+
+void PrintTo(const GossipPathwiseParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.k << "_r" << p.radius << "_"
+        << grid::metric_name(p.metric) << "_s" << p.seed;
+}
 
 class GossipPathwiseEquivalence : public ::testing::TestWithParam<GossipPathwiseParam> {};
 

@@ -22,11 +22,13 @@ struct SweepParam {
     std::uint64_t seed;
 };
 
+void PrintTo(const SweepParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.k << "_r" << p.radius << "_w"
+        << static_cast<int>(p.walk) << "_m" << static_cast<int>(p.mobility) << "_s" << p.seed;
+}
+
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
-    const auto& p = info.param;
-    return "side" + std::to_string(p.side) + "_k" + std::to_string(p.k) + "_r" +
-           std::to_string(p.radius) + "_w" + std::to_string(static_cast<int>(p.walk)) + "_m" +
-           std::to_string(static_cast<int>(p.mobility)) + "_s" + std::to_string(p.seed);
+    return ::testing::PrintToString(info.param);
 }
 
 class EngineSweep : public ::testing::TestWithParam<SweepParam> {};

@@ -24,6 +24,10 @@ struct EquivParam {
     std::uint64_t seed;
 };
 
+void PrintTo(const EquivParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.k << "_r" << p.radius << "_s" << p.seed;
+}
+
 class GossipBroadcastEquivalence : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(GossipBroadcastEquivalence, PerRumorTimesMatchSingleBroadcasts) {

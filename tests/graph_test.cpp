@@ -144,6 +144,11 @@ struct VisSweepParam {
     Metric metric;
 };
 
+void PrintTo(const VisSweepParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.agents << "_r" << p.radius << "_"
+        << grid::metric_name(p.metric);
+}
+
 class VisibilitySweep : public ::testing::TestWithParam<VisSweepParam> {};
 
 TEST_P(VisibilitySweep, MatchesNaiveComponents) {
@@ -203,6 +208,10 @@ struct IncrementalVisParam {
     std::int64_t radius;
     Metric metric;
 };
+
+void PrintTo(const IncrementalVisParam& p, std::ostream* os) {
+    *os << "r" << p.radius << "_" << grid::metric_name(p.metric);
+}
 
 class VisibilityIncremental : public ::testing::TestWithParam<IncrementalVisParam> {};
 
@@ -311,6 +320,11 @@ struct CellListParam {
     Occupancy occupancy;
 };
 
+void PrintTo(const CellListParam& p, std::ostream* os) {
+    *os << "r" << p.radius << "_" << grid::metric_name(p.metric) << "_occupancy"
+        << static_cast<int>(p.occupancy);
+}
+
 class VisibilityCellList : public ::testing::TestWithParam<CellListParam> {};
 
 TEST_P(VisibilityCellList, MatchesNaiveComponents) {
@@ -394,14 +408,20 @@ INSTANTIATE_TEST_SUITE_P(RadiiMetricsOccupancies, VisibilityCellList,
 // the members of the naive partition's components of size >= 2, each once.
 // One builder per occupancy runs consecutive builds over walking agents
 // (and one round with fewer agents), so flags left by the previous build
-// are exercised. Occupancies: far below r_c, at r_c, dense, every agent on
-// one node (side 1), and r >= side.
+// are exercised; at r = 0 it runs 40 builds, so co-location slots stamped
+// by earlier passes are read as stale again and again. Occupancies: far
+// below r_c, at r_c, dense, every agent on one node (side 1), and
+// r >= side.
 enum class LinkedOccupancy { kSparse, kCritical, kDense, kOneNode, kRadiusCoversGrid };
 
 struct LinkedParam {
     std::int64_t radius;
     Metric metric;
 };
+
+void PrintTo(const LinkedParam& p, std::ostream* os) {
+    *os << "r" << p.radius << "_" << grid::metric_name(p.metric);
+}
 
 class VisibilityLinked : public ::testing::TestWithParam<LinkedParam> {};
 
@@ -435,7 +455,8 @@ TEST_P(VisibilityLinked, ListsExactlyTheNonSingletonMembers) {
         VisibilityGraphBuilder builder{g, r, metric};
         DisjointSets fast{0};
         DisjointSets slow{0};
-        for (int round = 0; round < 6; ++round) {
+        const int rounds = r == 0 ? 40 : 6;
+        for (int round = 0; round < rounds; ++round) {
             for (auto& p : pos) p = walk::step(g, p, rng, walk::WalkKind::kLazyPaper);
             const auto agents = round == 3 ? std::max(1, k / 2) : k;
             const std::span<const Point> now{pos.data(), static_cast<std::size_t>(agents)};
@@ -466,6 +487,36 @@ INSTANTIATE_TEST_SUITE_P(
                       LinkedParam{2, Metric::kManhattan}, LinkedParam{2, Metric::kChebyshev},
                       LinkedParam{2, Metric::kEuclidean}, LinkedParam{5, Metric::kManhattan},
                       LinkedParam{5, Metric::kChebyshev}, LinkedParam{5, Metric::kEuclidean}));
+
+// The r = 0 pass over a table whose 8-bit stamp wraps every 255 passes:
+// the builds before the wrap, at it and after it (600 over walking agents,
+// every seventh with half of them) must give build_naive's partition and
+// link exactly the members of its non-singleton components.
+TEST(VisibilityColocation, NarrowStampWrapMatchesNaive) {
+    const auto g = Grid2D::square(32);
+    spatial::BasicColocationTable<std::uint8_t> table{g.size()};
+    rng::Rng rng{9300};
+    std::vector<Point> pos;
+    for (int i = 0; i < 64; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+    DisjointSets fast{0};
+    DisjointSets slow{0};
+    for (int build = 1; build <= 600; ++build) {
+        for (auto& p : pos) p = walk::step(g, p, rng, walk::WalkKind::kLazyPaper);
+        const auto agents = build % 7 == 0 ? pos.size() / 2 : pos.size();
+        const std::span<const Point> now{pos.data(), agents};
+        fast.reset(agents);
+        std::set<std::int32_t> linked;
+        colocation_pass(table, g, now, fast, [&](std::int32_t a) { linked.insert(a); });
+        ASSERT_EQ(table.stamp(), (build - 1) % 255 + 1);
+        VisibilityGraphBuilder::build_naive(now, 0, Metric::kManhattan, slow);
+        ASSERT_EQ(canonical(fast), canonical(slow)) << "build " << build;
+        std::set<std::int32_t> expected;
+        for (std::int32_t a = 0; a < static_cast<std::int32_t>(agents); ++a) {
+            if (slow.size_of(a) >= 2) expected.insert(a);
+        }
+        ASSERT_EQ(linked, expected) << "build " << build;
+    }
+}
 
 // ---------------------------------------------------------- ComponentStats
 

@@ -219,6 +219,8 @@ struct BadRecord {
     const char* line;
 };
 
+void PrintTo(const BadRecord& bad, std::ostream* os) { *os << bad.name; }
+
 const BadRecord kBadRecords[] = {
     {"EmptyLine", ""},
     {"WrongKeyword", "record gossip 1 wall=0 m=1"},
@@ -240,6 +242,12 @@ const BadRecord kBadRecords[] = {
 };
 
 enum class Placement { kMidFile, kFinalLine, kTornTail };
+
+void PrintTo(Placement where, std::ostream* os) {
+    *os << (where == Placement::kMidFile ? "MidFile"
+            : where == Placement::kFinalLine ? "FinalLine"
+                                               : "TornTail");
+}
 
 constexpr std::uint64_t kCorpusFingerprint = 0x00C0FFEE00C0FFEEULL;
 
@@ -310,6 +318,8 @@ struct BadHeader {
     const char* name;
     const char* line;
 };
+
+void PrintTo(const BadHeader& bad, std::ostream* os) { *os << bad.name; }
 
 class MalformedHeader : public ::testing::TestWithParam<BadHeader> {};
 

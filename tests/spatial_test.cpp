@@ -1,5 +1,6 @@
-// spatial_test.cpp — OccupancyMap and the BucketIndex cell list, including
-// randomized equivalence against the brute-force reference.
+// spatial_test.cpp — the stamped co-location table (and the models' flood
+// over it) and the BucketIndex cell list, including randomized
+// equivalence against brute-force references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,9 +8,10 @@
 #include <vector>
 
 #include "grid/grid.hpp"
+#include "models/colocation.hpp"
 #include "rng/rng.hpp"
 #include "spatial/bucket_index.hpp"
-#include "spatial/occupancy.hpp"
+#include "spatial/colocation_table.hpp"
 #include "walk/ensemble.hpp"
 
 namespace smn::spatial {
@@ -19,72 +21,176 @@ using grid::Grid2D;
 using grid::Metric;
 using grid::Point;
 
-// ---------------------------------------------------------- OccupancyMap
+// ------------------------------------------------------ ColocationTable
 
-TEST(Occupancy, GroupsColocatedAgents) {
+// Claims every agent's node in one pass; returns, per agent, the first
+// agent that claimed its node (itself if it was the first).
+template <typename Table>
+std::vector<std::int32_t> first_agents(Table& table, const Grid2D& g,
+                                       const std::vector<Point>& pos) {
+    const auto pass = table.begin_pass();
+    std::vector<std::int32_t> first(pos.size());
+    for (std::size_t a = 0; a < pos.size(); ++a) {
+        const auto prior = pass.claim(g.node_id(pos[a]), static_cast<std::int32_t>(a));
+        first[a] = prior == kNone ? static_cast<std::int32_t>(a) : prior;
+    }
+    return first;
+}
+
+// The O(k²) reference: the lowest agent id on each agent's node.
+std::vector<std::int32_t> first_agents_naive(const std::vector<Point>& pos) {
+    std::vector<std::int32_t> first(pos.size());
+    for (std::size_t a = 0; a < pos.size(); ++a) {
+        std::size_t b = 0;
+        while (pos[b] != pos[a]) ++b;
+        first[a] = static_cast<std::int32_t>(b);
+    }
+    return first;
+}
+
+std::vector<Point> random_positions(const Grid2D& g, int k, rng::Rng& rng) {
+    std::vector<Point> pos;
+    for (int i = 0; i < k; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
+    return pos;
+}
+
+TEST(ColocationTable, GroupsColocatedAgentsUnderTheFirst) {
     const auto g = Grid2D::square(5);
-    OccupancyMap occ{g};
+    ColocationTable table{g.size()};
     const std::vector<Point> pos{{1, 1}, {2, 2}, {1, 1}, {0, 0}, {1, 1}};
-    occ.rebuild(pos);
-    EXPECT_EQ(occ.count_at({1, 1}), 3);
-    EXPECT_EQ(occ.count_at({2, 2}), 1);
-    EXPECT_EQ(occ.count_at({0, 0}), 1);
-    EXPECT_EQ(occ.count_at({4, 4}), 0);
+    EXPECT_EQ(first_agents(table, g, pos), (std::vector<std::int32_t>{0, 1, 0, 3, 0}));
 }
 
-TEST(Occupancy, ForEachVisitsExactlyTheResidents) {
-    const auto g = Grid2D::square(5);
-    OccupancyMap occ{g};
-    const std::vector<Point> pos{{3, 3}, {3, 3}, {0, 1}};
-    occ.rebuild(pos);
-    std::set<std::int32_t> seen;
-    occ.for_each_at({3, 3}, [&](std::int32_t a) { seen.insert(a); });
-    EXPECT_EQ(seen, (std::set<std::int32_t>{0, 1}));
-}
-
-TEST(Occupancy, FirstAtIsNoneOnEmptyNode) {
-    const auto g = Grid2D::square(4);
-    OccupancyMap occ{g};
-    occ.rebuild(std::vector<Point>{{0, 0}});
-    EXPECT_EQ(occ.first_at({3, 3}), kNone);
-    EXPECT_NE(occ.first_at({0, 0}), kNone);
-}
-
-TEST(Occupancy, OccupiedNodesListsEachNodeOnce) {
+TEST(ColocationTable, ClaimOnEmptyNodeReturnsNoneOncePerNode) {
     const auto g = Grid2D::square(6);
-    OccupancyMap occ{g};
+    ColocationTable table{g.size()};
+    const auto pass = table.begin_pass();
     const std::vector<Point> pos{{1, 1}, {1, 1}, {2, 3}, {2, 3}, {5, 5}};
-    occ.rebuild(pos);
-    const auto nodes = occ.occupied_nodes();
-    std::set<grid::NodeId> unique(nodes.begin(), nodes.end());
-    EXPECT_EQ(unique.size(), 3u);
-    EXPECT_EQ(nodes.size(), 3u);
+    int empty = 0;
+    for (std::size_t a = 0; a < pos.size(); ++a) {
+        empty += pass.claim(g.node_id(pos[a]), static_cast<std::int32_t>(a)) == kNone ? 1 : 0;
+    }
+    EXPECT_EQ(empty, 3);  // one per occupied node
+    EXPECT_EQ(pass.claim(g.node_id({3, 3}), 7), kNone);
+    EXPECT_EQ(pass.claim(g.node_id({3, 3}), 8), 7);
 }
 
-TEST(Occupancy, RebuildClearsPreviousState) {
+TEST(ColocationTable, NewPassClearsPreviousClaimsAndFlags) {
     const auto g = Grid2D::square(6);
-    OccupancyMap occ{g};
-    occ.rebuild(std::vector<Point>{{0, 0}, {1, 1}});
-    occ.rebuild(std::vector<Point>{{5, 5}});
-    EXPECT_EQ(occ.count_at({0, 0}), 0);
-    EXPECT_EQ(occ.count_at({1, 1}), 0);
-    EXPECT_EQ(occ.count_at({5, 5}), 1);
-    EXPECT_EQ(occ.occupied_nodes().size(), 1u);
+    ColocationTable table{g.size()};
+    auto pass = table.begin_pass();
+    EXPECT_EQ(pass.claim(g.node_id({0, 0}), 0), kNone);
+    EXPECT_EQ(pass.claim(g.node_id({1, 1}), 1), kNone);
+    pass.flag(g.node_id({1, 1}));
+    EXPECT_TRUE(pass.flagged(g.node_id({1, 1})));
+    EXPECT_FALSE(pass.flagged(g.node_id({0, 0})));  // claimed, not flagged
+    EXPECT_FALSE(pass.flagged(g.node_id({5, 5})));  // never claimed
+    pass = table.begin_pass();
+    EXPECT_FALSE(pass.flagged(g.node_id({1, 1})));
+    EXPECT_EQ(pass.claim(g.node_id({0, 0}), 4), kNone);
+    EXPECT_EQ(pass.claim(g.node_id({1, 1}), 5), kNone);
+    EXPECT_FALSE(pass.flagged(g.node_id({1, 1})));
+    EXPECT_EQ(pass.claim(g.node_id({1, 1}), 6), 5);
 }
 
-TEST(Occupancy, RepeatedRebuildsAreConsistent) {
+TEST(ColocationTable, FlagKeepsTheFirstAgent) {
+    const auto g = Grid2D::square(4);
+    ColocationTable table{g.size()};
+    const auto pass = table.begin_pass();
+    const auto node = g.node_id({2, 1});
+    EXPECT_EQ(pass.claim(node, 3), kNone);
+    pass.flag(node);
+    EXPECT_EQ(pass.claim(node, 9), 3);
+    EXPECT_TRUE(pass.flagged(node));
+}
+
+TEST(ColocationTable, RepeatedPassesMatchBruteForce) {
     const auto g = Grid2D::square(12);
-    OccupancyMap occ{g};
+    ColocationTable table{g.size()};
     rng::Rng rng{1};
     for (int round = 0; round < 20; ++round) {
-        std::vector<Point> pos;
-        const int k = 1 + static_cast<int>(rng.below(30));
-        for (int i = 0; i < k; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
-        occ.rebuild(pos);
-        int total = 0;
-        for (const auto node : occ.occupied_nodes()) total += occ.count_at(g.point_of(node));
-        EXPECT_EQ(total, k);
+        const auto pos = random_positions(g, 1 + static_cast<int>(rng.below(60)), rng);
+        EXPECT_EQ(first_agents(table, g, pos), first_agents_naive(pos)) << "round " << round;
     }
+}
+
+// A stamp of 8 bits wraps after 255 passes. A slot claimed at stamp 1 and
+// left alone until the stamp is 1 again must read empty, so the wrap has
+// to clear the table.
+TEST(ColocationTable, StampWrapClearsTheTable) {
+    const auto g = Grid2D::square(8);
+    BasicColocationTable<std::uint8_t> table{g.size()};
+    const auto stale = g.node_id({7, 7});
+    auto pass = table.begin_pass();
+    ASSERT_EQ(table.stamp(), 1);
+    EXPECT_EQ(pass.claim(stale, 0), kNone);
+    pass.flag(stale);
+    rng::Rng rng{2};
+    const auto random_open = [&] {  // any node but `stale`
+        Point p{7, 7};
+        while (g.node_id(p) == stale) p = walk::AgentEnsemble::random_node(g, rng);
+        return p;
+    };
+    const auto random_round = [&](bool with_stale) {
+        std::vector<Point> pos;
+        for (int i = 0; i < 12; ++i) pos.push_back(random_open());
+        if (with_stale) pos.push_back({7, 7});
+        return pos;
+    };
+    for (int round = 2; round <= 255; ++round) {  // up to the last stamp
+        const auto pos = random_round(false);
+        EXPECT_EQ(first_agents(table, g, pos), first_agents_naive(pos)) << "round " << round;
+        EXPECT_EQ(table.stamp(), round);
+    }
+    pass = table.begin_pass();  // the wrap
+    EXPECT_EQ(table.stamp(), 1);
+    EXPECT_FALSE(pass.flagged(stale));
+    EXPECT_EQ(pass.claim(stale, 3), kNone);
+    for (int round = 257; round <= 600; ++round) {  // past the wrap, and the next one
+        const auto pos = random_round(true);
+        EXPECT_EQ(first_agents(table, g, pos), first_agents_naive(pos)) << "round " << round;
+        EXPECT_EQ(table.stamp(), (round - 1) % 255 + 1);
+    }
+}
+
+// models::flood_colocated against the O(k²) flood: an agent ends informed
+// iff it was informed or shares its node with an informed agent.
+TEST(ColocationFlood, MatchesBruteForceFlood) {
+    rng::Rng rng{3};
+    for (const grid::Coord side : {1, 3, 8, 16}) {
+        const auto g = Grid2D::square(side);
+        ColocationTable table{g.size()};
+        for (int round = 0; round < 30; ++round) {
+            const auto pos = random_positions(g, 1 + static_cast<int>(rng.below(40)), rng);
+            std::vector<std::uint8_t> informed(pos.size());
+            for (auto& flag : informed) flag = rng.below(4) == 0 ? 1 : 0;
+            auto expected = informed;
+            std::int32_t newly_expected = 0;
+            for (std::size_t a = 0; a < pos.size(); ++a) {
+                for (std::size_t b = 0; b < pos.size() && expected[a] == 0; ++b) {
+                    if (informed[b] != 0 && pos[b] == pos[a]) {
+                        expected[a] = 1;
+                        ++newly_expected;
+                    }
+                }
+            }
+            const auto newly = models::flood_colocated(table, g, pos, informed);
+            EXPECT_EQ(informed, expected) << "side " << side << " round " << round;
+            EXPECT_EQ(newly, newly_expected) << "side " << side << " round " << round;
+        }
+    }
+}
+
+TEST(ColocationFlood, InformsNothingWithoutAnInformedAgent) {
+    const auto g = Grid2D::square(4);
+    ColocationTable table{g.size()};
+    const std::vector<Point> pos{{1, 1}, {1, 1}, {2, 2}};
+    std::vector<std::uint8_t> informed{0, 0, 1};
+    EXPECT_EQ(models::flood_colocated(table, g, pos, informed), 0);
+    EXPECT_EQ(informed, (std::vector<std::uint8_t>{0, 0, 1}));
+    informed = {0, 1, 0};
+    EXPECT_EQ(models::flood_colocated(table, g, pos, informed), 1);
+    EXPECT_EQ(informed, (std::vector<std::uint8_t>{1, 1, 0}));
 }
 
 // ----------------------------------------------------------- BucketIndex
@@ -132,6 +238,11 @@ struct BucketSweepParam {
     std::int64_t radius;
     Metric metric;
 };
+
+void PrintTo(const BucketSweepParam& p, std::ostream* os) {
+    *os << "side" << p.side << "_k" << p.agents << "_r" << p.radius << "_"
+        << grid::metric_name(p.metric);
+}
 
 class BucketSweep : public ::testing::TestWithParam<BucketSweepParam> {};
 

@@ -95,6 +95,8 @@ struct NamedDouble {
     double value;
 };
 
+void PrintTo(const NamedDouble& d, std::ostream* os) { *os << d.name; }
+
 class DoubleRoundTrip : public ::testing::TestWithParam<NamedDouble> {};
 
 // The journal's replay promise: a value that travels through the text
@@ -137,6 +139,8 @@ struct NamedToken {
     const char* name;
     const char* text;
 };
+
+void PrintTo(const NamedToken& t, std::ostream* os) { *os << t.name; }
 
 class DoubleParseRejects : public ::testing::TestWithParam<NamedToken> {};
 
