@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "graph/range_filter.hpp"
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
@@ -36,20 +35,26 @@ void BM_WalkStepAll(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkStepAll)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
-// The r = 0 component pass (the builder's build() over its stamped
-// co-location table) in isolation, over 64 precomputed frames of a walk
-// so that consecutive passes see moved agents, as in the engine.
-void BM_ColocationPass(benchmark::State& state) {
-    const auto g = grid::Grid2D::square(static_cast<grid::Coord>(state.range(0)));
-    const auto k = static_cast<std::int32_t>(state.range(1));
-    rng::Rng rng{2};
+/// 64 consecutive frames of k agents walking on a side × side grid, so
+/// that consecutive builds see moved agents, as in the engine.
+std::vector<std::vector<grid::Point>> walk_frames(const grid::Grid2D& g, std::int32_t k,
+                                                  std::uint64_t seed) {
+    rng::Rng rng{seed};
     walk::AgentEnsemble agents{g, k, rng};
     std::vector<std::vector<grid::Point>> frames;
     for (int f = 0; f < 64; ++f) {
         agents.step_all(rng);
         frames.emplace_back(agents.positions().begin(), agents.positions().end());
     }
-    graph::VisibilityGraphBuilder builder{g, 0};
+    return frames;
+}
+
+/// Builder build() cost over walk_frames() (args: side, k).
+void build_over_frames(benchmark::State& state, std::int64_t radius, std::uint64_t seed) {
+    const auto g = grid::Grid2D::square(static_cast<grid::Coord>(state.range(0)));
+    const auto k = static_cast<std::int32_t>(state.range(1));
+    const auto frames = walk_frames(g, k, seed);
+    graph::VisibilityGraphBuilder builder{g, radius};
     graph::DisjointSets dsu{static_cast<std::size_t>(k)};
     std::size_t f = 0;
     for (auto _ : state) {
@@ -59,6 +64,10 @@ void BM_ColocationPass(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * k);
 }
+
+// The r = 0 component pass (the builder's build() over its stamped
+// co-location table) in isolation.
+void BM_ColocationPass(benchmark::State& state) { build_over_frames(state, 0, 2); }
 BENCHMARK(BM_ColocationPass)->Args({256, 1024})->Args({1024, 1024});
 
 void BM_BucketRebuild(benchmark::State& state) {
@@ -75,28 +84,21 @@ void BM_BucketRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_BucketRebuild)->Arg(256)->Arg(4096);
 
+// The component pass in isolation (args: side, k, radius): r = 0,
+// subcritical, percolation-scale (√(n/k)) and above, plus paperbench's two
+// r = 2 points (bcast_r2 at side 256, frog_r2 at side 128).
 void BM_VisibilityBuild(benchmark::State& state) {
-    const auto k = static_cast<std::int32_t>(state.range(0));
-    const auto radius = state.range(1);
-    const auto g = grid::Grid2D::square(256);
-    rng::Rng rng{4};
-    walk::AgentEnsemble agents{g, k, rng};
-    graph::VisibilityGraphBuilder builder{g, radius};
-    graph::DisjointSets dsu{static_cast<std::size_t>(k)};
-    for (auto _ : state) {
-        builder.build(agents.positions(), dsu);
-        benchmark::DoNotOptimize(dsu.set_count());
-    }
-    state.SetItemsProcessed(state.iterations() * k);
+    build_over_frames(state, state.range(2), 4);
 }
-// Radii spanning r = 0, subcritical, percolation-scale (√(n/k)) and above.
 BENCHMARK(BM_VisibilityBuild)
-    ->Args({256, 0})
-    ->Args({256, 4})
-    ->Args({256, 16})
-    ->Args({256, 32})
-    ->Args({4096, 0})
-    ->Args({4096, 4});
+    ->Args({256, 256, 0})
+    ->Args({256, 256, 4})
+    ->Args({256, 256, 16})
+    ->Args({256, 256, 32})
+    ->Args({256, 4096, 0})
+    ->Args({256, 4096, 4})
+    ->Args({256, 1024, 2})
+    ->Args({128, 1024, 2});
 
 void BM_ComponentStats(benchmark::State& state) {
     const auto k = static_cast<std::int32_t>(state.range(0));
@@ -115,10 +117,10 @@ BENCHMARK(BM_ComponentStats)->Arg(256)->Arg(4096);
 
 // ------------------------------------------------- vectorized kernel diffs
 //
-// The two PR-6 kernels, each timed against its always-scalar reference so
-// one binary shows the backend's speedup (or, on a force-scalar build,
-// confirms parity). Both pairs process identical inputs; the references
-// are the same functions the bit-identity suites diff against.
+// The walk decode kernel timed against its always-scalar reference, so one
+// binary shows the backend's speedup (or, on a force-scalar build,
+// confirms parity). Both process identical inputs; the reference is the
+// function the bit-identity suite diffs against.
 
 void BM_WalkDecode5(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -137,40 +139,6 @@ void BM_WalkDecode5(benchmark::State& state) {
     state.SetLabel(scalar ? "scalar-ref" : "backend");
 }
 BENCHMARK(BM_WalkDecode5)->Args({4096, 0})->Args({4096, 1});
-
-void BM_InRangeMask(benchmark::State& state) {
-    // Candidate slices shaped like the dense-scan reality at percolation
-    // occupancy: short runs (the count argument) over padded SoA rows.
-    const auto count = static_cast<std::size_t>(state.range(0));
-    const bool scalar = state.range(1) != 0;
-    rng::Rng rng{8};
-    constexpr std::size_t kProbes = 4096;
-    std::vector<std::int32_t> xs(kProbes + graph::kRangePad);
-    std::vector<std::int32_t> ys(kProbes + graph::kRangePad);
-    for (std::size_t i = 0; i < kProbes; ++i) {
-        xs[i] = static_cast<std::int32_t>(rng.below(256));
-        ys[i] = static_cast<std::int32_t>(rng.below(256));
-    }
-    constexpr auto kMetric = grid::Metric::kChebyshev;
-    for (auto _ : state) {
-        std::uint32_t acc = 0;
-        for (std::size_t at = 0; at + count <= kProbes; at += count) {
-            acc ^= scalar ? graph::in_range_mask8_scalar<kMetric>(xs.data() + at, ys.data() + at,
-                                                                  count, 128, 128, 4)
-                          : graph::in_range_mask8<kMetric>(xs.data() + at, ys.data() + at, count,
-                                                           128, 128, 4);
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kProbes / count * count));
-    state.SetLabel(scalar ? "scalar-ref" : "backend");
-}
-BENCHMARK(BM_InRangeMask)
-    ->Args({2, 0})
-    ->Args({2, 1})
-    ->Args({8, 0})
-    ->Args({8, 1});
 
 void BM_EngineStep(benchmark::State& state) {
     const auto k = static_cast<std::int32_t>(state.range(0));

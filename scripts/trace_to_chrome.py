@@ -10,7 +10,7 @@ timestamps, so the timeline is synthetic: each step's four phases (walk,
 index, components, exchange) are laid end to end as complete ("X") events,
 which preserves every duration and proportion while keeping the trace
 self-contained. Counter ("C") tracks carry the per-step telemetry series:
-informed agents, components, occupied/scanned cells, pairs tested — so
+informed agents, components, occupied/scanned nodes, pairs tested — so
 the counter panels line up under the phase spans.
 """
 import json
@@ -20,7 +20,7 @@ PHASES = ["walk_s", "index_s", "components_s", "exchange_s"]
 
 COUNTER_TRACKS = {
     "progress": ["informed", "components"],
-    "scan cells": ["units", "rescanned"],
+    "scan nodes": ["units", "rescanned"],
     "pairs": ["pairs_tested", "pairs_survived"],
     "moves": ["index_moves", "index_relinks"],
     "dsu": ["dsu_unites", "dsu_fast_hits"],

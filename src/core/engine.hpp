@@ -86,10 +86,10 @@ struct EngineConfig {
 
 /// Cumulative wall-clock attribution of the step loop's phases, captured
 /// when phase timing is enabled (see DisseminationLoop::set_phase_timing).
-/// walk_s is the walk kernel; index_s is the component pass's counting
-/// sort of the agents into the cell list plus its index.* motion tally;
-/// components_s is the remainder of the pass (pair scan + unions);
-/// exchange_s is the rumor exchange.
+/// walk_s is the walk kernel; index_s is the r >= 1 pass's index.* motion
+/// tally plus its co-location pass, which fills the node table and the
+/// occupancy bitmap; components_s is the remainder of the pass (window
+/// reads + unions; all of it at r = 0); exchange_s is the rumor exchange.
 struct StepPhaseTimings {
     double walk_s{0.0};
     double index_s{0.0};
@@ -237,7 +237,7 @@ public:
         StepPhaseTimings timings;
         timings.walk_s = walk_seconds_;
         timings.index_s = builder_.index_seconds();
-        // Clamp: clock granularity can make the sort total nominally
+        // Clamp: clock granularity can make the index total nominally
         // exceed the enclosing rebuild total.
         timings.components_s = std::max(0.0, rebuild_seconds_ - builder_.index_seconds());
         timings.exchange_s = exchange_seconds_;

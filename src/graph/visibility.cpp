@@ -1,23 +1,81 @@
 #include "graph/visibility.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
-
-#include "graph/range_filter.hpp"
+#include <cstring>
 
 namespace smn::graph {
 
-static_assert(kRangePad <= spatial::BucketIndex::kPad,
-              "the cell list must carry the masked in-range kernel's padding");
+namespace {
+
+/// Bits one bitmap load yields: 64 minus the at most 7 bits of the byte
+/// offset it shifts away.
+constexpr std::int64_t kLoadBits = 57;
+
+/// Windows staged before they are resolved (at least one node's worth).
+constexpr std::size_t kStagedWindows = 512;
+
+/// Little-endian 64-bit load from any byte address: bit i of the result is
+/// bit i % 8 of byte i / 8, as the bitmap is written.
+std::uint64_t load_bits(const std::uint8_t* p) noexcept {
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof v);
+    } else {
+        for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+    }
+    return v;
+}
+
+}  // namespace
 
 VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
                                                grid::Metric metric)
-    : grid_{grid},
-      radius_{radius},
-      eff_radius_{static_cast<grid::Coord>(std::clamp<std::int64_t>(radius, 0, grid.diameter()))},
-      metric_{metric},
-      colocation_{radius == 0 ? grid.size() : 0},
-      cells_{spatial::BucketIndex::for_radius(grid, radius)} {}
+    : grid_{grid}, radius_{radius}, metric_{metric}, colocation_{grid.size()} {
+    if (radius < 1) return;
+    // A radius beyond the diameter connects the same pairs; offsets past
+    // the grid's width or height reach no node.
+    const auto r = std::min(radius, grid.diameter());
+    const auto rows = std::min<std::int64_t>(r, grid.height() - 1);
+    const auto reach = std::min<std::int64_t>(r, grid.width() - 1);
+    // Node (x, y) is bit pad_ + y·stride_ + x. Every row is followed by
+    // `reach` zero bits and the last by `rows` zero rows, so a window of
+    // half-width <= reach never reads another row's nodes or past the end;
+    // the 8 trailing bytes keep the last load inside the vector.
+    pad_ = reach;
+    stride_ = grid.width() + reach;
+    bitmap_.assign(static_cast<std::size_t>((pad_ + (grid.height() + rows) * stride_) / 8 + 9), 0);
+    // Columns [lo, lo + width) of row dy, relative to the node, split into
+    // loads of at most kLoadBits.
+    const auto add = [&](std::int64_t dy, std::int64_t lo, std::int64_t width) {
+        for (std::int64_t at = 0; at < width; at += kLoadBits) {
+            const auto bits = std::min(kLoadBits, width - at);
+            windows_.push_back({dy * stride_ + lo + at, dy * grid.width() + lo + at,
+                                (std::uint64_t{1} << bits) - 1});
+        }
+        window_nodes_ += width;
+    };
+    // h is the metric's half-width at row offset dy: r − dy (L1), r (L∞),
+    // ⌊√(r² − dy²)⌋ (L2, in integers).
+    std::int64_t h = r;
+    for (std::int64_t dy = 0; dy <= rows; ++dy) {
+        switch (metric) {
+            case grid::Metric::kManhattan: h = r - dy; break;
+            case grid::Metric::kChebyshev: h = r; break;
+            case grid::Metric::kEuclidean:
+                while (h * h + dy * dy > r * r) --h;
+                break;
+        }
+        const auto half = std::min(h, reach);
+        if (dy == 0) {
+            add(0, 1, half);
+        } else {
+            add(dy, -half, 2 * half + 1);
+        }
+    }
+    staged_.resize(std::max(kStagedWindows, windows_.size()));
+}
 
 void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, DisjointSets& dsu) {
     dsu.reset(positions.size());
@@ -25,29 +83,31 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     for (const auto a : linked_) linked_flag_[static_cast<std::size_t>(a)] = 0;
     linked_.clear();
     linked_flag_.resize(positions.size());
+    const auto list = [this](std::int32_t a) { link(a); };
     if (radius_ == 0) {
-        colocation_pass(colocation_, grid_, positions, dsu, [this](std::int32_t a) { link(a); });
+        colocation_pass(colocation_, grid_, positions, dsu, list);
         return;
     }
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
     using clock = std::chrono::steady_clock;
-    const auto sort_begin = timing_ ? clock::now() : clock::time_point{};
-    cells_.rebuild(positions);
+    const auto index_begin = timing_ ? clock::now() : clock::time_point{};
     tally_moves(positions);
+    occupied_.clear();
+    const auto pass = colocation_pass(
+        colocation_, grid_, positions, dsu, list, [this](std::int32_t a, grid::Point p) {
+            const auto bit = pad_ + std::int64_t{p.y} * stride_ + p.x;
+            bitmap_[static_cast<std::size_t>(bit >> 3)] |=
+                static_cast<std::uint8_t>(1u << (bit & 7));
+            occupied_.push_back({bit, grid_.node_id(p), a});
+        });
     if (timing_) {
-        index_seconds_ += std::chrono::duration<double>(clock::now() - sort_begin).count();
+        index_seconds_ += std::chrono::duration<double>(clock::now() - index_begin).count();
     }
-    ++stats_.passes;
-    switch (metric_) {
-        case grid::Metric::kManhattan: component_pass<grid::Metric::kManhattan>(dsu); break;
-        case grid::Metric::kChebyshev: component_pass<grid::Metric::kChebyshev>(dsu); break;
-        case grid::Metric::kEuclidean: component_pass<grid::Metric::kEuclidean>(dsu); break;
-    }
+    node_pass(pass, dsu);
 }
 
-/// Counts the agents whose node changed since the last pass, and takes
-/// the cell changes from the cell list. The first pass (or one over a
-/// different agent count) only records the positions.
+/// Counts the agents whose node changed since the last pass. The first
+/// pass (or one over a different agent count) only records the positions.
 void VisibilityGraphBuilder::tally_moves(std::span<const grid::Point> positions) {
     if (prev_.size() == positions.size()) {
         std::int64_t moves = 0;
@@ -55,88 +115,66 @@ void VisibilityGraphBuilder::tally_moves(std::span<const grid::Point> positions)
             moves += static_cast<std::int64_t>(positions[a] != prev_[a]);
         }
         index_stats_.moves += moves;
-        index_stats_.relinks += static_cast<std::int64_t>(cells_.relinked());
     }
     prev_.assign(positions.begin(), positions.end());
 }
 
-/// The component pass over the sorted cell list, one cell row at a time.
-/// Each member i of an occupied cell [o, e) is tested against the later
-/// members of its cell and the E cell (the next run of the row, if its
-/// column is one more) — together one contiguous slice [i + 1, east) —
-/// and against the SW|S|SE cells, which are one contiguous slice of the
-/// next row found by a monotone two-pointer. In-range pairs are staged
-/// per row and then drained into the DSU in one tight loop, which also
-/// lists both ends of every pair in linked_.
-template <grid::Metric M>
-void VisibilityGraphBuilder::component_pass(DisjointSets& dsu) {
-    const auto* ids = cells_.ids();
-    const auto* xs = cells_.xs();
-    const auto* ys = cells_.ys();
-    const auto* cols = cells_.cols();
-    const auto rows = cells_.buckets_y();
-    std::int64_t cells = 0;
-    std::int64_t tested = 0;
-    std::size_t np = 0;
-    // Tests member i against the slice [j0, j1), 8 candidates per masked
-    // test, staging (ids[i], survivor) pairs.
-    const auto sweep = [&](std::size_t i, std::size_t j0, std::size_t j1) {
-        tested += static_cast<std::int64_t>(j1 - j0);
-        for (std::size_t j = j0; j < j1; j += kRangeLanes) {
-            const auto bits = in_range_mask8<M>(xs + j, ys + j, std::min(kRangeLanes, j1 - j),
-                                                xs[i], ys[i], eff_radius_);
-            if (pair_a_.size() < np + kRangeLanes) {
-                pair_a_.resize(2 * (np + kRangeLanes));
-                pair_b_.resize(2 * (np + kRangeLanes));
-            }
-            util::simd::I32x8::splat(ids[i]).store(pair_a_.data() + np);
-            np += compress_store8(bits, ids + j, pair_b_.data() + np);
+/// Reads every occupied node's windows from the bitmap and stages the
+/// non-empty ones without a branch, resolving the staged windows whenever
+/// another node's might not fit; then clears the node bits.
+void VisibilityGraphBuilder::node_pass(spatial::ColocationTable::Pass pass, DisjointSets& dsu) {
+    const auto* bitmap = bitmap_.data();
+    const auto* windows = windows_.data();
+    const auto per_node = windows_.size();
+    auto* staged = staged_.data();
+    std::int64_t found = 0;
+    std::size_t n = 0;
+    for (const auto& o : occupied_) {
+        if (n + per_node > staged_.size()) {
+            found += resolve(pass, dsu, n);
+            n = 0;
         }
-    };
-
-    for (grid::Coord row = 0; row < rows; ++row) {
-        const auto row_end = cells_.row_end(row);
-        // The next row occupies [row_end, south_end) of the sorted arrays.
-        const auto south_end = row + 1 < rows ? cells_.row_end(row + 1) : row_end;
-        std::size_t lo = row_end;
-        std::size_t hi = row_end;
-        np = 0;
-        for (std::size_t o = cells_.row_begin(row); o < row_end;) {
-            const auto c = cols[o];
-            std::size_t e = o + 1;
-            while (e < row_end && cols[e] == c) ++e;
-            std::size_t east = e;
-            while (east < row_end && cols[east] == c + 1) ++east;
-            while (lo < south_end && cols[lo] < c - 1) ++lo;
-            hi = std::max(hi, lo);
-            while (hi < south_end && cols[hi] <= c + 1) ++hi;
-            ++cells;
-            for (std::size_t i = o; i < e; ++i) {
-                sweep(i, i + 1, east);
-                sweep(i, lo, hi);
-            }
-            o = e;
-        }
-        // The staged pairs arrive in runs sharing their a side (one
-        // member's sweeps splat the same id), so a's root is found once
-        // per run and carried through unite_root.
-        stats_.pairs_survived += static_cast<std::int64_t>(np);
-        std::int32_t last_a = -1;
-        std::int32_t root_a = -1;
-        for (std::size_t i = 0; i < np; ++i) {
-            const auto a = pair_a_[i];
-            if (a != last_a) {
-                last_a = a;
-                root_a = dsu.find(a);
-                link(a);
-            }
-            link(pair_b_[i]);
-            root_a = dsu.unite_root(root_a, pair_b_[i]);
+        for (std::size_t w = 0; w < per_node; ++w) {
+            const auto bit = o.bit + windows[w].bit_offset;
+            const auto bits = (load_bits(bitmap + (bit >> 3)) >> (bit & 7)) & windows[w].mask;
+            staged[n] = {bits, o.node + windows[w].node_offset, o.agent};
+            n += static_cast<std::size_t>(bits != 0);
         }
     }
-    occupied_units_ = cells;
-    stats_.rescanned_units += cells;
-    stats_.pairs_tested += tested;
+    found += resolve(pass, dsu, n);
+    for (const auto& o : occupied_) bitmap_[static_cast<std::size_t>(o.bit >> 3)] = 0;
+    const auto occupied = static_cast<std::int64_t>(occupied_.size());
+    occupied_units_ = occupied;
+    ++stats_.passes;
+    stats_.rescanned_units += occupied;
+    stats_.pairs_tested += occupied * window_nodes_;
+    stats_.pairs_survived += found;
+}
+
+/// Unions each staged window's agent with the first agent of every node
+/// its bits name, and lists both. A node's windows are staged in a run, so
+/// its agent's root is found once per run and carried through unite_root.
+/// Returns the number of node pairs found.
+std::int64_t VisibilityGraphBuilder::resolve(spatial::ColocationTable::Pass pass,
+                                             DisjointSets& dsu, std::size_t count) {
+    std::int64_t found = 0;
+    std::int32_t last = spatial::kNone;
+    std::int32_t root = spatial::kNone;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto& w = staged_[i];
+        if (w.agent != last) {
+            last = w.agent;
+            root = dsu.find(last);
+            link(last);
+        }
+        found += std::popcount(w.bits);
+        for (auto bits = w.bits; bits != 0; bits &= bits - 1) {
+            const auto other = pass.first(w.node + std::countr_zero(bits));
+            link(other);
+            root = dsu.unite_root(root, other);
+        }
+    }
+    return found;
 }
 
 void VisibilityGraphBuilder::build_naive(std::span<const grid::Point> positions,

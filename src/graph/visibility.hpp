@@ -5,19 +5,24 @@
 // distance is ≤ r (paper Sec. 2; the metric is configurable for ablation).
 // We never materialize the full edge set: the consumers only need
 // *connected components* (rumors flood a component within the step), so
-// the builder unions agents directly into a DisjointSets via the spatial
-// index.
+// the builder unions agents directly into a DisjointSets.
 //
-//  * r = 0  — co-location only: one pass over the agents through the
-//             stamped node table (spatial::ColocationTable); the first
-//             agent seen on a node absorbs every later one. O(k).
-//  * r ≥ 1  — one component pass per step: a counting sort of the agents
-//             into a cell list with cell side r (spatial::BucketIndex),
-//             then one walk over the cell rows. Each occupied cell is
-//             paired with itself and its forward half-neighborhood (E,
-//             SW, S, SE), so every unordered in-range pair is tested by
-//             exactly one cell. Radii beyond the grid diameter are clamped
-//             to it: any larger r connects the same pairs.
+// Every radius runs one node-indexed pass, O(k) below r_c:
+//
+//  * Co-location — one pass over the agents through the stamped node table
+//             (spatial::ColocationTable): the first agent seen on a node
+//             absorbs every later one. At r = 0 that is the whole pass.
+//  * r ≥ 1  — the co-location pass also sets each occupied node's bit in a
+//             one-bit-per-node occupancy bitmap. Each node's first agent
+//             then reads its forward half-neighbourhood from the bitmap —
+//             (x, x + h(0)] on its own row and [x − h(dy), x + h(dy)] on
+//             rows y + 1 … y + r, h being the metric's half-width — one
+//             unaligned 64-bit load per row window, so every unordered
+//             pair of in-range nodes is found exactly once. Each set bit
+//             names a node whose first agent the table returns. The bitmap
+//             is padded so that no window clips, and its bits are cleared
+//             node by node after the pass. Radii beyond the grid diameter
+//             are clamped to it: any larger r connects the same pairs.
 //
 // Components cannot be maintained under edge deletions, so every pass
 // recomputes the DSU from scratch; only the partition is specified, not
@@ -40,36 +45,35 @@
 #include "graph/dsu.hpp"
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
-#include "spatial/bucket_index.hpp"
 #include "spatial/colocation_table.hpp"
 
 namespace smn::graph {
 
 /// Builds connected components of G_t(r) into `dsu` (which is reset).
-/// Reusable across steps: keeps its spatial structures and pair staging
+/// Reusable across steps: keeps its node table, bitmap and window staging
 /// allocated.
 class VisibilityGraphBuilder {
 public:
-    /// Cumulative scan telemetry: cell- and pass-level counts plus the
-    /// per-pair tallies. The replay fields are kept for consumers that
-    /// compare counters by name (paperbench's shadow loop, until ROADMAP.md
-    /// item 2); the pass has no edge cache, so they are always 0.
+    /// Cumulative telemetry of the r >= 1 node pass. The replay fields are
+    /// kept for consumers that compare counters by name (paperbench's
+    /// shadow loop, until ROADMAP.md item 2); the pass has no edge cache,
+    /// so they are always 0.
     struct ScanStats {
-        std::int64_t passes{0};            ///< component passes (r >= 1)
+        std::int64_t passes{0};            ///< node passes (r >= 1)
         std::int64_t bypass_passes{0};     ///< always 0
         std::int64_t replayed_units{0};    ///< always 0
-        std::int64_t rescanned_units{0};   ///< occupied cells scanned
-        std::int64_t pairs_tested{0};      ///< candidate pairs distance-tested
-        std::int64_t pairs_survived{0};    ///< in-range pairs reaching the DSU
+        std::int64_t rescanned_units{0};   ///< occupied nodes whose windows were read
+        std::int64_t pairs_tested{0};      ///< node pairs read: occupied nodes × window nodes
+        std::int64_t pairs_survived{0};    ///< occupied in-range node pairs found (set bits)
         std::int64_t edges_replayed{0};    ///< always 0
     };
 
     /// Agent motion between consecutive passes (r >= 1 only), found by
-    /// comparing each pass's positions and cells with the previous
-    /// pass's: the walk reports no moves.
+    /// comparing each pass's positions with the previous pass's: the walk
+    /// reports no moves.
     struct IndexStats {
         std::int64_t moves{0};    ///< agents whose node changed
-        std::int64_t relinks{0};  ///< agents whose cell changed
+        std::int64_t relinks{0};  ///< always 0: the pass has no cells to relink
     };
 
     /// `radius` is the transmission radius r >= 0; `metric` defaults to the
@@ -91,8 +95,8 @@ public:
     // code must not call these; the walk adapters that feed on_move() are
     // the matching block in walk/ensemble.hpp.
 
-    /// Same as build(): every pass re-sorts the positions, so there is no
-    /// incremental state to maintain.
+    /// Same as build(): every pass starts from the positions, so there is
+    /// no incremental state to maintain.
     void rebuild_components(std::span<const grid::Point> positions, DisjointSets& dsu) {
         build(positions, dsu);
     }
@@ -108,12 +112,13 @@ public:
     [[nodiscard]] std::int64_t radius() const noexcept { return radius_; }
     [[nodiscard]] grid::Metric metric() const noexcept { return metric_; }
 
-    /// Enables wall-clock attribution of each pass's cell sort; read it
-    /// via index_seconds().
+    /// Enables wall-clock attribution of each r >= 1 pass's indexing half;
+    /// read it via index_seconds().
     void set_timing(bool on) noexcept { timing_ = on; }
 
-    /// Cumulative seconds spent sorting agents into the cell list (0 until
-    /// set_timing(true)).
+    /// Cumulative seconds spent indexing (0 until set_timing(true)): the
+    /// motion tally plus the co-location pass that fills the node table
+    /// and the occupancy bitmap. The window reads and unions are not in it.
     [[nodiscard]] double index_seconds() const noexcept { return index_seconds_; }
 
     /// Full cumulative scan telemetry (see ScanStats).
@@ -122,8 +127,8 @@ public:
     /// Cumulative motion tallies (see IndexStats).
     [[nodiscard]] const IndexStats& index_stats() const noexcept { return index_stats_; }
 
-    /// Occupied cells scanned by the last pass (0 for r = 0, where the
-    /// co-location pass visits agents, not cells).
+    /// Occupied nodes in the last r >= 1 pass (0 for r = 0, whose pass
+    /// keeps no per-node list).
     [[nodiscard]] std::int64_t occupied_units() const noexcept { return occupied_units_; }
 
     /// Brute-force O(k²) reference builder used by tests.
@@ -131,8 +136,31 @@ public:
                             grid::Metric metric, DisjointSets& dsu);
 
 private:
-    template <grid::Metric M>
-    void component_pass(DisjointSets& dsu);
+    /// An occupied node: its first agent, node id and bitmap bit.
+    struct Occupied {
+        std::int64_t bit;
+        std::int64_t node;
+        std::int32_t agent;
+    };
+
+    /// One bitmap load of a node's forward half-neighbourhood, relative to
+    /// the node: a window wider than one load is split into several.
+    struct Window {
+        std::int64_t bit_offset;   ///< first bit, relative to the node's bit
+        std::int64_t node_offset;  ///< node id of that bit, relative to the node's
+        std::uint64_t mask;        ///< low `width` bits set
+    };
+
+    /// A non-empty window read for `agent`, waiting to be resolved.
+    struct Staged {
+        std::uint64_t bits;
+        std::int64_t node;  ///< node id of bit 0
+        std::int32_t agent;
+    };
+
+    void node_pass(spatial::ColocationTable::Pass pass, DisjointSets& dsu);
+    std::int64_t resolve(spatial::ColocationTable::Pass pass, DisjointSets& dsu,
+                         std::size_t count);
     void tally_moves(std::span<const grid::Point> positions);
 
     /// Appends `a` to linked_ unless it is already listed.
@@ -146,14 +174,17 @@ private:
 
     grid::Grid2D grid_;
     std::int64_t radius_;
-    grid::Coord eff_radius_;  ///< radius clamped to the grid diameter
     grid::Metric metric_;
-    spatial::ColocationTable colocation_;  ///< r = 0 only; empty otherwise
-    spatial::BucketIndex cells_;           ///< used when radius >= 1
+    spatial::ColocationTable colocation_;
+    std::int64_t stride_{0};          ///< bitmap bits per row (r >= 1)
+    std::int64_t pad_{0};             ///< bitmap bits before row 0's node 0
+    std::vector<std::uint8_t> bitmap_;  ///< r >= 1: node occupancy, 1 bit per node
+    std::vector<Window> windows_;       ///< r >= 1: every node's window loads
+    std::int64_t window_nodes_{0};      ///< nodes covered by windows_
+    std::vector<Occupied> occupied_;    ///< r >= 1: this pass's occupied nodes
+    std::vector<Staged> staged_;        ///< non-empty windows awaiting resolve()
     std::vector<std::int32_t> linked_;       ///< see linked()
     std::vector<std::uint8_t> linked_flag_;  ///< agent → listed in linked_
-    std::vector<std::int32_t> pair_a_;  ///< staged in-range pairs, first ids
-    std::vector<std::int32_t> pair_b_;  ///< staged in-range pairs, second ids
     std::vector<grid::Point> prev_;     ///< r >= 1: positions at the last pass
     std::int64_t occupied_units_{0};
     bool timing_{false};
@@ -162,22 +193,35 @@ private:
     IndexStats index_stats_;   ///< cumulative motion tallies
 };
 
-/// The r = 0 component pass over `table` (any BasicColocationTable, so
-/// tests can reach the stamp wrap): the first agent to claim a node absorbs
-/// every later one, and `link` gets both ends of every union. `dsu` must
-/// hold positions.size() singletons.
-template <typename Table, typename Link>
-void colocation_pass(Table& table, const grid::Grid2D& grid,
-                     std::span<const grid::Point> positions, DisjointSets& dsu, Link&& link) {
+/// colocation_pass's default `on_claim`: does nothing.
+struct IgnoreClaim {
+    void operator()(std::int32_t /*agent*/, grid::Point /*p*/) const noexcept {}
+};
+
+/// The co-location pass over `table` (any BasicColocationTable, so tests
+/// can reach the stamp wrap): the first agent to claim a node absorbs every
+/// later one, and `link` gets both ends of every union. `on_claim(agent,
+/// point)` sees each node's first agent as it claims the node. `dsu` must
+/// hold positions.size() singletons. Returns the pass, whose claims stay
+/// readable until the table's next pass.
+template <typename Table, typename Link, typename Claim = IgnoreClaim>
+auto colocation_pass(Table& table, const grid::Grid2D& grid,
+                     std::span<const grid::Point> positions, DisjointSets& dsu, Link&& link,
+                     Claim&& on_claim = Claim{}) {
     const auto pass = table.begin_pass();
     const auto k = static_cast<std::int32_t>(positions.size());
     for (std::int32_t a = 0; a < k; ++a) {
-        const auto first = pass.claim(grid.node_id(positions[static_cast<std::size_t>(a)]), a);
-        if (first == spatial::kNone) continue;
+        const auto p = positions[static_cast<std::size_t>(a)];
+        const auto first = pass.claim(grid.node_id(p), a);
+        if (first == spatial::kNone) {
+            on_claim(a, p);
+            continue;
+        }
         link(first);
         link(a);
         (void)dsu.unite_root(first, a);
     }
+    return pass;
 }
 
 /// Summary of a component partition of k agents.

@@ -35,15 +35,15 @@ namespace smn::obs {
 struct StepRecord {
     std::int64_t step{0};        ///< engine time t
     double walk_s{0.0};          ///< walk phase
-    double index_s{0.0};         ///< counting sort into the cell list
-    double components_s{0.0};    ///< pair scan + unions
+    double index_s{0.0};         ///< motion tally + co-location pass filling the node bitmap
+    double components_s{0.0};    ///< bitmap window reads + unions
     double exchange_s{0.0};      ///< rumor exchange
-    std::int64_t units{0};       ///< occupied cells at the pass
-    std::int64_t rescanned{0};   ///< cells scanned this step
-    std::int64_t pairs_tested{0};     ///< candidate pairs distance-tested
-    std::int64_t pairs_survived{0};   ///< in-range pairs reaching the DSU
+    std::int64_t units{0};       ///< occupied nodes at the pass (0 at r = 0)
+    std::int64_t rescanned{0};   ///< occupied nodes scanned this step
+    std::int64_t pairs_tested{0};     ///< node pairs read from the bitmap
+    std::int64_t pairs_survived{0};   ///< in-range occupied node pairs found
     std::int64_t index_moves{0};      ///< agents whose node changed since the last pass
-    std::int64_t index_relinks{0};    ///< moves that changed cell
+    std::int64_t index_relinks{0};    ///< always 0: the node pass has no cells
     std::int64_t dsu_unites{0};       ///< DSU merges performed
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized

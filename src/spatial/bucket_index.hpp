@@ -10,9 +10,9 @@
 // only for the agents.
 //
 // This is the standard molecular-dynamics cell list, rebuilt from scratch
-// each simulation step: at the percolation scale r ≈ √(n/k) a cell holds
-// O(1) agents, the visibility-graph builder walks the rows once, and the
-// sort itself is two linear passes over k agents.
+// each simulation step. The models that query neighbourhoods agent by
+// agent (dense_markov, predator_prey) use it; the visibility-graph builder
+// reads a node bitmap instead (graph/visibility.hpp).
 //
 // Radius queries scan the block of cells within ceil(r / bucket_side) of
 // the probe's cell — for every metric we support (L1 ≤ r, L∞ ≤ r, L2 ≤ r
@@ -36,11 +36,6 @@ namespace smn::spatial {
 /// Sorted cell list over a Grid2D with square cells.
 class BucketIndex {
 public:
-    /// Readable slack after the last sorted agent in ids()/xs()/ys(), so
-    /// fixed-width vector kernels may load a full 8-lane chunk from any
-    /// sorted offset; the slack's contents are unspecified.
-    static constexpr std::size_t kPad = 8;
-
     /// `bucket_side` must be >= 1. Radius queries work for any radius; the
     /// scan widens automatically when radius > bucket_side.
     BucketIndex(const grid::Grid2D& grid, grid::Coord bucket_side)
@@ -84,33 +79,23 @@ public:
     /// into the sorted arrays, so the span need not outlive the call.
     void rebuild(std::span<const grid::Point> positions) {
         const auto k = positions.size();
-        const bool same_agents = agent_col_.size() == k;
-        agent_col_.resize(k);
-        agent_row_.resize(k);
         by_col_.resize(k);
-        ids_.resize(k + kPad);
-        xs_.resize(k + kPad);
-        ys_.resize(k + kPad);
-        cols_.resize(k + kPad);
+        ids_.resize(k);
+        xs_.resize(k);
+        ys_.resize(k);
+        cols_.resize(k);
         std::fill(col_off_.begin(), col_off_.end(), 0);
         std::fill(row_off_.begin(), row_off_.end(), 0);
-        std::size_t relinked = 0;
-        for (std::size_t a = 0; a < k; ++a) {
-            const auto col = cell_of(positions[a].x);
-            const auto row = cell_of(positions[a].y);
-            relinked += static_cast<std::size_t>((col != agent_col_[a]) | (row != agent_row_[a]));
-            agent_col_[a] = col;
-            agent_row_[a] = row;
-            ++col_off_[static_cast<std::size_t>(col) + 1];
-            ++row_off_[static_cast<std::size_t>(row) + 1];
+        for (const auto& p : positions) {
+            ++col_off_[static_cast<std::size_t>(cell_of(p.x)) + 1];
+            ++row_off_[static_cast<std::size_t>(cell_of(p.y)) + 1];
         }
-        relinked_ = same_agents ? relinked : 0;
         // Pass 1: stable by column. The inclusive scan turns col_off_[c]
         // into column c's begin, used as its write cursor.
         for (std::size_t c = 1; c < col_off_.size(); ++c) col_off_[c] += col_off_[c - 1];
         for (std::size_t a = 0; a < k; ++a) {
-            by_col_[static_cast<std::size_t>(col_off_[static_cast<std::size_t>(agent_col_[a])]++)] =
-                static_cast<std::int32_t>(a);
+            const auto col = static_cast<std::size_t>(cell_of(positions[a].x));
+            by_col_[static_cast<std::size_t>(col_off_[col]++)] = static_cast<std::int32_t>(a);
         }
         // Pass 2: stable by row over the column order. The shifted scan
         // turns row_off_[r + 1] into row r's begin, used as its write
@@ -124,25 +109,22 @@ public:
         }
         for (std::size_t i = 0; i < k; ++i) {
             const auto a = static_cast<std::size_t>(by_col_[i]);
+            const auto p = positions[a];
             const auto slot = static_cast<std::size_t>(
-                row_off_[static_cast<std::size_t>(agent_row_[a]) + 1]++);
+                row_off_[static_cast<std::size_t>(cell_of(p.y)) + 1]++);
             ids_[slot] = static_cast<std::int32_t>(a);
-            xs_[slot] = positions[a].x;
-            ys_[slot] = positions[a].y;
-            cols_[slot] = agent_col_[a];
+            xs_[slot] = p.x;
+            ys_[slot] = p.y;
+            cols_[slot] = cell_of(p.x);
         }
     }
 
-    /// The sorted arrays, each size() + kPad long: agent id, x, y and cell
-    /// column of every sorted slot.
+    /// The sorted arrays, each size() long: agent id, x, y and cell column
+    /// of every sorted slot.
     [[nodiscard]] const std::int32_t* ids() const noexcept { return ids_.data(); }
     [[nodiscard]] const grid::Coord* xs() const noexcept { return xs_.data(); }
     [[nodiscard]] const grid::Coord* ys() const noexcept { return ys_.data(); }
     [[nodiscard]] const grid::Coord* cols() const noexcept { return cols_.data(); }
-
-    /// Agents whose cell differs from the one the previous rebuild gave
-    /// them (0 when the agent count changed in between).
-    [[nodiscard]] std::size_t relinked() const noexcept { return relinked_; }
 
     /// Agents indexed by the last rebuild.
     [[nodiscard]] std::size_t size() const noexcept { return by_col_.size(); }
@@ -200,14 +182,11 @@ private:
     grid::Coord buckets_y_{0};
     std::vector<std::int32_t> col_off_;    ///< column counts / write cursors (pass 1)
     std::vector<std::int32_t> row_off_;    ///< row -> first sorted slot; size rows + 1
-    std::vector<grid::Coord> agent_col_;   ///< agent -> cell column
-    std::vector<grid::Coord> agent_row_;   ///< agent -> cell row
     std::vector<std::int32_t> by_col_;     ///< agent ids in column order
     std::vector<std::int32_t> ids_;        ///< sorted slot -> agent id
     std::vector<grid::Coord> xs_;          ///< sorted slot -> x
     std::vector<grid::Coord> ys_;          ///< sorted slot -> y
     std::vector<grid::Coord> cols_;        ///< sorted slot -> cell column
-    std::size_t relinked_{0};              ///< see relinked()
 };
 
 }  // namespace smn::spatial

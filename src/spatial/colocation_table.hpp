@@ -1,7 +1,8 @@
-// colocation_table.hpp — stamped node table for co-location (r = 0) passes.
+// colocation_table.hpp — stamped node table for co-location passes.
 //
 // At r = 0 (the regime of Sec. 3.1's upper bound) two agents communicate
-// iff they share a node. The visibility builder's component pass and the
+// iff they share a node. The visibility builder's component pass (at every
+// radius: at r >= 1 a node's first agent stands for the node) and the
 // standalone models' flood (models/colocation.hpp) both run on this table:
 // one 64-bit slot per node, (pass stamp << 32) | payload, the payload being
 // the node's first agent in that pass plus a flag bit. A slot stamped by
@@ -39,6 +40,14 @@ public:
             if ((slot >> 32) == (tag_ >> 32)) return static_cast<std::int32_t>(slot & kAgentMask);
             slot = tag_ | static_cast<std::uint32_t>(agent);
             return kNone;
+        }
+
+        /// First agent that claimed `node` in this pass, or kNone; claims
+        /// nothing.
+        [[nodiscard]] std::int32_t first(grid::NodeId node) const noexcept {
+            const auto slot = slots_[static_cast<std::size_t>(node)];
+            return (slot >> 32) == (tag_ >> 32) ? static_cast<std::int32_t>(slot & kAgentMask)
+                                                : kNone;
         }
 
         /// Sets the flag of a node claimed in this pass.

@@ -1,9 +1,8 @@
 // simd.hpp — fixed-width portable SIMD lanes for the hot kernels.
 //
-// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp) and
-// the in-range distance filter of the pair scan (graph/range_filter.hpp)
-// are written once against the two wrapper types below and compiled
-// against one of three backends, selected at CONFIGURE time (never at
+// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp) are
+// written once against the two wrapper types below and compiled against
+// one of three backends, selected at CONFIGURE time (never at
 // runtime — a runtime dispatch would put an unpredictable branch in loops
 // that run billions of times):
 //
@@ -16,11 +15,7 @@
 //
 // Lane widths are fixed at 8×int32 / 4×uint64 on every backend (the NEON
 // backend pairs two 128-bit registers) so kernel code never branches on
-// width. Masks are carried as lane vectors (all-ones per true lane);
-// `move_mask` compresses the sign bits into an 8-bit integer whose bit i
-// corresponds to lane i — survivors are then iterated in ASCENDING lane
-// order, which is what keeps vectorized scans order-identical to their
-// scalar references (the determinism contract).
+// width. Masks are carried as lane vectors (all-ones per true lane).
 //
 // Determinism note: every operation here is exact integer arithmetic —
 // identical results on every backend by construction. There is no
@@ -78,13 +73,6 @@ struct I32x8 {
 [[nodiscard]] inline I32x8 add(I32x8 a, I32x8 b) noexcept {
     return {_mm256_add_epi32(a.v, b.v)};
 }
-[[nodiscard]] inline I32x8 sub(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_sub_epi32(a.v, b.v)};
-}
-[[nodiscard]] inline I32x8 abs(I32x8 a) noexcept { return {_mm256_abs_epi32(a.v)}; }
-[[nodiscard]] inline I32x8 max(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_max_epi32(a.v, b.v)};
-}
 [[nodiscard]] inline I32x8 bit_and(I32x8 a, I32x8 b) noexcept {
     return {_mm256_and_si256(a.v, b.v)};
 }
@@ -109,10 +97,6 @@ template <int N>
 /// table[idx[lane]] for each lane (table entries int32).
 [[nodiscard]] inline I32x8 gather(const std::int32_t* table, I32x8 idx) noexcept {
     return {_mm256_i32gather_epi32(table, idx.v, 4)};
-}
-/// Bit i of the result = sign bit of lane i.
-[[nodiscard]] inline unsigned move_mask(I32x8 a) noexcept {
-    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(a.v)));
 }
 /// Stores the 16 values a0,b0,a1,b1,…,a7,b7 at dst (AoS pair mirror).
 inline void store_interleaved(std::int32_t* dst, I32x8 a, I32x8 b) noexcept {
@@ -190,13 +174,6 @@ struct I32x8 {
 [[nodiscard]] inline I32x8 add(I32x8 a, I32x8 b) noexcept {
     return {vaddq_s32(a.lo, b.lo), vaddq_s32(a.hi, b.hi)};
 }
-[[nodiscard]] inline I32x8 sub(I32x8 a, I32x8 b) noexcept {
-    return {vsubq_s32(a.lo, b.lo), vsubq_s32(a.hi, b.hi)};
-}
-[[nodiscard]] inline I32x8 abs(I32x8 a) noexcept { return {vabsq_s32(a.lo), vabsq_s32(a.hi)}; }
-[[nodiscard]] inline I32x8 max(I32x8 a, I32x8 b) noexcept {
-    return {vmaxq_s32(a.lo, b.lo), vmaxq_s32(a.hi, b.hi)};
-}
 [[nodiscard]] inline I32x8 bit_and(I32x8 a, I32x8 b) noexcept {
     return {vandq_s32(a.lo, b.lo), vandq_s32(a.hi, b.hi)};
 }
@@ -225,16 +202,6 @@ template <int N>
     const std::int32_t g[8] = {table[is[0]], table[is[1]], table[is[2]], table[is[3]],
                                table[is[4]], table[is[5]], table[is[6]], table[is[7]]};
     return I32x8::load(g);
-}
-[[nodiscard]] inline unsigned move_mask(I32x8 a) noexcept {
-    // Sign bit of each lane → bit i. vaddv (AArch64) sums the per-lane
-    // 0/1<<i contributions.
-    const int32x4_t shifts_lo = {0, 1, 2, 3};
-    const int32x4_t shifts_hi = {4, 5, 6, 7};
-    const uint32x4_t ones = vdupq_n_u32(1);
-    const uint32x4_t sl = vandq_u32(vshrq_n_u32(vreinterpretq_u32_s32(a.lo), 31), ones);
-    const uint32x4_t sh = vandq_u32(vshrq_n_u32(vreinterpretq_u32_s32(a.hi), 31), ones);
-    return vaddvq_u32(vshlq_u32(sl, shifts_lo)) + vaddvq_u32(vshlq_u32(sh, shifts_hi));
 }
 inline void store_interleaved(std::int32_t* dst, I32x8 a, I32x8 b) noexcept {
     int32x4x2_t lo{{a.lo, b.lo}};
@@ -323,20 +290,6 @@ template <typename Fn>
                                          static_cast<std::uint32_t>(y));
     });
 }
-[[nodiscard]] inline I32x8 sub(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) {
-        return static_cast<std::int32_t>(static_cast<std::uint32_t>(x) -
-                                         static_cast<std::uint32_t>(y));
-    });
-}
-[[nodiscard]] inline I32x8 abs(I32x8 a) noexcept {
-    I32x8 r;
-    for (int i = 0; i < 8; ++i) r.l[i] = a.l[i] < 0 ? -a.l[i] : a.l[i];
-    return r;
-}
-[[nodiscard]] inline I32x8 max(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x > y ? x : y; });
-}
 [[nodiscard]] inline I32x8 bit_and(I32x8 a, I32x8 b) noexcept {
     return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x & y; });
 }
@@ -367,13 +320,6 @@ template <int N>
     I32x8 r;
     for (int i = 0; i < 8; ++i) r.l[i] = table[idx.l[i]];
     return r;
-}
-[[nodiscard]] inline unsigned move_mask(I32x8 a) noexcept {
-    unsigned bits = 0;
-    for (int i = 0; i < 8; ++i) {
-        bits |= (static_cast<std::uint32_t>(a.l[i]) >> 31) << i;
-    }
-    return bits;
 }
 inline void store_interleaved(std::int32_t* dst, I32x8 a, I32x8 b) noexcept {
     for (int i = 0; i < 8; ++i) {

@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <span>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -267,6 +270,8 @@ TEST_P(VisibilityPartialMoves, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
     std::vector<Point> pos;
     for (int i = 0; i < 36; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
     builder.build(pos, fast);
+    // Every pass scans each occupied node once.
+    auto occupied = static_cast<std::int64_t>(std::set<Point>(pos.begin(), pos.end()).size());
     for (int round = 0; round < 60; ++round) {
         // Frog-style partial round: only a random subset moves (often a
         // small one).
@@ -283,14 +288,13 @@ TEST_P(VisibilityPartialMoves, RandomMovesTeleportsAndPartialRoundsMatchNaive) {
             pos[static_cast<std::size_t>(a)] = to;
         }
         builder.build(pos, fast);
+        occupied += static_cast<std::int64_t>(std::set<Point>(pos.begin(), pos.end()).size());
         VisibilityGraphBuilder::build_naive(pos, param.radius, param.metric, slow);
         EXPECT_EQ(canonical(fast), canonical(slow))
             << "round " << round << " r " << param.radius << " metric "
             << grid::metric_name(param.metric);
     }
-    if (param.radius >= 1) {
-        EXPECT_GT(builder.scan_stats().rescanned_units, 0);
-    }
+    EXPECT_EQ(builder.scan_stats().rescanned_units, param.radius >= 1 ? occupied : 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -306,13 +310,79 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalVisParam{2, Metric::kEuclidean},
                       IncrementalVisParam{5, Metric::kEuclidean}));
 
-// The cell-list pass against build_naive across the occupancy range the
-// paper cares about and its edges: far below the percolation point
-// (r_c = 4r), at it (r_c = r), dense (r_c = r/2), and every agent inside
-// one cell. Each point runs on a side r does not divide, on a side it may
-// divide, and on sides at or below r (a single cell row and column). The
-// pass must also count exactly the occupied cells.
-enum class Occupancy { kSparse, kCritical, kDense, kOneCell };
+// Nodes of one occupied node's forward half-neighbourhood on `g`: offsets
+// (dx, dy) with dy > 0, or dy = 0 and dx > 0, within r under `metric`
+// that fit inside the grid.
+std::int64_t forward_window_nodes(const Grid2D& g, std::int64_t r, Metric metric) {
+    std::int64_t count = 0;
+    for (grid::Coord dy = 0; dy < g.height(); ++dy) {
+        for (grid::Coord dx = static_cast<grid::Coord>(1 - g.width()); dx < g.width(); ++dx) {
+            if ((dy > 0 || dx > 0) && grid::within({0, 0}, {dx, dy}, r, metric)) ++count;
+        }
+    }
+    return count;
+}
+
+// Unordered pairs of distinct nodes within r, O(nodes²).
+std::int64_t in_range_node_pairs(const std::set<Point>& nodes, std::int64_t r, Metric metric) {
+    std::int64_t pairs = 0;
+    for (auto i = nodes.begin(); i != nodes.end(); ++i) {
+        for (auto j = std::next(i); j != nodes.end(); ++j) {
+            pairs += grid::within(*i, *j, r, metric) ? 1 : 0;
+        }
+    }
+    return pairs;
+}
+
+// Builds `pos` and checks the pass against build_naive: the partition;
+// linked(), which must list exactly the members of the naive partition's
+// components of size >= 2, each once; and at r >= 1 the pass's counters,
+// which must count the occupied nodes (occupied_units, rescanned_units),
+// the node pairs its windows read (pairs_tested) and the in-range pairs
+// of occupied nodes (pairs_survived).
+void expect_build_matches_naive(VisibilityGraphBuilder& builder, const Grid2D& g,
+                                std::span<const Point> pos, const std::string& where) {
+    DisjointSets fast{0};
+    DisjointSets slow{0};
+    const auto before = builder.scan_stats();
+    builder.build(pos, fast);
+    VisibilityGraphBuilder::build_naive(pos, builder.radius(), builder.metric(), slow);
+    ASSERT_EQ(canonical(fast), canonical(slow)) << where;
+    std::vector<std::int32_t> expected;
+    for (std::int32_t a = 0; a < static_cast<std::int32_t>(pos.size()); ++a) {
+        if (slow.size_of(a) >= 2) expected.push_back(a);
+    }
+    std::vector<std::int32_t> listed(builder.linked().begin(), builder.linked().end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end())
+        << "an agent is listed twice; " << where;
+    EXPECT_EQ(listed, expected) << where;
+    if (builder.radius() == 0) return;
+    const std::set<Point> nodes(pos.begin(), pos.end());
+    const auto occupied = static_cast<std::int64_t>(nodes.size());
+    const auto& after = builder.scan_stats();
+    EXPECT_EQ(builder.occupied_units(), occupied) << where;
+    EXPECT_EQ(after.passes - before.passes, 1) << where;
+    EXPECT_EQ(after.rescanned_units - before.rescanned_units, occupied) << where;
+    EXPECT_EQ(after.pairs_tested - before.pairs_tested,
+              occupied * forward_window_nodes(g, builder.radius(), builder.metric()))
+        << where;
+    EXPECT_EQ(after.pairs_survived - before.pairs_survived,
+              in_range_node_pairs(nodes, builder.radius(), builder.metric()))
+        << where;
+}
+
+// The node pass against build_naive across the occupancy range the paper
+// cares about and its edges: far below the percolation point (r_c = 4r),
+// at it (r_c = r), dense (r_c = r/2), every agent inside one r × r box,
+// agents pinned to the four borders, and agents stacked on one node. The
+// radii reach past one 57-bit bitmap load (a row window is 2r + 1 bits
+// wide, so r >= 29 splits it) and past the grid diameter (r = 200); the
+// sides include 1 and 2, widths around 64 bits, sides r does not divide,
+// and sides at or below r. Each side runs 40 consecutive builds on one
+// builder, the agent count alternating, so every bit a pass sets must be
+// cleared before the next.
+enum class Occupancy { kSparse, kCritical, kDense, kOneCell, kBorders, kStacked };
 
 struct CellListParam {
     std::int64_t radius;
@@ -332,9 +402,10 @@ TEST_P(VisibilityCellList, MatchesNaiveComponents) {
     const auto r = param.radius;
     rng::Rng rng{static_cast<std::uint64_t>(7000 + r * 31 + static_cast<int>(param.metric) * 7 +
                                             static_cast<int>(param.occupancy))};
-    for (const auto side : {grid::Coord{23}, grid::Coord{32},
-                            static_cast<grid::Coord>(std::max<std::int64_t>(1, r - 1)),
-                            static_cast<grid::Coord>(r)}) {
+    const std::set<grid::Coord> sides{
+        1, 2, 23, 32, 63, 64, 65, 100,
+        static_cast<grid::Coord>(std::max<std::int64_t>(1, r - 1)), static_cast<grid::Coord>(r)};
+    for (const auto side : sides) {
         const auto g = Grid2D::square(side);
         const auto n = std::int64_t{side} * side;
         // k = n / r_c² for the target percolation radius r_c.
@@ -346,12 +417,13 @@ TEST_P(VisibilityCellList, MatchesNaiveComponents) {
             case Occupancy::kSparse: k = k_for(4.0 * static_cast<double>(r)); break;
             case Occupancy::kCritical: k = k_for(static_cast<double>(r)); break;
             case Occupancy::kDense: k = k_for(static_cast<double>(r) / 2.0); break;
-            case Occupancy::kOneCell: break;
+            default: break;
         }
         VisibilityGraphBuilder builder{g, r, param.metric};
-        DisjointSets fast{0};
-        DisjointSets slow{0};
-        for (int round = 0; round < 6; ++round) {
+        const auto random_coord = [&] {
+            return static_cast<grid::Coord>(rng.below(static_cast<std::uint64_t>(side)));
+        };
+        for (int round = 0; round < 40; ++round) {
             // Alternate the agent count so the builder also sees k shrink.
             const int agents = round % 2 == 0 ? k : std::max(1, k / 2);
             std::vector<Point> pos;
@@ -367,33 +439,42 @@ TEST_P(VisibilityCellList, MatchesNaiveComponents) {
                     pos.push_back({static_cast<grid::Coord>(cx + rng.below(span_x)),
                                    static_cast<grid::Coord>(cy + rng.below(span_y))});
                 }
+            } else if (param.occupancy == Occupancy::kBorders) {
+                const auto last = static_cast<grid::Coord>(side - 1);
+                for (int i = 0; i < agents; ++i) {
+                    const auto t = random_coord();
+                    switch (i % 4) {
+                        case 0: pos.push_back({0, t}); break;
+                        case 1: pos.push_back({last, t}); break;
+                        case 2: pos.push_back({t, 0}); break;
+                        default: pos.push_back({t, last}); break;
+                    }
+                }
+            } else if (param.occupancy == Occupancy::kStacked) {
+                // Two of every three agents on one node, the rest anywhere.
+                const Point stack{random_coord(), random_coord()};
+                for (int i = 0; i < agents; ++i) {
+                    pos.push_back(i % 3 == 2 ? walk::AgentEnsemble::random_node(g, rng) : stack);
+                }
             } else {
                 for (int i = 0; i < agents; ++i) {
                     pos.push_back(walk::AgentEnsemble::random_node(g, rng));
                 }
             }
-            builder.build(pos, fast);
-            VisibilityGraphBuilder::build_naive(pos, r, param.metric, slow);
-            EXPECT_EQ(canonical(fast), canonical(slow))
-                << "side " << side << " k " << agents << " round " << round;
-            std::set<std::pair<std::int64_t, std::int64_t>> cells;
-            const auto cell_side = std::min<std::int64_t>(r, 2 * (side - 1));
-            for (const auto& p : pos) {
-                cells.emplace(p.x / std::max<std::int64_t>(cell_side, 1),
-                              p.y / std::max<std::int64_t>(cell_side, 1));
-            }
-            EXPECT_EQ(builder.occupied_units(), static_cast<std::int64_t>(cells.size()))
-                << "side " << side;
+            std::ostringstream where;
+            where << "side " << side << " k " << agents << " round " << round;
+            expect_build_matches_naive(builder, g, pos, where.str());
         }
     }
 }
 
 std::vector<CellListParam> cell_list_params() {
     std::vector<CellListParam> params;
-    for (const std::int64_t r : {1, 2, 3, 5}) {
+    for (const std::int64_t r : {1, 2, 3, 5, 28, 29, 31, 32, 33, 63, 64, 65, 200}) {
         for (const auto metric : {Metric::kManhattan, Metric::kChebyshev, Metric::kEuclidean}) {
-            for (const auto occupancy : {Occupancy::kSparse, Occupancy::kCritical,
-                                         Occupancy::kDense, Occupancy::kOneCell}) {
+            for (const auto occupancy :
+                 {Occupancy::kSparse, Occupancy::kCritical, Occupancy::kDense,
+                  Occupancy::kOneCell, Occupancy::kBorders, Occupancy::kStacked}) {
                 params.push_back({r, metric, occupancy});
             }
         }
@@ -406,12 +487,11 @@ INSTANTIATE_TEST_SUITE_P(RadiiMetricsOccupancies, VisibilityCellList,
 
 // linked() against build_naive: after every build it must list exactly
 // the members of the naive partition's components of size >= 2, each once.
-// One builder per occupancy runs consecutive builds over walking agents
-// (and one round with fewer agents), so flags left by the previous build
-// are exercised; at r = 0 it runs 40 builds, so co-location slots stamped
-// by earlier passes are read as stale again and again. Occupancies: far
-// below r_c, at r_c, dense, every agent on one node (side 1), and
-// r >= side.
+// One builder per occupancy runs 40 consecutive builds over walking agents
+// (one round with fewer agents), so flags left by the previous build, bits
+// left in the occupancy bitmap and co-location slots stamped by earlier
+// passes are exercised. Occupancies: far below r_c, at r_c, dense, every
+// agent on one node (side 1), and r >= side.
 enum class LinkedOccupancy { kSparse, kCritical, kDense, kOneNode, kRadiusCoversGrid };
 
 struct LinkedParam {
@@ -453,40 +533,29 @@ TEST_P(VisibilityLinked, ListsExactlyTheNonSingletonMembers) {
         std::vector<Point> pos;
         for (int i = 0; i < k; ++i) pos.push_back(walk::AgentEnsemble::random_node(g, rng));
         VisibilityGraphBuilder builder{g, r, metric};
-        DisjointSets fast{0};
-        DisjointSets slow{0};
-        const int rounds = r == 0 ? 40 : 6;
-        for (int round = 0; round < rounds; ++round) {
+        for (int round = 0; round < 40; ++round) {
             for (auto& p : pos) p = walk::step(g, p, rng, walk::WalkKind::kLazyPaper);
             const auto agents = round == 3 ? std::max(1, k / 2) : k;
-            const std::span<const Point> now{pos.data(), static_cast<std::size_t>(agents)};
-            builder.build(now, fast);
-            VisibilityGraphBuilder::build_naive(now, r, metric, slow);
-            ASSERT_EQ(canonical(fast), canonical(slow)) << "round " << round;
-            std::vector<std::int32_t> expected;
-            for (std::int32_t a = 0; a < agents; ++a) {
-                if (slow.size_of(a) >= 2) expected.push_back(a);
-            }
-            std::vector<std::int32_t> listed(builder.linked().begin(), builder.linked().end());
-            std::sort(listed.begin(), listed.end());
-            EXPECT_EQ(std::adjacent_find(listed.begin(), listed.end()), listed.end())
-                << "an agent is listed twice; occupancy " << static_cast<int>(occupancy)
-                << " round " << round;
-            EXPECT_EQ(listed, expected)
-                << "occupancy " << static_cast<int>(occupancy) << " side " << side << " k "
-                << agents << " round " << round;
+            std::ostringstream where;
+            where << "occupancy " << static_cast<int>(occupancy) << " side " << side << " k "
+                  << agents << " round " << round;
+            expect_build_matches_naive(
+                builder, g, {pos.data(), static_cast<std::size_t>(agents)}, where.str());
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RadiiMetrics, VisibilityLinked,
-    ::testing::Values(LinkedParam{0, Metric::kManhattan}, LinkedParam{0, Metric::kChebyshev},
-                      LinkedParam{0, Metric::kEuclidean}, LinkedParam{1, Metric::kManhattan},
-                      LinkedParam{1, Metric::kChebyshev}, LinkedParam{1, Metric::kEuclidean},
-                      LinkedParam{2, Metric::kManhattan}, LinkedParam{2, Metric::kChebyshev},
-                      LinkedParam{2, Metric::kEuclidean}, LinkedParam{5, Metric::kManhattan},
-                      LinkedParam{5, Metric::kChebyshev}, LinkedParam{5, Metric::kEuclidean}));
+std::vector<LinkedParam> linked_params() {
+    std::vector<LinkedParam> params;
+    for (const std::int64_t r : {0, 1, 2, 5, 28, 29, 31, 32, 33, 63, 64, 65, 200}) {
+        for (const auto metric : {Metric::kManhattan, Metric::kChebyshev, Metric::kEuclidean}) {
+            params.push_back({r, metric});
+        }
+    }
+    return params;
+}
+
+INSTANTIATE_TEST_SUITE_P(RadiiMetrics, VisibilityLinked, ::testing::ValuesIn(linked_params()));
 
 // The r = 0 pass over a table whose 8-bit stamp wraps every 255 passes:
 // the builds before the wrap, at it and after it (600 over walking agents,

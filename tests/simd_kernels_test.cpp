@@ -1,10 +1,9 @@
 // simd_kernels_test — bit-identity of the vectorized kernels vs their
 // scalar references.
 //
-// The walk and visibility hot loops are vectorized behind util/simd.hpp
-// under a hard contract: every SIMD kernel is an observable no-op relative
-// to its scalar reference — same draws, same rejection decisions, same
-// in-range bits, same survivor order. These suites diff the two
+// The walk's hot loops are vectorized behind util/simd.hpp under a hard
+// contract: every SIMD kernel is an observable no-op relative to its
+// scalar reference — same draws, same rejection decisions. These suites diff the two
 // implementations directly, in-process, on whatever backend this build
 // selected; the CI force-scalar leg (-DSMN_DISABLE_SIMD=ON) then replays
 // the same suites plus the golden captures with the reference backend, so
@@ -12,11 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "graph/range_filter.hpp"
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
@@ -86,97 +83,6 @@ TEST(DecodeDraws5, DrawEqualsLemireHighProduct) {
         const auto expected = static_cast<std::int32_t>(
             (static_cast<__uint128_t>(w) * static_cast<__uint128_t>(std::uint64_t{5})) >> 64);
         EXPECT_EQ(d, expected);
-    }
-}
-
-// ------------------------------------------------------------ in_range_mask8
-
-/// Exhaustive boundary sweep for one (metric, radius): every candidate
-/// offset in the [-(r+2), r+2]^2 square around a probe point, chunked into
-/// every count 1..kRangeLanes, mask vs scalar vs grid::within.
-template <Metric M>
-void check_in_range_boundary(std::int32_t r) {
-    const Point p{1000, 2000};
-    std::vector<std::int32_t> xs;
-    std::vector<std::int32_t> ys;
-    for (std::int32_t dy = -(r + 2); dy <= r + 2; ++dy) {
-        for (std::int32_t dx = -(r + 2); dx <= r + 2; ++dx) {
-            xs.push_back(p.x + dx);
-            ys.push_back(p.y + dy);
-        }
-    }
-    const std::size_t total = xs.size();
-    // Padding contract: kRangePad readable elements past the slice.
-    xs.resize(total + graph::kRangePad, 0);
-    ys.resize(total + graph::kRangePad, 0);
-    for (std::size_t count = 1; count <= graph::kRangeLanes; ++count) {
-        for (std::size_t at = 0; at + count <= total; at += count) {
-            const auto bits =
-                graph::in_range_mask8<M>(xs.data() + at, ys.data() + at, count, p.x, p.y, r);
-            const auto ref = graph::in_range_mask8_scalar<M>(xs.data() + at, ys.data() + at,
-                                                             count, p.x, p.y, r);
-            ASSERT_EQ(bits, ref) << "r=" << r << " count=" << count << " at=" << at;
-            EXPECT_EQ(bits >> count, 0u) << "bits above count must be clear";
-            for (std::size_t i = 0; i < count; ++i) {
-                const bool in = grid::within(p, Point{xs[at + i], ys[at + i]}, r, M);
-                EXPECT_EQ((bits >> i) & 1u, in ? 1u : 0u)
-                    << "r=" << r << " candidate (" << xs[at + i] << "," << ys[at + i] << ")";
-            }
-        }
-    }
-}
-
-TEST(InRangeMask8, MatchesScalarAndWithinNearBoundary) {
-    for (const std::int32_t r : {0, 1, 2, 5}) {
-        check_in_range_boundary<Metric::kManhattan>(r);
-        check_in_range_boundary<Metric::kChebyshev>(r);
-        check_in_range_boundary<Metric::kEuclidean>(r);
-    }
-}
-
-TEST(InRangeMask8, PaddedLanesNeverLeakIntoTheMask) {
-    // The kernel computes on all kRangeLanes lanes and masks the excess;
-    // whatever sits in the pad (within arithmetic range) must not matter.
-    const Point p{50, 50};
-    std::array<std::int32_t, graph::kRangeLanes> xs{};
-    std::array<std::int32_t, graph::kRangeLanes> ys{};
-    for (std::size_t count = 1; count < graph::kRangeLanes; ++count) {
-        for (std::size_t i = 0; i < count; ++i) {
-            xs[i] = p.x + static_cast<std::int32_t>(i) - 2;
-            ys[i] = p.y;
-        }
-        for (const std::int32_t pad : {0, 1000000, -1000000, 50}) {
-            for (std::size_t i = count; i < graph::kRangeLanes; ++i) {
-                xs[i] = pad;
-                ys[i] = pad;
-            }
-            const auto bits = graph::in_range_mask8<Metric::kChebyshev>(xs.data(), ys.data(),
-                                                                        count, p.x, p.y, 2);
-            const auto ref = graph::in_range_mask8_scalar<Metric::kChebyshev>(
-                xs.data(), ys.data(), count, p.x, p.y, 2);
-            EXPECT_EQ(bits, ref) << "count=" << count << " pad=" << pad;
-            EXPECT_EQ(bits >> count, 0u);
-        }
-    }
-}
-
-// ------------------------------------------------------------ compress_store8
-
-TEST(CompressStore8, PacksSurvivorsAscendingForEveryMask) {
-    std::array<std::int32_t, graph::kRangeLanes> src{};
-    for (std::size_t i = 0; i < src.size(); ++i) src[i] = 100 + static_cast<std::int32_t>(i);
-    for (std::uint32_t bits = 0; bits < 256; ++bits) {
-        std::array<std::int32_t, graph::kRangeLanes> dst{};
-        dst.fill(-1);
-        const auto n = graph::compress_store8(bits, src.data(), dst.data());
-        ASSERT_EQ(n, static_cast<std::size_t>(std::popcount(bits)));
-        std::size_t at = 0;
-        for (std::uint32_t lane = 0; lane < 8; ++lane) {
-            if (bits & (1u << lane)) {
-                EXPECT_EQ(dst[at], src[lane]) << "bits=" << bits << " lane=" << lane;
-                ++at;
-            }
-        }
     }
 }
 

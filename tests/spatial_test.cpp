@@ -104,6 +104,30 @@ TEST(ColocationTable, FlagKeepsTheFirstAgent) {
     EXPECT_TRUE(pass.flagged(node));
 }
 
+// first() reads a node's first agent without claiming it: kNone for a node
+// unclaimed in this pass (even one claimed in an earlier pass), the
+// claimer otherwise, flagged or not.
+TEST(ColocationTable, FirstReadsTheClaimWithoutClaiming) {
+    const auto g = Grid2D::square(4);
+    ColocationTable table{g.size()};
+    auto pass = table.begin_pass();
+    const auto a = g.node_id({1, 2});
+    const auto b = g.node_id({3, 3});
+    EXPECT_EQ(pass.first(a), kNone);
+    EXPECT_EQ(pass.claim(a, 0), kNone);  // first() left the node empty
+    EXPECT_EQ(pass.claim(a, 5), 0);
+    EXPECT_EQ(pass.claim(b, 7), kNone);
+    pass.flag(b);
+    EXPECT_EQ(pass.first(a), 0);
+    EXPECT_EQ(pass.first(b), 7);
+    EXPECT_EQ(pass.first(g.node_id({0, 0})), kNone);
+    pass = table.begin_pass();
+    EXPECT_EQ(pass.first(a), kNone);
+    EXPECT_EQ(pass.first(b), kNone);
+    EXPECT_EQ(pass.claim(b, 2), kNone);
+    EXPECT_EQ(pass.first(b), 2);
+}
+
 TEST(ColocationTable, RepeatedPassesMatchBruteForce) {
     const auto g = Grid2D::square(12);
     ColocationTable table{g.size()};
@@ -327,7 +351,7 @@ TEST(Bucket, RadiusLargerThanBucketSideFindsAllNeighbors) {
     }
 }
 
-// The sorted layout the visibility pass walks: rows are contiguous and
+// The sorted layout for_each_within searches: rows are contiguous and
 // ordered, cells within a row ascend by column, and agents within a cell
 // keep ascending id order (both counting-sort passes are stable).
 TEST(Bucket, RebuildSortsByRowThenColumnThenId) {
