@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <stdexcept>
 
 #include "core/bounds.hpp"
@@ -13,7 +14,8 @@ GossipExchange::GossipExchange(const EngineConfig& config)
       known_pairs_{config.k},  // each agent knows its own rumor
       rumor_known_count_(static_cast<std::size_t>(config.k), 1),
       rumor_complete_time_(static_cast<std::size_t>(config.k), -1),
-      component_or_(static_cast<std::size_t>(config.k) * rumors_.words_per_agent(), 0) {
+      slot_of_root_(static_cast<std::size_t>(config.k), -1),
+      gained_(rumors_.words_per_agent()) {
     if (config.mobility == Mobility::kInformedOnly) {
         // "Only informed agents move" has no meaning when every agent
         // knows some rumors and not others.
@@ -27,33 +29,45 @@ void GossipExchange::run(std::span<const std::int32_t> linked, graph::DisjointSe
     const auto k = rumors_.agent_count();
     const auto words = rumors_.words_per_agent();
 
-    // Pass 1: one find per linked agent (labels_ remembers it for pass 2),
-    // ORing the rumor sets of each component into its root's slot.
-    labels_.resize(linked.size());
-    touched_roots_.clear();
+    // Pass 1: one find per linked agent. A component gets the next dense
+    // slot when its first member shows up, which copies its row there;
+    // later members OR theirs in. A component has >= 2 linked members, so
+    // linked.size() / 2 slots always suffice.
+    slots_.resize(linked.size());
+    slot_roots_.clear();
+    if (slot_or_.size() < linked.size() / 2 * words) {
+        slot_or_.resize(linked.size() / 2 * words);
+    }
     for (std::size_t i = 0; i < linked.size(); ++i) {
         const auto a = linked[i];
         const auto root = dsu.find(a);
-        labels_[i] = root;
-        auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
-        if (root == a) touched_roots_.push_back(root);  // every set has its root as a member
-        for (std::size_t w = 0; w < words; ++w) acc[w] |= rumors_.word(a, w);
+        auto& slot = slot_of_root_[static_cast<std::size_t>(root)];
+        const auto* row = &rumors_.word(a, 0);
+        if (slot < 0) {
+            slot = static_cast<std::int32_t>(slot_roots_.size());
+            assert(static_cast<std::size_t>(slot + 1) * words <= slot_or_.size());
+            slot_roots_.push_back(root);
+            std::copy(row, row + words, &slot_or_[static_cast<std::size_t>(slot) * words]);
+        } else {
+            auto* acc = &slot_or_[static_cast<std::size_t>(slot) * words];
+            for (std::size_t w = 0; w < words; ++w) acc[w] |= row[w];
+        }
+        slots_[i] = slot;
     }
 
-    // Pass 2: distribute the union back to every member and account for
-    // newly learned rumors (merge_word keeps the per-agent knowledge
-    // counters — and thus MultiRumorState::complete() — up to date).
+    // Pass 2: merge the union back into every member (merge_row keeps the
+    // per-agent knowledge counters, and thus complete(), up to date) and
+    // tally the newly learned rumors, stopping once all `gained` bits of
+    // the row are seen.
     for (std::size_t i = 0; i < linked.size(); ++i) {
-        const auto a = linked[i];
-        const auto* acc = &component_or_[static_cast<std::size_t>(labels_[i]) * words];
-        for (std::size_t w = 0; w < words; ++w) {
-            std::uint64_t gained = rumors_.merge_word(a, w, acc[w]);
-            if (gained == 0) continue;
-            known_pairs_ += std::popcount(gained);
-            while (gained != 0) {
-                const int bit = std::countr_zero(gained);
-                gained &= gained - 1;
-                const auto r = static_cast<std::size_t>(w * 64 + static_cast<std::size_t>(bit));
+        const std::span<const std::uint64_t> acc{
+            &slot_or_[static_cast<std::size_t>(slots_[i]) * words], words};
+        auto remaining = rumors_.merge_row(linked[i], acc, gained_);
+        known_pairs_ += remaining;
+        for (std::size_t w = 0; remaining > 0; ++w) {
+            for (auto gained = gained_[w]; gained != 0; gained &= gained - 1) {
+                --remaining;
+                const auto r = w * 64 + static_cast<std::size_t>(std::countr_zero(gained));
                 if (++rumor_known_count_[r] == k && rumor_complete_time_[r] < 0) {
                     rumor_complete_time_[r] = t;
                 }
@@ -61,11 +75,7 @@ void GossipExchange::run(std::span<const std::int32_t> linked, graph::DisjointSe
         }
     }
 
-    // Clear the accumulator slots we used (only the roots we touched).
-    for (const auto root : touched_roots_) {
-        auto* acc = &component_or_[static_cast<std::size_t>(root) * words];
-        std::fill(acc, acc + words, std::uint64_t{0});
-    }
+    for (const auto root : slot_roots_) slot_of_root_[static_cast<std::size_t>(root)] = -1;
 }
 
 GossipResult run_gossip(const EngineConfig& config, std::int64_t max_steps) {

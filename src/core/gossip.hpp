@@ -63,9 +63,11 @@ private:
     std::int64_t known_pairs_;
     std::vector<std::int32_t> rumor_known_count_;     ///< per rumor: #agents knowing it
     std::vector<std::int64_t> rumor_complete_time_;   ///< per rumor: completion time
-    std::vector<std::uint64_t> component_or_;          ///< scratch: per-root OR accumulator
-    std::vector<std::int32_t> touched_roots_;          ///< scratch
-    std::vector<std::int32_t> labels_;                 ///< scratch: roots of the linked agents
+    std::vector<std::int32_t> slot_of_root_;          ///< root -> its slot; all −1 between runs
+    std::vector<std::int32_t> slot_roots_;            ///< scratch: slot -> root
+    std::vector<std::int32_t> slots_;                 ///< scratch: slots of the linked agents
+    std::vector<std::uint64_t> slot_or_;              ///< scratch: (slots × words) OR accumulator
+    std::vector<std::uint64_t> gained_;               ///< scratch: one merge_row's gained words
 };
 
 /// Multi-rumor dissemination process (one rumor per agent initially).

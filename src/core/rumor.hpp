@@ -13,10 +13,13 @@
 //                       forget), which tests assert as an invariant.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "util/simd.hpp"
 
 namespace smn::core {
 
@@ -75,10 +78,10 @@ private:
 
 /// Knowledge state for m distinct rumors over k agents (gossip).
 /// Stored as one m-bit bitset per agent in 64-bit words. Mutation goes
-/// through merge_word(), which keeps per-agent knowledge counts and a
-/// done-agent counter incrementally up to date, so knowledge_count() and
-/// the gossip termination check complete() are O(1) instead of rescanning
-/// k · words_per_agent bits.
+/// through merge_word() (one word) or merge_row() (a whole row), which
+/// keep per-agent knowledge counts and a done-agent counter incrementally
+/// up to date, so knowledge_count() and the gossip termination check
+/// complete() are O(1) instead of rescanning k · words_per_agent bits.
 class MultiRumorState {
 public:
     /// Agent `a` starts knowing exactly rumor `a` when m == k and
@@ -98,7 +101,7 @@ public:
         for (std::int32_t a = 0; a < agent_count_; ++a) {
             auto& count = known_count_[static_cast<std::size_t>(a)];
             for (std::size_t w = 0; w < words_per_agent_; ++w) {
-                count += static_cast<std::int32_t>(__builtin_popcountll(word(a, w)));
+                count += std::popcount(word(a, w));
             }
             if (count == rumor_count_) ++done_agents_;
         }
@@ -144,23 +147,64 @@ public:
     }
 
     /// ORs `incoming` into word `w` of agent `a`'s bitset, maintaining the
-    /// knowledge counters, and returns the newly gained bits. This is the
-    /// only mutation path, which is what keeps complete() O(1).
+    /// knowledge counters, and returns the newly gained bits. merge_word()
+    /// and merge_row() are the only mutation paths, which is what keeps
+    /// complete() O(1).
     std::uint64_t merge_word(std::int32_t a, std::size_t w, std::uint64_t incoming) noexcept {
         auto& mine = mutable_word(a, w);
         const std::uint64_t gained = incoming & ~mine;
         if (gained != 0) {
             mine |= incoming;
-            auto& count = known_count_[static_cast<std::size_t>(a)];
-            count += static_cast<std::int32_t>(__builtin_popcountll(gained));
-            if (count == rumor_count_) ++done_agents_;
+            gain(a, std::popcount(gained));
         }
         return gained;
+    }
+
+    /// merge_word() over agent `a`'s whole row: ORs `incoming`
+    /// (words_per_agent() words) into it four words per SIMD op, writes
+    /// the newly gained bits to `gained` (same length, every word
+    /// written) and returns how many there are. The counters are updated
+    /// once for the row.
+    std::int32_t merge_row(std::int32_t a, std::span<const std::uint64_t> incoming,
+                           std::span<std::uint64_t> gained) noexcept {
+        namespace simd = util::simd;
+        assert(incoming.size() == words_per_agent_ && gained.size() == words_per_agent_);
+        auto* mine = &mutable_word(a, 0);
+        const auto* in = incoming.data();
+        auto* out = gained.data();
+        auto any = simd::U64x4::splat(0);
+        std::size_t w = 0;
+        for (; w + simd::kU64Lanes <= words_per_agent_; w += simd::kU64Lanes) {
+            const auto cur = simd::U64x4::load(mine + w);
+            const auto inc = simd::U64x4::load(in + w);
+            const auto g = simd::and_not(inc, cur);
+            g.store(out + w);
+            simd::bit_or(cur, inc).store(mine + w);
+            any = simd::bit_or(any, g);
+        }
+        std::uint64_t tail = 0;
+        for (; w < words_per_agent_; ++w) {
+            out[w] = in[w] & ~mine[w];
+            mine[w] |= in[w];
+            tail |= out[w];
+        }
+        if (tail == 0 && !simd::any(any)) return 0;
+        int count = 0;
+        for (std::size_t i = 0; i < words_per_agent_; ++i) count += std::popcount(out[i]);
+        gain(a, count);
+        return count;
     }
 
 private:
     [[nodiscard]] std::uint64_t& mutable_word(std::int32_t a, std::size_t w) noexcept {
         return bits_[static_cast<std::size_t>(a) * words_per_agent_ + w];
+    }
+
+    /// Agent `a` learned `rumors` (> 0) new rumors.
+    void gain(std::int32_t a, int rumors) noexcept {
+        auto& count = known_count_[static_cast<std::size_t>(a)];
+        count += rumors;
+        if (count == rumor_count_) ++done_agents_;
     }
 
     std::int32_t agent_count_;

@@ -1,6 +1,7 @@
 // simd.hpp — fixed-width portable SIMD lanes for the hot kernels.
 //
-// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp) are
+// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp) and
+// gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) are
 // written once against the two wrapper types below and compiled against
 // one of three backends, selected at CONFIGURE time (never at
 // runtime — a runtime dispatch would put an unpredictable branch in loops
@@ -117,6 +118,9 @@ struct U64x4 {
     [[nodiscard]] static U64x4 splat(std::uint64_t x) noexcept {
         return {_mm256_set1_epi64x(static_cast<long long>(x))};
     }
+    void store(std::uint64_t* p) const noexcept {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+    }
 };
 
 [[nodiscard]] inline U64x4 add(U64x4 a, U64x4 b) noexcept {
@@ -127,6 +131,10 @@ struct U64x4 {
 }
 [[nodiscard]] inline U64x4 bit_or(U64x4 a, U64x4 b) noexcept {
     return {_mm256_or_si256(a.v, b.v)};
+}
+/// a & ~b per lane.
+[[nodiscard]] inline U64x4 and_not(U64x4 a, U64x4 b) noexcept {
+    return {_mm256_andnot_si256(b.v, a.v)};
 }
 [[nodiscard]] inline U64x4 cmpeq(U64x4 a, U64x4 b) noexcept {
     return {_mm256_cmpeq_epi64(a.v, b.v)};
@@ -220,6 +228,10 @@ struct U64x4 {
     [[nodiscard]] static U64x4 splat(std::uint64_t x) noexcept {
         return {vdupq_n_u64(x), vdupq_n_u64(x)};
     }
+    void store(std::uint64_t* p) const noexcept {
+        vst1q_u64(p, lo);
+        vst1q_u64(p + 2, hi);
+    }
 };
 
 [[nodiscard]] inline U64x4 add(U64x4 a, U64x4 b) noexcept {
@@ -230,6 +242,9 @@ struct U64x4 {
 }
 [[nodiscard]] inline U64x4 bit_or(U64x4 a, U64x4 b) noexcept {
     return {vorrq_u64(a.lo, b.lo), vorrq_u64(a.hi, b.hi)};
+}
+[[nodiscard]] inline U64x4 and_not(U64x4 a, U64x4 b) noexcept {
+    return {vbicq_u64(a.lo, b.lo), vbicq_u64(a.hi, b.hi)};
 }
 [[nodiscard]] inline U64x4 cmpeq(U64x4 a, U64x4 b) noexcept {
     return {vceqq_u64(a.lo, b.lo), vceqq_u64(a.hi, b.hi)};
@@ -335,6 +350,9 @@ struct U64x4 {
         return {{p[0], p[1], p[2], p[3]}};
     }
     [[nodiscard]] static U64x4 splat(std::uint64_t x) noexcept { return {{x, x, x, x}}; }
+    void store(std::uint64_t* p) const noexcept {
+        for (int i = 0; i < 4; ++i) p[i] = l[i];
+    }
 };
 
 [[nodiscard]] inline U64x4 add(U64x4 a, U64x4 b) noexcept {
@@ -345,6 +363,9 @@ struct U64x4 {
 }
 [[nodiscard]] inline U64x4 bit_or(U64x4 a, U64x4 b) noexcept {
     return {{a.l[0] | b.l[0], a.l[1] | b.l[1], a.l[2] | b.l[2], a.l[3] | b.l[3]}};
+}
+[[nodiscard]] inline U64x4 and_not(U64x4 a, U64x4 b) noexcept {
+    return {{a.l[0] & ~b.l[0], a.l[1] & ~b.l[1], a.l[2] & ~b.l[2], a.l[3] & ~b.l[3]}};
 }
 [[nodiscard]] inline U64x4 cmpeq(U64x4 a, U64x4 b) noexcept {
     U64x4 r;

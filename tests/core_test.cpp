@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -74,30 +75,62 @@ TEST(MultiRumor, WordManipulationAndCompletion) {
 }
 
 TEST(MultiRumor, IncrementalCountersMatchBitScans) {
-    // merge_word's incremental counters must agree with a popcount rescan
-    // of the raw words after every merge.
-    auto m = MultiRumorState::one_rumor_per_agent(130);
+    // merge_word's and merge_row's incremental counters must agree with a
+    // popcount rescan of the raw words after every merge, and the two
+    // paths must agree with each other: the same random rows go through
+    // merge_word into one state and through merge_row into another. Rows
+    // of up to 3 words (k <= 130) are all scalar tail; k = 256 is one
+    // 4-word SIMD step and k = 300 one step plus a 1-word tail.
     rng::Rng rng{99};
-    for (int round = 0; round < 200; ++round) {
-        const auto a = static_cast<std::int32_t>(rng.below(130));
-        const auto w = static_cast<std::size_t>(rng.below(m.words_per_agent()));
-        const std::uint64_t incoming = rng.next_u64() & rng.next_u64();
-        const std::uint64_t before = m.word(a, w);
-        const auto mask = w + 1 == m.words_per_agent()
-                              ? (std::uint64_t{1} << (130 - 64 * 2)) - 1
-                              : ~std::uint64_t{0};
-        const auto gained = m.merge_word(a, w, incoming & mask);
-        EXPECT_EQ(gained, (incoming & mask) & ~before);
-        std::int32_t total = 0;
-        for (std::size_t ww = 0; ww < m.words_per_agent(); ++ww) {
-            total += static_cast<std::int32_t>(__builtin_popcountll(m.word(a, ww)));
+    for (const std::int32_t k : {1, 63, 64, 65, 130, 256, 300}) {
+        SCOPED_TRACE(k);
+        auto by_word = MultiRumorState::one_rumor_per_agent(k);
+        auto by_row = MultiRumorState::one_rumor_per_agent(k);
+        const auto words = by_word.words_per_agent();
+        const auto last_mask = k % 64 == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << (k % 64)) - 1;
+        std::vector<std::uint64_t> incoming(words);
+        std::vector<std::uint64_t> word_gained(words);
+        std::vector<std::uint64_t> row_gained(words, ~std::uint64_t{0});
+        for (int round = 0; round < 200; ++round) {
+            const auto a = static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(k)));
+            // Every 16th row is full, so agents complete along the way;
+            // every 3rd has one nonzero word, so a gain can sit in the
+            // SIMD body alone or in the tail alone; the rest have density
+            // 1/4.
+            const auto lone = static_cast<std::size_t>(rng.below(words));
+            for (std::size_t w = 0; w < words; ++w) {
+                incoming[w] = round % 16 == 0  ? ~std::uint64_t{0}
+                              : round % 3 == 0 ? (w == lone ? rng.next_u64() : 0)
+                                               : rng.next_u64() & rng.next_u64();
+            }
+            incoming.back() &= last_mask;
+            std::int32_t word_total = 0;
+            for (std::size_t w = 0; w < words; ++w) {
+                const std::uint64_t before = by_word.word(a, w);
+                word_gained[w] = by_word.merge_word(a, w, incoming[w]);
+                EXPECT_EQ(word_gained[w], incoming[w] & ~before);
+                word_total += std::popcount(word_gained[w]);
+            }
+            EXPECT_EQ(by_row.merge_row(a, incoming, row_gained), word_total);
+            EXPECT_EQ(row_gained, word_gained);
+            std::int32_t total = 0;
+            for (std::size_t w = 0; w < words; ++w) {
+                EXPECT_EQ(by_row.word(a, w), by_word.word(a, w));
+                total += std::popcount(by_word.word(a, w));
+            }
+            EXPECT_EQ(by_word.knowledge_count(a), total);
+            EXPECT_EQ(by_row.knowledge_count(a), total);
+            EXPECT_EQ(by_row.done_agents(), by_word.done_agents());
+            EXPECT_EQ(by_row.complete(), by_word.complete());
         }
-        EXPECT_EQ(m.knowledge_count(a), total);
+        std::int32_t done = 0;
+        for (std::int32_t a = 0; a < k; ++a) done += by_word.knows_all(a) ? 1 : 0;
+        EXPECT_GT(done, 0);
+        EXPECT_EQ(by_word.done_agents(), done);
+        EXPECT_EQ(by_row.done_agents(), done);
+        EXPECT_EQ(by_word.complete(), done == k);
+        EXPECT_EQ(by_row.complete(), done == k);
     }
-    std::int32_t done = 0;
-    for (std::int32_t a = 0; a < 130; ++a) done += m.knows_all(a) ? 1 : 0;
-    EXPECT_EQ(m.done_agents(), done);
-    EXPECT_EQ(m.complete(), done == 130);
 }
 
 TEST(MultiRumor, ManyRumorsCrossWordBoundary) {

@@ -400,7 +400,12 @@ INSTANTIATE_TEST_SUITE_P(
                       GossipPathwiseParam{14, 40, 0, grid::Metric::kManhattan, 42},
                       GossipPathwiseParam{24, 90, 1, grid::Metric::kManhattan, 43},
                       GossipPathwiseParam{24, 70, 1, grid::Metric::kChebyshev, 44},
-                      GossipPathwiseParam{32, 130, 3, grid::Metric::kEuclidean, 45}));
+                      GossipPathwiseParam{32, 130, 3, grid::Metric::kEuclidean, 45},
+                      // 5-word rumor rows: one SIMD step plus a scalar tail.
+                      GossipPathwiseParam{20, 300, 0, grid::Metric::kManhattan, 46},
+                      // r far above r_c (about 3 here): components of >= 3
+                      // agents share one accumulator slot.
+                      GossipPathwiseParam{24, 60, 5, grid::Metric::kManhattan, 47}));
 
 // ----------------------------------------------------- thread invariance
 

@@ -17,6 +17,7 @@
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
 #include "rng/rng.hpp"
+#include "util/simd.hpp"
 #include "walk/decode.hpp"
 #include "walk/ensemble.hpp"
 #include "walk/step.hpp"
@@ -27,6 +28,35 @@ using namespace smn;
 using grid::Grid2D;
 using grid::Metric;
 using grid::Point;
+
+// --------------------------------------------------------------- U64x4 ops
+
+TEST(U64Lanes, RowMergeOpsMatchScalar) {
+    // The ops of MultiRumorState::merge_row: load, a & ~b, a | b, store.
+    namespace simd = util::simd;
+    rng::Rng rng{31};
+    for (int it = 0; it < 64; ++it) {
+        std::array<std::uint64_t, simd::kU64Lanes> a{};
+        std::array<std::uint64_t, simd::kU64Lanes> b{};
+        for (auto& x : a) x = rng.next_u64();
+        // Odd rounds: b covers a, so a & ~b is all zero.
+        for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.next_u64() | (it % 2 == 1 ? a[i] : 0);
+        const auto va = simd::U64x4::load(a.data());
+        const auto vb = simd::U64x4::load(b.data());
+        std::array<std::uint64_t, simd::kU64Lanes> and_not{};
+        std::array<std::uint64_t, simd::kU64Lanes> bit_or{};
+        simd::and_not(va, vb).store(and_not.data());
+        simd::bit_or(va, vb).store(bit_or.data());
+        std::uint64_t any = 0;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(and_not[i], a[i] & ~b[i]);
+            EXPECT_EQ(bit_or[i], a[i] | b[i]);
+            any |= a[i] & ~b[i];
+        }
+        EXPECT_EQ(simd::any(simd::and_not(va, vb)), any != 0);
+        EXPECT_EQ(any == 0, it % 2 == 1);
+    }
+}
 
 // ------------------------------------------------------------ decode_draws5
 
