@@ -29,6 +29,7 @@
 #include "core/rumor.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
+#include "exp/sweep.hpp"
 #include "exp/writer.hpp"
 #include "graph/visibility.hpp"
 #include "walk/ensemble.hpp"
@@ -406,6 +407,84 @@ INSTANTIATE_TEST_SUITE_P(
                       // r far above r_c (about 3 here): components of >= 3
                       // agents share one accumulator slot.
                       GossipPathwiseParam{24, 60, 5, grid::Metric::kManhattan, 47}));
+
+// ------------------------------------------- the standalone r = 0 models
+
+// Torus, barrier and churn records, captured before the three models became
+// one class: every metric their lab scenarios' replication bodies report,
+// at fixed seeds. The sealed wall pins the final informed count; the
+// reset-churn rows pin an extinction time and the replacement count.
+struct ModelGolden {
+    const char* scenario;
+    exp::ParamValues values;
+    std::uint64_t seed;
+    exp::Metrics metrics;
+};
+
+void expect_model_goldens(std::initializer_list<ModelGolden> goldens) {
+    exp::register_builtin_scenarios();
+    for (const auto& golden : goldens) {
+        const auto& scenario = exp::ScenarioRegistry::instance().at(golden.scenario);
+        const exp::ScenarioParams params{scenario.params, golden.values};
+        EXPECT_EQ(scenario.run_rep(params, golden.seed), golden.metrics)
+            << golden.scenario << " " << exp::canonical_point(golden.values) << " seed "
+            << golden.seed;
+    }
+}
+
+TEST(GoldenColocationModels, TorusReproducesBitForBit) {
+    expect_model_goldens({
+        {"torus_broadcast", {{"side", "16"}, {"k", "8"}},
+         1,
+         {{"broadcast_time", 348}, {"completed", 1}, {"steps", 348}}},
+        {"torus_broadcast", {{"side", "24"}, {"k", "12"}},
+         2,
+         {{"broadcast_time", 466}, {"completed", 1}, {"steps", 466}}},
+    });
+}
+
+TEST(GoldenColocationModels, BarrierReproducesBitForBit) {
+    expect_model_goldens({
+        {"barriers", {{"side", "16"}, {"k", "8"}, {"gap", "open"}},
+         3,
+         {{"broadcast_time", 272}, {"completed", 1}, {"informed", 8}, {"steps", 272}}},
+        {"barriers", {{"side", "16"}, {"k", "8"}, {"gap", "2"}},
+         4,
+         {{"broadcast_time", 982}, {"completed", 1}, {"informed", 8}, {"steps", 982}}},
+        {"barriers", {{"side", "16"}, {"k", "8"}, {"gap", "0"}},
+         5,
+         {{"completed", 0}, {"informed", 4}, {"steps", 65536}}},
+    });
+}
+
+TEST(GoldenColocationModels, ChurnReproducesBitForBit) {
+    expect_model_goldens({
+        {"churn", {{"side", "12"}, {"k", "8"}, {"rate", "0"}, {"reset", "1"}},
+         6,
+         {{"broadcast_time", 158},
+          {"completed", 1},
+          {"extinct", 0},
+          {"replacements", 0},
+          {"steps", 158}}},
+        {"churn", {{"side", "12"}, {"k", "8"}, {"rate", "0.01"}, {"reset", "0"}},
+         7,
+         {{"broadcast_time", 111},
+          {"completed", 1},
+          {"extinct", 0},
+          {"replacements", 10},
+          {"steps", 111}}},
+        {"churn", {{"side", "16"}, {"k", "4"}, {"rate", "0.05"}, {"reset", "1"}},
+         8,
+         {{"completed", 0}, {"extinct", 1}, {"replacements", 5}, {"steps", 10}}},
+        {"churn", {{"side", "12"}, {"k", "8"}, {"rate", "0.005"}, {"reset", "1"}},
+         9,
+         {{"broadcast_time", 500},
+          {"completed", 1},
+          {"extinct", 0},
+          {"replacements", 17},
+          {"steps", 500}}},
+    });
+}
 
 // ----------------------------------------------------- thread invariance
 
