@@ -12,6 +12,10 @@ which preserves every duration and proportion while keeping the trace
 self-contained. Counter ("C") tracks carry the per-step telemetry series:
 informed agents, components, occupied/scanned nodes, pairs tested — so
 the counter panels line up under the phase spans.
+
+Every phase and counter field is read by name, so a step record that lacks
+one (a field renamed or dropped on the engine side) stops the conversion
+with a KeyError instead of plotting a flat zero track.
 """
 import json
 import sys
@@ -22,7 +26,7 @@ COUNTER_TRACKS = {
     "progress": ["informed", "components"],
     "scan nodes": ["units", "rescanned"],
     "pairs": ["pairs_tested", "pairs_survived"],
-    "moves": ["index_moves", "index_relinks"],
+    "moves": ["index_moves"],
     "dsu": ["dsu_unites", "dsu_fast_hits"],
     "walk decode": ["blocks_decoded", "blocks_scalar"],
 }
@@ -47,7 +51,7 @@ def main():
         step = rec["step"]
         step_begin = ts
         for phase in PHASES:
-            dur = rec.get(phase, 0.0) * 1e6
+            dur = rec[phase] * 1e6
             events.append({
                 "name": phase[:-2], "cat": "phase", "ph": "X",
                 "pid": 1, "tid": 1, "ts": ts, "dur": dur,
@@ -64,7 +68,7 @@ def main():
         for track, fields in COUNTER_TRACKS.items():
             events.append({
                 "name": track, "ph": "C", "pid": 1, "ts": ts,
-                "args": {f: rec.get(f, 0) for f in fields},
+                "args": {f: rec[f] for f in fields},
             })
 
     out = {

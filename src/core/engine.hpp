@@ -338,9 +338,7 @@ private:
         cur.rescanned = scan.rescanned_units;
         cur.pairs_tested = scan.pairs_tested;
         cur.pairs_survived = scan.pairs_survived;
-        const auto& index = builder_.index_stats();
-        cur.index_moves = index.moves;
-        cur.index_relinks = index.relinks;
+        cur.index_moves = builder_.index_stats().moves;
         const auto& dsu = dsu_.stats();
         cur.dsu_unites = dsu.unites;
         cur.dsu_fast_hits = dsu.fast_path_hits;
@@ -366,7 +364,6 @@ private:
         rec.pairs_tested = cur.pairs_tested - trace_prev_.pairs_tested;
         rec.pairs_survived = cur.pairs_survived - trace_prev_.pairs_survived;
         rec.index_moves = cur.index_moves - trace_prev_.index_moves;
-        rec.index_relinks = cur.index_relinks - trace_prev_.index_relinks;
         rec.dsu_unites = cur.dsu_unites - trace_prev_.dsu_unites;
         rec.dsu_fast_hits = cur.dsu_fast_hits - trace_prev_.dsu_fast_hits;
         rec.blocks_decoded = cur.blocks_decoded - trace_prev_.blocks_decoded;

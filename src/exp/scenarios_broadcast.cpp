@@ -15,8 +15,9 @@
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
 #include "graph/percolation.hpp"
+#include "grid/grid.hpp"
+#include "models/colocation.hpp"
 #include "models/frog.hpp"
-#include "models/torus_broadcast.hpp"
 
 namespace smn::exp {
 namespace {
@@ -111,20 +112,18 @@ SMN_REGISTER_SCENARIO(
         .quick_sweep = "side=12,16;k=log",
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
-                models::TorusConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-                const std::int64_t n = std::int64_t{cfg.side} * cfg.side;
+                const auto side = static_cast<grid::Coord>(p.get_int("side"));
+                const std::int64_t n = std::int64_t{side} * side;
+                models::ColocationConfig cfg;
                 cfg.k = static_cast<std::int32_t>(p.get_count("k", n));
                 cfg.seed = seed;
-                const auto cap = core::bounds::default_max_steps(n, cfg.k);
-                const auto res = models::run_torus_broadcast(cfg, cap);
+                const auto res =
+                    models::ColocationBroadcast{grid::Torus2D::square(side), cfg}.run(
+                        core::bounds::default_max_steps(n, cfg.k));
                 Metrics m;
                 m["completed"] = res.completed ? 1.0 : 0.0;
-                m["steps"] =
-                    static_cast<double>(res.completed ? res.broadcast_time : cap);
-                if (res.completed) {
-                    m["broadcast_time"] = static_cast<double>(res.broadcast_time);
-                }
+                m["steps"] = static_cast<double>(res.steps);
+                if (res.completed) m["broadcast_time"] = static_cast<double>(res.steps);
                 return m;
             },
     });

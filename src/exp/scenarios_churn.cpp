@@ -1,8 +1,9 @@
 // Churn scenario: broadcast under per-step agent replacement (robustness
-// extension beyond the paper; see models/churn.hpp for the two regimes).
+// extension beyond the paper; see models/colocation.hpp for the two regimes).
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
-#include "models/churn.hpp"
+#include "grid/grid.hpp"
+#include "models/colocation.hpp"
 
 namespace smn::exp {
 namespace {
@@ -26,26 +27,20 @@ SMN_REGISTER_SCENARIO(
         .quick_sweep = "side=12;k=8;rate=0,0.005;reset=1",
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
-                models::ChurnConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-                const std::int64_t n = std::int64_t{cfg.side} * cfg.side;
-                cfg.k = static_cast<std::int32_t>(p.get_count("k", n));
+                const auto side = static_cast<grid::Coord>(p.get_int("side"));
+                models::ColocationConfig cfg;
+                cfg.k = static_cast<std::int32_t>(p.get_count("k", std::int64_t{side} * side));
                 cfg.churn_rate = p.get_double("rate");
                 cfg.reset_knowledge = p.get_int("reset") != 0;
                 cfg.seed = seed;
-                const std::int64_t cap = p.get_int("cap");
-                const auto res = models::run_churn_broadcast(cfg, cap);
+                const auto res = models::ColocationBroadcast{grid::Grid2D::square(side), cfg}.run(
+                    p.get_int("cap"));
                 Metrics m;
                 m["completed"] = res.completed ? 1.0 : 0.0;
                 m["extinct"] = res.extinct ? 1.0 : 0.0;
                 m["replacements"] = static_cast<double>(res.replacements);
-                const std::int64_t steps = res.completed  ? res.broadcast_time
-                                           : res.extinct ? res.extinction_time
-                                                         : cap;
-                m["steps"] = static_cast<double>(steps);
-                if (res.completed) {
-                    m["broadcast_time"] = static_cast<double>(res.broadcast_time);
-                }
+                m["steps"] = static_cast<double>(res.steps);
+                if (res.completed) m["broadcast_time"] = static_cast<double>(res.steps);
                 return m;
             },
     });

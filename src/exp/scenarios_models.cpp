@@ -2,11 +2,12 @@
 // the dense-regime baseline of [7], predator-prey extinction, and
 // broadcast across a mobility barrier.
 #include <algorithm>
+#include <utility>
 
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
 #include "grid/obstacle_grid.hpp"
-#include "models/barrier.hpp"
+#include "models/colocation.hpp"
 #include "models/coverage.hpp"
 #include "models/dense_markov.hpp"
 #include "models/predator_prey.hpp"
@@ -128,27 +129,25 @@ SMN_REGISTER_SCENARIO(
         .quick_sweep = "side=32;k=16;gap=open,16,8,4,2,1,0",
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
-                models::BarrierConfig cfg;
-                cfg.side = static_cast<grid::Coord>(p.get_int("side"));
-                cfg.k = static_cast<std::int32_t>(
-                    p.get_count("k", std::int64_t{cfg.side} * cfg.side));
+                const auto side = static_cast<grid::Coord>(p.get_int("side"));
+                models::ColocationConfig cfg;
+                cfg.k = static_cast<std::int32_t>(p.get_count("k", std::int64_t{side} * side));
                 cfg.seed = seed;
                 const bool open = p.get_string("gap") == "open";
-                const auto gap = open ? std::int64_t{cfg.side} : p.get_int("gap");
-                const auto gap_lo = static_cast<grid::Coord>((cfg.side - gap) / 2);
-                const auto domain =
-                    open ? grid::ObstacleGrid::square(cfg.side)
-                         : grid::ObstacleGrid::with_vertical_wall(
-                               cfg.side, static_cast<grid::Coord>(cfg.side / 2), gap_lo,
-                               static_cast<grid::Coord>(gap_lo + gap));
+                const auto gap = open ? std::int64_t{side} : p.get_int("gap");
+                const auto gap_lo = static_cast<grid::Coord>((side - gap) / 2);
+                auto domain = open ? grid::ObstacleGrid::square(side)
+                                   : grid::ObstacleGrid::with_vertical_wall(
+                                         side, static_cast<grid::Coord>(side / 2), gap_lo,
+                                         static_cast<grid::Coord>(gap_lo + gap));
                 // A sealed wall never completes; a short cap shows the split.
                 const std::int64_t cap = gap == 0 ? 1 << 16 : 1 << 22;
-                const auto res = models::run_barrier_broadcast(domain, cfg, cap);
+                const auto res = models::ColocationBroadcast{std::move(domain), cfg}.run(cap);
                 Metrics m;
                 m["completed"] = res.completed ? 1.0 : 0.0;
                 m["informed"] = static_cast<double>(res.informed_count);
-                m["steps"] = static_cast<double>(res.completed ? res.broadcast_time : cap);
-                if (res.completed) m["broadcast_time"] = static_cast<double>(res.broadcast_time);
+                m["steps"] = static_cast<double>(res.steps);
+                if (res.completed) m["broadcast_time"] = static_cast<double>(res.steps);
                 return m;
             },
     });

@@ -43,7 +43,6 @@ struct StepRecord {
     std::int64_t pairs_tested{0};     ///< node pairs read from the bitmap
     std::int64_t pairs_survived{0};   ///< in-range occupied node pairs found
     std::int64_t index_moves{0};      ///< agents whose node changed since the last pass
-    std::int64_t index_relinks{0};    ///< always 0: the node pass has no cells
     std::int64_t dsu_unites{0};       ///< DSU merges performed
     std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
     std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
@@ -130,7 +129,6 @@ private:
         field_i("pairs_tested", r.pairs_tested);
         field_i("pairs_survived", r.pairs_survived);
         field_i("index_moves", r.index_moves);
-        field_i("index_relinks", r.index_relinks);
         field_i("dsu_unites", r.dsu_unites);
         field_i("dsu_fast_hits", r.dsu_fast_hits);
         field_i("blocks_decoded", r.blocks_decoded);

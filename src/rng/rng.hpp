@@ -92,7 +92,12 @@ public:
     /// block (each agent draws at least once) before refilling.
     void fill(Rng& rng, std::size_t count) {
         buffer_.resize(count);
-        for (auto& word : buffer_) word = rng.next_u64();
+        // Drawn through a local copy of the engine: the buffer's stores may
+        // alias the caller's Rng, which would make the compiler load and
+        // store its four state words for every word drawn.
+        Rng engine = rng;
+        for (auto& word : buffer_) word = engine.next_u64();
+        rng = engine;
         cursor_ = 0;
     }
 

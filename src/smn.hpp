@@ -38,13 +38,11 @@
 #include "core/rumor.hpp"
 
 // Related models (Sec. 4 and baselines)
-#include "models/barrier.hpp"       // broadcast across mobility barriers
-#include "models/churn.hpp"         // broadcast under agent churn
+#include "models/colocation.hpp"    // r = 0 broadcast on torus, barrier and churn domains
 #include "models/coverage.hpp"      // T_C and k-walk cover time
 #include "models/dense_markov.hpp"  // Clementi et al. [7, 8] baseline
 #include "models/frog.hpp"          // Frog model
 #include "models/predator_prey.hpp"
-#include "models/torus_broadcast.hpp"  // boundary-effect ablation
 
 // Visualization
 #include "viz/ascii.hpp"

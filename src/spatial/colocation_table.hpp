@@ -3,9 +3,9 @@
 // At r = 0 (the regime of Sec. 3.1's upper bound) two agents communicate
 // iff they share a node. The visibility builder's component pass (at every
 // radius: at r >= 1 a node's first agent stands for the node) and the
-// standalone models' flood (models/colocation.hpp) both run on this table:
-// one 64-bit slot per node, (pass stamp << 32) | payload, the payload being
-// the node's first agent in that pass plus a flag bit. A slot stamped by
+// standalone models' flood (models::ColocationBroadcast) both run on this
+// table: one 64-bit slot per node, (pass stamp << 32) | payload, the payload
+// being the node's first agent in that pass plus a flag bit. A slot stamped by
 // another pass reads as empty, so no pass resets what it wrote. When the
 // stamp would wrap, begin_pass() zeroes the table and restarts at 1; a
 // narrower `Stamp` than the library's 32 bits makes that reachable in tests.

@@ -84,9 +84,6 @@ struct I32x8 {
 [[nodiscard]] inline I32x8 cmpgt(I32x8 a, I32x8 b) noexcept {
     return {_mm256_cmpgt_epi32(a.v, b.v)};
 }
-[[nodiscard]] inline I32x8 cmpeq(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_cmpeq_epi32(a.v, b.v)};
-}
 template <int N>
 [[nodiscard]] inline I32x8 shift_left(I32x8 a) noexcept {
     return {_mm256_slli_epi32(a.v, N)};
@@ -191,10 +188,6 @@ struct I32x8 {
 [[nodiscard]] inline I32x8 cmpgt(I32x8 a, I32x8 b) noexcept {
     return {vreinterpretq_s32_u32(vcgtq_s32(a.lo, b.lo)),
             vreinterpretq_s32_u32(vcgtq_s32(a.hi, b.hi))};
-}
-[[nodiscard]] inline I32x8 cmpeq(I32x8 a, I32x8 b) noexcept {
-    return {vreinterpretq_s32_u32(vceqq_s32(a.lo, b.lo)),
-            vreinterpretq_s32_u32(vceqq_s32(a.hi, b.hi))};
 }
 template <int N>
 [[nodiscard]] inline I32x8 shift_left(I32x8 a) noexcept {
@@ -313,9 +306,6 @@ template <typename Fn>
 }
 [[nodiscard]] inline I32x8 cmpgt(I32x8 a, I32x8 b) noexcept {
     return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x > y ? -1 : 0; });
-}
-[[nodiscard]] inline I32x8 cmpeq(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x == y ? -1 : 0; });
 }
 template <int N>
 [[nodiscard]] inline I32x8 shift_left(I32x8 a) noexcept {

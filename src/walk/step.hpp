@@ -67,9 +67,10 @@ inline constexpr std::array<StepDelta, 16 * 5> kStepTable = make_step_table();
 
 /// kStepTable re-packed for the SIMD apply kernel: one int32 per entry,
 /// dx in the low 16 bits, dy in the high 16 (both as sign-extendable
-/// 16-bit fields). An entry is 0 exactly when the draw means "stay", so
-/// the vector kernel recovers the moved-lane mask with one compare. Lane
-/// math: dx = (v << 16) >> 16 (arithmetic), dy = v >> 16 (arithmetic).
+/// 16-bit fields), so AgentEnsemble::apply_block turns eight mask*5+u
+/// indices into eight (dx, dy) pairs with one gather; a stay is entry 0
+/// and adds a zero delta. Lane math: dx = (v << 16) >> 16 (arithmetic),
+/// dy = v >> 16 (arithmetic).
 [[nodiscard]] constexpr std::array<std::int32_t, 16 * 5> make_step_table_packed() noexcept {
     std::array<std::int32_t, 16 * 5> table{};
     for (std::size_t i = 0; i < table.size(); ++i) {

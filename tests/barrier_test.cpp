@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "grid/obstacle_grid.hpp"
-#include "models/barrier.hpp"
+#include "models/colocation.hpp"
 #include "rng/rng.hpp"
 #include "walk/step.hpp"
 
@@ -149,34 +149,31 @@ TEST(ObstacleGrid, LazyWalkUniformStationaryWithObstacles) {
     EXPECT_LT(chi2, 110.0);  // 32 dof, generous bound
 }
 
-// -------------------------------------------------------- BarrierBroadcast
+// ---------------------------------------------- ColocationBroadcast barrier
+
+using BarrierBroadcast = models::ColocationBroadcast<ObstacleGrid>;
 
 TEST(Barrier, RejectsBadInputs) {
-    const auto g = ObstacleGrid::square(6);
-    models::BarrierConfig cfg;
+    models::ColocationConfig cfg;
     cfg.k = 0;
-    EXPECT_THROW((models::BarrierBroadcast{g, cfg}), std::invalid_argument);
+    EXPECT_THROW((BarrierBroadcast{ObstacleGrid::square(6), cfg}), std::invalid_argument);
 }
 
 TEST(Barrier, CompletesOnOpenDomain) {
-    const auto g = ObstacleGrid::square(10);
-    models::BarrierConfig cfg;
-    cfg.side = 10;
+    models::ColocationConfig cfg;
     cfg.k = 6;
     cfg.seed = 6;
-    const auto result = models::run_barrier_broadcast(g, cfg, 1 << 24);
+    const auto result = BarrierBroadcast{ObstacleGrid::square(10), cfg}.run(1 << 24);
     EXPECT_TRUE(result.completed);
-    EXPECT_GE(result.broadcast_time, 0);
     EXPECT_EQ(result.informed_count, 6);
 }
 
 TEST(Barrier, CompletesThroughGap) {
-    const auto g = ObstacleGrid::with_vertical_wall(12, 6, 5, 7);
-    models::BarrierConfig cfg;
-    cfg.side = 12;
+    models::ColocationConfig cfg;
     cfg.k = 8;
     cfg.seed = 7;
-    const auto result = models::run_barrier_broadcast(g, cfg, 1 << 26);
+    const auto result =
+        BarrierBroadcast{ObstacleGrid::with_vertical_wall(12, 6, 5, 7), cfg}.run(1 << 26);
     EXPECT_TRUE(result.completed);
 }
 
@@ -184,33 +181,31 @@ TEST(Barrier, SealedWallNeverCompletesWithAgentsOnBothSides) {
     const auto g = ObstacleGrid::with_vertical_wall(12, 6, 0, 0);
     // Find a seed where agents land on both sides (almost always).
     for (std::uint64_t seed = 8; seed < 16; ++seed) {
-        models::BarrierConfig cfg;
-        cfg.side = 12;
+        models::ColocationConfig cfg;
         cfg.k = 8;
         cfg.seed = seed;
-        models::BarrierBroadcast process{g, cfg};
+        BarrierBroadcast process{g, cfg};
         bool left = false;
         bool right = false;
         for (std::int32_t a = 0; a < 8; ++a) {
             (process.position(a).x < 6 ? left : right) = true;
         }
         if (!(left && right)) continue;
-        const auto tb = process.run_until_complete(20000);
-        EXPECT_FALSE(tb.has_value()) << "seed " << seed;
-        EXPECT_LT(process.informed_count(), 8);
-        EXPECT_GE(process.informed_count(), 1);
+        const auto result = process.run(20000);
+        EXPECT_FALSE(result.completed) << "seed " << seed;
+        EXPECT_EQ(result.steps, 20000);
+        EXPECT_LT(result.informed_count, 8);
+        EXPECT_GE(result.informed_count, 1);
         return;  // one demonstrating seed suffices
     }
     FAIL() << "no seed placed agents on both sides of the wall";
 }
 
 TEST(Barrier, InformedCountMonotone) {
-    const auto g = ObstacleGrid::with_vertical_wall(10, 5, 4, 6);
-    models::BarrierConfig cfg;
-    cfg.side = 10;
+    models::ColocationConfig cfg;
     cfg.k = 6;
     cfg.seed = 9;
-    models::BarrierBroadcast process{g, cfg};
+    BarrierBroadcast process{ObstacleGrid::with_vertical_wall(10, 5, 4, 6), cfg};
     auto prev = process.informed_count();
     for (int t = 0; t < 2000 && !process.complete(); ++t) {
         process.step();
@@ -221,16 +216,13 @@ TEST(Barrier, InformedCountMonotone) {
 
 TEST(Barrier, DeterministicGivenSeed) {
     const auto g = ObstacleGrid::with_vertical_wall(10, 5, 4, 6);
-    models::BarrierConfig cfg;
-    cfg.side = 10;
+    models::ColocationConfig cfg;
     cfg.k = 5;
     cfg.seed = 10;
-    models::BarrierBroadcast a{g, cfg};
-    models::BarrierBroadcast b{g, cfg};
-    const auto ta = a.run_until_complete(1 << 24);
-    const auto tb = b.run_until_complete(1 << 24);
-    ASSERT_TRUE(ta.has_value());
-    EXPECT_EQ(*ta, *tb);
+    const auto a = BarrierBroadcast{g, cfg}.run(1 << 24);
+    const auto b = BarrierBroadcast{g, cfg}.run(1 << 24);
+    ASSERT_TRUE(a.completed);
+    EXPECT_EQ(a.steps, b.steps);
 }
 
 // Narrower gaps slow the broadcast (stochastically).
@@ -239,17 +231,16 @@ TEST(Barrier, NarrowGapSlowerThanWideGap) {
     double narrow_total = 0.0;
     constexpr int kReps = 12;
     for (std::uint64_t seed = 1; seed <= kReps; ++seed) {
-        models::BarrierConfig cfg;
-        cfg.side = 16;
+        models::ColocationConfig cfg;
         cfg.k = 10;
         cfg.seed = seed;
-        const auto wide = models::run_barrier_broadcast(
-            grid::ObstacleGrid::with_vertical_wall(16, 8, 2, 14), cfg, 1 << 26);
-        const auto narrow = models::run_barrier_broadcast(
-            grid::ObstacleGrid::with_vertical_wall(16, 8, 7, 8), cfg, 1 << 26);
+        const auto wide =
+            BarrierBroadcast{ObstacleGrid::with_vertical_wall(16, 8, 2, 14), cfg}.run(1 << 26);
+        const auto narrow =
+            BarrierBroadcast{ObstacleGrid::with_vertical_wall(16, 8, 7, 8), cfg}.run(1 << 26);
         ASSERT_TRUE(wide.completed && narrow.completed);
-        wide_total += static_cast<double>(wide.broadcast_time);
-        narrow_total += static_cast<double>(narrow.broadcast_time);
+        wide_total += static_cast<double>(wide.steps);
+        narrow_total += static_cast<double>(narrow.steps);
     }
     EXPECT_GT(narrow_total, wide_total);
 }

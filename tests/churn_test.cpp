@@ -5,46 +5,51 @@
 
 #include "core/cell_observer.hpp"
 #include "core/engine.hpp"
-#include "models/churn.hpp"
+#include "grid/grid.hpp"
+#include "models/colocation.hpp"
 
 namespace smn {
 namespace {
 
-// ----------------------------------------------------------- ChurnBroadcast
+// ------------------------------------------------- ColocationBroadcast churn
+
+models::ColocationResult run_churn(grid::Coord side, const models::ColocationConfig& cfg,
+                                   std::int64_t max_steps) {
+    return models::ColocationBroadcast{grid::Grid2D::square(side), cfg}.run(max_steps);
+}
 
 TEST(Churn, RejectsBadConfig) {
-    models::ChurnConfig cfg;
+    const auto g = grid::Grid2D::square(8);
+    models::ColocationConfig cfg;
     cfg.k = 0;
-    EXPECT_THROW(models::ChurnBroadcast{cfg}, std::invalid_argument);
+    EXPECT_THROW((models::ColocationBroadcast{g, cfg}), std::invalid_argument);
     cfg = {};
     cfg.churn_rate = -0.1;
-    EXPECT_THROW(models::ChurnBroadcast{cfg}, std::invalid_argument);
+    EXPECT_THROW((models::ColocationBroadcast{g, cfg}), std::invalid_argument);
     cfg = {};
     cfg.churn_rate = 1.5;
-    EXPECT_THROW(models::ChurnBroadcast{cfg}, std::invalid_argument);
+    EXPECT_THROW((models::ColocationBroadcast{g, cfg}), std::invalid_argument);
 }
 
 TEST(Churn, ZeroChurnBehavesLikePlainBroadcast) {
-    models::ChurnConfig cfg;
-    cfg.side = 10;
+    models::ColocationConfig cfg;
     cfg.k = 6;
     cfg.churn_rate = 0.0;
     cfg.seed = 1;
-    const auto result = models::run_churn_broadcast(cfg, 1 << 24);
+    const auto result = run_churn(10, cfg, 1 << 24);
     EXPECT_TRUE(result.completed);
     EXPECT_FALSE(result.extinct);
     EXPECT_EQ(result.replacements, 0);
 }
 
 TEST(Churn, RelocationChurnAlwaysCompletes) {
-    models::ChurnConfig cfg;
-    cfg.side = 12;
+    models::ColocationConfig cfg;
     cfg.k = 8;
     cfg.churn_rate = 0.01;
     cfg.reset_knowledge = false;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         cfg.seed = seed;
-        const auto result = models::run_churn_broadcast(cfg, 1 << 24);
+        const auto result = run_churn(12, cfg, 1 << 24);
         EXPECT_TRUE(result.completed) << seed;
         EXPECT_GT(result.replacements, 0);
     }
@@ -54,43 +59,34 @@ TEST(Churn, FullResetChurnGoesExtinctFast) {
     // churn_rate = 1 with knowledge reset: every agent (including every
     // informed one) is replaced each step; unless a co-location rescue
     // happens instantly the rumor dies.
-    models::ChurnConfig cfg;
-    cfg.side = 20;
+    models::ColocationConfig cfg;
     cfg.k = 4;
     cfg.churn_rate = 1.0;
     cfg.reset_knowledge = true;
     int extinct = 0;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         cfg.seed = seed;
-        const auto result = models::run_churn_broadcast(cfg, 10000);
+        const auto result = run_churn(20, cfg, 10000);
         extinct += result.extinct;
     }
     EXPECT_GE(extinct, 8);  // overwhelmingly extinction
 }
 
 TEST(Churn, TerminatesWithEitherOutcome) {
-    models::ChurnConfig cfg;
-    cfg.side = 14;
+    models::ColocationConfig cfg;
     cfg.k = 6;
     cfg.churn_rate = 0.003;
     cfg.reset_knowledge = true;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         cfg.seed = seed;
-        const auto result = models::run_churn_broadcast(cfg, 1 << 24);
+        const auto result = run_churn(14, cfg, 1 << 24);
         EXPECT_TRUE(result.completed || result.extinct) << seed;
         EXPECT_NE(result.completed && result.extinct, true);
-        if (result.completed) {
-            EXPECT_GE(result.broadcast_time, 0);
-        }
-        if (result.extinct) {
-            EXPECT_GE(result.extinction_time, 0);
-        }
     }
 }
 
 TEST(Churn, RelocationChurnSpeedsBroadcastOnAverage) {
-    models::ChurnConfig cfg;
-    cfg.side = 20;
+    models::ColocationConfig cfg;
     cfg.k = 8;
     cfg.reset_knowledge = false;
     double slow_total = 0.0;
@@ -99,25 +95,22 @@ TEST(Churn, RelocationChurnSpeedsBroadcastOnAverage) {
     for (std::uint64_t seed = 1; seed <= kReps; ++seed) {
         cfg.seed = seed;
         cfg.churn_rate = 0.0;
-        slow_total += static_cast<double>(
-            models::run_churn_broadcast(cfg, 1 << 26).broadcast_time);
+        slow_total += static_cast<double>(run_churn(20, cfg, 1 << 26).steps);
         cfg.churn_rate = 0.05;
-        fast_total += static_cast<double>(
-            models::run_churn_broadcast(cfg, 1 << 26).broadcast_time);
+        fast_total += static_cast<double>(run_churn(20, cfg, 1 << 26).steps);
     }
     EXPECT_LT(fast_total, slow_total);
 }
 
 TEST(Churn, DeterministicGivenSeed) {
-    models::ChurnConfig cfg;
-    cfg.side = 12;
+    models::ColocationConfig cfg;
     cfg.k = 5;
     cfg.churn_rate = 0.01;
     cfg.seed = 42;
-    const auto a = models::run_churn_broadcast(cfg, 1 << 24);
-    const auto b = models::run_churn_broadcast(cfg, 1 << 24);
+    const auto a = run_churn(12, cfg, 1 << 24);
+    const auto b = run_churn(12, cfg, 1 << 24);
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.broadcast_time, b.broadcast_time);
+    EXPECT_EQ(a.steps, b.steps);
     EXPECT_EQ(a.replacements, b.replacements);
 }
 

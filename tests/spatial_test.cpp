@@ -1,5 +1,5 @@
-// spatial_test.cpp — the stamped co-location table (and the models' flood
-// over it) and the BucketIndex cell list, including randomized
+// spatial_test.cpp — the stamped co-location table (and the standalone
+// models' flood over it) and the BucketIndex cell list, including randomized
 // equivalence against brute-force references.
 #include <gtest/gtest.h>
 
@@ -177,44 +177,60 @@ TEST(ColocationTable, StampWrapClearsTheTable) {
     }
 }
 
-// models::flood_colocated against the O(k²) flood: an agent ends informed
-// iff it was informed or shares its node with an informed agent.
+// models::ColocationBroadcast's flood against the O(k²) flood: after the
+// t = 0 flood and after every step, an agent is informed iff it was
+// informed before the flood or shares its node with an agent that was.
 TEST(ColocationFlood, MatchesBruteForceFlood) {
     rng::Rng rng{3};
     for (const grid::Coord side : {1, 3, 8, 16}) {
-        const auto g = Grid2D::square(side);
-        ColocationTable table{g.size()};
         for (int round = 0; round < 30; ++round) {
-            const auto pos = random_positions(g, 1 + static_cast<int>(rng.below(40)), rng);
-            std::vector<std::uint8_t> informed(pos.size());
-            for (auto& flag : informed) flag = rng.below(4) == 0 ? 1 : 0;
-            auto expected = informed;
-            std::int32_t newly_expected = 0;
-            for (std::size_t a = 0; a < pos.size(); ++a) {
-                for (std::size_t b = 0; b < pos.size() && expected[a] == 0; ++b) {
-                    if (informed[b] != 0 && pos[b] == pos[a]) {
-                        expected[a] = 1;
-                        ++newly_expected;
+            models::ColocationConfig cfg;
+            cfg.k = 1 + static_cast<std::int32_t>(rng.below(40));
+            cfg.seed = rng.next_u64();
+            models::ColocationBroadcast process{Grid2D::square(side), cfg};
+            const auto flags = [&] {
+                std::vector<std::uint8_t> informed;
+                for (std::int32_t a = 0; a < cfg.k; ++a) informed.push_back(process.is_informed(a));
+                return informed;
+            };
+            std::vector<std::uint8_t> before(static_cast<std::size_t>(cfg.k), 0);
+            before[0] = 1;
+            for (int t = 0; t <= 4; ++t) {
+                if (t > 0) {
+                    before = flags();
+                    process.step();
+                }
+                auto expected = before;
+                for (std::int32_t a = 0; a < cfg.k; ++a) {
+                    for (std::int32_t b = 0; b < cfg.k; ++b) {
+                        if (before[static_cast<std::size_t>(b)] != 0 &&
+                            process.position(b) == process.position(a)) {
+                            expected[static_cast<std::size_t>(a)] = 1;
+                        }
                     }
                 }
+                EXPECT_EQ(flags(), expected) << "side " << side << " round " << round << " t " << t;
+                EXPECT_EQ(process.informed_count(), std::count(expected.begin(), expected.end(), 1))
+                    << "side " << side << " round " << round << " t " << t;
             }
-            const auto newly = models::flood_colocated(table, g, pos, informed);
-            EXPECT_EQ(informed, expected) << "side " << side << " round " << round;
-            EXPECT_EQ(newly, newly_expected) << "side " << side << " round " << round;
         }
     }
 }
 
+// On a single node every agent is co-located, so the t = 0 flood informs
+// all of them. Full knowledge-resetting churn then replaces every agent
+// with an uninformed one, and the flood that follows informs nobody.
 TEST(ColocationFlood, InformsNothingWithoutAnInformedAgent) {
-    const auto g = Grid2D::square(4);
-    ColocationTable table{g.size()};
-    const std::vector<Point> pos{{1, 1}, {1, 1}, {2, 2}};
-    std::vector<std::uint8_t> informed{0, 0, 1};
-    EXPECT_EQ(models::flood_colocated(table, g, pos, informed), 0);
-    EXPECT_EQ(informed, (std::vector<std::uint8_t>{0, 0, 1}));
-    informed = {0, 1, 0};
-    EXPECT_EQ(models::flood_colocated(table, g, pos, informed), 1);
-    EXPECT_EQ(informed, (std::vector<std::uint8_t>{1, 1, 0}));
+    models::ColocationConfig cfg;
+    cfg.k = 3;
+    cfg.churn_rate = 1.0;
+    cfg.reset_knowledge = true;
+    models::ColocationBroadcast process{Grid2D::square(1), cfg};
+    EXPECT_EQ(process.informed_count(), 3);
+    process.step();
+    EXPECT_EQ(process.informed_count(), 0);
+    EXPECT_TRUE(process.extinct());
+    for (std::int32_t a = 0; a < cfg.k; ++a) EXPECT_FALSE(process.is_informed(a)) << a;
 }
 
 // ----------------------------------------------------------- BucketIndex

@@ -6,45 +6,47 @@
 
 #include "core/broadcast.hpp"
 #include "core/epidemic.hpp"
-#include "models/torus_broadcast.hpp"
+#include "grid/grid.hpp"
+#include "models/colocation.hpp"
 
 namespace smn {
 namespace {
 
-// ------------------------------------------------------------ TorusBroadcast
+// ------------------------------------------------ ColocationBroadcast torus
+
+models::ColocationBroadcast<grid::Torus2D> torus_broadcast(grid::Coord side,
+                                                           const models::ColocationConfig& cfg) {
+    return {grid::Torus2D::square(side), cfg};
+}
 
 TEST(Torus, RejectsBadConfig) {
-    models::TorusConfig cfg;
+    models::ColocationConfig cfg;
     cfg.k = 0;
-    EXPECT_THROW(models::TorusBroadcast{cfg}, std::invalid_argument);
+    EXPECT_THROW(torus_broadcast(48, cfg), std::invalid_argument);
 }
 
 TEST(Torus, SingleAgentImmediate) {
-    models::TorusConfig cfg;
-    cfg.side = 8;
+    models::ColocationConfig cfg;
     cfg.k = 1;
-    models::TorusBroadcast p{cfg};
-    EXPECT_TRUE(p.complete());
+    EXPECT_TRUE(torus_broadcast(8, cfg).complete());
 }
 
 TEST(Torus, CompletesOnSmallSystem) {
-    models::TorusConfig cfg;
-    cfg.side = 10;
+    models::ColocationConfig cfg;
     cfg.k = 6;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         cfg.seed = seed;
-        const auto result = models::run_torus_broadcast(cfg, 1 << 24);
+        const auto result = torus_broadcast(10, cfg).run(1 << 24);
         EXPECT_TRUE(result.completed) << seed;
-        EXPECT_GE(result.broadcast_time, 0);
+        EXPECT_EQ(result.informed_count, 6) << seed;
     }
 }
 
 TEST(Torus, InformedCountMonotone) {
-    models::TorusConfig cfg;
-    cfg.side = 14;
+    models::ColocationConfig cfg;
     cfg.k = 8;
     cfg.seed = 2;
-    models::TorusBroadcast p{cfg};
+    auto p = torus_broadcast(14, cfg);
     auto prev = p.informed_count();
     for (int t = 0; t < 500 && !p.complete(); ++t) {
         p.step();
@@ -54,13 +56,12 @@ TEST(Torus, InformedCountMonotone) {
 }
 
 TEST(Torus, DeterministicGivenSeed) {
-    models::TorusConfig cfg;
-    cfg.side = 12;
+    models::ColocationConfig cfg;
     cfg.k = 6;
     cfg.seed = 3;
-    const auto a = models::run_torus_broadcast(cfg, 1 << 24);
-    const auto b = models::run_torus_broadcast(cfg, 1 << 24);
-    EXPECT_EQ(a.broadcast_time, b.broadcast_time);
+    const auto a = torus_broadcast(12, cfg).run(1 << 24);
+    const auto b = torus_broadcast(12, cfg).run(1 << 24);
+    EXPECT_EQ(a.steps, b.steps);
 }
 
 // The reflection-principle argument of Lemma 1 at system level: bounded
@@ -77,12 +78,10 @@ TEST(Torus, BoundedAndTorusAgreeWithinConstant) {
         cfg.seed = seed;
         bounded_total +=
             static_cast<double>(core::run_broadcast(cfg, {}).broadcast_time);
-        models::TorusConfig torus_cfg;
-        torus_cfg.side = 20;
+        models::ColocationConfig torus_cfg;
         torus_cfg.k = 10;
         torus_cfg.seed = seed;
-        torus_total += static_cast<double>(
-            models::run_torus_broadcast(torus_cfg, 1 << 26).broadcast_time);
+        torus_total += static_cast<double>(torus_broadcast(20, torus_cfg).run(1 << 26).steps);
     }
     const double ratio = bounded_total / torus_total;
     EXPECT_GT(ratio, 0.4);
