@@ -86,7 +86,8 @@ BENCHMARK(BM_BucketRebuild)->Arg(256)->Arg(4096);
 
 // The component pass in isolation (args: side, k, radius): r = 0,
 // subcritical, percolation-scale (√(n/k)) and above, plus paperbench's two
-// r = 2 points (bcast_r2 at side 256, frog_r2 at side 128).
+// r = 2 points (bcast_r2 at side 256, frog_r2 at side 128) and bcast_r2's
+// r_c (side 256, k 1024: r = 8).
 void BM_VisibilityBuild(benchmark::State& state) {
     build_over_frames(state, state.range(2), 4);
 }
@@ -98,7 +99,8 @@ BENCHMARK(BM_VisibilityBuild)
     ->Args({256, 4096, 0})
     ->Args({256, 4096, 4})
     ->Args({256, 1024, 2})
-    ->Args({128, 1024, 2});
+    ->Args({128, 1024, 2})
+    ->Args({256, 1024, 8});
 
 void BM_ComponentStats(benchmark::State& state) {
     const auto k = static_cast<std::int32_t>(state.range(0));

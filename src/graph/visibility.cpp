@@ -3,55 +3,61 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstring>
+
+#include "util/simd.hpp"
 
 namespace smn::graph {
 
 namespace {
 
+namespace simd = util::simd;
+
 /// Bits one bitmap load yields: 64 minus the at most 7 bits of the byte
 /// offset it shifts away.
 constexpr std::int64_t kLoadBits = 57;
 
-/// Windows staged before they are resolved (at least one node's worth).
-constexpr std::size_t kStagedWindows = 512;
+/// Words in the node pass's word block (16 KiB): the block holds every
+/// window of as many groups of 4 nodes as fit, and at least one group.
+constexpr std::size_t kBlockWords = 2048;
 
-/// Little-endian 64-bit load from any byte address: bit i of the result is
-/// bit i % 8 of byte i / 8, as the bitmap is written.
-std::uint64_t load_bits(const std::uint8_t* p) noexcept {
-    std::uint64_t v = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(&v, p, sizeof v);
-    } else {
-        for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
-    }
-    return v;
+constexpr std::size_t kLanes = simd::kU64Lanes;
+
+/// Zero bits after each bitmap row at r >= 1: a window of half-width up to
+/// this never reads another row's nodes. Windows never reach past the
+/// width, so a radius beyond it pads no more.
+std::int64_t row_pad(const grid::Grid2D& grid, std::int64_t radius) {
+    return radius < 1 ? 0 : std::min<std::int64_t>(radius, grid.width() - 1);
 }
 
 }  // namespace
 
 VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
                                                grid::Metric metric)
-    : grid_{grid}, radius_{radius}, metric_{metric}, colocation_{grid.size()} {
+    : grid_{grid},
+      radius_{radius},
+      metric_{metric},
+      pad_{row_pad(grid, radius)},
+      stride_{grid.width() + pad_},
+      colocation_{radius < 1 ? grid.size() : pad_ + grid.height() * stride_} {
     if (radius < 1) return;
     // A radius beyond the diameter connects the same pairs; offsets past
     // the grid's width or height reach no node.
     const auto r = std::min(radius, grid.diameter());
     const auto rows = std::min<std::int64_t>(r, grid.height() - 1);
-    const auto reach = std::min<std::int64_t>(r, grid.width() - 1);
-    // Node (x, y) is bit pad_ + y·stride_ + x. Every row is followed by
-    // `reach` zero bits and the last by `rows` zero rows, so a window of
-    // half-width <= reach never reads another row's nodes or past the end;
-    // the 8 trailing bytes keep the last load inside the vector.
-    pad_ = reach;
-    stride_ = grid.width() + reach;
+    const auto reach = pad_;
+    // Node (x, y) is bit pad_ + y·stride_ + x, which is also its slot in
+    // the node table. Every row is followed by `reach` zero bits and the
+    // last by `rows` zero rows, so a window of half-width <= reach never
+    // reads another row's nodes or past the end; the 8 trailing bytes keep
+    // the last load inside the vector.
     bitmap_.assign(static_cast<std::size_t>((pad_ + (grid.height() + rows) * stride_) / 8 + 9), 0);
     // Columns [lo, lo + width) of row dy, relative to the node, split into
-    // loads of at most kLoadBits.
+    // loads of at most kLoadBits. Every offset is positive: row 0's window
+    // starts at x + 1, and a later row's at least `width` bits on.
     const auto add = [&](std::int64_t dy, std::int64_t lo, std::int64_t width) {
         for (std::int64_t at = 0; at < width; at += kLoadBits) {
             const auto bits = std::min(kLoadBits, width - at);
-            windows_.push_back({dy * stride_ + lo + at, dy * grid.width() + lo + at,
+            windows_.push_back({static_cast<std::uint64_t>(dy * stride_ + lo + at),
                                 (std::uint64_t{1} << bits) - 1});
         }
         window_nodes_ += width;
@@ -74,7 +80,11 @@ VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::in
             add(dy, -half, 2 * half + 1);
         }
     }
-    staged_.resize(std::max(kStagedWindows, windows_.size()));
+    chunk_ = kLanes * std::max<std::size_t>(1, kBlockWords / kLanes /
+                                                   std::max<std::size_t>(1, windows_.size()));
+    words_.resize(windows_.size() * chunk_);
+    hits_.resize(chunk_);
+    nonempty_.resize(windows_.size());
 }
 
 void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, DisjointSets& dsu) {
@@ -83,98 +93,137 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     for (const auto a : linked_) linked_flag_[static_cast<std::size_t>(a)] = 0;
     linked_.clear();
     linked_flag_.resize(positions.size());
-    const auto list = [this](std::int32_t a) { link(a); };
     if (radius_ == 0) {
-        colocation_pass(colocation_, grid_, positions, dsu, list);
+        colocation_pass(colocation_, grid_, positions, dsu, [this](std::int32_t a) { link(a); });
         return;
     }
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
     using clock = std::chrono::steady_clock;
     const auto index_begin = timing_ ? clock::now() : clock::time_point{};
-    tally_moves(positions);
-    occupied_.clear();
-    const auto pass = colocation_pass(
-        colocation_, grid_, positions, dsu, list, [this](std::int32_t a, grid::Point p) {
-            const auto bit = pad_ + std::int64_t{p.y} * stride_ + p.x;
-            bitmap_[static_cast<std::size_t>(bit >> 3)] |=
-                static_cast<std::uint8_t>(1u << (bit & 7));
-            occupied_.push_back({bit, grid_.node_id(p), a});
-        });
+    const auto pass = index_pass(positions, dsu);
     if (timing_) {
         index_seconds_ += std::chrono::duration<double>(clock::now() - index_begin).count();
     }
     node_pass(pass, dsu);
 }
 
-/// Counts the agents whose node changed since the last pass. The first
-/// pass (or one over a different agent count) only records the positions.
-void VisibilityGraphBuilder::tally_moves(std::span<const grid::Point> positions) {
-    if (prev_.size() == positions.size()) {
-        std::int64_t moves = 0;
-        for (std::size_t a = 0; a < prev_.size(); ++a) {
-            moves += static_cast<std::int64_t>(positions[a] != prev_[a]);
+/// The r >= 1 co-location pass, claiming each agent's bitmap bit in the
+/// node table: unions co-located agents, sets each occupied node's bitmap
+/// bit and lists the node, and counts the agents whose node changed since
+/// the last pass (the first pass, or one over a different agent count,
+/// only records the positions).
+spatial::ColocationTable::Pass VisibilityGraphBuilder::index_pass(
+    std::span<const grid::Point> positions, DisjointSets& dsu) {
+    const auto k = positions.size();
+    const bool tally = prev_.size() == k;
+    prev_.resize(k);
+    occupied_bits_.resize(k + kLanes - 1);
+    occupied_agents_.resize(k);
+    auto* prev = prev_.data();
+    auto* bits = occupied_bits_.data();
+    auto* agents = occupied_agents_.data();
+    auto* bitmap = bitmap_.data();
+    const auto pass = colocation_.begin_pass();
+    std::int64_t moves = 0;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+        const auto p = positions[i];
+        moves += static_cast<std::int64_t>(p != prev[i]);
+        prev[i] = p;
+        const auto bit = pad_ + std::int64_t{p.y} * stride_ + p.x;
+        const auto a = static_cast<std::int32_t>(i);
+        const auto first = pass.claim(bit, a);
+        if (first == spatial::kNone) {
+            bitmap[bit >> 3] |= static_cast<std::uint8_t>(1u << (bit & 7));
+            bits[n] = static_cast<std::uint64_t>(bit);
+            agents[n] = a;
+            ++n;
+            continue;
         }
-        index_stats_.moves += moves;
+        link(first);
+        link(a);
+        (void)dsu.unite_root(first, a);
     }
-    prev_.assign(positions.begin(), positions.end());
+    if (tally) index_stats_.moves += moves;
+    occupied_units_ = static_cast<std::int64_t>(n);
+    return pass;
 }
 
-/// Reads every occupied node's windows from the bitmap and stages the
-/// non-empty ones without a branch, resolving the staged windows whenever
-/// another node's might not fit; then clears the node bits.
+/// Reads every occupied node's windows from the bitmap, 4 nodes per step
+/// and one chunk of nodes per word block: each window is one byte-offset
+/// gather, shifted by each lane's bit within its byte and masked. The nodes
+/// with any set bit are listed without a branch, and only they are then
+/// resolved from the stored words: each set bit names a node, whose first
+/// agent is united with the node's and both are listed. A node's root is
+/// found once and carried through unite_root. Then clears the node bits.
 void VisibilityGraphBuilder::node_pass(spatial::ColocationTable::Pass pass, DisjointSets& dsu) {
+    const auto occupied = static_cast<std::size_t>(occupied_units_);
     const auto* bitmap = bitmap_.data();
     const auto* windows = windows_.data();
     const auto per_node = windows_.size();
-    auto* staged = staged_.data();
+    const auto chunk = chunk_;
+    auto* bits = occupied_bits_.data();
+    const auto* agents = occupied_agents_.data();
+    auto* words = words_.data();
+    auto* hits = hits_.data();
+    auto* nonempty = nonempty_.data();
+    // Pad the last group with the first node: its loads stay inside the
+    // bitmap, and the lane mask drops its words.
+    for (auto i = occupied; i % kLanes != 0; ++i) bits[i] = bits[0];
+    const auto seven = simd::U64x4::splat(7);
     std::int64_t found = 0;
-    std::size_t n = 0;
-    for (const auto& o : occupied_) {
-        if (n + per_node > staged_.size()) {
-            found += resolve(pass, dsu, n);
-            n = 0;
+    for (std::size_t base = 0; base < occupied; base += chunk) {
+        const auto end = std::min(occupied, base + chunk);
+        std::size_t hit_count = 0;
+        for (std::size_t i = base; i < end; i += kLanes) {
+            const auto at = simd::U64x4::load(bits + i);
+            auto* out = words + (i - base);
+            auto any = simd::U64x4::splat(0);
+            for (std::size_t w = 0; w < per_node; ++w) {
+                const auto bit = simd::add(at, simd::U64x4::splat(windows[w].bit_offset));
+                const auto loaded = simd::gather_bytes(bitmap, simd::shift_right<3>(bit));
+                const auto word = simd::bit_and(simd::shift_right(loaded, simd::bit_and(bit, seven)),
+                                                simd::U64x4::splat(windows[w].mask));
+                word.store(out + w * chunk);
+                any = simd::bit_or(any, word);
+            }
+            const auto lanes =
+                simd::nonzero_mask(any) & (0xFu >> (kLanes - std::min(kLanes, end - i)));
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                hits[hit_count] = static_cast<std::uint32_t>(i - base + l);
+                hit_count += (lanes >> l) & 1u;
+            }
         }
-        for (std::size_t w = 0; w < per_node; ++w) {
-            const auto bit = o.bit + windows[w].bit_offset;
-            const auto bits = (load_bits(bitmap + (bit >> 3)) >> (bit & 7)) & windows[w].mask;
-            staged[n] = {bits, o.node + windows[w].node_offset, o.agent};
-            n += static_cast<std::size_t>(bits != 0);
+        for (std::size_t h = 0; h < hit_count; ++h) {
+            const auto j = hits[h];
+            const auto bit = bits[base + j];
+            // The node's non-empty windows, listed without a branch.
+            std::size_t listed = 0;
+            for (std::size_t w = 0; w < per_node; ++w) {
+                const auto word = words[w * chunk + j];
+                found += std::popcount(word);
+                nonempty[listed] = {word, bit + windows[w].bit_offset};
+                listed += static_cast<std::size_t>(word != 0);
+            }
+            const auto agent = agents[base + j];
+            auto root = dsu.find(agent);
+            link(agent);
+            for (std::size_t w = 0; w < listed; ++w) {
+                for (auto b = nonempty[w].word; b != 0; b &= b - 1) {
+                    const auto other = pass.first(static_cast<grid::NodeId>(
+                        nonempty[w].bit + static_cast<std::uint64_t>(std::countr_zero(b))));
+                    link(other);
+                    root = dsu.unite_root(root, other);
+                }
+            }
         }
     }
-    found += resolve(pass, dsu, n);
-    for (const auto& o : occupied_) bitmap_[static_cast<std::size_t>(o.bit >> 3)] = 0;
-    const auto occupied = static_cast<std::int64_t>(occupied_.size());
-    occupied_units_ = occupied;
+    for (std::size_t i = 0; i < occupied; ++i) bitmap_[static_cast<std::size_t>(bits[i] >> 3)] = 0;
+    const auto count = static_cast<std::int64_t>(occupied);
     ++stats_.passes;
-    stats_.rescanned_units += occupied;
-    stats_.pairs_tested += occupied * window_nodes_;
+    stats_.rescanned_units += count;
+    stats_.pairs_tested += count * window_nodes_;
     stats_.pairs_survived += found;
-}
-
-/// Unions each staged window's agent with the first agent of every node
-/// its bits name, and lists both. A node's windows are staged in a run, so
-/// its agent's root is found once per run and carried through unite_root.
-/// Returns the number of node pairs found.
-std::int64_t VisibilityGraphBuilder::resolve(spatial::ColocationTable::Pass pass,
-                                             DisjointSets& dsu, std::size_t count) {
-    std::int64_t found = 0;
-    std::int32_t last = spatial::kNone;
-    std::int32_t root = spatial::kNone;
-    for (std::size_t i = 0; i < count; ++i) {
-        const auto& w = staged_[i];
-        if (w.agent != last) {
-            last = w.agent;
-            root = dsu.find(last);
-            link(last);
-        }
-        found += std::popcount(w.bits);
-        for (auto bits = w.bits; bits != 0; bits &= bits - 1) {
-            const auto other = pass.first(w.node + std::countr_zero(bits));
-            link(other);
-            root = dsu.unite_root(root, other);
-        }
-    }
-    return found;
 }
 
 void VisibilityGraphBuilder::build_naive(std::span<const grid::Point> positions,

@@ -13,16 +13,20 @@
 //             (spatial::ColocationTable): the first agent seen on a node
 //             absorbs every later one. At r = 0 that is the whole pass.
 //  * r ≥ 1  — the co-location pass also sets each occupied node's bit in a
-//             one-bit-per-node occupancy bitmap. Each node's first agent
-//             then reads its forward half-neighbourhood from the bitmap —
-//             (x, x + h(0)] on its own row and [x − h(dy), x + h(dy)] on
-//             rows y + 1 … y + r, h being the metric's half-width — one
-//             unaligned 64-bit load per row window, so every unordered
-//             pair of in-range nodes is found exactly once. Each set bit
-//             names a node whose first agent the table returns. The bitmap
-//             is padded so that no window clips, and its bits are cleared
-//             node by node after the pass. Radii beyond the grid diameter
-//             are clamped to it: any larger r connects the same pairs.
+//             one-bit-per-node occupancy bitmap, padded so that no window
+//             clips; the node table is indexed by that padded bit. Each
+//             node's first agent then reads its forward half-neighbourhood
+//             from the bitmap — (x, x + h(0)] on its own row and
+//             [x − h(dy), x + h(dy)] on rows y + 1 … y + r, h being the
+//             metric's half-width — so every unordered pair of in-range
+//             nodes is found exactly once. Four nodes at a time: one
+//             byte-offset gather per row window (util/simd.hpp), shifted
+//             and masked per lane, stored to a word block; only the nodes
+//             with a set bit are then resolved, each set bit naming a node
+//             whose first agent the table returns. The bitmap's bits are
+//             cleared node by node after the pass. Radii beyond the grid
+//             diameter are clamped to it: any larger r connects the same
+//             pairs.
 //
 // Components cannot be maintained under edge deletions, so every pass
 // recomputes the DSU from scratch; only the partition is specified, not
@@ -38,6 +42,7 @@
 // component's fraction of all agents (the percolation order parameter).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,7 +55,7 @@
 namespace smn::graph {
 
 /// Builds connected components of G_t(r) into `dsu` (which is reset).
-/// Reusable across steps: keeps its node table, bitmap and window staging
+/// Reusable across steps: keeps its node table, bitmap and word block
 /// allocated.
 class VisibilityGraphBuilder {
 public:
@@ -69,8 +74,8 @@ public:
     };
 
     /// Agent motion between consecutive passes (r >= 1 only), found by
-    /// comparing each pass's positions with the previous pass's: the walk
-    /// reports no moves.
+    /// comparing each agent's position with the previous pass's as the
+    /// co-location loop reads it: the walk reports no moves.
     struct IndexStats {
         std::int64_t moves{0};    ///< agents whose node changed
         std::int64_t relinks{0};  ///< always 0: the pass has no cells to relink
@@ -117,8 +122,8 @@ public:
     void set_timing(bool on) noexcept { timing_ = on; }
 
     /// Cumulative seconds spent indexing (0 until set_timing(true)): the
-    /// motion tally plus the co-location pass that fills the node table
-    /// and the occupancy bitmap. The window reads and unions are not in it.
+    /// co-location pass that tallies moves and fills the node table and the
+    /// occupancy bitmap. The window reads and unions are not in it.
     [[nodiscard]] double index_seconds() const noexcept { return index_seconds_; }
 
     /// Full cumulative scan telemetry (see ScanStats).
@@ -131,37 +136,34 @@ public:
     /// keeps no per-node list).
     [[nodiscard]] std::int64_t occupied_units() const noexcept { return occupied_units_; }
 
+    /// Occupied nodes whose window words one word block holds (r >= 1): a
+    /// multiple of 4, sized so the block stays within 16 KiB up to 512
+    /// windows per node (one group of 4 nodes beyond that).
+    [[nodiscard]] std::size_t chunk_nodes() const noexcept { return chunk_; }
+
     /// Brute-force O(k²) reference builder used by tests.
     static void build_naive(std::span<const grid::Point> positions, std::int64_t radius,
                             grid::Metric metric, DisjointSets& dsu);
 
 private:
-    /// An occupied node: its first agent, node id and bitmap bit.
-    struct Occupied {
-        std::int64_t bit;
-        std::int64_t node;
-        std::int32_t agent;
-    };
-
     /// One bitmap load of a node's forward half-neighbourhood, relative to
     /// the node: a window wider than one load is split into several.
     struct Window {
-        std::int64_t bit_offset;   ///< first bit, relative to the node's bit
-        std::int64_t node_offset;  ///< node id of that bit, relative to the node's
+        std::uint64_t bit_offset;  ///< first bit, relative to the node's bit
         std::uint64_t mask;        ///< low `width` bits set
     };
 
-    /// A non-empty window read for `agent`, waiting to be resolved.
-    struct Staged {
-        std::uint64_t bits;
-        std::int64_t node;  ///< node id of bit 0
-        std::int32_t agent;
+    /// A non-empty window word of one node.
+    struct Word {
+        std::uint64_t word;
+        std::uint64_t bit;  ///< bitmap bit of the word's bit 0
     };
 
-    void node_pass(spatial::ColocationTable::Pass pass, DisjointSets& dsu);
-    std::int64_t resolve(spatial::ColocationTable::Pass pass, DisjointSets& dsu,
-                         std::size_t count);
-    void tally_moves(std::span<const grid::Point> positions);
+    spatial::ColocationTable::Pass index_pass(std::span<const grid::Point> positions,
+                                              DisjointSets& dsu);
+    /// Kept out of line, so that inlining it cannot reshape build()'s r = 0
+    /// loop, which measured up to 14% slower that way.
+    [[gnu::noinline]] void node_pass(spatial::ColocationTable::Pass pass, DisjointSets& dsu);
 
     /// Appends `a` to linked_ unless it is already listed.
     void link(std::int32_t a) noexcept {
@@ -175,14 +177,21 @@ private:
     grid::Grid2D grid_;
     std::int64_t radius_;
     grid::Metric metric_;
+    std::int64_t pad_;     ///< r >= 1: bitmap bits before row 0's node 0, and after each row
+    std::int64_t stride_;  ///< r >= 1: bitmap bits per row
+    /// Node → first agent; at r >= 1 indexed by the node's bitmap bit.
     spatial::ColocationTable colocation_;
-    std::int64_t stride_{0};          ///< bitmap bits per row (r >= 1)
-    std::int64_t pad_{0};             ///< bitmap bits before row 0's node 0
     std::vector<std::uint8_t> bitmap_;  ///< r >= 1: node occupancy, 1 bit per node
     std::vector<Window> windows_;       ///< r >= 1: every node's window loads
     std::int64_t window_nodes_{0};      ///< nodes covered by windows_
-    std::vector<Occupied> occupied_;    ///< r >= 1: this pass's occupied nodes
-    std::vector<Staged> staged_;        ///< non-empty windows awaiting resolve()
+    std::size_t chunk_{0};              ///< see chunk_nodes()
+    /// r >= 1: this pass's occupied nodes in claim order, as bitmap bit and
+    /// first agent; the bits are padded to a whole group of 4 lanes.
+    std::vector<std::uint64_t> occupied_bits_;
+    std::vector<std::int32_t> occupied_agents_;
+    std::vector<std::uint64_t> words_;  ///< word block: window w of chunk node j at [w·chunk_ + j]
+    std::vector<std::uint32_t> hits_;   ///< chunk nodes with any set bit in words_
+    std::vector<Word> nonempty_;        ///< one hit node's non-empty words
     std::vector<std::int32_t> linked_;       ///< see linked()
     std::vector<std::uint8_t> linked_flag_;  ///< agent → listed in linked_
     std::vector<grid::Point> prev_;     ///< r >= 1: positions at the last pass
@@ -193,30 +202,20 @@ private:
     IndexStats index_stats_;   ///< cumulative motion tallies
 };
 
-/// colocation_pass's default `on_claim`: does nothing.
-struct IgnoreClaim {
-    void operator()(std::int32_t /*agent*/, grid::Point /*p*/) const noexcept {}
-};
-
 /// The co-location pass over `table` (any BasicColocationTable, so tests
 /// can reach the stamp wrap): the first agent to claim a node absorbs every
-/// later one, and `link` gets both ends of every union. `on_claim(agent,
-/// point)` sees each node's first agent as it claims the node. `dsu` must
-/// hold positions.size() singletons. Returns the pass, whose claims stay
+/// later one, and `link` gets both ends of every union. `dsu` must hold
+/// positions.size() singletons. Returns the pass, whose claims stay
 /// readable until the table's next pass.
-template <typename Table, typename Link, typename Claim = IgnoreClaim>
+template <typename Table, typename Link>
 auto colocation_pass(Table& table, const grid::Grid2D& grid,
-                     std::span<const grid::Point> positions, DisjointSets& dsu, Link&& link,
-                     Claim&& on_claim = Claim{}) {
+                     std::span<const grid::Point> positions, DisjointSets& dsu, Link&& link) {
     const auto pass = table.begin_pass();
     const auto k = static_cast<std::int32_t>(positions.size());
     for (std::int32_t a = 0; a < k; ++a) {
         const auto p = positions[static_cast<std::size_t>(a)];
         const auto first = pass.claim(grid.node_id(p), a);
-        if (first == spatial::kNone) {
-            on_claim(a, p);
-            continue;
-        }
+        if (first == spatial::kNone) continue;
         link(first);
         link(a);
         (void)dsu.unite_root(first, a);

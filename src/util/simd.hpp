@@ -1,8 +1,8 @@
 // simd.hpp — fixed-width portable SIMD lanes for the hot kernels.
 //
-// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp) and
-// gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) are
-// written once against the two wrapper types below and compiled against
+// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp),
+// gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) and the
+// visibility pass's window gather (graph/visibility.cpp) are written once against the two wrapper types below and compiled against
 // one of three backends, selected at CONFIGURE time (never at
 // runtime — a runtime dispatch would put an unpredictable branch in loops
 // that run billions of times):
@@ -25,7 +25,9 @@
 // end to end.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 #if !defined(SMN_DISABLE_SIMD) && defined(__AVX2__)
 #define SMN_SIMD_AVX2 1
@@ -154,6 +156,20 @@ inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
         _mm256_permutevar8x32_epi32(a.v, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm256_castsi256_si128(shuffled));
 }
+/// Lane i: the 8 bytes at base + offsets[i], read as a little-endian
+/// uint64 (no alignment required).
+[[nodiscard]] inline U64x4 gather_bytes(const std::uint8_t* base, U64x4 offsets) noexcept {
+    return {_mm256_i64gather_epi64(reinterpret_cast<const long long*>(base), offsets.v, 1)};
+}
+/// Lane i: a[i] >> counts[i] (counts 0..63).
+[[nodiscard]] inline U64x4 shift_right(U64x4 a, U64x4 counts) noexcept {
+    return {_mm256_srlv_epi64(a.v, counts.v)};
+}
+/// Bit i set iff lane i is nonzero.
+[[nodiscard]] inline unsigned nonzero_mask(U64x4 a) noexcept {
+    const __m256i zero = _mm256_cmpeq_epi64(a.v, _mm256_setzero_si256());
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(zero))) ^ 0xFu;
+}
 
 #elif defined(SMN_SIMD_NEON)
 
@@ -257,6 +273,24 @@ template <int N>
 inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
     const uint32x4_t narrow = vcombine_u32(vmovn_u64(a.lo), vmovn_u64(a.hi));
     vst1q_s32(dst, vreinterpretq_s32_u32(narrow));
+}
+[[nodiscard]] inline U64x4 gather_bytes(const std::uint8_t* base, U64x4 offsets) noexcept {
+    std::uint64_t at[4];
+    offsets.store(at);
+    std::uint64_t w[4];
+    for (int i = 0; i < 4; ++i) std::memcpy(&w[i], base + at[i], sizeof w[i]);  // AArch64 is LE
+    return U64x4::load(w);
+}
+/// USHL shifts left by a signed count, so a negated count shifts right.
+[[nodiscard]] inline U64x4 shift_right(U64x4 a, U64x4 counts) noexcept {
+    return {vshlq_u64(a.lo, vnegq_s64(vreinterpretq_s64_u64(counts.lo))),
+            vshlq_u64(a.hi, vnegq_s64(vreinterpretq_s64_u64(counts.hi)))};
+}
+[[nodiscard]] inline unsigned nonzero_mask(U64x4 a) noexcept {
+    return static_cast<unsigned>(vgetq_lane_u64(a.lo, 0) != 0) |
+           static_cast<unsigned>(vgetq_lane_u64(a.lo, 1) != 0) << 1 |
+           static_cast<unsigned>(vgetq_lane_u64(a.hi, 0) != 0) << 2 |
+           static_cast<unsigned>(vgetq_lane_u64(a.hi, 1) != 0) << 3;
 }
 
 #else
@@ -375,6 +409,28 @@ template <int N>
 }
 inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
     for (int i = 0; i < 4; ++i) dst[i] = static_cast<std::int32_t>(a.l[i] & 0xFFFFFFFFu);
+}
+[[nodiscard]] inline U64x4 gather_bytes(const std::uint8_t* base, U64x4 offsets) noexcept {
+    U64x4 r;
+    for (int i = 0; i < 4; ++i) {
+        const auto* p = base + offsets.l[i];
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&r.l[i], p, sizeof r.l[i]);
+        } else {
+            r.l[i] = 0;
+            for (int b = 0; b < 8; ++b) r.l[i] |= std::uint64_t{p[b]} << (8 * b);
+        }
+    }
+    return r;
+}
+[[nodiscard]] inline U64x4 shift_right(U64x4 a, U64x4 counts) noexcept {
+    return {{a.l[0] >> counts.l[0], a.l[1] >> counts.l[1], a.l[2] >> counts.l[2],
+             a.l[3] >> counts.l[3]}};
+}
+[[nodiscard]] inline unsigned nonzero_mask(U64x4 a) noexcept {
+    unsigned m = 0;
+    for (int i = 0; i < 4; ++i) m |= static_cast<unsigned>(a.l[i] != 0) << i;
+    return m;
 }
 
 #endif

@@ -485,6 +485,68 @@ std::vector<CellListParam> cell_list_params() {
 INSTANTIATE_TEST_SUITE_P(RadiiMetricsOccupancies, VisibilityCellList,
                          ::testing::ValuesIn(cell_list_params()));
 
+// The node pass's lanes and word blocks against build_naive. The pass reads
+// 4 occupied nodes per step and chunk_nodes() nodes per word block, so the
+// occupied-node counts cover every residue mod 4, from one partial group to
+// past two whole blocks. The window counts run from 2 per node (r = 1) to
+// 404 (r = 100 under L∞, which leaves one group per block) and 3300 (side
+// 300, whose block outgrows the usual size). Each count is placed on
+// distinct random nodes, a third of them with a second agent, so the
+// occupied count is exact; one builder runs every count in turn.
+struct LaneParam {
+    std::int64_t radius;
+    Metric metric;
+    grid::Coord side;
+};
+
+void PrintTo(const LaneParam& p, std::ostream* os) {
+    *os << "r" << p.radius << "_" << grid::metric_name(p.metric) << "_side" << p.side;
+}
+
+class VisibilityNodePassLanes : public ::testing::TestWithParam<LaneParam> {};
+
+TEST_P(VisibilityNodePassLanes, EveryResidueAndTwoBlocksMatchNaive) {
+    const auto [r, metric, side] = GetParam();
+    const auto g = Grid2D::square(side);
+    VisibilityGraphBuilder builder{g, r, metric};
+    const auto chunk = builder.chunk_nodes();
+    ASSERT_GT(chunk, 0u);
+    ASSERT_EQ(chunk % 4, 0u);
+    std::vector<std::size_t> counts{1, 2, 3, 4, 5, 6, 7, 8};
+    for (const auto blocks : {chunk, 2 * chunk}) {
+        for (std::size_t d = 0; d < 4; ++d) counts.push_back(blocks - 1 + d);
+    }
+    ASSERT_LE(counts.back(), static_cast<std::size_t>(g.size()));
+    rng::Rng rng{static_cast<std::uint64_t>(9500 + r * 13 + static_cast<int>(metric) + side)};
+    std::vector<grid::NodeId> nodes(static_cast<std::size_t>(g.size()));
+    std::iota(nodes.begin(), nodes.end(), grid::NodeId{0});
+    for (const auto count : counts) {
+        // The first `count` nodes of a fresh shuffle.
+        for (std::size_t i = 0; i < count; ++i) {
+            const auto j = i + static_cast<std::size_t>(rng.below(nodes.size() - i));
+            std::swap(nodes[i], nodes[j]);
+        }
+        std::vector<Point> pos;
+        for (std::size_t i = 0; i < count; ++i) pos.push_back(g.point_of(nodes[i]));
+        for (std::size_t i = 0; i < count; i += 3) {
+            pos.push_back(g.point_of(nodes[static_cast<std::size_t>(rng.below(count))]));
+        }
+        std::ostringstream where;
+        where << "occupied " << count << " chunk " << chunk;
+        expect_build_matches_naive(builder, g, pos, where.str());
+        ASSERT_EQ(builder.occupied_units(), static_cast<std::int64_t>(count)) << where.str();
+    }
+    EXPECT_GT(counts.back(), 2 * chunk);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowCounts, VisibilityNodePassLanes,
+    ::testing::Values(LaneParam{1, Metric::kManhattan, 64}, LaneParam{2, Metric::kManhattan, 64},
+                      LaneParam{2, Metric::kEuclidean, 48}, LaneParam{3, Metric::kChebyshev, 48},
+                      LaneParam{40, Metric::kManhattan, 128},
+                      LaneParam{100, Metric::kChebyshev, 128},
+                      LaneParam{300, Metric::kChebyshev, 300}));
+
 // linked() against build_naive: after every build it must list exactly
 // the members of the naive partition's components of size >= 2, each once.
 // One builder per occupancy runs 40 consecutive builds over walking agents

@@ -70,6 +70,35 @@ class PlantedViolations(unittest.TestCase):
         self.assertEqual(out.count("[header-self-sufficiency]"), 1, out)
 
 
+class IntrinsicsOutsideSimdLayer(unittest.TestCase):
+    """raw-intrinsics: ISA headers and intrinsics only in src/util/simd.hpp."""
+
+    def run_fixture(self) -> str:
+        rc, out = run_lint(FIXTURES / "intrinsics", "determinism")
+        self.assertEqual(rc, 1, out)
+        return out
+
+    def test_isa_includes_are_flagged(self):
+        out = self.run_fixture()
+        self.assertIn("src/graph/kernel.hpp:4: [raw-intrinsics]", out)  # <immintrin.h>
+        self.assertIn("src/graph/kernel.hpp:5: [raw-intrinsics]", out)  # <arm_neon.h>
+        # A project include is not an ISA header.
+        self.assertNotIn("kernel.hpp:6:", out)
+
+    def test_x86_and_neon_intrinsics_are_flagged(self):
+        out = self.run_fixture()
+        self.assertIn("src/graph/kernel.hpp:8: [raw-intrinsics]", out)  # _mm256_*
+        self.assertIn("src/graph/kernel.hpp:9: [raw-intrinsics]", out)  # vaddq_u64
+        self.assertIn("src/util/other.hpp:4: [raw-intrinsics]", out)  # util is no exemption
+
+    def test_simd_layer_comments_and_strings_are_exempt(self):
+        out = self.run_fixture()
+        self.assertNotIn("src/util/simd.hpp:", out)
+        for line in (1, 2, 10, 11):
+            self.assertNotIn(f"kernel.hpp:{line}:", out)
+        self.assertEqual(out.count("[raw-intrinsics]"), 5, out)
+
+
 class AllowSemantics(unittest.TestCase):
     def test_allow_suppresses_exactly_one_site(self):
         rc, out = run_lint(FIXTURES / "allows", "determinism")

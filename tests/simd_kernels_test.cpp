@@ -58,6 +58,71 @@ TEST(U64Lanes, RowMergeOpsMatchScalar) {
     }
 }
 
+// The ops of the visibility pass's window gather: a byte-offset load, a
+// per-lane right shift and the nonzero-lane mask, each against a scalar
+// reference. The buffer mimics the occupancy bitmap's tail: the last load
+// a window can make starts 8 bytes before the end.
+std::uint64_t load_le(const std::uint8_t* p) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v |= std::uint64_t{p[i]} << (8 * i);
+    return v;
+}
+
+TEST(U64Lanes, GatherBytesMatchesLittleEndianLoads) {
+    namespace simd = util::simd;
+    rng::Rng rng{41};
+    std::vector<std::uint8_t> bytes(67);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto last = bytes.size() - 8;
+    for (int it = 0; it < 256; ++it) {
+        std::array<std::uint64_t, simd::kU64Lanes> at{};
+        for (std::size_t i = 0; i < at.size(); ++i) {
+            // Every fourth round pins the lanes to the last loadable bytes.
+            at[i] = it % 4 == 0 ? last - i : rng.next_u64() % (last + 1);
+        }
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        simd::gather_bytes(bytes.data(), simd::U64x4::load(at.data())).store(got.data());
+        for (std::size_t i = 0; i < at.size(); ++i) {
+            EXPECT_EQ(got[i], load_le(bytes.data() + at[i])) << "offset " << at[i];
+        }
+    }
+}
+
+TEST(U64Lanes, VariableShiftRightMatchesScalar) {
+    namespace simd = util::simd;
+    rng::Rng rng{43};
+    // Counts 0..7 (a bit within its byte) in every lane position, then
+    // counts up to 63.
+    for (std::uint64_t count = 0; count < 64; ++count) {
+        std::array<std::uint64_t, simd::kU64Lanes> a{};
+        std::array<std::uint64_t, simd::kU64Lanes> n{};
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            a[i] = rng.next_u64();
+            n[i] = count < 8 ? (count + i) % 8 : count;
+        }
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        simd::shift_right(simd::U64x4::load(a.data()), simd::U64x4::load(n.data())).store(got.data());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(got[i], a[i] >> n[i]) << "count " << n[i];
+        }
+    }
+}
+
+TEST(U64Lanes, NonzeroMaskMatchesScalar) {
+    namespace simd = util::simd;
+    rng::Rng rng{47};
+    for (unsigned pattern = 0; pattern < 16; ++pattern) {
+        for (int it = 0; it < 8; ++it) {
+            std::array<std::uint64_t, simd::kU64Lanes> a{};
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                // A nonzero lane holds one random bit, the top one included.
+                a[i] = (pattern >> i & 1u) != 0 ? std::uint64_t{1} << (rng.next_u64() % 64) : 0;
+            }
+            EXPECT_EQ(simd::nonzero_mask(simd::U64x4::load(a.data())), pattern);
+        }
+    }
+}
+
 // ------------------------------------------------------------ decode_draws5
 
 TEST(DecodeDraws5, MatchesScalarOnRandomWords) {

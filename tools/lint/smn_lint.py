@@ -9,8 +9,9 @@ Four project-specific passes plus curated clang-tidy wiring:
   determinism   flags source-level nondeterminism: unordered-container
                 use, raw entropy (rand/random_device/mt19937/time-seeds)
                 outside src/rng/, wall clocks in deterministic modules,
-                pointer-keyed ordered containers, and unordered
-                floating-point reduction constructs.
+                pointer-keyed ordered containers, unordered
+                floating-point reduction constructs, and ISA intrinsics
+                outside src/util/simd.hpp.
   headers       compiles every public header in src/ as its own
                 translation unit (-fsyntax-only), so a missing include
                 cannot hide behind inclusion order elsewhere.
@@ -68,6 +69,8 @@ class Rule:
     pattern: re.Pattern
     scope: str  # "src" | "deterministic"
     message: str
+    includes: bool = False  # also match #include lines
+    exempt: str = ""  # root-relative file the rule does not apply to
 
 
 RULES = [
@@ -113,6 +116,18 @@ RULES = [
         "deterministic",
         "unordered floating-point accumulation is not associative; reduce "
         "in a fixed (shard-index) order as the sharded scan does",
+    ),
+    Rule(
+        "raw-intrinsics",
+        re.compile(
+            r"(?:#\s*include\s*<(?:immintrin|arm_neon)\.h>|\b_mm\w*|\bv\w+q_\w+)"
+        ),
+        "src",
+        "ISA intrinsics outside src/util/simd.hpp escape the force-scalar "
+        "build, whose goldens prove bit-identity only for kernels written "
+        "against that layer; add the op to all three backends there",
+        includes=True,
+        exempt="src/util/simd.hpp",
     ),
 ]
 RULE_NAMES = {r.name for r in RULES}
@@ -392,10 +407,12 @@ def pass_determinism(cfg: Config) -> list[Finding]:
                 continue
             if rule.name == "raw-rand" and mod == cfg.rng_module:
                 continue
+            if rule.exempt == scanned.rel:
+                continue
             for line_no, line in enumerate(scanned.code_lines, 1):
                 # An #include alone does nothing nondeterministic; the
                 # use sites are what get flagged (and annotated).
-                if INCLUDE_DIRECTIVE_RE.match(line):
+                if not rule.includes and INCLUDE_DIRECTIVE_RE.match(line):
                     continue
                 if rule.pattern.search(line):
                     raw.append(Finding(scanned.rel, line_no, rule.name, rule.message))
