@@ -32,6 +32,8 @@
 #include "exp/sweep.hpp"
 #include "exp/writer.hpp"
 #include "graph/visibility.hpp"
+#include "models/dense_markov.hpp"
+#include "models/predator_prey.hpp"
 #include "walk/ensemble.hpp"
 #include "walk/step.hpp"
 
@@ -484,6 +486,93 @@ TEST(GoldenColocationModels, ChurnReproducesBitForBit) {
           {"replacements", 17},
           {"steps", 500}}},
     });
+}
+
+// --------------------------------- the side models: dense and predator–prey
+
+// Dense-baseline broadcast times at fixed seeds, captured while the
+// exchange still queried a sorted cell list per sender. The rows cover the
+// radius extremes: R = 0 (co-location only), R at the grid diameter and a
+// radius past 2^32, plus a cap that fires (R = 0, ρ = 0).
+TEST(GoldenSideModels, DenseReproducesBitForBit) {
+    const struct {
+        grid::Coord side;
+        std::int32_t k;
+        std::int64_t R;
+        std::int64_t rho;
+        std::uint64_t seed;
+        std::int64_t max_steps;
+        bool completed;
+        std::int64_t broadcast_time;
+    } goldens[] = {
+        {16, 128, 0, 1, 1, -1, true, 62},
+        {16, 128, 1, 1, 2, -1, true, 28},
+        {24, 288, 3, 1, 3, -1, true, 7},
+        {24, 288, 6, 1, 4, -1, true, 4},
+        {20, 60, 2, 3, 5, -1, true, 15},
+        {20, 60, 0, 0, 6, 200, false, -1},
+        {12, 72, 22, 1, 7, -1, true, 0},
+        {12, 10, 4294967297LL, 0, 8, -1, true, 0},
+        {31, 400, 5, 2, 9, -1, true, 8},
+    };
+    for (const auto& golden : goldens) {
+        models::DenseConfig cfg;
+        cfg.side = golden.side;
+        cfg.k = golden.k;
+        cfg.R = golden.R;
+        cfg.rho = golden.rho;
+        cfg.seed = golden.seed;
+        const auto res = models::run_dense_broadcast(cfg, golden.max_steps);
+        EXPECT_EQ(res.completed, golden.completed) << "R " << golden.R << " seed " << golden.seed;
+        EXPECT_EQ(res.broadcast_time, golden.broadcast_time)
+            << "R " << golden.R << " seed " << golden.seed;
+    }
+}
+
+// Predator–prey catch times (FNV-1a over the per-prey times, −1 for a
+// survivor) at catch radius 0, small radii and 2^31, with walking and
+// frozen prey, captured alongside the dense goldens. The two side-48 rows
+// stop at a cap of 600 steps with prey still alive.
+TEST(GoldenSideModels, PredatorPreyReproducesBitForBit) {
+    const struct {
+        grid::Coord side;
+        std::int32_t predators;
+        std::int64_t catch_radius;
+        bool prey_moves;
+        std::uint64_t seed;
+        std::int64_t max_steps;
+        std::int64_t extinction_time;
+        std::int64_t survivors;
+        std::uint64_t catch_hash;
+    } goldens[] = {
+        {16, 8, 0, true, 1, -1, 321, 0, 0x476D8FE9BB9BFBDULL},
+        {16, 8, 0, false, 2, -1, 265, 0, 0x1AFF34D011F32217ULL},
+        {24, 16, 2, true, 3, -1, 108, 0, 0x64FBB26BEC1FA191ULL},
+        {24, 16, 2, false, 4, -1, 193, 0, 0xFEC3C9993C3B68A0ULL},
+        {16, 4, 2147483648LL, true, 5, -1, 0, 0, 0x88201FB960FF6465ULL},
+        {16, 4, 2147483648LL, false, 6, -1, 0, 0, 0x88201FB960FF6465ULL},
+        {32, 64, 1, true, 7, -1, 24, 0, 0x6444B953C1AA30ACULL},
+        {48, 4, 0, true, 10, 600, -1, 13, 0x4B8C431F06CE0EC7ULL},
+        {48, 4, 3, false, 11, 600, -1, 7, 0x3777012DAE153A7AULL},
+    };
+    for (const auto& golden : goldens) {
+        models::PredatorPreyConfig cfg;
+        cfg.side = golden.side;
+        cfg.predators = golden.predators;
+        cfg.prey = 16;
+        cfg.catch_radius = golden.catch_radius;
+        cfg.prey_moves = golden.prey_moves;
+        cfg.seed = golden.seed;
+        const auto res = models::run_predator_prey(cfg, golden.max_steps);
+        std::uint64_t hash = 0xCBF29CE484222325ULL;
+        for (const auto t : res.catch_times) {
+            hash ^= static_cast<std::uint64_t>(t);
+            hash *= 0x100000001B3ULL;
+        }
+        EXPECT_EQ(res.extinction_time, golden.extinction_time) << "seed " << golden.seed;
+        EXPECT_EQ(res.survivors, golden.survivors) << "seed " << golden.seed;
+        EXPECT_EQ(hash, golden.catch_hash) << "seed " << golden.seed;
+    }
 }
 
 // ----------------------------------------------------- thread invariance

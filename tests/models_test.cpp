@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "models/coverage.hpp"
 #include "models/dense_markov.hpp"
 #include "models/frog.hpp"
 #include "models/predator_prey.hpp"
+#include "walk/ensemble.hpp"
 
 namespace smn::models {
 namespace {
@@ -282,20 +285,109 @@ TEST(Dense, LargerExchangeRadiusIsFaster) {
     EXPECT_LT(large_total, small_total);
 }
 
+// R = 0 with ρ = 0: nothing moves, and an agent hears the rumor only from
+// a co-located sender. So the run completes at t = 0 iff every agent
+// starts on the source's node; otherwise the cap must fire. The start
+// positions come from the model's own ensemble construction (seeded
+// Rng, lazy walk). Side 2 with k = 2 co-locates on some of these seeds
+// and not on others, so both outcomes are exercised; side 1 always
+// co-locates.
 TEST(Dense, ZeroRadiusZeroJumpStalls) {
-    // R = 0 with ρ = 0 and distinct positions can never complete: nothing
-    // moves and nothing is in range. The cap must fire.
-    DenseConfig cfg;
-    cfg.side = 10;
-    cfg.k = 4;
-    cfg.R = 0;
-    cfg.rho = 0;
-    cfg.seed = 14;
-    const auto result = run_dense_broadcast(cfg, 50);
-    // (With 4 agents on 100 nodes co-location at t=0 is unlikely but
-    // possible; accept either completion-at-0 or a timeout.)
-    if (!result.completed) {
-        EXPECT_EQ(result.broadcast_time, -1);
+    int colocated_runs = 0;
+    int stalled_runs = 0;
+    const struct {
+        grid::Coord side;
+        std::int32_t k;
+    } shapes[] = {{10, 4}, {2, 2}, {1, 3}};
+    for (const auto& shape : shapes) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            DenseConfig cfg;
+            cfg.side = shape.side;
+            cfg.k = shape.k;
+            cfg.R = 0;
+            cfg.rho = 0;
+            cfg.seed = seed;
+            const auto g = grid::Grid2D::square(cfg.side);
+            rng::Rng rng{cfg.seed};
+            const walk::AgentEnsemble start{g, cfg.k, rng, walk::WalkKind::kLazyPaper};
+            const auto pos = start.positions();
+            const bool colocated =
+                std::all_of(pos.begin(), pos.end(), [&](grid::Point p) { return p == pos[0]; });
+            const auto result = run_dense_broadcast(cfg, 50);
+            EXPECT_EQ(result.completed, colocated) << "side " << cfg.side << " seed " << seed;
+            EXPECT_EQ(result.broadcast_time, colocated ? 0 : -1)
+                << "side " << cfg.side << " seed " << seed;
+            if (shape.side == 1) {
+                EXPECT_TRUE(colocated);
+            }
+            ++(colocated ? colocated_runs : stalled_runs);
+        }
+    }
+    EXPECT_GT(colocated_runs, 12);  // side 1 and at least one side-2 seed
+    EXPECT_GT(stalled_runs, 0);
+}
+
+// The dense exchange against an O(k²) reference written from the model's
+// definition: the same ensemble construction and per-agent jump_within
+// draws, then every agent informed at the start of the round informs each
+// agent within L1 distance R. The exchange draws no randomness, so the two
+// RNG streams stay in step and every run must agree exactly. R = INT64_MAX
+// checks that the radius is clamped before any coordinate arithmetic.
+DenseResult run_dense_reference(const DenseConfig& cfg, std::int64_t max_steps) {
+    const auto g = grid::Grid2D::square(cfg.side);
+    rng::Rng rng{cfg.seed};
+    const walk::AgentEnsemble start{g, cfg.k, rng, walk::WalkKind::kLazyPaper};
+    std::vector<grid::Point> pos(start.positions().begin(), start.positions().end());
+    const auto k = pos.size();
+    std::vector<std::uint8_t> informed(k, 0);
+    informed[static_cast<std::size_t>(cfg.source)] = 1;
+    const auto exchange = [&] {
+        const auto senders = informed;
+        for (std::size_t a = 0; a < k; ++a) {
+            for (std::size_t b = 0; b < k; ++b) {
+                if (senders[b] != 0 && grid::manhattan(pos[a], pos[b]) <= cfg.R) informed[a] = 1;
+            }
+        }
+        return static_cast<std::size_t>(std::count(informed.begin(), informed.end(), 1)) == k;
+    };
+    bool complete = exchange();
+    std::int64_t t = 0;
+    while (!complete && t < max_steps) {
+        ++t;
+        for (auto& p : pos) p = jump_within(g, p, cfg.rho, rng);
+        complete = exchange();
+    }
+    return {.completed = complete, .broadcast_time = complete ? t : -1};
+}
+
+TEST(Dense, ExchangeMatchesQuadraticReference) {
+    for (const grid::Coord side : {1, 2, 3, 7, 16}) {
+        const std::int32_t half = std::max(1, side * side / 2);
+        for (const std::int32_t k : {1, 2, 5, half}) {
+            for (const std::int64_t R : {std::int64_t{0}, std::int64_t{1}, std::int64_t{2},
+                                         std::int64_t{5}, std::int64_t{2} * side,
+                                         std::numeric_limits<std::int64_t>::max()}) {
+                for (const std::int64_t rho : {0, 1, 3}) {
+                    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+                        DenseConfig cfg;
+                        cfg.side = side;
+                        cfg.k = k;
+                        cfg.R = R;
+                        cfg.rho = rho;
+                        cfg.seed = seed;
+                        const std::int64_t cap = 40;
+                        const auto fast = run_dense_broadcast(cfg, cap);
+                        const auto slow = run_dense_reference(cfg, cap);
+                        EXPECT_EQ(fast.completed, slow.completed)
+                            << "side " << side << " k " << k << " R " << R << " rho " << rho
+                            << " seed " << seed;
+                        EXPECT_EQ(fast.broadcast_time, slow.broadcast_time)
+                            << "side " << side << " k " << k << " R " << R << " rho " << rho
+                            << " seed " << seed;
+                    }
+                }
+            }
+        }
     }
 }
 
