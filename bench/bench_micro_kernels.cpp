@@ -1,9 +1,9 @@
 // bench_micro_kernels — Experiment E18 (engineering, not a paper claim).
 //
 // google-benchmark timings of the hot kernels that set the simulator's
-// throughput: walk stepping, the r = 0 co-location pass, cell-list
-// rebuilds, visibility component construction at several radii, component
-// flooding, and a full engine step. These justify the performance envelope quoted in DESIGN.md
+// throughput: walk stepping, the r = 0 co-location pass, visibility
+// component construction at several radii, component flooding, and a full
+// engine step. These justify the performance envelope quoted in DESIGN.md
 // (O(k) expected per time step at sparse densities).
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
-#include "spatial/bucket_index.hpp"
 #include "walk/decode.hpp"
 #include "walk/ensemble.hpp"
 
@@ -69,20 +68,6 @@ void build_over_frames(benchmark::State& state, std::int64_t radius, std::uint64
 // co-location table) in isolation.
 void BM_ColocationPass(benchmark::State& state) { build_over_frames(state, 0, 2); }
 BENCHMARK(BM_ColocationPass)->Args({256, 1024})->Args({1024, 1024});
-
-void BM_BucketRebuild(benchmark::State& state) {
-    const auto k = static_cast<std::int32_t>(state.range(0));
-    const auto g = grid::Grid2D::square(256);
-    rng::Rng rng{3};
-    walk::AgentEnsemble agents{g, k, rng};
-    auto idx = spatial::BucketIndex::for_radius(g, 8);
-    for (auto _ : state) {
-        idx.rebuild(agents.positions());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_BucketRebuild)->Arg(256)->Arg(4096);
 
 // The component pass in isolation (args: side, k, radius): r = 0,
 // subcritical, percolation-scale (√(n/k)) and above, plus paperbench's two

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "spatial/bucket_index.hpp"
 #include "walk/ensemble.hpp"
 
 namespace smn::models {
@@ -50,31 +49,47 @@ DenseResult run_dense_broadcast(const DenseConfig& config, std::int64_t max_step
     informed[static_cast<std::size_t>(config.source)] = 1;
     std::int32_t informed_count = 1;
 
-    auto index = spatial::BucketIndex::for_radius(grid, config.R);
-    std::vector<std::int32_t> newly;  // agents informed this round
-
     // One-hop exchange: every agent informed at the *start* of the round
     // informs all agents within R. Agents informed during the round do not
     // propagate until the next step (no transitive flooding — the [7]
-    // model). Snapshot the senders first to enforce this.
-    std::vector<std::int32_t> senders;
+    // model). In the rotated coordinates u = x + y, v = x − y + side − 1
+    // the L1 ball of radius R is the square |Δu|, |Δv| ≤ R, so 2-D prefix
+    // counts of the senders over (u, v) answer each agent in O(1).
+    const auto side = std::int64_t{config.side};
+    const auto last = 2 * side - 2;                      // largest u and v
+    const auto R = std::min(config.R, grid.diameter());  // keeps u + R in range
+    const auto dim = static_cast<std::size_t>(last + 2);
+    std::vector<std::int32_t> senders(dim * dim);  // row and column 0 stay 0
+    const auto at = [&](std::int64_t u, std::int64_t v) -> std::int32_t& {
+        return senders[static_cast<std::size_t>(u) * dim + static_cast<std::size_t>(v)];
+    };
     const auto exchange = [&] {
-        index.rebuild(agents.positions());
-        senders.clear();
+        std::fill(senders.begin(), senders.end(), 0);
         for (std::int32_t a = 0; a < config.k; ++a) {
-            if (informed[static_cast<std::size_t>(a)]) senders.push_back(a);
+            const auto p = agents.position(a);
+            if (informed[static_cast<std::size_t>(a)]) {
+                ++at(std::int64_t{p.x} + p.y + 1, std::int64_t{p.x} - p.y + side);
+            }
         }
-        newly.clear();
-        for (const auto a : senders) {
-            index.for_each_within(agents.position(a), config.R, grid::Metric::kManhattan,
-                                  [&](std::int32_t b) {
-                                      if (!informed[static_cast<std::size_t>(b)]) {
-                                          informed[static_cast<std::size_t>(b)] = 1;
-                                          newly.push_back(b);
-                                      }
-                                  });
+        for (std::int64_t u = 1; u <= last + 1; ++u) {
+            for (std::int64_t v = 1; v <= last + 1; ++v) {
+                at(u, v) += at(u - 1, v) + at(u, v - 1) - at(u - 1, v - 1);
+            }
         }
-        informed_count += static_cast<std::int32_t>(newly.size());
+        for (std::int32_t a = 0; a < config.k; ++a) {
+            if (informed[static_cast<std::size_t>(a)]) continue;
+            const auto p = agents.position(a);
+            const auto u = std::int64_t{p.x} + p.y;
+            const auto v = std::int64_t{p.x} - p.y + side - 1;
+            const auto u_lo = std::max<std::int64_t>(u - R, 0);
+            const auto v_lo = std::max<std::int64_t>(v - R, 0);
+            const auto u_hi = std::min(u + R, last) + 1;
+            const auto v_hi = std::min(v + R, last) + 1;
+            if (at(u_hi, v_hi) - at(u_lo, v_hi) - at(u_hi, v_lo) + at(u_lo, v_lo) > 0) {
+                informed[static_cast<std::size_t>(a)] = 1;
+                ++informed_count;
+            }
+        }
     };
 
     exchange();  // t = 0

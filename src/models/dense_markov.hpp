@@ -11,13 +11,18 @@
 // rely on R+ρ = Ω(√log n) making the step-reachability graph connected —
 // precisely the assumption the main paper drops.
 //
+// The exchange is one 2-D prefix count per round: in the 45°-rotated
+// coordinates u = x + y, v = x − y the L1 ball of radius R is an
+// axis-aligned square, so counting the round's senders per (u, v) cell
+// and taking prefix sums tells each uninformed agent in O(1) whether a
+// sender is within R — O(side² + k) = O(k) per round at k = Θ(n).
+//
 // The dense_baseline lab scenario reproduces the Θ(√n/R) series; the
 // contrast with the sparse regime (radius-independent T_B) is the paper's
 // headline.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "grid/grid.hpp"
 #include "grid/point.hpp"

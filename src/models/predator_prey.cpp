@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/bounds.hpp"
-#include "spatial/bucket_index.hpp"
 #include "walk/ensemble.hpp"
 
 namespace smn::models {
@@ -34,17 +33,15 @@ PredatorPreyResult run_predator_prey(const PredatorPreyConfig& config, std::int6
     std::vector<std::uint8_t> alive(static_cast<std::size_t>(config.prey), 1);
     std::int64_t alive_count = config.prey;
 
-    auto index = spatial::BucketIndex::for_radius(grid, config.catch_radius);
-
     const auto sweep = [&](std::int64_t t) {
         // A prey is caught if any predator is within catch_radius of it.
-        index.rebuild(predators.positions());
+        const auto hunters = predators.positions();
         for (std::int32_t p = 0; p < config.prey; ++p) {
             if (!alive[static_cast<std::size_t>(p)]) continue;
-            bool caught = false;
-            index.for_each_within(prey.position(p), config.catch_radius,
-                                  grid::Metric::kManhattan, [&](std::int32_t) { caught = true; });
-            if (caught) {
+            const auto here = prey.position(p);
+            if (std::any_of(hunters.begin(), hunters.end(), [&](grid::Point hunter) {
+                    return grid::manhattan(here, hunter) <= config.catch_radius;
+                })) {
                 alive[static_cast<std::size_t>(p)] = 0;
                 result.catch_times[static_cast<std::size_t>(p)] = t;
                 --alive_count;

@@ -24,7 +24,6 @@
 #include "graph/dsu.hpp"
 #include "graph/percolation.hpp"    // r_c, γ, regimes
 #include "graph/visibility.hpp"     // components of G_t(r)
-#include "spatial/bucket_index.hpp"
 #include "spatial/colocation_table.hpp"
 
 // The paper's contribution

@@ -1,11 +1,11 @@
 // determinism_test.cpp — the step-loop overhaul's "zero behavioral drift"
 // contract (ISSUE 3).
 //
-// The hot path (per-step sorted cell list, half-neighborhood pair
-// enumeration, SoA ensemble with block-drawn RNG) must reproduce the seed
-// implementation bit-for-bit: same engine-word consumption per agent per
-// step, same component partitions, hence identical T_B and rumor
-// trajectories for every seed. Three layers of evidence:
+// The hot path (the node-indexed component pass over the co-location table
+// and, at r ≥ 1, the occupancy bitmap; SoA ensemble with block-drawn RNG)
+// must reproduce the seed implementation bit-for-bit: same engine-word
+// consumption per agent per step, same component partitions, hence
+// identical T_B and rumor trajectories for every seed. Three layers of evidence:
 //
 //  1. Golden values: T_B / steps / an FNV-1a hash of the informed-count
 //     series captured by running the PRE-PR seed build on a matrix of
@@ -133,7 +133,7 @@ TEST_P(GoldenBroadcast, InterleavedProcessesAreBitIdentical) {
     EXPECT_EQ(fnv1a_series(paused_series), g.series_hash);
 }
 
-// Captured by running the pre-PR-3 seed implementation (full BucketIndex
+// Captured by running the pre-PR-3 seed implementation (full bucket-index
 // rebuild + symmetric scan + scalar walk kernel) on these exact configs.
 // Field order: side, k, radius, metric, walk, mobility, seed, T_B,
 // steps_run, FNV-1a(informed series).
