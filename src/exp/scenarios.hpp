@@ -31,7 +31,7 @@
 //   barriers            — broadcast across a walled grid (extension, E19)
 //   cell_spread         — the proof's cell wavefront (Lemmas 4–5, E22)
 //   churn               — broadcast under agent replacement (extension, E23)
-//   step_throughput     — fixed-step hot-path micro-benchmark (perf gate)
+//   step_throughput     — fixed-step hot-path micro-benchmark (journal overhead)
 #pragma once
 
 namespace smn::exp {

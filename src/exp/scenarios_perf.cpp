@@ -2,8 +2,9 @@
 // path. Unlike the science scenarios these do not run to completion — they
 // execute an exact number of engine steps so the lab's throughput meter
 // (`timing.steps_per_s` with --timings) measures the step loop itself,
-// comparable across commits. scripts/perf_baseline.sh sweeps these to
-// produce BENCH_*.json and the CI perf-gate.
+// comparable across commits on one machine. scripts/crash_resume.sh times
+// this scenario with and without --journal to bound the journal's cost;
+// the end-to-end performance gate is paperbench (scripts/paperbench_ab.py).
 #include <cmath>
 #include <stdexcept>
 
