@@ -2,15 +2,18 @@
 //
 // google-benchmark timings of the hot kernels that set the simulator's
 // throughput: walk stepping, the r = 0 co-location pass, visibility
-// component construction at several radii, component flooding, and a full
-// engine step. These justify the performance envelope quoted in DESIGN.md
-// (O(k) expected per time step at sparse densities).
+// component construction at several radii, component flooding, a full
+// engine step, and a whole gossip replication (the exchange layer). These
+// justify the performance envelope quoted in DESIGN.md (O(k) expected per
+// time step at sparse densities).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "core/bounds.hpp"
 #include "core/engine.hpp"
+#include "core/gossip.hpp"
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
@@ -143,6 +146,28 @@ void BM_EngineStep(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * k);
 }
 BENCHMARK(BM_EngineStep)->Args({256, 0})->Args({256, 8})->Args({4096, 0})->Args({4096, 4});
+
+// One gossip replication run to T_G per iteration (args: side, k; r = 0),
+// paperbench's gossip_r0 point: the only load on the exchange layer (row
+// merges and the per-rumor tally). A whole run rather than a step, since
+// the steps after completion do no exchange; each iteration takes the
+// next seed, and items are agent-steps.
+void BM_GossipReplication(benchmark::State& state) {
+    core::EngineConfig cfg;
+    cfg.side = static_cast<grid::Coord>(state.range(0));
+    cfg.k = static_cast<std::int32_t>(state.range(1));
+    cfg.seed = 8;
+    const auto cap = core::bounds::default_max_steps(cfg.n(), cfg.k);
+    std::int64_t steps = 0;
+    for (auto _ : state) {
+        core::GossipProcess process{cfg};
+        steps += process.run_until_complete(cap).value_or(cap);
+        benchmark::DoNotOptimize(process.rumor_broadcast_time(0));
+        ++cfg.seed;
+    }
+    state.SetItemsProcessed(steps * cfg.k);
+}
+BENCHMARK(BM_GossipReplication)->Args({128, 1024})->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -6,13 +6,24 @@
 #include <stdexcept>
 
 #include "core/bounds.hpp"
+#include "util/simd.hpp"
 
 namespace smn::core {
+namespace {
+
+/// Gaining rows between folds: a lane gains at most one per row, and a
+/// byte holds 255.
+constexpr int kRowsPerFold = 255;
+constexpr auto kLanes = static_cast<std::size_t>(util::simd::kBitLanes);
+
+}  // namespace
 
 GossipExchange::GossipExchange(const EngineConfig& config)
     : rumors_{MultiRumorState::one_rumor_per_agent(config.k)},
       known_pairs_{config.k},  // each agent knows its own rumor
-      rumor_known_count_(static_cast<std::size_t>(config.k), 1),
+      rumor_gain_lanes_(rumors_.words_per_agent() * kLanes, 0),
+      rumor_count_(rumors_.words_per_agent() * kLanes, 0),
+      gained_words_(rumors_.words_per_agent(), 0),
       rumor_complete_time_(static_cast<std::size_t>(config.k), -1),
       slot_of_root_(static_cast<std::size_t>(config.k), -1),
       gained_(rumors_.words_per_agent()) {
@@ -21,12 +32,12 @@ GossipExchange::GossipExchange(const EngineConfig& config)
         // knows some rumors and not others.
         throw std::invalid_argument("EngineConfig: frog mobility is defined for broadcast only");
     }
+    std::fill_n(rumor_count_.begin(), config.k, 1);  // each rumor's owner knows it
     if (config.k == 1) rumor_complete_time_[0] = 0;
 }
 
 void GossipExchange::run(std::span<const std::int32_t> linked, graph::DisjointSets& dsu,
                          std::int64_t t) {
-    const auto k = rumors_.agent_count();
     const auto words = rumors_.words_per_agent();
 
     // Pass 1: one find per linked agent. A component gets the next dense
@@ -57,25 +68,41 @@ void GossipExchange::run(std::span<const std::int32_t> linked, graph::DisjointSe
 
     // Pass 2: merge the union back into every member (merge_row keeps the
     // per-agent knowledge counters, and thus complete(), up to date) and
-    // tally the newly learned rumors, stopping once all `gained` bits of
-    // the row are seen.
+    // add each gaining row's new bits to the per-rumor byte lanes. The
+    // buffers are read through locals: the byte-lane stores may alias
+    // anything, so members would be reloaded for every word.
+    const auto* gained_row = gained_.data();
+    auto* lanes = rumor_gain_lanes_.data();
+    auto* gained_words = gained_words_.data();
     for (std::size_t i = 0; i < linked.size(); ++i) {
         const std::span<const std::uint64_t> acc{
             &slot_or_[static_cast<std::size_t>(slots_[i]) * words], words};
-        auto remaining = rumors_.merge_row(linked[i], acc, gained_);
-        known_pairs_ += remaining;
-        for (std::size_t w = 0; remaining > 0; ++w) {
-            for (auto gained = gained_[w]; gained != 0; gained &= gained - 1) {
-                --remaining;
-                const auto r = w * 64 + static_cast<std::size_t>(std::countr_zero(gained));
-                if (++rumor_known_count_[r] == k && rumor_complete_time_[r] < 0) {
-                    rumor_complete_time_[r] = t;
-                }
-            }
+        const auto gained = rumors_.merge_row(linked[i], acc, gained_);
+        if (gained == 0) continue;
+        known_pairs_ += gained;
+        for (std::size_t w = 0; w < words; ++w) {
+            util::simd::add_bit_lanes(gained_row[w], lanes + w * kLanes);
+            gained_words[w] |= gained_row[w];
         }
+        if (++rows_since_fold_ == kRowsPerFold) fold(t);
     }
+    fold(t);
 
     for (const auto root : slot_roots_) slot_of_root_[static_cast<std::size_t>(root)] = -1;
+}
+
+void GossipExchange::fold(std::int64_t t) {
+    for (std::size_t w = 0; w < gained_words_.size(); ++w) {
+        if (gained_words_[w] == 0) continue;
+        gained_words_[w] = 0;
+        const auto first = w * kLanes;
+        for (auto reached = util::simd::fold_byte_lanes(
+                 &rumor_gain_lanes_[first], &rumor_count_[first], rumors_.agent_count());
+             reached != 0; reached &= reached - 1) {
+            rumor_complete_time_[first + static_cast<std::size_t>(std::countr_zero(reached))] = t;
+        }
+    }
+    rows_since_fold_ = 0;
 }
 
 GossipResult run_gossip(const EngineConfig& config, std::int64_t max_steps) {

@@ -17,7 +17,9 @@
 //
 // GossipProcess also reports per-rumor broadcast times, so one gossip run
 // yields k correlated samples of T_B (the gossip lab scenario reports
-// their mean and minimum next to T_G).
+// their mean and minimum next to T_G). They are exact: a step's newly
+// learned (agent, rumor) pairs are counted in one byte lane per rumor,
+// and the lanes are folded into the per-rumor counts once per step.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,8 @@ namespace smn::core {
 
 /// Gossip's knowledge state and exchange: one rumor per agent initially
 /// (MultiRumorState), each component ORing its members' rumor sets, plus
-/// per-rumor knowledge counts and completion times.
+/// per-rumor knowledge counts (tallied once per step) and exact
+/// completion times.
 class GossipExchange {
 public:
     explicit GossipExchange(const EngineConfig& config);
@@ -59,9 +62,21 @@ protected:
     void run(std::span<const std::int32_t> linked, graph::DisjointSets& dsu, std::int64_t t);
 
 private:
+    /// Adds the per-rumor byte lanes of the words some row gained since
+    /// the last fold into the rumors' counts, stamps `t` on each rumor
+    /// that just reached k, and zeroes those lanes.
+    void fold(std::int64_t t);
+
     MultiRumorState rumors_;
     std::int64_t known_pairs_;
-    std::vector<std::int32_t> rumor_known_count_;     ///< per rumor: #agents knowing it
+    // The per-rumor tally: each gaining row adds its gained bits to one
+    // byte lane per rumor (a branch-free expand); fold() widens the lanes
+    // into the counts at the end of every run(), and after every 255
+    // gaining rows so that no lane wraps. Both are padded to whole words.
+    std::vector<std::uint8_t> rumor_gain_lanes_;      ///< per rumor: gains since the last fold
+    std::vector<std::int32_t> rumor_count_;           ///< per rumor: agents knowing it, at the fold
+    std::vector<std::uint64_t> gained_words_;         ///< per word: OR of the rows since the fold
+    int rows_since_fold_{0};                          ///< gaining rows since the last fold
     std::vector<std::int64_t> rumor_complete_time_;   ///< per rumor: completion time
     std::vector<std::int32_t> slot_of_root_;          ///< root -> its slot; all −1 between runs
     std::vector<std::int32_t> slot_roots_;            ///< scratch: slot -> root

@@ -74,6 +74,8 @@ std::vector<PointResult> run_points(const Scenario& scenario,
 
     std::atomic<std::size_t> skipped{0};
     const auto pool_before = sim::ReplicationPool::instance().stats();
+    const double journal_before =
+        options.journal != nullptr ? options.journal->io_seconds() : 0.0;
     const auto sweep_begin = clock::now();
     const auto failed_units = sim::ReplicationPool::instance().run_units(
         static_cast<int>(total), threads, options.retries, [&](int unit) {
@@ -100,8 +102,10 @@ std::vector<PointResult> run_points(const Scenario& scenario,
                 options.on_progress(done.fetch_add(1, std::memory_order_relaxed) + 1, total);
             }
         });
+    // The journal is made durable inside the pass's wall clock, so the
+    // journal time reported with it covers every append and the fsync.
+    if (options.journal != nullptr) options.journal->sync();
     if (skipped.load(std::memory_order_relaxed) > 0) {
-        if (options.journal != nullptr) options.journal->sync();
         throw Interrupted("run interrupted with " +
                           std::to_string(skipped.load(std::memory_order_relaxed)) + " of " +
                           std::to_string(total) + " units not run");
@@ -113,6 +117,10 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     }
     const double sweep_wall =
         std::chrono::duration<double>(clock::now() - sweep_begin).count();
+    std::optional<double> journal_seconds;
+    if (options.journal != nullptr) {
+        journal_seconds = options.journal->io_seconds() - journal_before;
+    }
     const auto pool_after = sim::ReplicationPool::instance().stats();
     // Pass-level pool/process telemetry: units interleave across a
     // pipelined sweep's points, so these figures describe the pass as a
@@ -143,6 +151,7 @@ std::vector<PointResult> run_points(const Scenario& scenario,
         result.reps = options.reps;
         result.seed = seeds[point];
         result.sweep_wall_seconds = sweep_wall;
+        result.journal_seconds = journal_seconds;
         while (next_failure < failed_units.size() &&
                static_cast<std::size_t>(failed_units[next_failure].unit) < (point + 1) * reps) {
             const auto& failure = failed_units[next_failure++];

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -92,6 +93,11 @@ struct PointResult {
     /// replication parallelism this is the end-to-end latency, while
     /// wall_seconds sums per-replication costs (serial-equivalent time).
     double sweep_wall_seconds{0.0};
+    /// With a journal attached: the seconds the journal spent in its own
+    /// appends and closing fsync during that run, which is inside
+    /// sweep_wall_seconds (io::SweepJournal::io_seconds). Unset without a
+    /// journal.
+    std::optional<double> journal_seconds;
 
     /// Phase wall-clock attribution, summed across replications. Fed by
     /// metrics whose name carries the reserved "timing." prefix — those

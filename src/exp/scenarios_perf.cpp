@@ -2,8 +2,8 @@
 // path. Unlike the science scenarios these do not run to completion — they
 // execute an exact number of engine steps so the lab's throughput meter
 // (`timing.steps_per_s` with --timings) measures the step loop itself,
-// comparable across commits on one machine. scripts/crash_resume.sh times
-// this scenario with and without --journal to bound the journal's cost;
+// comparable across commits on one machine. scripts/crash_resume.sh runs
+// this scenario with --journal to bound the journal's own I/O time;
 // the end-to-end performance gate is paperbench (scripts/paperbench_ab.py).
 #include <cmath>
 #include <stdexcept>

@@ -109,6 +109,9 @@ void JsonlWriter::write(const PointResult& result) {
     if (timings_) {
         line += ",\"timing\":{\"wall_s\":" + json_number(result.wall_seconds);
         line += ",\"sweep_wall_s\":" + json_number(result.sweep_wall_seconds);
+        if (result.journal_seconds) {
+            line += ",\"journal_s\":" + json_number(*result.journal_seconds);
+        }
         line += ",\"steps\":" + json_number(result.steps);
         line += ",\"steps_per_s\":" + json_number(result.steps_per_second);
         if (!result.phase_seconds.empty()) {

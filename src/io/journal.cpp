@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,6 +44,10 @@ void write_fully(int fd, const std::string& path, std::string_view bytes,
         }
         off += static_cast<std::size_t>(n);
     }
+}
+
+double seconds_since(std::chrono::steady_clock::time_point begin) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
 }
 
 std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
@@ -234,13 +239,23 @@ void SweepJournal::record(std::string_view scenario, int unit, const JournalUnit
     // O_APPEND writes from a single fd never interleave with each other,
     // and write_fully rides out EINTR and short writes so the line always
     // lands whole (a torn tail is only possible at a crash boundary).
+    const auto begin = std::chrono::steady_clock::now();
     write_fully(fd_, path_, line, "append failed");
+    io_seconds_ += seconds_since(begin);
     units_[{std::string{scenario}, unit}] = data;
 }
 
 void SweepJournal::sync() {
     const std::lock_guard<std::mutex> lock{mutex_};
-    if (fd_ >= 0) ::fsync(fd_);
+    if (fd_ < 0) return;
+    const auto begin = std::chrono::steady_clock::now();
+    ::fsync(fd_);
+    io_seconds_ += seconds_since(begin);
+}
+
+double SweepJournal::io_seconds() const {
+    const std::lock_guard<std::mutex> lock{mutex_};
+    return io_seconds_;
 }
 
 }  // namespace smn::io

@@ -90,11 +90,17 @@ public:
     /// fsync()s the journal file descriptor.
     void sync();
 
+    /// Wall-clock seconds spent so far inside record()'s write and
+    /// sync()'s fsync: what journaling adds to a sweep, measured where it
+    /// happens rather than as the difference of two noisy sweep timings.
+    [[nodiscard]] double io_seconds() const;
+
 private:
     std::string path_;
     std::uint64_t fingerprint_{0};
     int fd_{-1};
     std::size_t replayed_{0};
+    double io_seconds_{0.0};  ///< guarded by mutex_
     mutable std::mutex mutex_;
     std::map<std::pair<std::string, int>, JournalUnit, std::less<>> units_;
 };

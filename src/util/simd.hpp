@@ -2,10 +2,12 @@
 //
 // The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp),
 // gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) and the
-// visibility pass's window gather (graph/visibility.cpp) are written once against the two wrapper types below and compiled against
-// one of three backends, selected at CONFIGURE time (never at
-// runtime — a runtime dispatch would put an unpredictable branch in loops
-// that run billions of times):
+// visibility pass's window gather (graph/visibility.cpp) are written once
+// against the two wrapper types below; gossip's per-rumor tally
+// (core/gossip.cpp) uses the two byte-lane kernels add_bit_lanes and
+// fold_byte_lanes. All of it is compiled against one of three backends,
+// selected at CONFIGURE time (never at runtime — a runtime dispatch would
+// put an unpredictable branch in loops that run billions of times):
 //
 //  * AVX2   — x86-64 with -mavx2 (cmake/Simd.cmake probes the compiler and
 //             adds the flag; the binary then requires an AVX2 host).
@@ -44,6 +46,8 @@ namespace smn::util::simd {
 /// Lanes per I32x8 / U64x4 — fixed on every backend.
 inline constexpr int kI32Lanes = 8;
 inline constexpr int kU64Lanes = 4;
+/// Byte lanes add_bit_lanes / fold_byte_lanes touch: one per bit of a word.
+inline constexpr int kBitLanes = 64;
 
 /// Name of the configure-time backend (for --version strings and tests).
 [[nodiscard]] constexpr const char* backend_name() noexcept {
@@ -171,6 +175,51 @@ inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
     return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(zero))) ^ 0xFu;
 }
 
+/// Adds 1 (mod 256) to byte lanes[i] for every set bit i of `bits`, over
+/// kBitLanes lanes, without a branch: `bits` is broadcast, byte j of each
+/// 32-lane half picks source byte j / 8 (vpshufb indexes within each
+/// 128-bit half, and every half holds all eight source bytes), keeps bit
+/// j % 8, and the all-ones compare result is subtracted.
+inline void add_bit_lanes(std::uint64_t bits, std::uint8_t* lanes) noexcept {
+    const __m256i word = _mm256_set1_epi64x(static_cast<long long>(bits));
+    const __m256i bit = _mm256_set1_epi64x(static_cast<long long>(0x8040201008040201ULL));
+    const __m256i pick[2] = {
+        _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1,  //
+                         2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3),
+        _mm256_setr_epi8(4, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5,  //
+                         6, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7)};
+    for (int half = 0; half < 2; ++half) {
+        const __m256i spread = _mm256_shuffle_epi8(word, pick[half]);
+        const __m256i set = _mm256_cmpeq_epi8(_mm256_and_si256(spread, bit), bit);
+        auto* p = reinterpret_cast<__m256i*>(lanes + 32 * half);
+        _mm256_storeu_si256(p, _mm256_sub_epi8(_mm256_loadu_si256(p), set));
+    }
+}
+/// Over kBitLanes lanes: counts[i] += lanes[i], then lanes[i] = 0.
+/// Returns bit i set iff lanes[i] was nonzero and counts[i] now equals
+/// `target`.
+[[nodiscard]] inline std::uint64_t fold_byte_lanes(std::uint8_t* lanes, std::int32_t* counts,
+                                                   std::int32_t target) noexcept {
+    const __m256i want = _mm256_set1_epi32(target);
+    const __m256i zero = _mm256_setzero_si256();
+    std::uint64_t hit = 0;
+    for (int g = 0; g < 8; ++g) {
+        const __m256i delta = _mm256_cvtepu8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(lanes + 8 * g)));
+        auto* c = reinterpret_cast<__m256i*>(counts + 8 * g);
+        const __m256i sum = _mm256_add_epi32(_mm256_loadu_si256(c), delta);
+        _mm256_storeu_si256(c, sum);
+        const __m256i reached =
+            _mm256_andnot_si256(_mm256_cmpeq_epi32(delta, zero), _mm256_cmpeq_epi32(sum, want));
+        hit |= std::uint64_t{static_cast<unsigned>(
+                   _mm256_movemask_ps(_mm256_castsi256_ps(reached)))}
+               << (8 * g);
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), zero);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 32), zero);
+    return hit;
+}
+
 #elif defined(SMN_SIMD_NEON)
 
 // ------------------------------------------------------------- NEON backend
@@ -291,6 +340,41 @@ inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
            static_cast<unsigned>(vgetq_lane_u64(a.lo, 1) != 0) << 1 |
            static_cast<unsigned>(vgetq_lane_u64(a.hi, 0) != 0) << 2 |
            static_cast<unsigned>(vgetq_lane_u64(a.hi, 1) != 0) << 3;
+}
+/// 16 lanes per chunk: the low 8 take source byte 2c, the high 8 byte
+/// 2c + 1; VTST turns each selected bit into an all-ones byte.
+inline void add_bit_lanes(std::uint64_t bits, std::uint8_t* lanes) noexcept {
+    const uint8x16_t bit = vreinterpretq_u8_u64(vdupq_n_u64(0x8040201008040201ULL));
+    for (int c = 0; c < 4; ++c) {
+        const uint8x16_t spread =
+            vcombine_u8(vdup_n_u8(static_cast<std::uint8_t>(bits >> (16 * c))),
+                        vdup_n_u8(static_cast<std::uint8_t>(bits >> (16 * c + 8))));
+        auto* p = lanes + 16 * c;
+        vst1q_u8(p, vsubq_u8(vld1q_u8(p), vtstq_u8(spread, bit)));
+    }
+}
+[[nodiscard]] inline std::uint64_t fold_byte_lanes(std::uint8_t* lanes, std::int32_t* counts,
+                                                   std::int32_t target) noexcept {
+    const int32x4_t want = vdupq_n_s32(target);
+    const std::uint32_t weight_bits[4] = {1, 2, 4, 8};
+    const uint32x4_t weight = vld1q_u32(weight_bits);
+    std::uint64_t hit = 0;
+    for (int c = 0; c < 4; ++c) {
+        const uint8x16_t d8 = vld1q_u8(lanes + 16 * c);
+        const uint16x8_t d16[2] = {vmovl_u8(vget_low_u8(d8)), vmovl_u8(vget_high_u8(d8))};
+        for (int q = 0; q < 4; ++q) {
+            const uint16x8_t wide = d16[q / 2];
+            const uint32x4_t delta =
+                q % 2 == 0 ? vmovl_u16(vget_low_u16(wide)) : vmovl_u16(vget_high_u16(wide));
+            auto* cp = counts + 16 * c + 4 * q;
+            const int32x4_t sum = vaddq_s32(vld1q_s32(cp), vreinterpretq_s32_u32(delta));
+            vst1q_s32(cp, sum);
+            const uint32x4_t reached = vandq_u32(vceqq_s32(sum, want), vtstq_u32(delta, delta));
+            hit |= std::uint64_t{vaddvq_u32(vandq_u32(reached, weight))} << (16 * c + 4 * q);
+        }
+        vst1q_u8(lanes + 16 * c, vdupq_n_u8(0));
+    }
+    return hit;
 }
 
 #else
@@ -431,6 +515,21 @@ inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
     unsigned m = 0;
     for (int i = 0; i < 4; ++i) m |= static_cast<unsigned>(a.l[i] != 0) << i;
     return m;
+}
+inline void add_bit_lanes(std::uint64_t bits, std::uint8_t* lanes) noexcept {
+    for (int i = 0; i < kBitLanes; ++i) {
+        lanes[i] = static_cast<std::uint8_t>(lanes[i] + ((bits >> i) & 1));
+    }
+}
+[[nodiscard]] inline std::uint64_t fold_byte_lanes(std::uint8_t* lanes, std::int32_t* counts,
+                                                   std::int32_t target) noexcept {
+    std::uint64_t hit = 0;
+    for (int i = 0; i < kBitLanes; ++i) {
+        counts[i] += lanes[i];
+        hit |= std::uint64_t{lanes[i] != 0 && counts[i] == target} << i;
+        lanes[i] = 0;
+    }
+    return hit;
 }
 
 #endif

@@ -408,7 +408,17 @@ INSTANTIATE_TEST_SUITE_P(
                       GossipPathwiseParam{20, 300, 0, grid::Metric::kManhattan, 46},
                       // r far above r_c (about 3 here): components of >= 3
                       // agents share one accumulator slot.
-                      GossipPathwiseParam{24, 60, 5, grid::Metric::kManhattan, 47}));
+                      GossipPathwiseParam{24, 60, 5, grid::Metric::kManhattan, 47},
+                      // r >= the diameter: all 300 agents meet at t = 0, so
+                      // most rumors are gained by 299 agents in one step,
+                      // more than a byte lane holds between two folds.
+                      GossipPathwiseParam{16, 300, 30, grid::Metric::kManhattan, 48},
+                      // r 3 above r_c (about 2.4): no rumor reaches 256 agents
+                      // at t = 0, and merging components later spread one
+                      // rumor to 409 agents in a single step.
+                      GossipPathwiseParam{60, 600, 3, grid::Metric::kManhattan, 57},
+                      // 2-word rows whose tail word holds one rumor.
+                      GossipPathwiseParam{20, 65, 1, grid::Metric::kChebyshev, 49}));
 
 // ------------------------------------------- the standalone r = 0 models
 

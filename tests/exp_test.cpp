@@ -598,6 +598,7 @@ TEST(JsonlWriter, TimingsAreOptIn) {
     // sweep_wall_s is the end-to-end wall clock of the pipelined pass this
     // point was part of; wall_s sums per-replication cost.
     EXPECT_GE(record.at("timing").at("sweep_wall_s").number(), 0.0);
+    EXPECT_FALSE(record.at("timing").has("journal_s"));  // no journal attached
 }
 
 TEST(JsonlWriter, CountersAreOptInAndDivertedFromObsMetrics) {
@@ -797,6 +798,25 @@ public:
 private:
     std::string path_;
 };
+
+TEST(JsonlWriter, JournaledTimingsReportTheJournalsOwnTime) {
+    const auto scenario = synthetic_scenario();
+    exp::RunOptions options;
+    options.reps = 3;
+    ScratchFile journal_file{"timed_journal"};
+    io::SweepJournal journal{journal_file.path(), 1, /*resume=*/false};
+    options.journal = &journal;
+    const auto result = exp::run_point(scenario, {}, options);
+    // Three appends and the pass's closing fsync, all inside the pass.
+    ASSERT_TRUE(result.journal_seconds.has_value());
+    EXPECT_GT(*result.journal_seconds, 0.0);
+    EXPECT_LE(*result.journal_seconds, result.sweep_wall_seconds);
+    EXPECT_EQ(*result.journal_seconds, journal.io_seconds());
+    std::ostringstream os;
+    exp::JsonlWriter{os, /*timings=*/true}.write(result);
+    const auto record = check_record(os.str());
+    EXPECT_DOUBLE_EQ(record.at("timing").at("journal_s").number(), *result.journal_seconds);
+}
 
 TEST(RunPoint, TolerantModeCollectsFailuresAndAggregatesTheRest) {
     auto scenario = synthetic_scenario();

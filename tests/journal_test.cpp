@@ -95,6 +95,22 @@ TEST(SweepJournal, RecordsAreVisibleAfterReopen) {
     EXPECT_EQ(resumed.find("gossip", 0), nullptr);  // scenario-scoped
 }
 
+TEST(SweepJournal, IoSecondsCountAppendsAndSync) {
+    // The journal's own cost, as the timing record reports it: the header
+    // written at open is not part of a sweep; every append and fsync is.
+    TempFile file{"io_time"};
+    SweepJournal journal{file.path(), sweep_fingerprint(3, 2, kScenarios, "sha"),
+                         /*resume=*/false};
+    EXPECT_EQ(journal.io_seconds(), 0.0);
+    JournalUnit unit;
+    unit.metrics = {{"steps", 10.0}};
+    journal.record("gossip", 0, unit);
+    const double after_append = journal.io_seconds();
+    EXPECT_GT(after_append, 0.0);
+    journal.sync();
+    EXPECT_GT(journal.io_seconds(), after_append);
+}
+
 TEST(SweepJournal, MetricDoublesRoundTripExactly) {
     TempFile file{"exact"};
     const auto fp = sweep_fingerprint(1, 1, kScenarios, "sha");

@@ -123,6 +123,76 @@ TEST(U64Lanes, NonzeroMaskMatchesScalar) {
     }
 }
 
+// ------------------------------------------------------- gossip's byte lanes
+
+// The tally of GossipExchange::run: add_bit_lanes adds one per set bit to
+// 64 byte lanes (mod 256), fold_byte_lanes widens them into int32 counts.
+// The buffers sit one byte/int past an aligned start, as the kernels make
+// unaligned accesses.
+
+TEST(BitLanes, AddBitLanesMatchesScalar) {
+    namespace simd = util::simd;
+    constexpr auto kLanes = static_cast<std::size_t>(simd::kBitLanes);
+    rng::Rng rng{53};
+    std::vector<std::uint8_t> buffer(kLanes + 1);
+    auto* lanes = buffer.data() + 1;
+    std::array<std::uint8_t, kLanes> want{};
+    for (std::size_t i = 0; i < kLanes; ++i) {
+        lanes[i] = want[i] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    for (int it = 0; it < 600; ++it) {
+        // Single bits (every position, the top one included), all ones
+        // (600 rounds wrap every lane), zero and random words.
+        const std::uint64_t bits = it < 64 ? std::uint64_t{1} << it
+                                   : it % 3 == 0 ? ~std::uint64_t{0}
+                                   : it % 7 == 0 ? 0
+                                                 : rng.next_u64();
+        simd::add_bit_lanes(bits, lanes);
+        for (std::size_t i = 0; i < kLanes; ++i) {
+            want[i] = static_cast<std::uint8_t>(want[i] + ((bits >> i) & 1));
+            ASSERT_EQ(lanes[i], want[i]) << "round " << it << ", lane " << i;
+        }
+    }
+    EXPECT_EQ(buffer[0], 0);  // nothing written before the lanes
+}
+
+TEST(BitLanes, FoldByteLanesMatchesScalar) {
+    namespace simd = util::simd;
+    constexpr auto kLanes = static_cast<std::size_t>(simd::kBitLanes);
+    constexpr std::int32_t kTarget = 1000;
+    rng::Rng rng{59};
+    std::vector<std::uint8_t> lane_buffer(kLanes + 1);
+    std::vector<std::int32_t> count_buffer(kLanes + 1);
+    auto* lanes = lane_buffer.data() + 1;
+    auto* counts = count_buffer.data() + 1;
+    for (int it = 0; it < 256; ++it) {
+        std::array<std::int32_t, kLanes> want{};
+        std::uint64_t want_hit = 0;
+        for (std::size_t i = 0; i < kLanes; ++i) {
+            // Deltas 0, 1, 255 or random; counts that land exactly on the
+            // target (with and without a delta), above it, and below it.
+            const auto r = rng.next_u64();
+            const auto delta = static_cast<std::uint8_t>(r % 4 == 0   ? 0
+                                                         : r % 4 == 1 ? 1
+                                                         : r % 4 == 2 ? 255
+                                                                      : r >> 8);
+            const auto spread = static_cast<std::int32_t>((r >> 24) % 600);
+            const std::int32_t end = (r >> 16) % 3 == 0 ? kTarget : kTarget - 300 + spread;
+            lanes[i] = delta;
+            counts[i] = end - delta;
+            want[i] = end;
+            if (delta != 0 && end == kTarget) want_hit |= std::uint64_t{1} << i;
+        }
+        EXPECT_EQ(simd::fold_byte_lanes(lanes, counts, kTarget), want_hit) << "round " << it;
+        for (std::size_t i = 0; i < kLanes; ++i) {
+            ASSERT_EQ(counts[i], want[i]) << "round " << it << ", lane " << i;
+            ASSERT_EQ(lanes[i], 0) << "round " << it << ", lane " << i;
+        }
+    }
+    EXPECT_EQ(lane_buffer[0], 0);
+    EXPECT_EQ(count_buffer[0], 0);
+}
+
 // ------------------------------------------------------------ decode_draws5
 
 TEST(DecodeDraws5, MatchesScalarOnRandomWords) {

@@ -310,7 +310,6 @@ int run(int argc, char** argv) {
         try {
             results = exp::run_sweep(*scenario, sweep, options);
         } catch (const exp::Interrupted& err) {
-            if (journal) journal->sync();
             std::cerr << "\n[smn_lab] interrupted: " << err.what() << "\n[smn_lab] "
                       << "finish with: --resume=" << (journal ? journal->path() : "JOURNAL")
                       << " (plus the original options)\n";
@@ -341,7 +340,6 @@ int run(int argc, char** argv) {
         // the "engine." flushes of every engine destroyed during the run.
         exp::write_counters_total(os);
     }
-    if (journal) journal->sync();
     if (out_path != "-") {
         std::cerr << "[smn_lab] wrote " << out_path << " (" << format << ")\n";
     }
