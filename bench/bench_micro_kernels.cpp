@@ -37,6 +37,23 @@ void BM_WalkStepAll(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkStepAll)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
+/// The Frog model's walk: a fixed random half of the k agents moves, the
+/// rest take the stay draw. Items are all k agents, as in BM_WalkStepAll.
+void BM_WalkStepSubset(benchmark::State& state) {
+    const auto k = static_cast<std::int32_t>(state.range(0));
+    const auto g = grid::Grid2D::square(256);
+    rng::Rng rng{1};
+    walk::AgentEnsemble agents{g, k, rng};
+    std::vector<std::uint8_t> mask(static_cast<std::size_t>(k));
+    for (auto& m : mask) m = static_cast<std::uint8_t>(rng.below(2));
+    for (auto _ : state) {
+        agents.step_subset(rng, mask);
+        benchmark::DoNotOptimize(agents.positions().data());
+    }
+    state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_WalkStepSubset)->Arg(1024);
+
 /// 64 consecutive frames of k agents walking on a side × side grid, so
 /// that consecutive builds see moved agents, as in the engine.
 std::vector<std::vector<grid::Point>> walk_frames(const grid::Grid2D& g, std::int32_t k,

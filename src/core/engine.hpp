@@ -291,11 +291,8 @@ private:
             if (config_.mobility == Mobility::kInformedOnly) {
                 // Frog model: agents informed *before* this step's motion
                 // walk; agents informed during this step's exchange start
-                // moving next step. Copy the flags because exchange
-                // mutates them.
-                const auto flags = this->rumor().flags();
-                move_mask_.assign(flags.begin(), flags.end());
-                agents_.step_subset(rng_, move_mask_);
+                // moving next step.
+                agents_.step_subset(rng_, this->rumor().flags());
                 return;
             }
         }
@@ -381,7 +378,6 @@ private:
     graph::VisibilityGraphBuilder builder_;
     graph::DisjointSets dsu_;
     std::int64_t t_{0};
-    std::vector<std::uint8_t> move_mask_;  ///< scratch for frog mobility
     std::int64_t exchange_linked_{0};      ///< Σ |linked()| over exchanges that ran
     bool stale_{false};  ///< component pass deferred (post-completion)
     bool timing_{false};

@@ -22,6 +22,30 @@ constexpr std::size_t kBlockWords = 2048;
 
 constexpr std::size_t kLanes = simd::kU64Lanes;
 
+/// Copies `positions` over `prev` and returns how many of them differed,
+/// four Points per vector: each Point's 8 bytes are one lane.
+std::int64_t record_positions(std::span<const grid::Point> positions, grid::Point* prev) {
+    static_assert(sizeof(grid::Point) == sizeof(std::uint64_t));
+    const auto k = positions.size();
+    const auto* now = positions.data();
+    auto same = simd::U64x4::splat(0);
+    std::size_t i = 0;
+    for (; i + kLanes <= k; i += kLanes) {
+        const auto p = simd::U64x4::load_bytes(now + i);
+        const auto equal = simd::cmpeq(p, simd::U64x4::load_bytes(prev + i));
+        same = simd::add(same, simd::shift_right<63>(equal));  // +1 per unmoved agent
+        p.store_bytes(prev + i);
+    }
+    std::uint64_t lanes[kLanes]{};
+    same.store(lanes);
+    auto moves = static_cast<std::int64_t>(i - (lanes[0] + lanes[1] + lanes[2] + lanes[3]));
+    for (; i < k; ++i) {
+        moves += static_cast<std::int64_t>(now[i] != prev[i]);
+        prev[i] = now[i];
+    }
+    return moves;
+}
+
 /// Zero bits after each bitmap row at r >= 1: a window of half-width up to
 /// this never reads another row's nodes. Windows never reach past the
 /// width, so a radius beyond it pads no more.
@@ -109,27 +133,25 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
 
 /// The r >= 1 co-location pass, claiming each agent's bitmap bit in the
 /// node table: unions co-located agents, sets each occupied node's bitmap
-/// bit and lists the node, and counts the agents whose node changed since
-/// the last pass (the first pass, or one over a different agent count,
-/// only records the positions).
+/// bit and lists the node. Before it, counts the agents whose node changed
+/// since the last pass (the first pass, or one over a different agent
+/// count, only records the positions).
 spatial::ColocationTable::Pass VisibilityGraphBuilder::index_pass(
     std::span<const grid::Point> positions, DisjointSets& dsu) {
     const auto k = positions.size();
     const bool tally = prev_.size() == k;
     prev_.resize(k);
+    const auto moves = record_positions(positions, prev_.data());
+    if (tally) index_stats_.moves += moves;
     occupied_bits_.resize(k + kLanes - 1);
     occupied_agents_.resize(k);
-    auto* prev = prev_.data();
     auto* bits = occupied_bits_.data();
     auto* agents = occupied_agents_.data();
     auto* bitmap = bitmap_.data();
     const auto pass = colocation_.begin_pass();
-    std::int64_t moves = 0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < k; ++i) {
         const auto p = positions[i];
-        moves += static_cast<std::int64_t>(p != prev[i]);
-        prev[i] = p;
         const auto bit = pad_ + std::int64_t{p.y} * stride_ + p.x;
         const auto a = static_cast<std::int32_t>(i);
         const auto first = pass.claim(bit, a);
@@ -144,7 +166,6 @@ spatial::ColocationTable::Pass VisibilityGraphBuilder::index_pass(
         link(a);
         (void)dsu.unite_root(first, a);
     }
-    if (tally) index_stats_.moves += moves;
     occupied_units_ = static_cast<std::int64_t>(n);
     return pass;
 }
@@ -158,7 +179,7 @@ spatial::ColocationTable::Pass VisibilityGraphBuilder::index_pass(
 /// found once and carried through unite_root. Then clears the node bits.
 void VisibilityGraphBuilder::node_pass(spatial::ColocationTable::Pass pass, DisjointSets& dsu) {
     const auto occupied = static_cast<std::size_t>(occupied_units_);
-    const auto* bitmap = bitmap_.data();
+    auto* bitmap = bitmap_.data();
     const auto* windows = windows_.data();
     const auto per_node = windows_.size();
     const auto chunk = chunk_;
@@ -218,7 +239,7 @@ void VisibilityGraphBuilder::node_pass(spatial::ColocationTable::Pass pass, Disj
             }
         }
     }
-    for (std::size_t i = 0; i < occupied; ++i) bitmap_[static_cast<std::size_t>(bits[i] >> 3)] = 0;
+    for (std::size_t i = 0; i < occupied; ++i) bitmap[bits[i] >> 3] = 0;
     const auto count = static_cast<std::int64_t>(occupied);
     ++stats_.passes;
     stats_.rescanned_units += count;

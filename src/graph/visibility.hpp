@@ -73,9 +73,11 @@ public:
         std::int64_t edges_replayed{0};    ///< always 0
     };
 
-    /// Agent motion between consecutive passes (r >= 1 only), found by
-    /// comparing each agent's position with the previous pass's as the
-    /// co-location loop reads it: the walk reports no moves.
+    /// Agent motion between consecutive passes (r >= 1 only): the walk
+    /// reports no moves, so before its co-location loop each pass compares
+    /// every agent's position with the previous pass's and copies it over,
+    /// four agents per vector (util/simd.hpp). The first pass, and the first
+    /// after the agent count changes, only record the positions.
     struct IndexStats {
         std::int64_t moves{0};    ///< agents whose node changed
         std::int64_t relinks{0};  ///< always 0: the pass has no cells to relink
@@ -122,8 +124,8 @@ public:
     void set_timing(bool on) noexcept { timing_ = on; }
 
     /// Cumulative seconds spent indexing (0 until set_timing(true)): the
-    /// co-location pass that tallies moves and fills the node table and the
-    /// occupancy bitmap. The window reads and unions are not in it.
+    /// move tally and the co-location pass that fills the node table and
+    /// the occupancy bitmap. The window reads and unions are not in it.
     [[nodiscard]] double index_seconds() const noexcept { return index_seconds_; }
 
     /// Full cumulative scan telemetry (see ScanStats).

@@ -2,12 +2,13 @@
 //
 // The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp),
 // gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) and the
-// visibility pass's window gather (graph/visibility.cpp) are written once
-// against the two wrapper types below; gossip's per-rumor tally
-// (core/gossip.cpp) uses the two byte-lane kernels add_bit_lanes and
-// fold_byte_lanes. All of it is compiled against one of three backends,
-// selected at CONFIGURE time (never at runtime — a runtime dispatch would
-// put an unpredictable branch in loops that run billions of times):
+// visibility pass's window gather and move tally (graph/visibility.cpp)
+// are written once against the two wrapper types below; gossip's
+// per-rumor tally (core/gossip.cpp) uses the two byte-lane kernels
+// add_bit_lanes and fold_byte_lanes. All of it is compiled against one of
+// three backends, selected at CONFIGURE time (never at runtime — a runtime
+// dispatch would put an unpredictable branch in loops that run billions of
+// times):
 //
 //  * AVX2   — x86-64 with -mavx2 (cmake/Simd.cmake probes the compiler and
 //             adds the flag; the binary then requires an AVX2 host).
@@ -124,6 +125,12 @@ struct U64x4 {
     void store(std::uint64_t* p) const noexcept {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
+    /// The 32 bytes at p as 4 native-endian lanes, whatever objects they
+    /// hold (no alignment required); store_bytes writes them back.
+    [[nodiscard]] static U64x4 load_bytes(const void* p) noexcept {
+        return {_mm256_loadu_si256(static_cast<const __m256i*>(p))};
+    }
+    void store_bytes(void* p) const noexcept { _mm256_storeu_si256(static_cast<__m256i*>(p), v); }
 };
 
 [[nodiscard]] inline U64x4 add(U64x4 a, U64x4 b) noexcept {
@@ -289,6 +296,15 @@ struct U64x4 {
     void store(std::uint64_t* p) const noexcept {
         vst1q_u64(p, lo);
         vst1q_u64(p + 2, hi);
+    }
+    [[nodiscard]] static U64x4 load_bytes(const void* p) noexcept {
+        const auto* b = static_cast<const std::uint8_t*>(p);
+        return {vreinterpretq_u64_u8(vld1q_u8(b)), vreinterpretq_u64_u8(vld1q_u8(b + 16))};
+    }
+    void store_bytes(void* p) const noexcept {
+        auto* b = static_cast<std::uint8_t*>(p);
+        vst1q_u8(b, vreinterpretq_u8_u64(lo));
+        vst1q_u8(b + 16, vreinterpretq_u8_u64(hi));
     }
 };
 
@@ -461,6 +477,13 @@ struct U64x4 {
     void store(std::uint64_t* p) const noexcept {
         for (int i = 0; i < 4; ++i) p[i] = l[i];
     }
+    /// Through memcpy: the bytes may belong to objects of any type.
+    [[nodiscard]] static U64x4 load_bytes(const void* p) noexcept {
+        U64x4 r;
+        std::memcpy(r.l, p, sizeof r.l);
+        return r;
+    }
+    void store_bytes(void* p) const noexcept { std::memcpy(p, l, sizeof l); }
 };
 
 [[nodiscard]] inline U64x4 add(U64x4 a, U64x4 b) noexcept {

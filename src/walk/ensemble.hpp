@@ -19,12 +19,14 @@
 // rejections included — so every existing seed reproduces bit-identical
 // trajectories (see docs/performance.md for the invariant).
 //
-// The lazy-paper step_all path is additionally vectorized end to end
-// (util/simd.hpp — AVX2/NEON/scalar selected at configure time): the
-// Lemire decode runs 4 words per 64-bit vector (walk/decode.hpp) and the
-// position update runs 8 agents per 32-bit vector — boundary mask, packed
-// step-table gather, SoA stores and the AoS mirror interleave are all
-// branch-free lane math, and no lane leaves the vector path. Lanes are
+// The lazy-paper paths (step_all, and the Frog model's step_subset) are
+// additionally vectorized end to end (util/simd.hpp — AVX2/NEON/scalar
+// selected at configure time): the Lemire decode runs 4 words per 64-bit
+// vector (walk/decode.hpp) and the position update runs 8 agents per
+// 32-bit vector — boundary mask, packed step-table gather, SoA stores and
+// the AoS mirror interleave are all branch-free lane math, and no lane
+// leaves the vector path. step_subset gives each frozen agent the stay
+// draw kStayDraw (walk/step.hpp), so it runs step_all's apply pass. Lanes are
 // just a partition of the agent order, so the trajectories (and the word
 // stream, which the decode never reorders) stay bit-identical across
 // backends — the force-scalar CI leg replays the same goldens to prove it.
@@ -132,41 +134,53 @@ public:
             step_indices(rng, positions_.size(), [](std::size_t i) { return i; });
             return;
         }
-        // Lazy-paper fast path: agent ids are contiguous, so both decode
-        // and apply run vectorized (apply_block). A Lemire rejection
-        // anywhere in a block (one word == 0, a ~2^-64 event) drops that
-        // block to the exact scalar BlockRng replay, which re-consumes the
-        // same buffered words so the engine stream cannot diverge.
-        const auto width = grid_.width();
-        const auto height = grid_.height();
+        // Lazy-paper fast path: agent ids are contiguous, so each block's
+        // draws are applied to the block's agents in one vector pass.
         const std::size_t count = positions_.size();
+        draws_.resize(std::min(kBlockSize, count));
         for (std::size_t base = 0; base < count; base += kBlockSize) {
             const std::size_t len = std::min(kBlockSize, count - base);
-            block_.fill(rng, len);
-            if (decode_block(len)) {
-                ++decode_stats_.blocks_decoded;
-                apply_block(base, len, width, height);
-            } else {
-                ++decode_stats_.blocks_scalar;
-                for (std::size_t i = 0; i < len; ++i) {
-                    const auto a = base + i;
-                    apply(a, direction_mask(xs_[a], ys_[a], width, height),
-                          static_cast<unsigned>(block_.below(rng, 5)));
-                }
-            }
+            draw_block(rng, len, draws_.data());
+            apply_block(base, len, draws_.data());
         }
     }
 
     /// Advances only the agents for which `should_move[a]` is true; the
-    /// others stay frozen (Frog-model dynamics, Sec. 4).
+    /// others stay frozen (Frog-model dynamics, Sec. 4). The mask is read
+    /// before the first position changes and never after.
+    ///
+    /// Lazy-paper: the movers draw block by block in agent order, exactly
+    /// as step_all's agents do, so the word stream and the decode tallies
+    /// are those of a walk over the movers alone. Their draws are scattered
+    /// into a row of stay draws (kStayDraw), and one apply_block pass runs
+    /// over all k agents. The ablation walks' draw bounds depend on the
+    /// node's degree, so they step the movers one by one instead.
     void step_subset(rng::Rng& rng, std::span<const std::uint8_t> should_move) {
         assert(should_move.size() == positions_.size());
-        moving_.clear();
-        for (std::size_t i = 0; i < should_move.size(); ++i) {
-            if (should_move[i]) moving_.push_back(static_cast<std::int32_t>(i));
+        const std::size_t k = should_move.size();
+        // The movers in agent order, listed without a branch.
+        moving_.resize(k);
+        std::size_t movers = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+            moving_[movers] = static_cast<std::int32_t>(i);
+            movers += static_cast<std::size_t>(should_move[i] != 0);
         }
-        step_indices(rng, moving_.size(),
-                     [this](std::size_t i) { return static_cast<std::size_t>(moving_[i]); });
+        if (kind_ != WalkKind::kLazyPaper) {
+            step_indices(rng, movers,
+                         [this](std::size_t i) { return static_cast<std::size_t>(moving_[i]); });
+            return;
+        }
+        row_.assign(k, kStayDraw);
+        draws_.resize(std::min(kBlockSize, movers));
+        std::int32_t* const row = row_.data();
+        std::int32_t* const draws = draws_.data();
+        for (std::size_t base = 0; base < movers; base += kBlockSize) {
+            const std::size_t len = std::min(kBlockSize, movers - base);
+            draw_block(rng, len, draws);
+            const std::int32_t* const ids = moving_.data() + base;
+            for (std::size_t j = 0; j < len; ++j) row[ids[j]] = draws[j];
+        }
+        apply_block(0, k, row);
     }
 
     // ---- For paperbench's shadow loop only; deleted together with that
@@ -206,8 +220,11 @@ private:
         positions_.push_back(p);
     }
 
-    /// Batched step over `count` agents selected by `index_of` (identity
-    /// for step_all, the moving-agent list for step_subset), in order.
+    /// Scalar step of the ablation walks (kSimple, kLazyHalf) over `count`
+    /// agents selected by `index_of` (identity for step_all, the moving-agent
+    /// list for step_subset), in order. Their draw bound is the node's degree
+    /// (or twice it), so each agent draws through BlockRng word by word; the
+    /// blocks count as blocks_scalar.
     template <typename IndexFn>
     void step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of) {
         const auto width = grid_.width();
@@ -215,58 +232,53 @@ private:
         for (std::size_t base = 0; base < count; base += kBlockSize) {
             const std::size_t len = std::min(kBlockSize, count - base);
             block_.fill(rng, len);
-            if (kind_ == WalkKind::kLazyPaper && decode_block(len)) {
-                ++decode_stats_.blocks_decoded;
-                // Common path: every buffered word decoded rejection-free.
-                for (std::size_t i = 0; i < len; ++i) {
-                    const auto a = index_of(base + i);
-                    apply(a, direction_mask(xs_[a], ys_[a], width, height),
-                          static_cast<unsigned>(draws_[i]));
-                }
-            } else {
-                // Exact scalar path: ablation walks, and the ~2^-64 case of
-                // a Lemire rejection inside the block. Consumes the same
-                // buffered words through BlockRng, so the stream matches.
-                ++decode_stats_.blocks_scalar;
-                for (std::size_t i = 0; i < len; ++i) {
-                    const auto a = index_of(base + i);
-                    const auto mask = direction_mask(xs_[a], ys_[a], width, height);
-                    const auto deg = static_cast<std::uint64_t>(std::popcount(mask));
-                    std::uint64_t u = 0;
-                    switch (kind_) {
-                        case WalkKind::kLazyPaper: u = block_.below(rng, 5); break;
-                        case WalkKind::kSimple: u = block_.below(rng, deg); break;
-                        case WalkKind::kLazyHalf:
-                            u = std::min<std::uint64_t>(block_.below(rng, 2 * deg), 4);
-                            break;
-                    }
-                    apply(a, mask, static_cast<unsigned>(u));
-                }
+            ++decode_stats_.blocks_scalar;
+            for (std::size_t i = 0; i < len; ++i) {
+                const auto a = index_of(base + i);
+                const auto mask = direction_mask(xs_[a], ys_[a], width, height);
+                const auto deg = static_cast<std::uint64_t>(std::popcount(mask));
+                const auto u = kind_ == WalkKind::kSimple
+                                   ? block_.below(rng, deg)
+                                   : std::min<std::uint64_t>(block_.below(rng, 2 * deg), 4);
+                apply(a, mask, static_cast<unsigned>(u));
             }
         }
     }
 
-    /// Pass 1 of the lazy-paper kernel: decode the block's raw words into
-    /// draws_ (u ∈ [0,5)) with Lemire's multiply (walk/decode.hpp, SIMD
-    /// when configured). Returns false — leaving draws_ unusable — iff any
-    /// word would have been rejected.
-    [[nodiscard]] bool decode_block(std::size_t len) {
-        draws_.resize(len);
-        return decode_draws5(block_.words().data(), len, draws_.data());
+    /// Pass 1 of the lazy-paper kernel: draws u ∈ [0,5) for `len` agents
+    /// into `out` from one fresh RNG block. The block's words are decoded
+    /// with Lemire's multiply (walk/decode.hpp, SIMD when configured); if
+    /// any word would be rejected (one word == 0, a ~2^-64 event), the
+    /// block is replayed through BlockRng instead, which re-consumes the
+    /// same buffered words so the engine stream cannot diverge. A
+    /// lazy-paper draw does not depend on the agent's node, so drawing a
+    /// whole block before applying it is exact.
+    void draw_block(rng::Rng& rng, std::size_t len, std::int32_t* out) {
+        block_.fill(rng, len);
+        if (decode_draws5(block_.words().data(), len, out)) {
+            ++decode_stats_.blocks_decoded;
+            return;
+        }
+        ++decode_stats_.blocks_scalar;
+        for (std::size_t i = 0; i < len; ++i) {
+            out[i] = static_cast<std::int32_t>(block_.below(rng, 5));
+        }
     }
 
-    /// Pass 2 of the contiguous (step_all) lazy-paper kernel: apply 8
-    /// decoded draws per vector to agents [base, base+len). Lane math
-    /// mirrors apply()/direction_mask() exactly — cmpgt against the
-    /// boundary coordinates builds the presence mask, a gather through
+    /// Pass 2 of the lazy-paper kernel: apply draws[i] to agent base + i
+    /// for i < len, 8 agents per vector. Lane math mirrors
+    /// apply()/direction_mask() exactly — cmpgt against the boundary
+    /// coordinates builds the presence mask, a gather through
     /// kStepTablePacked turns mask*5+u into (dx, dy), and the AoS Point
     /// mirror is refreshed with an interleaved store. Every lane is stored
     /// unconditionally (a stay adds a zero delta), so no lane ever leaves
     /// the vector path.
-    void apply_block(std::size_t base, std::size_t len, grid::Coord width, grid::Coord height) {
+    void apply_block(std::size_t base, std::size_t len, const std::int32_t* draws) {
         namespace s = util::simd;
         static_assert(sizeof(grid::Point) == 2 * sizeof(grid::Coord));
         constexpr auto kLanes = static_cast<std::size_t>(s::kI32Lanes);
+        const auto width = grid_.width();
+        const auto height = grid_.height();
         const auto zero = s::I32x8::splat(0);
         const auto xmax = s::I32x8::splat(width - 1);
         const auto ymax = s::I32x8::splat(height - 1);
@@ -279,7 +291,6 @@ private:
         std::int32_t* const xs = xs_.data() + base;
         std::int32_t* const ys = ys_.data() + base;
         auto* const points = reinterpret_cast<std::int32_t*>(positions_.data() + base);
-        const std::int32_t* const draws = draws_.data();
         const std::size_t full = len - len % kLanes;
         std::size_t i = 0;
         for (; i < full; i += kLanes) {
@@ -304,7 +315,7 @@ private:
         for (; i < len; ++i) {
             const std::size_t a = base + i;
             apply(a, direction_mask(xs_[a], ys_[a], width, height),
-                  static_cast<unsigned>(draws_[i]));
+                  static_cast<unsigned>(draws[i]));
         }
     }
 
@@ -334,7 +345,8 @@ private:
     WalkKind kind_;
     rng::BlockRng block_;                   ///< block-drawn raw RNG words
     std::vector<std::int32_t> draws_;       ///< decoded u per block slot (int32: SIMD lane width)
-    std::vector<std::int32_t> moving_;      ///< scratch: step_subset selection
+    std::vector<std::int32_t> row_;         ///< scratch: step_subset's draw per agent
+    std::vector<std::int32_t> moving_;      ///< scratch: step_subset's movers
     std::vector<grid::Point> before_;       ///< scratch: positions before an adapter step
     DecodeStats decode_stats_;              ///< telemetry tallies
 };

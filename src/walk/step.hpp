@@ -84,6 +84,17 @@ inline constexpr std::array<StepDelta, 16 * 5> kStepTable = make_step_table();
 
 inline constexpr std::array<std::int32_t, 16 * 5> kStepTablePacked = make_step_table_packed();
 
+/// A lazy-paper draw that stays at every node: no node has a fifth
+/// direction. AgentEnsemble::step_subset gives it to every frozen agent, so
+/// that one apply pass covers all k agents.
+inline constexpr std::int32_t kStayDraw = 4;
+static_assert([] {
+    for (unsigned mask = 0; mask < 16; ++mask) {
+        if (kStepTablePacked[mask * 5 + kStayDraw] != 0) return false;
+    }
+    return true;
+}());
+
 /// Presence mask of the four grid directions at (x, y) on a bounded
 /// width×height grid; popcount equals the node degree n_v.
 [[nodiscard]] constexpr unsigned direction_mask(grid::Coord x, grid::Coord y, grid::Coord width,

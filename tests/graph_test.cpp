@@ -310,6 +310,50 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalVisParam{2, Metric::kEuclidean},
                       IncrementalVisParam{5, Metric::kEuclidean}));
 
+// index_stats().moves against a brute-force diff of consecutive passes'
+// positions. k covers the 4-lane vector tally's tail (1, 3, 5), a whole
+// number of vectors (4) and a long run (1027); rounds move every agent,
+// a frog-style random subset, a few teleports, or none. The first pass,
+// and the first after k changes (to a prefix of the old positions, half
+// of them moved), only record the positions.
+TEST(VisibilityIndexStats, MoveTallyMatchesBruteForceDiff) {
+    const auto g = Grid2D::square(24);
+    rng::Rng rng{909};
+    VisibilityGraphBuilder builder{g, 2};
+    DisjointSets dsu{0};
+    std::int64_t expected = 0;
+    std::vector<Point> pos;
+    for (const std::size_t k : {1, 3, 4, 5, 1027, 5}) {
+        std::vector<Point> next(k);
+        for (std::size_t a = 0; a < k; ++a) {
+            next[a] = a < pos.size() && a % 2 == 0 ? pos[a]
+                                                   : walk::AgentEnsemble::random_node(g, rng);
+        }
+        pos = next;
+        builder.build(pos, dsu);
+        EXPECT_EQ(builder.index_stats().moves, expected) << "new k " << k;
+        for (int round = 0; round < 16; ++round) {
+            const auto before = pos;
+            for (auto& p : pos) {
+                switch (round % 4) {
+                    case 0: p = walk::step(g, p, rng); break;
+                    case 1:
+                        if (rng.below(2) == 0) p = walk::step(g, p, rng);
+                        break;
+                    case 2:
+                        if (rng.below(8) == 0) p = walk::AgentEnsemble::random_node(g, rng);
+                        break;
+                    default: break;
+                }
+            }
+            for (std::size_t a = 0; a < k; ++a) expected += pos[a] != before[a] ? 1 : 0;
+            builder.build(pos, dsu);
+            EXPECT_EQ(builder.index_stats().moves, expected) << "k " << k << " round " << round;
+        }
+    }
+    EXPECT_GT(expected, 1027);
+}
+
 // Nodes of one occupied node's forward half-neighbourhood on `g`: offsets
 // (dx, dy) with dy > 0, or dy = 0 and dx > 0, within r under `metric`
 // that fit inside the grid.

@@ -123,6 +123,36 @@ TEST(U64Lanes, NonzeroMaskMatchesScalar) {
     }
 }
 
+// The move tally's raw lanes: load_bytes reads four Points as one vector
+// (one Point per lane, from any 4-byte-aligned start), cmpeq marks exactly
+// the equal Points, and store_bytes writes them back unchanged.
+TEST(U64Lanes, LoadBytesStoreBytesMovePointsAsLanes) {
+    namespace simd = util::simd;
+    rng::Rng rng{53};
+    // Coordinates in {-1, 0, 1} × {0, 1, 2}: about one lane in nine equal.
+    const auto random_point = [&rng] {
+        return Point{static_cast<grid::Coord>(rng.below(3)) - 1,
+                     static_cast<grid::Coord>(rng.below(3))};
+    };
+    std::vector<Point> now(13);
+    for (auto& p : now) p = random_point();
+    std::vector<Point> before(now.size());
+    for (std::size_t start = 0; start + simd::kU64Lanes <= now.size(); ++start) {
+        for (auto& p : before) p = random_point();
+        const auto lanes = simd::U64x4::load_bytes(now.data() + start);
+        const auto equal = simd::cmpeq(lanes, simd::U64x4::load_bytes(before.data() + start));
+        unsigned want = 0;
+        for (std::size_t i = 0; i < simd::kU64Lanes; ++i) {
+            want |= static_cast<unsigned>(now[start + i] == before[start + i]) << i;
+        }
+        EXPECT_EQ(simd::nonzero_mask(equal), want) << "start " << start;
+        lanes.store_bytes(before.data() + start);
+        for (std::size_t i = 0; i < simd::kU64Lanes; ++i) {
+            EXPECT_EQ(before[start + i], now[start + i]) << "start " << start;
+        }
+    }
+}
+
 // ------------------------------------------------------- gossip's byte lanes
 
 // The tally of GossipExchange::run: add_bit_lanes adds one per set bit to
@@ -279,22 +309,62 @@ TEST(EnsembleSimd, StepAllMatchesPerAgentReferenceOnBoundaryHeavyGrid) {
     }
 }
 
+/// step_subset against the per-agent reference, which steps exactly the
+/// masked agents in agent order. The mask changes every step, with
+/// all-frozen and all-moving steps and nonzero values other than 1; k is 1,
+/// off the 8-lane width (7), and past one 1024-mover block (1500); the
+/// grids are boundary-heavy; every walk kind. decode_stats() must count one
+/// block per started 1024 movers: decoded on the lazy-paper walk (a
+/// rejection is a ~2^-64 event), replayed on the ablation walks.
 TEST(EnsembleSimd, StepSubsetMatchesPerAgentReference) {
-    const auto g = Grid2D::square(6);
-    rng::Rng rng_a{31};
-    rng::Rng rng_b{31};
-    walk::AgentEnsemble agents{g, 40, rng_a};
-    { walk::AgentEnsemble twin{g, 40, rng_b}; }
-    std::vector<Point> ref(agents.positions().begin(), agents.positions().end());
-    std::vector<std::uint8_t> mask(40, 0);
-    for (std::size_t a = 0; a < mask.size(); a += 3) mask[a] = 1;
-    for (int t = 0; t < 100; ++t) {
-        agents.step_subset(rng_a, mask);
-        for (std::size_t a = 0; a < ref.size(); ++a) {
-            if (mask[a]) ref[a] = walk::step(g, ref[a], rng_b);
-        }
-        for (std::int32_t i = 0; i < 40; ++i) {
-            ASSERT_EQ(agents.position(i), ref[static_cast<std::size_t>(i)]) << "t=" << t;
+    const std::array<Grid2D, 3> grids{Grid2D{5, 4}, Grid2D{1, 7}, Grid2D::square(6)};
+    const std::array<walk::WalkKind, 3> kinds{
+        walk::WalkKind::kLazyPaper, walk::WalkKind::kSimple, walk::WalkKind::kLazyHalf};
+    for (const auto& g : grids) {
+        for (const auto kind : kinds) {
+            for (const std::int32_t k : {1, 7, 40, 1500}) {
+                const auto seed = static_cast<std::uint64_t>(31 * k + g.width());
+                rng::Rng rng_a{seed};
+                rng::Rng rng_b{seed};
+                rng::Rng mask_rng{seed + 1};
+                walk::AgentEnsemble agents{g, k, rng_a, kind};
+                { walk::AgentEnsemble twin{g, k, rng_b, kind}; }
+                std::vector<Point> ref(agents.positions().begin(), agents.positions().end());
+                std::vector<std::uint8_t> mask(static_cast<std::size_t>(k));
+                std::int64_t blocks = 0;
+                for (int t = 0; t < 40; ++t) {
+                    // Steps 0, 5, 10, …: all frozen; 1, 6, …: all moving;
+                    // the rest: each agent moves with probability 1/4–3/4.
+                    const auto phase = t % 5;
+                    const auto quarters = mask_rng.below(3) + 1;
+                    for (auto& m : mask) {
+                        m = phase == 0   ? 0
+                            : phase == 1 ? 1
+                                         : static_cast<std::uint8_t>(
+                                               (mask_rng.below(4) < quarters) * (1 + t % 3));
+                    }
+                    std::int64_t movers = 0;
+                    for (const auto m : mask) movers += m != 0;
+                    blocks += (movers + 1023) / 1024;
+                    agents.step_subset(rng_a, mask);
+                    for (std::size_t a = 0; a < ref.size(); ++a) {
+                        if (mask[a] != 0) ref[a] = walk::step(g, ref[a], rng_b, kind);
+                    }
+                    for (std::int32_t i = 0; i < k; ++i) {
+                        ASSERT_EQ(agents.position(i), ref[static_cast<std::size_t>(i)])
+                            << walk::walk_kind_name(kind) << " " << g.width() << "x"
+                            << g.height() << " k=" << k << " t=" << t << " agent=" << i;
+                    }
+                    ASSERT_EQ(rng::Rng{rng_a}.next_u64(), rng::Rng{rng_b}.next_u64())
+                        << walk::walk_kind_name(kind) << " k=" << k << " t=" << t;
+                }
+                const auto stats = agents.decode_stats();
+                const bool lazy = kind == walk::WalkKind::kLazyPaper;
+                EXPECT_EQ(stats.blocks_decoded, lazy ? blocks : 0)
+                    << walk::walk_kind_name(kind) << " k=" << k;
+                EXPECT_EQ(stats.blocks_scalar, lazy ? 0 : blocks)
+                    << walk::walk_kind_name(kind) << " k=" << k;
+            }
         }
     }
 }
