@@ -9,11 +9,14 @@ The engine records wall-clock *durations* per phase, not absolute
 timestamps, so the timeline is synthetic: each step's four phases (walk,
 index, components, exchange) are laid end to end as complete ("X") events,
 which preserves every duration and proportion while keeping the trace
-self-contained. Counter ("C") tracks carry the per-step telemetry series:
-informed agents, components, occupied/scanned nodes, pairs tested — so
-the counter panels line up under the phase spans.
+self-contained. Counter ("C") tracks carry the per-step telemetry series
+so the counter panels line up under the phase spans: one "progress" track
+of the gauges (informed agents, components, occupied nodes), and one track
+per engine counter group — the name's prefix, so "scan.pairs_tested" and
+"scan.pairs_survived" share the "scan" track. The counters are whatever
+the engine's counters() lists; no name is repeated here.
 
-Every phase and counter field is read by name, so a step record that lacks
+Every phase and gauge field is read by name, so a step record that lacks
 one (a field renamed or dropped on the engine side) stops the conversion
 with a KeyError instead of plotting a flat zero track.
 """
@@ -21,15 +24,7 @@ import json
 import sys
 
 PHASES = ["walk_s", "index_s", "components_s", "exchange_s"]
-
-COUNTER_TRACKS = {
-    "progress": ["informed", "components"],
-    "scan nodes": ["units", "rescanned"],
-    "pairs": ["pairs_tested", "pairs_survived"],
-    "moves": ["index_moves"],
-    "dsu": ["dsu_unites", "dsu_fast_hits"],
-    "walk decode": ["blocks_decoded", "blocks_scalar"],
-}
+GAUGES = ["informed", "components", "units"]
 
 
 def main():
@@ -37,8 +32,8 @@ def main():
         sys.exit(__doc__.strip())
     with open(sys.argv[1]) as fh:
         trace = json.load(fh)
-    if trace.get("record") != "step_trace":
-        sys.exit("trace_to_chrome: input is not a step_trace document")
+    if trace.get("record") != "step_trace" or trace.get("schema") != 2:
+        sys.exit("trace_to_chrome: input is not a schema-2 step_trace document")
 
     events = [
         {"name": "process_name", "ph": "M", "pid": 1,
@@ -65,10 +60,13 @@ def main():
             "pid": 1, "tid": 1, "ts": step_begin, "dur": ts - step_begin,
             "args": {"step": step},
         })
-        for track, fields in COUNTER_TRACKS.items():
+        tracks = {"progress": {g: rec[g] for g in GAUGES}}
+        for name, delta in rec["counters"].items():
+            group, _, field = name.partition(".")
+            tracks.setdefault(group, {})[field or group] = delta
+        for track, args in tracks.items():
             events.append({
-                "name": track, "ph": "C", "pid": 1, "ts": ts,
-                "args": {f: rec[f] for f in fields},
+                "name": track, "ph": "C", "pid": 1, "ts": ts, "args": args,
             })
 
     out = {

@@ -41,7 +41,7 @@
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
-#include "obs/registry.hpp"
+#include "obs/counter_sink.hpp"
 #include "obs/step_trace.hpp"
 #include "rng/rng.hpp"
 #include "walk/ensemble.hpp"
@@ -135,7 +135,7 @@ private:
 /// (BroadcastExchange or GossipExchange); its public accessors — rumor(),
 /// rumors(), known_pairs(), … — are the engine's. Everything else —
 /// construction, stepping, the post-saturation skip, phase timing,
-/// counters, the step trace and the registry flush — exists once, here.
+/// counters, the step trace and the counter-sink flush — exists once, here.
 /// The two engines are its instances: BroadcastProcess below,
 /// GossipProcess in gossip.hpp.
 template <typename Exchange>
@@ -168,7 +168,7 @@ public:
     }
 
     // Non-copyable: the destructor flushes the cumulative counters into
-    // the process-wide registry, and a copy would flush them twice (it
+    // the thread's counter sink, and a copy would flush them twice (it
     // would also share the claimed trace sink). Moves are fine: a
     // moved-from shell flushes nothing.
     DisseminationLoop(const DisseminationLoop&) = delete;
@@ -176,17 +176,16 @@ public:
     DisseminationLoop(DisseminationLoop&&) = default;
     DisseminationLoop& operator=(DisseminationLoop&&) = default;
 
-    /// Flushes the engine's counters into the process-wide obs::Registry
-    /// under the "engine." prefix.
+    /// Adds the engine's counters to this thread's obs::counter_sink(),
+    /// when one is set, as "obs." metrics (the experiment runner sets one
+    /// around each replication).
     ~DisseminationLoop() {
+        auto* sink = obs::counter_sink();
         // Moved-from shells keep their (trivially copyable) tally totals;
         // flushing them too would double-count. A move empties the
         // ensemble's vectors, so count() == 0 identifies a shell.
-        if (agents_.count() == 0) return;
-        auto& registry = obs::Registry::instance();
-        for (const auto& [name, value] : counters()) {
-            registry.counter(std::string{"engine."} + name).add(static_cast<std::int64_t>(value));
-        }
+        if (sink == nullptr || agents_.count() == 0) return;
+        for (const auto& [name, value] : counters()) (*sink)[std::string{"obs."} + name] += value;
     }
 
     /// Advances the process one time step: move, rebuild G_t(r), exchange.
@@ -246,8 +245,10 @@ public:
 
     /// Name → value of every engine counter, cumulative since
     /// construction (scan.*, index.*, dsu.*, walk.*, exchange.*). Values
-    /// are int64 tallies widened to double for the metric pipeline.
-    [[nodiscard]] std::vector<std::pair<const char*, double>> counters() const {
+    /// are int64 tallies widened to double for the metric pipeline. The
+    /// one list of counter names: the counter sink, the step trace and
+    /// paperbench all report these.
+    [[nodiscard]] obs::Counters counters() const {
         const auto& scan = builder_.scan_stats();
         const auto& index = builder_.index_stats();
         const auto& dsu = dsu_.stats();
@@ -275,13 +276,14 @@ public:
     /// Tracing implies phase timing; it is purely observational and never
     /// affects trajectories. The constructor also claims the process-wide
     /// armed trace (obs::arm_trace) automatically.
-    void set_trace(obs::StepTrace* trace) noexcept {
+    void set_trace(obs::StepTrace* trace) {
         trace_ = trace;
         if (trace_ != nullptr) {
             set_phase_timing(true);
             // Baseline at attach time, so the first traced step's deltas
             // cover that step only — not the construction-time build pass.
-            trace_prev_ = trace_totals();
+            trace_phases_ = phase_timings();
+            trace_counters_ = counters();
         }
     }
 
@@ -323,53 +325,29 @@ private:
         stale_ = false;
     }
 
-    /// Current cumulative totals of every traced engine counter and phase.
-    [[nodiscard]] obs::StepRecord trace_totals() const noexcept {
-        obs::StepRecord cur{};
-        const auto ph = phase_timings();
-        cur.walk_s = ph.walk_s;
-        cur.index_s = ph.index_s;
-        cur.components_s = ph.components_s;
-        cur.exchange_s = ph.exchange_s;
-        const auto& scan = builder_.scan_stats();
-        cur.rescanned = scan.rescanned_units;
-        cur.pairs_tested = scan.pairs_tested;
-        cur.pairs_survived = scan.pairs_survived;
-        cur.index_moves = builder_.index_stats().moves;
-        const auto& dsu = dsu_.stats();
-        cur.dsu_unites = dsu.unites;
-        cur.dsu_fast_hits = dsu.fast_path_hits;
-        const auto& walk = agents_.decode_stats();
-        cur.blocks_decoded = walk.blocks_decoded;
-        cur.blocks_scalar = walk.blocks_scalar;
-        return cur;
-    }
-
-    /// Pushes one StepRecord: deltas of every cumulative engine counter
-    /// and phase total since the previous traced step, plus instantaneous
+    /// Pushes one StepRecord: the deltas of phase_timings() and of every
+    /// counters() entry since the previous traced step, plus instantaneous
     /// gauges (`informed` counts the agents that know every rumor).
     void trace_step() {
         if (trace_ == nullptr) return;
-        const obs::StepRecord cur = trace_totals();
-        obs::StepRecord rec{};
+        const auto phases = phase_timings();
+        auto totals = counters();
+        obs::StepRecord rec;
         rec.step = t_;
-        rec.walk_s = cur.walk_s - trace_prev_.walk_s;
-        rec.index_s = cur.index_s - trace_prev_.index_s;
-        rec.components_s = cur.components_s - trace_prev_.components_s;
-        rec.exchange_s = cur.exchange_s - trace_prev_.exchange_s;
-        rec.rescanned = cur.rescanned - trace_prev_.rescanned;
-        rec.pairs_tested = cur.pairs_tested - trace_prev_.pairs_tested;
-        rec.pairs_survived = cur.pairs_survived - trace_prev_.pairs_survived;
-        rec.index_moves = cur.index_moves - trace_prev_.index_moves;
-        rec.dsu_unites = cur.dsu_unites - trace_prev_.dsu_unites;
-        rec.dsu_fast_hits = cur.dsu_fast_hits - trace_prev_.dsu_fast_hits;
-        rec.blocks_decoded = cur.blocks_decoded - trace_prev_.blocks_decoded;
-        rec.blocks_scalar = cur.blocks_scalar - trace_prev_.blocks_scalar;
+        rec.walk_s = phases.walk_s - trace_phases_.walk_s;
+        rec.index_s = phases.index_s - trace_phases_.index_s;
+        rec.components_s = phases.components_s - trace_phases_.components_s;
+        rec.exchange_s = phases.exchange_s - trace_phases_.exchange_s;
+        rec.counters = totals;
+        for (std::size_t i = 0; i < totals.size(); ++i) {
+            rec.counters[i].second -= trace_counters_[i].second;
+        }
         rec.units = builder_.occupied_units();
         rec.informed = this->done_agents();
         rec.components = static_cast<std::int64_t>(dsu_.set_count());
-        trace_->push(rec);
-        trace_prev_ = cur;
+        trace_->push(std::move(rec));
+        trace_phases_ = phases;
+        trace_counters_ = std::move(totals);
     }
 
     EngineConfig config_;
@@ -385,7 +363,8 @@ private:
     double rebuild_seconds_{0.0};
     double exchange_seconds_{0.0};
     obs::StepTrace* trace_{nullptr};  ///< per-step trace sink (non-owning)
-    obs::StepRecord trace_prev_{};    ///< cumulative totals at the last traced step
+    StepPhaseTimings trace_phases_;   ///< phase totals at the last traced step
+    obs::Counters trace_counters_;    ///< counters() at the last traced step
 };
 
 /// Single-rumor dissemination process (broadcast; Frog model via config).

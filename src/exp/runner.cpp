@@ -4,8 +4,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "obs/counter_sink.hpp"
 #include "obs/process.hpp"
-#include "obs/registry.hpp"
 #include "rng/rng.hpp"
 #include "util/failpoint.hpp"
 
@@ -88,10 +88,17 @@ std::vector<PointResult> run_points(const Scenario& scenario,
             const auto point = u / reps;
             const auto rep = u % reps;
             util::failpoint("unit_body");
+            // Engines destroyed in this attempt flush their counters into
+            // `sink`; a throwing attempt's sink dies with it.
+            obs::CounterSink sink;
             const auto begin = clock::now();
-            unit_metrics[u] =
-                scenario.run_rep(bound[point], rng::replication_seed(seeds[point], rep));
+            {
+                const obs::ScopedCounterSink scope{sink};
+                unit_metrics[u] =
+                    scenario.run_rep(bound[point], rng::replication_seed(seeds[point], rep));
+            }
             unit_seconds[u] = std::chrono::duration<double>(clock::now() - begin).count();
+            for (const auto& [name, value] : sink) unit_metrics[u][name] += value;
             if (options.journal != nullptr) {
                 io::JournalUnit entry;
                 entry.metrics = unit_metrics[u];
@@ -135,11 +142,6 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     const double pool_busy =
         pool_after.worker_busy_seconds - pool_before.worker_busy_seconds;
     const double peak_rss = static_cast<double>(obs::peak_rss_bytes());
-    obs::Registry::instance().counter("pool.units").add(
-        static_cast<std::int64_t>(pool_units));
-    obs::Registry::instance().counter("pool.runs").add(pool_after.runs - pool_before.runs);
-    obs::Registry::instance().gauge("process.peak_rss_bytes").set_max(
-        obs::peak_rss_bytes());
 
     std::vector<PointResult> results;
     results.reserve(points.size());

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/meter.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "io/journal.hpp"
@@ -86,8 +85,8 @@ struct PointResult {
     std::uint64_t seed{0};                      ///< derived point seed
     std::map<std::string, stats::Sample> metrics;  ///< per-metric samples
     double wall_seconds{0.0};                   ///< summed replication wall clock
-    double steps{0.0};                          ///< meter: total "steps"
-    double steps_per_second{0.0};               ///< meter: throughput
+    double steps{0.0};                          ///< Σ of the "steps" metric
+    double steps_per_second{0.0};               ///< steps / wall_seconds
     /// Wall clock of the whole pipelined run this point belonged to (the
     /// run_point/run_sweep call), identical across a sweep's points. With
     /// replication parallelism this is the end-to-end latency, while
@@ -106,8 +105,10 @@ struct PointResult {
     std::map<std::string, double> phase_seconds;
 
     /// Telemetry counters, summed across replications. Fed by metrics with
-    /// the reserved "obs." prefix (engine/scenario tallies), plus the
-    /// pool/process figures the runner injects per pass. Host- and
+    /// the reserved "obs." prefix — the counters every engine destroyed
+    /// in a replication flushes into the runner's obs::counter_sink(),
+    /// and any a scenario reports itself — plus the pool/process figures
+    /// the runner injects per pass. Host- and
     /// build-dependent — emitted only under --counters, exactly like
     /// phase_seconds under --timings, so default output stays
     /// deterministic.

@@ -71,14 +71,9 @@ SMN_REGISTER_SCENARIO(
                 m["timing.index_s"] = phases.index_s;
                 m["timing.components_s"] = phases.components_s;
                 m["timing.exchange_s"] = phases.exchange_s;
-                // Reserved "obs." prefix: engine telemetry counters,
-                // diverted into the (--counters-only) counters block the
-                // same way. Engine-local tallies, not registry deltas —
-                // pipelined sweeps interleave replications across workers,
-                // so only per-object counts attribute cleanly to a record.
-                for (const auto& [name, value] : process.counters()) {
-                    m[std::string{"obs."} + name] = value;
-                }
+                // Reserved "obs." prefix: diverted into the (--counters-only)
+                // counters block the same way, next to the engine counters
+                // the process flushes into the runner's sink when it dies.
                 m["obs.agents"] = static_cast<double>(cfg.k);
                 return m;
             },

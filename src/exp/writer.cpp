@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "obs/provenance.hpp"
-#include "obs/registry.hpp"
 #include "stats/table.hpp"
 
 namespace smn::exp {
@@ -232,33 +231,6 @@ void write_provenance(std::ostream& os, const RunProvenance& run) {
     line += ",\"threads\":" + std::to_string(run.threads);
     line += ",\"seed\":" + std::to_string(run.seed);
     line += ",\"reps\":" + std::to_string(run.reps);
-    line += "}\n";
-    os << line;
-    os.flush();
-}
-
-void write_counters_total(std::ostream& os) {
-    auto& registry = obs::Registry::instance();
-    std::string line = "{\"schema\":1,\"record\":\"counters_total\"";
-    line += ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, value] : registry.counters_snapshot()) {
-        if (!first) line += ',';
-        first = false;
-        line += '"' + json_escape(name) + "\":" + std::to_string(value);
-    }
-    line += '}';
-    const auto gauges = registry.gauges_snapshot();
-    if (!gauges.empty()) {
-        line += ",\"gauges\":{";
-        first = true;
-        for (const auto& [name, value] : gauges) {
-            if (!first) line += ',';
-            first = false;
-            line += '"' + json_escape(name) + "\":" + std::to_string(value);
-        }
-        line += '}';
-    }
     line += "}\n";
     os << line;
     os.flush();

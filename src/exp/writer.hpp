@@ -13,7 +13,7 @@
 // are byte-identical across platforms and runs — the property the
 // determinism acceptance test (`exp_test`) and `scripts/lab_quick.sh`
 // both check. Timing fields are opt-in: wall-clock depends on the host, so
-// including it would break byte-level comparison (see Meter).
+// including it would break byte-level comparison.
 //
 // Crash atomicity: every writer flushes at record boundaries (one line =
 // one flush), so a crash mid-run can lose only whole trailing records —
@@ -88,11 +88,5 @@ void write_provenance(std::ostream& os, const RunProvenance& run);
 /// unit succeeded, so healthy output is unchanged. `results` must all
 /// belong to one scenario (one summary record per scenario).
 void write_failed_units(std::ostream& os, const std::vector<PointResult>& results);
-
-/// Writes the `{"record":"counters_total",...}` trailer line: the
-/// process-wide obs::Registry snapshot (counters and gauges)
-/// accumulated over the whole run, including the "engine."-prefixed
-/// flushes from destroyed engines. Only meaningful under --counters.
-void write_counters_total(std::ostream& os);
 
 }  // namespace smn::exp

@@ -1,12 +1,13 @@
 // step_trace.hpp — a bounded per-step telemetry timeline.
 //
 // StepTrace is a fixed-capacity ring of StepRecord entries, one per engine
-// step: the four phase wall-clock spans plus the step's deltas of every
-// engine counter (cells scanned, pairs tested/survived, DSU unions, walk
-// moves, …) and a few instantaneous gauges (informed agents,
-// component count). The ring keeps the *latest* `capacity` steps; pushes
-// past capacity overwrite the oldest and bump `dropped`, so a week-long
-// run can leave a trace armed without unbounded memory.
+// step: the four phase wall-clock spans, the step's delta of every engine
+// counter under the engine's own counter names (the names of
+// core::DisseminationLoop::counters(), so a counter is named once), and a
+// few instantaneous gauges (occupied nodes, informed agents, component
+// count). The ring keeps the *latest* `capacity` steps; pushes past
+// capacity overwrite the oldest and bump `dropped`, so a week-long run can
+// leave a trace armed without unbounded memory.
 //
 // Arming: smn_lab --trace=FILE arms the process-wide one-shot sink, and
 // the first engine constructed afterwards — broadcast or gossip — claims
@@ -17,7 +18,7 @@
 // timing, which touches only timing fields, never trajectories.
 //
 // Export: write_json() emits a standalone JSON document
-// ({"record":"step_trace", "steps":[...]}) which
+// ({"schema":2,"record":"step_trace", "steps":[...]}) which
 // scripts/trace_to_chrome.py converts into a chrome://tracing /
 // Perfetto-loadable event file.
 #pragma once
@@ -27,9 +28,15 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace smn::obs {
+
+/// Named counter values in a fixed order: an engine's cumulative
+/// counters() or one step's deltas of them. The names are string
+/// literals.
+using Counters = std::vector<std::pair<const char*, double>>;
 
 /// One engine step's telemetry: phase spans, counter deltas, gauges.
 struct StepRecord {
@@ -38,17 +45,10 @@ struct StepRecord {
     double index_s{0.0};         ///< motion tally + co-location pass filling the node bitmap
     double components_s{0.0};    ///< bitmap window reads + unions
     double exchange_s{0.0};      ///< rumor exchange
+    Counters counters;           ///< this step's delta of every engine counter
     std::int64_t units{0};       ///< occupied nodes at the pass (0 at r = 0)
-    std::int64_t rescanned{0};   ///< occupied nodes scanned this step
-    std::int64_t pairs_tested{0};     ///< node pairs read from the bitmap
-    std::int64_t pairs_survived{0};   ///< in-range occupied node pairs found
-    std::int64_t index_moves{0};      ///< agents whose node changed since the last pass
-    std::int64_t dsu_unites{0};       ///< DSU merges performed
-    std::int64_t dsu_fast_hits{0};    ///< DSU same-parent/root fast-path hits
-    std::int64_t blocks_decoded{0};   ///< walk RNG blocks decoded vectorized
-    std::int64_t blocks_scalar{0};    ///< blocks replayed scalar (rejection/ablation)
-    std::int64_t informed{0};         ///< agents knowing every rumor after the exchange
-    std::int64_t components{0};       ///< components of G_t(r)
+    std::int64_t informed{0};    ///< agents knowing every rumor after the exchange
+    std::int64_t components{0};  ///< components of G_t(r)
 };
 
 /// Bounded ring of the latest `capacity` StepRecords.
@@ -57,12 +57,12 @@ public:
     explicit StepTrace(std::size_t capacity = 4096)
         : capacity_{capacity == 0 ? 1 : capacity} {}
 
-    void push(const StepRecord& record) {
+    void push(StepRecord record) {
         if (ring_.size() < capacity_) {
-            ring_.push_back(record);
+            ring_.push_back(std::move(record));
             return;
         }
-        ring_[head_] = record;
+        ring_[head_] = std::move(record);
         head_ = (head_ + 1) % capacity_;
         ++dropped_;
     }
@@ -84,7 +84,7 @@ public:
 
     /// Writes the whole trace as one standalone JSON document.
     void write_json(std::ostream& os) const {
-        std::string out = "{\"schema\":1,\"record\":\"step_trace\"";
+        std::string out = "{\"schema\":2,\"record\":\"step_trace\"";
         out += ",\"capacity\":" + std::to_string(capacity_);
         out += ",\"dropped\":" + std::to_string(dropped_);
         out += ",\"steps\":[";
@@ -125,17 +125,18 @@ private:
         field_d("components_s", r.components_s);
         field_d("exchange_s", r.exchange_s);
         field_i("units", r.units);
-        field_i("rescanned", r.rescanned);
-        field_i("pairs_tested", r.pairs_tested);
-        field_i("pairs_survived", r.pairs_survived);
-        field_i("index_moves", r.index_moves);
-        field_i("dsu_unites", r.dsu_unites);
-        field_i("dsu_fast_hits", r.dsu_fast_hits);
-        field_i("blocks_decoded", r.blocks_decoded);
-        field_i("blocks_scalar", r.blocks_scalar);
         field_i("informed", r.informed);
         field_i("components", r.components);
-        out += '}';
+        out += ",\"counters\":{";
+        const char* sep = "\"";
+        for (const auto& [name, delta] : r.counters) {
+            out += sep;
+            out += name;
+            out += "\":";
+            append_number(out, delta);
+            sep = ",\"";
+        }
+        out += "}}";
     }
 
     std::size_t capacity_;

@@ -19,13 +19,15 @@
 #include <variant>
 #include <vector>
 
+#include "core/bounds.hpp"
+#include "core/engine.hpp"
+#include "core/gossip.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/sweep.hpp"
 #include "exp/writer.hpp"
 #include "io/journal.hpp"
-#include "obs/registry.hpp"
 #include "rng/rng.hpp"
 #include "util/failpoint.hpp"
 
@@ -652,30 +654,6 @@ TEST(Writer, ProvenanceRecordCarriesBuildAndRunContext) {
     EXPECT_EQ(record.at("reps").number(), 3.0);
 }
 
-TEST(Writer, CountersTotalSnapshotsTheRegistry) {
-    obs::Registry::instance().reset_all();
-    obs::Registry::instance().counter("test.writer_total").add(42);
-    std::ostringstream os;
-    exp::write_counters_total(os);
-    const auto record = parse_json(os.str());
-    EXPECT_EQ(record.at("record").str(), "counters_total");
-    EXPECT_EQ(record.at("counters").at("test.writer_total").number(), 42.0);
-}
-
-TEST(Writer, CountersTotalHoldsCountersAndGaugesOnly) {
-    // The registry has counters and gauges, nothing else: the trailer is
-    // exactly the two name maps plus its own schema/record keys.
-    obs::Registry::instance().reset_all();
-    obs::Registry::instance().gauge("test.writer_peak").set_max(7);
-    std::ostringstream os;
-    exp::write_counters_total(os);
-    const auto record = parse_json(os.str());
-    EXPECT_EQ(record.at("gauges").at("test.writer_peak").number(), 7.0);
-    std::vector<std::string> keys;
-    for (const auto& [key, value] : record.object()) keys.push_back(key);
-    EXPECT_EQ(keys, (std::vector<std::string>{"counters", "gauges", "record", "schema"}));
-}
-
 TEST(JsonlWriter, EscapesAndNonFiniteNumbers) {
     EXPECT_EQ(exp::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     exp::PointResult result;
@@ -1075,6 +1053,166 @@ TEST(BuiltinScenarios, GridBroadcastIsThreadInvariant) {
     }
     EXPECT_EQ(outputs[0], outputs[1]);
     EXPECT_EQ(outputs[0], outputs[2]);
+}
+
+// ---------------------------------------------------------------------------
+// Engine counters per record: every engine a replication destroys flushes
+// its counters() into the runner's per-attempt sink.
+
+/// A record's counters less the host-dependent pool.* / process.* figures.
+std::map<std::string, double> engine_counters(const exp::PointResult& result) {
+    std::map<std::string, double> out;
+    for (const auto& [name, value] : result.counters) {
+        if (!name.starts_with("pool.") && !name.starts_with("process.")) out[name] = value;
+    }
+    return out;
+}
+
+template <typename Process>
+void add_counters(const Process& process, std::map<std::string, double>& sum) {
+    for (const auto& [name, value] : process.counters()) sum[name] += value;
+}
+
+/// Σ over the point's replications of counters() from engines built the
+/// way the grid_broadcast / frog_broadcast / gossip bodies build them,
+/// with the runner's seeds.
+std::map<std::string, double> expected_engine_counters(const std::string& scenario,
+                                                       const exp::ParamValues& values,
+                                                       const exp::RunOptions& options) {
+    const exp::ScenarioParams p{exp::ScenarioRegistry::instance().at(scenario).params, values};
+    core::EngineConfig cfg;
+    cfg.side = static_cast<grid::Coord>(p.get_int("side"));
+    cfg.k = static_cast<std::int32_t>(p.get_count("k", cfg.n()));
+    cfg.radius = scenario == "gossip" ? 0 : p.get_int("radius");
+    if (scenario == "frog_broadcast") cfg.mobility = core::Mobility::kInformedOnly;
+    const auto cap = core::bounds::default_max_steps(cfg.n(), cfg.k);
+    const auto point = exp::point_seed(options.seed, scenario, values);
+    std::map<std::string, double> sum;
+    for (int rep = 0; rep < options.reps; ++rep) {
+        cfg.seed = rng::replication_seed(point, static_cast<std::uint64_t>(rep));
+        if (scenario == "gossip") {
+            core::GossipProcess process{cfg};
+            (void)process.run_until_complete(cap);
+            add_counters(process, sum);
+        } else {
+            core::BroadcastProcess process{cfg};
+            (void)process.run_until_complete(cap);
+            add_counters(process, sum);
+        }
+    }
+    return sum;
+}
+
+TEST(EngineScenarioCounters, RecordsCarryEveryEnginesCountersAtAnyThreadCount) {
+    exp::register_builtin_scenarios();
+    const std::vector<std::pair<std::string, exp::ParamValues>> cases{
+        {"grid_broadcast", {{"side", "16"}, {"k", "8"}, {"radius", "0"}}},
+        {"grid_broadcast", {{"side", "16"}, {"k", "8"}, {"radius", "2"}}},
+        {"frog_broadcast", {{"side", "12"}, {"k", "8"}, {"radius", "2"}}},
+        {"gossip", {{"side", "12"}, {"k", "8"}}},
+    };
+    for (const auto& [name, values] : cases) {
+        const auto& scenario = exp::ScenarioRegistry::instance().at(name);
+        exp::RunOptions options;
+        options.reps = 6;
+        options.threads = 1;
+        const auto serial = exp::run_point(scenario, values, options);
+        options.threads = 4;
+        const auto pooled = exp::run_point(scenario, values, options);
+        const auto where = name + "/" + exp::canonical_point(values);
+        const auto counters = engine_counters(serial);
+        EXPECT_EQ(engine_counters(pooled), counters) << where;
+        EXPECT_EQ(counters, expected_engine_counters(name, values, options)) << where;
+        EXPECT_EQ(counters.size(), 14U) << where;
+        EXPECT_GT(counters.at("walk.blocks_decoded"), 0.0) << where;
+        EXPECT_GT(counters.at("exchange.linked"), 0.0) << where;
+        EXPECT_TRUE(serial.counters.contains("pool.units")) << where;
+    }
+}
+
+// The engine counters of a replication that throws after stepping an
+// engine, then passes on its retry, are one attempt's: the failed
+// attempt's sink is dropped with it.
+TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
+    const auto config = [](std::uint64_t seed) {
+        core::EngineConfig cfg;
+        cfg.side = 16;
+        cfg.k = 8;
+        cfg.radius = 1;
+        cfg.seed = seed;
+        return cfg;
+    };
+    auto scenario = synthetic_scenario();
+    auto attempts = std::make_shared<std::atomic<int>>(0);
+    scenario.run_rep = [attempts, config](const exp::ScenarioParams&, std::uint64_t seed) {
+        core::BroadcastProcess process{config(seed)};
+        for (int s = 0; s < 30; ++s) process.step();
+        if (attempts->fetch_add(1) == 0) throw std::runtime_error("first attempt fails");
+        exp::Metrics m;
+        m["value"] = 1.0;
+        return m;
+    };
+    exp::RunOptions options;
+    options.reps = 1;
+    options.retries = 1;
+    const auto result = exp::run_point(scenario, {}, options);
+    EXPECT_EQ(attempts->load(), 2);
+    EXPECT_TRUE(result.failures.empty());
+
+    core::BroadcastProcess once{
+        config(rng::replication_seed(exp::point_seed(options.seed, scenario.name, {}), 0))};
+    for (int s = 0; s < 30; ++s) once.step();
+    std::map<std::string, double> expected;
+    add_counters(once, expected);
+    EXPECT_EQ(engine_counters(result), expected);
+}
+
+// Counters ride in the journaled metrics, so a resumed sweep — fully
+// replayed or half re-run — reports the counters of the original run.
+TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
+    exp::register_builtin_scenarios();
+    const auto& scenario = exp::ScenarioRegistry::instance().at("grid_broadcast");
+    const std::string spec = "side=12;k=8;radius=0,2";
+    const auto sweep = exp::SweepSpec::parse(spec);
+    exp::RunOptions options;
+    options.reps = 3;
+    options.threads = 2;
+    const auto fp = io::sweep_fingerprint(options.seed, options.reps,
+                                          {{scenario.name, spec}}, "test");
+    const auto counters_of = [&] {
+        std::vector<std::map<std::string, double>> out;
+        for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
+            out.push_back(engine_counters(result));
+        }
+        return out;
+    };
+
+    ScratchFile journal_file{"counters_journal"};
+    std::vector<std::map<std::string, double>> first;
+    {
+        io::SweepJournal journal{journal_file.path(), fp, /*resume=*/false};
+        options.journal = &journal;
+        first = counters_of();
+    }
+    ASSERT_EQ(first.size(), 2U);
+    EXPECT_GT(first[1].at("scan.pairs_tested"), 0.0);
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in{journal_file.path()};
+        for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 7U);  // header + 6 units
+    ScratchFile partial_file{"counters_partial"};
+    {
+        std::ofstream out{partial_file.path(), std::ios::binary};
+        for (std::size_t i = 0; i < 3; ++i) out << lines[i] << '\n';
+    }
+    for (const auto* path : {&journal_file.path(), &partial_file.path()}) {
+        io::SweepJournal journal{*path, fp, /*resume=*/true};
+        options.journal = &journal;
+        EXPECT_EQ(counters_of(), first) << *path;
+    }
 }
 
 /// Names of every built-in scenario, in registry order.

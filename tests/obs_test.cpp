@@ -1,11 +1,11 @@
-// obs_test.cpp — telemetry layer: registry counters and gauges
-// (including exact sums under concurrent increments), the bounded
-// step-trace ring and its claim-once arming protocol, and the engine-level
-// contracts, checked on both engines (broadcast and gossip share one step
-// loop): tracing never perturbs trajectories, per-step scan counters
-// satisfy rescanned + replayed == occupied units, saturated steps skip the
-// component pass even while recorded, and the destructor flushes each
-// engine's tallies into the registry exactly once.
+// obs_test.cpp — telemetry layer: the bounded step-trace ring and its
+// claim-once arming protocol, and the engine-level contracts, checked on
+// both engines (broadcast and gossip share one step loop): tracing never
+// perturbs trajectories, the trace's per-step counter deltas add up to
+// counters(), per-step scan counters satisfy rescanned + replayed ==
+// occupied units, saturated steps skip the component pass even while
+// recorded, and the destructor flushes each engine's counters into the
+// thread's counter sink exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -25,8 +24,8 @@
 #include "graph/dsu.hpp"
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
+#include "obs/counter_sink.hpp"
 #include "obs/provenance.hpp"
-#include "obs/registry.hpp"
 #include "obs/step_trace.hpp"
 #include "rng/rng.hpp"
 #include "walk/ensemble.hpp"
@@ -34,63 +33,6 @@
 
 namespace smn::obs {
 namespace {
-
-// ---------------------------------------------------------------- registry
-
-TEST(Registry, ConcurrentIncrementsSumExactly) {
-    auto& counter = Registry::instance().counter("test.concurrent_sum");
-    counter.reset();
-    constexpr int kThreads = 8;
-    constexpr std::int64_t kEach = 50000;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&counter] {
-            for (std::int64_t i = 0; i < kEach; ++i) counter.add(1);
-        });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(counter.value(), kThreads * kEach);
-}
-
-TEST(Registry, HandlesAreStableAndNamed) {
-    auto& a = Registry::instance().counter("test.stable_handle");
-    auto& b = Registry::instance().counter("test.stable_handle");
-    EXPECT_EQ(&a, &b);  // same name -> same metric, cacheable reference
-    a.reset();
-    a.add(3);
-    bool found = false;
-    for (const auto& [name, value] : Registry::instance().counters_snapshot()) {
-        if (name == "test.stable_handle") {
-            found = true;
-            EXPECT_EQ(value, 3);
-        }
-    }
-    EXPECT_TRUE(found);
-}
-
-TEST(Registry, ResetAllZeroesButKeepsNames) {
-    Registry::instance().counter("test.reset_me").add(7);
-    Registry::instance().gauge("test.reset_gauge").set_max(9);
-    Registry::instance().reset_all();
-    EXPECT_EQ(Registry::instance().counter("test.reset_me").value(), 0);
-    EXPECT_EQ(Registry::instance().gauge("test.reset_gauge").value(), 0);
-    bool found = false;
-    for (const auto& [name, value] : Registry::instance().counters_snapshot()) {
-        found = found || name == "test.reset_me";
-    }
-    EXPECT_TRUE(found) << "reset_all must keep the name registered";
-}
-
-TEST(Registry, GaugeSetMaxIsMonotone) {
-    auto& gauge = Registry::instance().gauge("test.peak");
-    gauge.reset();
-    gauge.set_max(10);
-    gauge.set_max(3);  // lower value must not win
-    EXPECT_EQ(gauge.value(), 10);
-    gauge.set_max(25);
-    EXPECT_EQ(gauge.value(), 25);
-}
 
 // -------------------------------------------------------------- step trace
 
@@ -113,15 +55,16 @@ TEST(StepTrace, WriteJsonEmitsEveryRetainedStep) {
     StepTrace trace{8};
     StepRecord rec{};
     rec.step = 3;
-    rec.rescanned = 17;
+    rec.counters = {{"scan.units_rescanned", 17.0}, {"dsu.unites", 2.0}};
     rec.walk_s = 0.25;
     trace.push(rec);
     std::ostringstream out;
     trace.write_json(out);
     const auto text = out.str();
-    EXPECT_NE(text.find("\"record\":\"step_trace\""), std::string::npos);
+    EXPECT_NE(text.find("\"schema\":2,\"record\":\"step_trace\""), std::string::npos);
     EXPECT_NE(text.find("\"step\":3"), std::string::npos);
-    EXPECT_NE(text.find("\"rescanned\":17"), std::string::npos);
+    EXPECT_NE(text.find("\"counters\":{\"scan.units_rescanned\":17,\"dsu.unites\":2}"),
+              std::string::npos);
     EXPECT_NE(text.find("\"walk_s\":0.25"), std::string::npos);
     EXPECT_EQ(text.back(), '\n');
 }
@@ -137,6 +80,14 @@ TEST(StepTrace, ArmedTraceIsClaimedExactlyOnce) {
 }
 
 // ------------------------------------------------- engine-level contracts
+
+/// The value of counter `name` in `counters`; -1 when it is absent.
+double counter(const Counters& counters, std::string_view name) {
+    for (const auto& [n, value] : counters) {
+        if (name == n) return value;
+    }
+    return -1.0;
+}
 
 core::EngineConfig small_config() {
     core::EngineConfig cfg;
@@ -253,8 +204,8 @@ TEST(EngineTrace, ArmedTraceLeavesGossipGoldensIntact) {
 
 // The central sanity invariant of the component pass: every occupied node
 // is scanned exactly once per pass and nothing is replayed, so the
-// per-step rescanned delta must equal the occupied-node count. Checked
-// through the trace (whose rescanned field is a per-step delta and whose
+// per-step scan.units_rescanned delta must equal the occupied-node count.
+// Checked through the trace (whose counters are per-step deltas and whose
 // units field is the occupied count at the same pass).
 TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     StepTrace trace;
@@ -266,7 +217,9 @@ TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     ASSERT_GE(trace.size(), 10u);
     for (std::size_t i = 0; i < trace.size(); ++i) {
         const auto& rec = trace.at(i);
-        EXPECT_EQ(rec.rescanned, rec.units) << "step " << rec.step;
+        EXPECT_EQ(counter(rec.counters, "scan.units_rescanned"),
+                  static_cast<double>(rec.units))
+            << "step " << rec.step;
     }
     for (const auto& [name, value] : process.counters()) {
         const std::string_view n{name};
@@ -280,10 +233,7 @@ TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
 /// Cumulative scan.passes of an engine.
 template <typename Process>
 double scan_passes(const Process& process) {
-    for (const auto& [name, value] : process.counters()) {
-        if (std::string_view{name} == "scan.passes") return value;
-    }
-    return -1.0;
+    return counter(process.counters(), "scan.passes");
 }
 
 // Recording reads the process and holds nothing back: with a cell
@@ -397,23 +347,92 @@ TEST(EngineCounters, ReportsTheDocumentedNames) {
 
 template <typename Process>
 void expect_flush_exactly_once() {
-    Registry::instance().reset_all();
-    double passes = 0.0;
+    CounterSink sink;
+    CounterSink inner;
+    Counters totals;
     {
+        const ScopedCounterSink scope{sink};
         Process process{small_config()};
         for (int s = 0; s < 8; ++s) process.step();
-        passes = scan_passes(process);
+        totals = process.counters();
+        {
+            // A nested scope collects its own engines and hands the outer
+            // sink back when it ends.
+            const ScopedCounterSink nested{inner};
+            Process other{small_config()};
+        }
+        EXPECT_EQ(counter_sink(), &sink);
         // A moved-from shell must not flush again on destruction.
         Process moved{std::move(process)};
     }
-    EXPECT_GT(passes, 0.0);
-    EXPECT_EQ(Registry::instance().counter("engine.scan.passes").value(),
-              static_cast<std::int64_t>(passes));
+    EXPECT_EQ(counter_sink(), nullptr);
+    ASSERT_EQ(sink.size(), totals.size());
+    EXPECT_GT(counter(totals, "scan.passes"), 0.0);
+    for (const auto& [name, value] : totals) {
+        EXPECT_EQ(sink.at(std::string{"obs."} + name), value) << name;
+    }
+    EXPECT_EQ(inner.at("obs.scan.passes"), 1.0);  // the nested engine's t = 0 pass
+    // Without a sink the destructor adds nothing anywhere.
+    { Process unsunk{small_config()}; }
+    EXPECT_EQ(sink.at("obs.scan.passes"), counter(totals, "scan.passes"));
 }
 
-TEST(EngineCounters, DestructorFlushesToRegistryExactlyOnce) {
+TEST(EngineCounters, DestructorFlushesToSinkExactlyOnce) {
     expect_flush_exactly_once<core::BroadcastProcess>();
     expect_flush_exactly_once<core::GossipProcess>();
+}
+
+/// Traces a whole run from construction through `extra` saturated steps
+/// and checks that each counter's per-step deltas add up to its change
+/// since the trace was attached, and that every record names the
+/// counters() entries in counters() order.
+template <typename Process>
+void expect_trace_deltas_sum_to_counters(const core::EngineConfig& cfg, int extra) {
+    StepTrace trace{1 << 16};
+    arm_trace(&trace);
+    Process process{cfg};
+    disarm_trace();
+    const auto at_attach = process.counters();
+    ASSERT_TRUE(process.run_until_complete(1 << 15).has_value());
+    for (int s = 0; s < extra; ++s) process.step();
+    const auto final_totals = process.counters();
+    ASSERT_EQ(trace.dropped(), 0);
+    ASSERT_EQ(trace.size(), static_cast<std::size_t>(process.time()));
+    std::vector<double> sums(final_totals.size(), 0.0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const auto& deltas = trace.at(i).counters;
+        ASSERT_EQ(deltas.size(), final_totals.size());
+        for (std::size_t c = 0; c < deltas.size(); ++c) {
+            ASSERT_EQ(std::string_view{deltas[c].first}, final_totals[c].first);
+            EXPECT_GE(deltas[c].second, 0.0) << deltas[c].first;
+            sums[c] += deltas[c].second;
+        }
+    }
+    for (std::size_t c = 0; c < final_totals.size(); ++c) {
+        EXPECT_EQ(sums[c], final_totals[c].second - at_attach[c].second)
+            << final_totals[c].first << " radius " << cfg.radius;
+    }
+    // Saturated steps walk only: the last `extra` records carry walk
+    // blocks and nothing from the component pass or the exchange.
+    for (std::size_t i = trace.size() - static_cast<std::size_t>(extra); i < trace.size(); ++i) {
+        EXPECT_EQ(counter(trace.at(i).counters, "scan.passes"), 0.0);
+        EXPECT_EQ(counter(trace.at(i).counters, "exchange.linked"), 0.0);
+        EXPECT_GT(counter(trace.at(i).counters, "walk.blocks_decoded") +
+                      counter(trace.at(i).counters, "walk.blocks_scalar"),
+                  0.0);
+    }
+}
+
+TEST(EngineTrace, CounterDeltasSumToCountersOverWholeRuns) {
+    auto cfg = small_config();
+    for (const std::int64_t radius : {0, 2}) {
+        cfg.radius = radius;
+        cfg.mobility = core::Mobility::kAllMove;
+        expect_trace_deltas_sum_to_counters<core::BroadcastProcess>(cfg, 12);
+        expect_trace_deltas_sum_to_counters<core::GossipProcess>(cfg, 12);
+        cfg.mobility = core::Mobility::kInformedOnly;  // frog
+        expect_trace_deltas_sum_to_counters<core::BroadcastProcess>(cfg, 12);
+    }
 }
 
 TEST(Provenance, BuildInfoIsPopulated) {

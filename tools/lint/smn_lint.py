@@ -115,7 +115,8 @@ RULES = [
         ),
         "deterministic",
         "unordered floating-point accumulation is not associative; reduce "
-        "in a fixed (shard-index) order as the sharded scan does",
+        "in fixed shard-index order, as the replication runner aggregates "
+        "index-addressed slots",
     ),
     Rule(
         "raw-intrinsics",

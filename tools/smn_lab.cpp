@@ -166,9 +166,9 @@ int run(int argc, char** argv) {
     }
     const bool timings = args.get_flag("timings");
     // Telemetry opt-ins, both host/build-dependent (never in default
-    // output): --counters appends the per-record "counters" object plus a
-    // run-level counters_total line; --trace=FILE dumps the per-step
-    // timeline of one replication (the first engine constructed).
+    // output): --counters appends the per-record "counters" object;
+    // --trace=FILE dumps the per-step timeline of one replication (the
+    // first engine constructed).
     const bool counters = args.get_flag("counters");
     const std::string trace_path = args.get_string("trace", "");
     // Progress/ETA: on for interactive runs, opt-in (--progress) for
@@ -334,11 +334,6 @@ int run(int argc, char** argv) {
         trace.write_json(trace_file);
         std::cerr << "[smn_lab] wrote " << trace_path << " (" << trace.size()
                   << " traced step(s))\n";
-    }
-    if (counters && format == "jsonl") {
-        // Run-level trailer: the process-wide registry totals, including
-        // the "engine." flushes of every engine destroyed during the run.
-        exp::write_counters_total(os);
     }
     if (out_path != "-") {
         std::cerr << "[smn_lab] wrote " << out_path << " (" << format << ")\n";
