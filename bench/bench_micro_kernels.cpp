@@ -2,8 +2,8 @@
 //
 // google-benchmark timings of the hot kernels that set the simulator's
 // throughput: walk stepping, the r = 0 co-location pass, visibility
-// component construction at several radii, component flooding, a full
-// engine step, and a whole gossip replication (the exchange layer). These
+// component construction at several radii, component flooding, and whole
+// broadcast and gossip replications (the exchange layer). These
 // justify the performance envelope quoted in DESIGN.md (O(k) expected per
 // time step at sparse densities).
 #include <benchmark/benchmark.h>
@@ -147,44 +147,39 @@ void BM_WalkDecode5(benchmark::State& state) {
 }
 BENCHMARK(BM_WalkDecode5)->Args({4096, 0})->Args({4096, 1});
 
-void BM_EngineStep(benchmark::State& state) {
-    const auto k = static_cast<std::int32_t>(state.range(0));
-    const auto radius = state.range(1);
-    core::EngineConfig cfg;
-    cfg.side = 256;
-    cfg.k = k;
-    cfg.radius = radius;
-    cfg.seed = 6;
-    core::BroadcastProcess process{cfg};
-    for (auto _ : state) {
-        process.step();
-        benchmark::DoNotOptimize(process.rumor().informed_count());
-    }
-    state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_EngineStep)->Args({256, 0})->Args({256, 8})->Args({4096, 0})->Args({4096, 4});
-
-// One gossip replication run to T_G per iteration (args: side, k; r = 0),
-// paperbench's gossip_r0 point: the only load on the exchange layer (row
-// merges and the per-rumor tally). A whole run rather than a step, since
-// the steps after completion do no exchange; each iteration takes the
-// next seed, and items are agent-steps.
-void BM_GossipReplication(benchmark::State& state) {
+// One replication run to completion per iteration (args: side, k, r), the
+// next seed each time; items are agent-steps. A whole run rather than a
+// step: after completion the engine skips the component pass and the
+// exchange, so a process stepped far past T_B times the walk alone.
+template <typename Process>
+void BM_Replication(benchmark::State& state) {
     core::EngineConfig cfg;
     cfg.side = static_cast<grid::Coord>(state.range(0));
     cfg.k = static_cast<std::int32_t>(state.range(1));
+    cfg.radius = state.range(2);
     cfg.seed = 8;
     const auto cap = core::bounds::default_max_steps(cfg.n(), cfg.k);
     std::int64_t steps = 0;
     for (auto _ : state) {
-        core::GossipProcess process{cfg};
+        Process process{cfg};
         steps += process.run_until_complete(cap).value_or(cap);
-        benchmark::DoNotOptimize(process.rumor_broadcast_time(0));
+        benchmark::DoNotOptimize(process.done_agents());
         ++cfg.seed;
     }
     state.SetItemsProcessed(steps * cfg.k);
 }
-BENCHMARK(BM_GossipReplication)->Args({128, 1024})->Unit(benchmark::kMillisecond);
+// paperbench's bcast_r0 and bcast_r2 points.
+BENCHMARK(BM_Replication<core::BroadcastProcess>)
+    ->Name("BM_BroadcastReplication")
+    ->Args({256, 1024, 0})
+    ->Args({256, 1024, 2})
+    ->Unit(benchmark::kMillisecond);
+// paperbench's gossip_r0 point: the only load on the exchange layer (row
+// merges and the per-rumor tally).
+BENCHMARK(BM_Replication<core::GossipProcess>)
+    ->Name("BM_GossipReplication")
+    ->Args({128, 1024, 0})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

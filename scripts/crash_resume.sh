@@ -110,9 +110,10 @@ echo "  failures reported (exit 3), healthy units completed"
 # the end of the pass; it times both itself and reports them as journal_s
 # in the --timings record, next to sweep_wall_s. One sweep measures the
 # cost directly: comparing sweeps with and without --journal cannot resolve
-# 2% when whole sweeps jitter by more than that run to run.
+# 2% when whole sweeps jitter by more than that run to run. r = 4 is the
+# point's r_c, where a replication reaches T_B in about 100 steps.
 echo "[crash_resume] leg 4: journaling overhead (journal's own I/O time, 2% budget)"
-"${lab}" --scenario=step_throughput --sweep="side=128;k=1024;radius=rc;steps=400;mobility=all" \
+"${lab}" --scenario=grid_broadcast --sweep="side=128;k=1024;radius=4" \
     --reps=96 --threads=1 --timings --no-progress --journal --out="${work_dir}/overhead.jsonl"
 python3 - "${work_dir}/overhead.jsonl" <<'PY'
 import json, sys

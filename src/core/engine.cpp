@@ -86,6 +86,24 @@ void DisseminationLoop<Exchange>::step() {
     trace_step();
 }
 
+template <typename Exchange>
+DisseminationLoop<Exchange>::~DisseminationLoop() {
+    auto* sink = obs::counter_sink();
+    // Moved-from shells keep their (trivially copyable) tally totals;
+    // flushing them too would double-count. A move empties the ensemble's
+    // vectors, so count() == 0 identifies a shell.
+    if (sink == nullptr || agents_.count() == 0) return;
+    auto& metrics = sink->metrics;
+    for (const auto& [name, value] : counters()) metrics[std::string{"obs."} + name] += value;
+    metrics["obs.agents"] += static_cast<double>(config_.k);
+    if (!sink->timed) return;
+    const auto phases = phase_timings();
+    metrics["timing.walk_s"] += phases.walk_s;
+    metrics["timing.index_s"] += phases.index_s;
+    metrics["timing.components_s"] += phases.components_s;
+    metrics["timing.exchange_s"] += phases.exchange_s;
+}
+
 template class DisseminationLoop<BroadcastExchange>;
 template class DisseminationLoop<GossipExchange>;
 

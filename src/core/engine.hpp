@@ -160,6 +160,12 @@ public:
         // G_0(r) before anyone moves.
         builder_.build(agents_.positions(), dsu_);
         exchange();
+        // Under a timed counter sink (smn_lab --timings) the engine reports
+        // its phases; otherwise the timers, a few clock reads per step that
+        // show at small k, stay off. Like a trace's, they skip the t = 0 pass.
+        if (const auto* sink = obs::counter_sink(); sink != nullptr && sink->timed) {
+            set_phase_timing(true);
+        }
         // One-shot trace arming (smn_lab --trace): the first engine built
         // after obs::arm_trace claims the sink. Purely observational — the
         // only engine-side effect is phase timing, which touches no state
@@ -167,26 +173,22 @@ public:
         set_trace(obs::claim_trace());
     }
 
-    // Non-copyable: the destructor flushes the cumulative counters into
-    // the thread's counter sink, and a copy would flush them twice (it
-    // would also share the claimed trace sink). Moves are fine: a
-    // moved-from shell flushes nothing.
+    // Non-copyable: the destructor flushes the cumulative counters and
+    // phases into the thread's counter sink, and a copy would flush them
+    // twice (it would also share the claimed trace sink). Moves are fine:
+    // a moved-from shell flushes nothing.
     DisseminationLoop(const DisseminationLoop&) = delete;
     DisseminationLoop& operator=(const DisseminationLoop&) = delete;
     DisseminationLoop(DisseminationLoop&&) = default;
     DisseminationLoop& operator=(DisseminationLoop&&) = default;
 
-    /// Adds the engine's counters to this thread's obs::counter_sink(),
-    /// when one is set, as "obs." metrics (the experiment runner sets one
-    /// around each replication).
-    ~DisseminationLoop() {
-        auto* sink = obs::counter_sink();
-        // Moved-from shells keep their (trivially copyable) tally totals;
-        // flushing them too would double-count. A move empties the
-        // ensemble's vectors, so count() == 0 identifies a shell.
-        if (sink == nullptr || agents_.count() == 0) return;
-        for (const auto& [name, value] : counters()) (*sink)[std::string{"obs."} + name] += value;
-    }
+    /// Adds counters() and the agent count k as "obs." metrics, and for a
+    /// timed sink phase_timings() as "timing.*_s", to this thread's
+    /// obs::counter_sink() when one is set (the runner sets one around
+    /// each replication). Defined in engine.cpp: inlined into includers,
+    /// it changed gcc's inlining of paperbench's copy of the walk kernel
+    /// (AgentEnsemble::step_all), and bcast_r0 ran about 5% slower.
+    ~DisseminationLoop();
 
     /// Advances the process one time step: move, rebuild G_t(r), exchange.
     /// Defined in engine.cpp and instantiated there for both exchanges:
@@ -224,7 +226,8 @@ public:
         return StepView{.time = t_, .positions = agents_.positions(), .rumor = this->rumor()};
     }
 
-    /// Enables cumulative per-phase wall-clock attribution of step().
+    /// Enables cumulative per-phase wall-clock attribution of step(). Off
+    /// by default; a timed counter sink or an attached trace turns it on.
     void set_phase_timing(bool on) noexcept {
         timing_ = on;
         builder_.set_timing(on);

@@ -88,9 +88,11 @@ std::vector<PointResult> run_points(const Scenario& scenario,
             const auto point = u / reps;
             const auto rep = u % reps;
             util::failpoint("unit_body");
-            // Engines destroyed in this attempt flush their counters into
-            // `sink`; a throwing attempt's sink dies with it.
+            // Engines destroyed in this attempt flush their counters (and,
+            // with --timings, their phases) into `sink`; a throwing
+            // attempt's sink dies with it.
             obs::CounterSink sink;
+            sink.timed = options.timings;
             const auto begin = clock::now();
             {
                 const obs::ScopedCounterSink scope{sink};
@@ -98,7 +100,7 @@ std::vector<PointResult> run_points(const Scenario& scenario,
                     scenario.run_rep(bound[point], rng::replication_seed(seeds[point], rep));
             }
             unit_seconds[u] = std::chrono::duration<double>(clock::now() - begin).count();
-            for (const auto& [name, value] : sink) unit_metrics[u][name] += value;
+            for (const auto& [name, value] : sink.metrics) unit_metrics[u][name] += value;
             if (options.journal != nullptr) {
                 io::JournalUnit entry;
                 entry.metrics = unit_metrics[u];

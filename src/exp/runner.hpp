@@ -50,6 +50,9 @@ struct RunOptions {
     std::uint64_t seed{20110601};        ///< base seed of the whole run
     int threads{0};                      ///< 0 → sim::default_threads()
     bool quick{false};                   ///< propagated from --quick
+    /// Propagated from --timings: engines time their phases and report
+    /// them as "timing." metrics (see obs::CounterSink::timed).
+    bool timings{false};
     /// Extra attempts for a unit whose body throws (--retries). Retries
     /// are sound because units are pure functions of their index: a retry
     /// recomputes the identical result (see sim::ReplicationPool::
@@ -99,8 +102,10 @@ struct PointResult {
     std::optional<double> journal_seconds;
 
     /// Phase wall-clock attribution, summed across replications. Fed by
-    /// metrics whose name carries the reserved "timing." prefix — those
-    /// are host-dependent, so the runner diverts them here (emitted only
+    /// metrics whose name carries the reserved "timing." prefix — the
+    /// phase seconds every engine destroyed in a replication flushes into
+    /// a timed obs::counter_sink() (RunOptions::timings). Those are
+    /// host-dependent, so the runner diverts them here (emitted only
     /// under --timings) instead of the deterministic metrics block.
     std::map<std::string, double> phase_seconds;
 

@@ -31,7 +31,6 @@
 //   barriers            — broadcast across a walled grid (extension, E19)
 //   cell_spread         — the proof's cell wavefront (Lemmas 4–5, E22)
 //   churn               — broadcast under agent replacement (extension, E23)
-//   step_throughput     — fixed-step hot-path micro-benchmark (journal overhead)
 #pragma once
 
 namespace smn::exp {
@@ -45,7 +44,6 @@ void link_scenarios_broadcast();
 void link_scenarios_gossip();
 void link_scenarios_walk();
 void link_scenarios_churn();
-void link_scenarios_perf();
 void link_scenarios_models();
 void link_scenarios_graph();
 

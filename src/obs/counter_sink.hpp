@@ -1,14 +1,18 @@
-// counter_sink.hpp — where an engine's counters go when it is destroyed.
+// counter_sink.hpp — where an engine's counters and phase times go when it
+// is destroyed.
 //
 // Engines keep their counters as plain per-object tallies and list them
 // by name (core::DisseminationLoop::counters()). The experiment runner
-// points this thread's sink at a fresh map around each attempt of a
+// points this thread's sink at a fresh one around each attempt of a
 // replication body; an engine destroyed while a sink is set adds its
 // totals there under the "obs." metric prefix, and the runner merges the
-// map into that replication's metrics. A failed attempt's map is dropped
-// with it, so a retried replication reports one attempt's counters.
-// Without a sink (benchmarks, tests, examples driving engines directly)
-// the destructor does nothing but read the thread-local pointer.
+// sink's metrics into that replication's. A timed sink (smn_lab
+// --timings) also turns on the engine's phase timers when the engine is
+// built, and receives its phase seconds under "timing.". A failed
+// attempt's sink is dropped with it, so a retried replication reports
+// one attempt's counters and phases. Without a sink (benchmarks, tests,
+// examples driving engines directly) the destructor does nothing but
+// read the thread-local pointer.
 #pragma once
 
 #include <map>
@@ -16,8 +20,12 @@
 
 namespace smn::obs {
 
-/// Metric name ("obs." + counter name) → summed value.
-using CounterSink = std::map<std::string, double>;
+struct CounterSink {
+    /// Metric name ("obs." counter or "timing." phase) → summed value.
+    std::map<std::string, double> metrics;
+    /// Engines built under this sink time their phases and report them.
+    bool timed{false};
+};
 
 /// This thread's current sink; nullptr when none is set.
 [[nodiscard]] inline CounterSink*& counter_sink() noexcept {
@@ -27,7 +35,7 @@ using CounterSink = std::map<std::string, double>;
 
 /// Points this thread's sink at `sink` for the guard's lifetime and then
 /// restores the previous one, so a replication body that runs units of
-/// its own inline keeps each unit's counters apart.
+/// its own inline keeps each unit's counters and phases apart.
 class ScopedCounterSink {
 public:
     explicit ScopedCounterSink(CounterSink& sink) noexcept : previous_{counter_sink()} {

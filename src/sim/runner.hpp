@@ -84,7 +84,6 @@ public:
     /// run_units call; worker_busy_seconds is the time pooled workers
     /// (the caller included) spent inside unit bodies.
     struct PoolStats {
-        std::int64_t runs{0};          ///< run_units dispatches
         std::int64_t units_pooled{0};  ///< units executed via the worker pool
         std::int64_t units_inline{0};  ///< units executed inline (serial/fallback)
         double worker_busy_seconds{0.0};
@@ -113,7 +112,6 @@ public:
     /// (runner code snapshots around a sweep pass).
     [[nodiscard]] PoolStats stats() {
         PoolStats out;
-        out.runs = runs_.load(std::memory_order_relaxed);
         out.units_pooled = units_pooled_.load(std::memory_order_relaxed);
         out.units_inline = units_inline_.load(std::memory_order_relaxed);
         const std::lock_guard<std::mutex> lock{mutex_};
@@ -156,7 +154,6 @@ public:
             }
         };
 
-        runs_.fetch_add(1, std::memory_order_relaxed);
         const int workers = replication_workers(threads, units);
         // Recursion is detected before touching the lock: try_lock on a
         // mutex this thread already holds is undefined. A concurrent
@@ -238,7 +235,6 @@ private:
     std::mutex dispatch_mutex_;  ///< held by the one pooled dispatch in flight
     // Telemetry (see PoolStats). Atomics: the inline-fallback paths run
     // concurrently with a pooled dispatch by design.
-    std::atomic<std::int64_t> runs_{0};
     std::atomic<std::int64_t> units_pooled_{0};
     std::atomic<std::int64_t> units_inline_{0};
     // Dispatch state, guarded by mutex_.

@@ -14,7 +14,7 @@
 //  2. A from-first-principles reference loop (scalar walk::step draws +
 //     O(k²) build_naive + flood) compared pathwise against the engine.
 //  3. smn_lab run_point records byte-identical across --threads values for
-//     the real scenarios, including the Frog model and step_throughput.
+//     the real engine scenarios: broadcast, the Frog model and gossip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -587,9 +587,9 @@ TEST(GoldenSideModels, PredatorPreyReproducesBitForBit) {
 
 // ----------------------------------------------------- thread invariance
 
-// The lab contract, exercised on the real scenarios this PR touches:
-// records must be byte-identical at any --threads, Frog model and the new
-// step_throughput micro-benchmark included.
+// The lab contract, exercised on the real engine scenarios: records must
+// be byte-identical at any --threads, for broadcast, the Frog model and
+// gossip alike.
 TEST(ThreadInvariance, RealScenarioRecordsAreByteIdentical) {
     exp::register_builtin_scenarios();
     const auto& registry = exp::ScenarioRegistry::instance();
@@ -599,8 +599,7 @@ TEST(ThreadInvariance, RealScenarioRecordsAreByteIdentical) {
     } points[] = {
         {"grid_broadcast", {{"side", "16"}, {"k", "12"}, {"radius", "2"}}},
         {"frog_broadcast", {{"side", "14"}, {"k", "10"}, {"radius", "1"}}},
-        {"step_throughput",
-         {{"side", "32"}, {"k", "64"}, {"radius", "rc"}, {"steps", "50"}, {"mobility", "frog"}}},
+        {"gossip", {{"side", "14"}, {"k", "10"}}},
     };
     for (const auto& point : points) {
         std::vector<std::string> outputs;

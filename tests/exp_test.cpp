@@ -1057,7 +1057,8 @@ TEST(BuiltinScenarios, GridBroadcastIsThreadInvariant) {
 
 // ---------------------------------------------------------------------------
 // Engine counters per record: every engine a replication destroys flushes
-// its counters() into the runner's per-attempt sink.
+// its counters() and agent count — and, under RunOptions::timings, its
+// phase seconds — into the runner's per-attempt sink.
 
 /// A record's counters less the host-dependent pool.* / process.* figures.
 std::map<std::string, double> engine_counters(const exp::PointResult& result) {
@@ -1071,6 +1072,23 @@ std::map<std::string, double> engine_counters(const exp::PointResult& result) {
 template <typename Process>
 void add_counters(const Process& process, std::map<std::string, double>& sum) {
     for (const auto& [name, value] : process.counters()) sum[name] += value;
+    sum["agents"] += static_cast<double>(process.config().k);
+}
+
+/// Names of a record's phases (the runner's "timing." diversion).
+std::vector<std::string> phase_names(const exp::PointResult& result) {
+    std::vector<std::string> names;
+    for (const auto& [name, seconds] : result.phase_seconds) names.push_back(name);
+    return names;
+}
+
+const std::vector<std::string> kPhaseNames{"components_s", "exchange_s", "index_s", "walk_s"};
+
+/// The record's deterministic JSONL line (no timings, no counters).
+std::string default_record(const exp::PointResult& result) {
+    std::ostringstream os;
+    exp::JsonlWriter{os}.write(result);
+    return os.str();
 }
 
 /// Σ over the point's replications of counters() from engines built the
@@ -1123,16 +1141,32 @@ TEST(EngineScenarioCounters, RecordsCarryEveryEnginesCountersAtAnyThreadCount) {
         const auto counters = engine_counters(serial);
         EXPECT_EQ(engine_counters(pooled), counters) << where;
         EXPECT_EQ(counters, expected_engine_counters(name, values, options)) << where;
-        EXPECT_EQ(counters.size(), 14U) << where;
+        EXPECT_EQ(counters.size(), 15U) << where;  // counters() + agents
+        EXPECT_EQ(counters.at("agents"), 6 * 8) << where;
         EXPECT_GT(counters.at("walk.blocks_decoded"), 0.0) << where;
         EXPECT_GT(counters.at("exchange.linked"), 0.0) << where;
         EXPECT_TRUE(serial.counters.contains("pool.units")) << where;
+        EXPECT_GT(serial.counters.at("process.rss_bytes_per_agent"), 0.0) << where;
+        EXPECT_TRUE(serial.phase_seconds.empty()) << where;  // timers are opt-in
+
+        // Timed: the four phases at any thread count, the same counters,
+        // and the same deterministic record bytes as untimed.
+        options.timings = true;
+        for (const int threads : {1, 4}) {
+            options.threads = threads;
+            const auto timed = exp::run_point(scenario, values, options);
+            EXPECT_EQ(phase_names(timed), kPhaseNames) << where << " threads " << threads;
+            EXPECT_GT(timed.phase_seconds.at("walk_s"), 0.0) << where;
+            EXPECT_EQ(engine_counters(timed), counters) << where << " threads " << threads;
+            EXPECT_EQ(default_record(timed), default_record(serial))
+                << where << " threads " << threads;
+        }
     }
 }
 
-// The engine counters of a replication that throws after stepping an
-// engine, then passes on its retry, are one attempt's: the failed
-// attempt's sink is dropped with it.
+// The engine counters and phases of a replication that throws after
+// stepping an engine, then passes on its retry, are one attempt's: the
+// failed attempt's sink is dropped with it.
 TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
     const auto config = [](std::uint64_t seed) {
         core::EngineConfig cfg;
@@ -1144,10 +1178,13 @@ TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
     };
     auto scenario = synthetic_scenario();
     auto attempts = std::make_shared<std::atomic<int>>(0);
+    // The failed attempt steps far longer, so its phases alone would
+    // outweigh the wall clock of the attempt that reports.
     scenario.run_rep = [attempts, config](const exp::ScenarioParams&, std::uint64_t seed) {
+        const bool first = attempts->fetch_add(1) == 0;
         core::BroadcastProcess process{config(seed)};
-        for (int s = 0; s < 30; ++s) process.step();
-        if (attempts->fetch_add(1) == 0) throw std::runtime_error("first attempt fails");
+        for (int s = 0; s < (first ? 20000 : 30); ++s) process.step();
+        if (first) throw std::runtime_error("first attempt fails");
         exp::Metrics m;
         m["value"] = 1.0;
         return m;
@@ -1155,9 +1192,15 @@ TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
     exp::RunOptions options;
     options.reps = 1;
     options.retries = 1;
+    options.timings = true;
     const auto result = exp::run_point(scenario, {}, options);
     EXPECT_EQ(attempts->load(), 2);
     EXPECT_TRUE(result.failures.empty());
+    EXPECT_EQ(phase_names(result), kPhaseNames);
+    double phase_total = 0.0;
+    for (const auto& [name, seconds] : result.phase_seconds) phase_total += seconds;
+    EXPECT_GT(phase_total, 0.0);
+    EXPECT_LE(phase_total, result.wall_seconds);
 
     core::BroadcastProcess once{
         config(rng::replication_seed(exp::point_seed(options.seed, scenario.name, {}), 0))};
@@ -1167,8 +1210,9 @@ TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
     EXPECT_EQ(engine_counters(result), expected);
 }
 
-// Counters ride in the journaled metrics, so a resumed sweep — fully
-// replayed or half re-run — reports the counters of the original run.
+// Counters and phases ride in the journaled metrics, so a resumed sweep —
+// fully replayed or half re-run — reports the counters of the original
+// run, and a fully replayed one its phases too.
 TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
     exp::register_builtin_scenarios();
     const auto& scenario = exp::ScenarioRegistry::instance().at("grid_broadcast");
@@ -1177,12 +1221,17 @@ TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
     exp::RunOptions options;
     options.reps = 3;
     options.threads = 2;
+    options.timings = true;
     const auto fp = io::sweep_fingerprint(options.seed, options.reps,
                                           {{scenario.name, spec}}, "test");
+    std::vector<std::map<std::string, double>> phases;
     const auto counters_of = [&] {
         std::vector<std::map<std::string, double>> out;
+        phases.clear();
         for (const auto& result : exp::run_sweep(scenario, sweep, options)) {
             out.push_back(engine_counters(result));
+            phases.push_back(result.phase_seconds);
+            EXPECT_EQ(phase_names(result), kPhaseNames);
         }
         return out;
     };
@@ -1196,6 +1245,7 @@ TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
     }
     ASSERT_EQ(first.size(), 2U);
     EXPECT_GT(first[1].at("scan.pairs_tested"), 0.0);
+    const auto first_phases = phases;
 
     std::vector<std::string> lines;
     {
@@ -1212,6 +1262,9 @@ TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
         io::SweepJournal journal{*path, fp, /*resume=*/true};
         options.journal = &journal;
         EXPECT_EQ(counters_of(), first) << *path;
+        if (path == &journal_file.path()) {
+            EXPECT_EQ(phases, first_phases);
+        }
     }
 }
 

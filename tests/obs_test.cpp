@@ -349,6 +349,7 @@ template <typename Process>
 void expect_flush_exactly_once() {
     CounterSink sink;
     CounterSink inner;
+    inner.timed = true;
     Counters totals;
     {
         const ScopedCounterSink scope{sink};
@@ -357,7 +358,7 @@ void expect_flush_exactly_once() {
         totals = process.counters();
         {
             // A nested scope collects its own engines and hands the outer
-            // sink back when it ends.
+            // sink back when it ends; being timed, it also gets phases.
             const ScopedCounterSink nested{inner};
             Process other{small_config()};
         }
@@ -366,15 +367,17 @@ void expect_flush_exactly_once() {
         Process moved{std::move(process)};
     }
     EXPECT_EQ(counter_sink(), nullptr);
-    ASSERT_EQ(sink.size(), totals.size());
+    ASSERT_EQ(sink.metrics.size(), totals.size() + 1);  // + obs.agents, no timing.*
+    EXPECT_EQ(sink.metrics.at("obs.agents"), small_config().k);
     EXPECT_GT(counter(totals, "scan.passes"), 0.0);
     for (const auto& [name, value] : totals) {
-        EXPECT_EQ(sink.at(std::string{"obs."} + name), value) << name;
+        EXPECT_EQ(sink.metrics.at(std::string{"obs."} + name), value) << name;
     }
-    EXPECT_EQ(inner.at("obs.scan.passes"), 1.0);  // the nested engine's t = 0 pass
+    EXPECT_EQ(inner.metrics.at("obs.scan.passes"), 1.0);  // the nested engine's t = 0 pass
+    EXPECT_EQ(inner.metrics.size(), totals.size() + 1 + 4);  // + obs.agents, 4 timing.*
     // Without a sink the destructor adds nothing anywhere.
     { Process unsunk{small_config()}; }
-    EXPECT_EQ(sink.at("obs.scan.passes"), counter(totals, "scan.passes"));
+    EXPECT_EQ(sink.metrics.at("obs.scan.passes"), counter(totals, "scan.passes"));
 }
 
 TEST(EngineCounters, DestructorFlushesToSinkExactlyOnce) {

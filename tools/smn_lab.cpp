@@ -178,6 +178,7 @@ int run(int argc, char** argv) {
 
     exp::RunOptions options;
     options.quick = args.quick();
+    options.timings = timings;
     options.reps = static_cast<int>(args.get_int("reps", options.quick ? 3 : 8));
     options.seed = static_cast<std::uint64_t>(args.get_int("seed", 20110601));
     options.threads = args.threads();
