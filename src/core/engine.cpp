@@ -3,8 +3,10 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/gossip.hpp"
+#include "obs/counter_sink.hpp"
 
 namespace smn::core {
 
@@ -53,6 +55,32 @@ void BroadcastExchange::run(std::span<const std::int32_t> linked, graph::Disjoin
     }
     // Clear only the roots this exchange touched.
     for (const auto root : labels_) root_state_[static_cast<std::size_t>(root)] = 0;
+}
+
+template <typename Exchange>
+DisseminationLoop<Exchange>::DisseminationLoop(const EngineConfig& config)
+    : Exchange{validate(config)},
+      config_{config},
+      rng_{config_.seed},
+      agents_{grid::Grid2D::square(config_.side), config_.k, rng_, config_.walk},
+      builder_{agents_.grid(), config_.radius, config_.metric},
+      dsu_{static_cast<std::size_t>(config_.k)} {
+    // Initial exchange at t = 0: knowledge floods the components of
+    // G_0(r) before anyone moves.
+    builder_.build(agents_.positions(), dsu_);
+    exchange();
+    // The timers, a few clock reads per step that show at small k, run
+    // only under a timed sink (smn_lab --timings) or for a trace; the
+    // first engine built under a sink carrying one takes it. Neither
+    // touches state the trajectories depend on.
+    auto* sink = obs::counter_sink();
+    if (sink == nullptr) return;
+    trace_ = std::exchange(sink->trace, nullptr);
+    timing_ = sink->timed || trace_ != nullptr;
+    builder_.set_timing(timing_);
+    // Baseline, so the first traced step's deltas cover that step only,
+    // not the t = 0 pass. The phase totals start at zero with the timers.
+    if (trace_ != nullptr) trace_counters_ = counters();
 }
 
 template <typename Exchange>

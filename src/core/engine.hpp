@@ -41,7 +41,6 @@
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "grid/point.hpp"
-#include "obs/counter_sink.hpp"
 #include "obs/step_trace.hpp"
 #include "rng/rng.hpp"
 #include "walk/ensemble.hpp"
@@ -85,7 +84,8 @@ struct EngineConfig {
 [[nodiscard]] EngineConfig validate(EngineConfig config);
 
 /// Cumulative wall-clock attribution of the step loop's phases, captured
-/// when phase timing is enabled (see DisseminationLoop::set_phase_timing).
+/// when phase timing is on (the engine was built under a timed counter
+/// sink or one carrying a step trace; see obs/counter_sink.hpp).
 /// walk_s is the walk kernel; index_s is the r >= 1 pass's index.* motion
 /// tally plus its co-location pass, which fills the node table and the
 /// occupancy bitmap; components_s is the remainder of the pass (window
@@ -147,35 +147,16 @@ class DisseminationLoop : public Exchange {
 public:
     /// Validates the config (see validate(); gossip also rejects
     /// Mobility::kInformedOnly), places agents, performs the t = 0
-    /// exchange. The Exchange base is built first, from the validated
-    /// config.
-    explicit DisseminationLoop(const EngineConfig& config)
-        : Exchange{validate(config)},
-          config_{config},
-          rng_{config_.seed},
-          agents_{grid::Grid2D::square(config_.side), config_.k, rng_, config_.walk},
-          builder_{agents_.grid(), config_.radius, config_.metric},
-          dsu_{static_cast<std::size_t>(config_.k)} {
-        // Initial exchange at t = 0: knowledge floods the components of
-        // G_0(r) before anyone moves.
-        builder_.build(agents_.positions(), dsu_);
-        exchange();
-        // Under a timed counter sink (smn_lab --timings) the engine reports
-        // its phases; otherwise the timers, a few clock reads per step that
-        // show at small k, stay off. Like a trace's, they skip the t = 0 pass.
-        if (const auto* sink = obs::counter_sink(); sink != nullptr && sink->timed) {
-            set_phase_timing(true);
-        }
-        // One-shot trace arming (smn_lab --trace): the first engine built
-        // after obs::arm_trace claims the sink. Purely observational — the
-        // only engine-side effect is phase timing, which touches no state
-        // the trajectories depend on.
-        set_trace(obs::claim_trace());
-    }
+    /// exchange, then reads this thread's counter sink once: a timed sink
+    /// turns the phase timers on, and a sink carrying a step trace hands
+    /// it to this engine (which also times its phases). Defined in
+    /// engine.cpp, like step() and the destructor, so the sink-reading
+    /// code stays out of includers' inlining.
+    explicit DisseminationLoop(const EngineConfig& config);
 
     // Non-copyable: the destructor flushes the cumulative counters and
     // phases into the thread's counter sink, and a copy would flush them
-    // twice (it would also share the claimed trace sink). Moves are fine:
+    // twice (it would also share the step trace). Moves are fine:
     // a moved-from shell flushes nothing.
     DisseminationLoop(const DisseminationLoop&) = delete;
     DisseminationLoop& operator=(const DisseminationLoop&) = delete;
@@ -226,15 +207,8 @@ public:
         return StepView{.time = t_, .positions = agents_.positions(), .rumor = this->rumor()};
     }
 
-    /// Enables cumulative per-phase wall-clock attribution of step(). Off
-    /// by default; a timed counter sink or an attached trace turns it on.
-    void set_phase_timing(bool on) noexcept {
-        timing_ = on;
-        builder_.set_timing(on);
-    }
-
-    /// Phase totals accumulated since construction (zeros unless
-    /// set_phase_timing(true) was called before stepping).
+    /// Phase totals accumulated since construction (zeros unless the
+    /// phase timers are on; see the constructor).
     [[nodiscard]] StepPhaseTimings phase_timings() const noexcept {
         StepPhaseTimings timings;
         timings.walk_s = walk_seconds_;
@@ -273,21 +247,6 @@ public:
             {"walk.blocks_scalar", d(walk.blocks_scalar)},
             {"exchange.linked", d(exchange_linked_)},
         };
-    }
-
-    /// Attaches a per-step trace sink (non-owning; nullptr detaches).
-    /// Tracing implies phase timing; it is purely observational and never
-    /// affects trajectories. The constructor also claims the process-wide
-    /// armed trace (obs::arm_trace) automatically.
-    void set_trace(obs::StepTrace* trace) {
-        trace_ = trace;
-        if (trace_ != nullptr) {
-            set_phase_timing(true);
-            // Baseline at attach time, so the first traced step's deltas
-            // cover that step only — not the construction-time build pass.
-            trace_phases_ = phase_timings();
-            trace_counters_ = counters();
-        }
     }
 
 private:
@@ -365,7 +324,7 @@ private:
     double walk_seconds_{0.0};
     double rebuild_seconds_{0.0};
     double exchange_seconds_{0.0};
-    obs::StepTrace* trace_{nullptr};  ///< per-step trace sink (non-owning)
+    obs::StepTrace* trace_{nullptr};  ///< step trace taken from the sink (non-owning)
     StepPhaseTimings trace_phases_;   ///< phase totals at the last traced step
     obs::Counters trace_counters_;    ///< counters() at the last traced step
 };

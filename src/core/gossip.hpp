@@ -9,7 +9,7 @@
 //
 // GossipProcess is the broadcast engine's DisseminationLoop (engine.hpp)
 // with GossipExchange as its knowledge state: the same walks, G_t(r),
-// phase timing, counters, step trace and registry flush, so
+// phase timing, counters, step trace and counter-sink flush, so
 // smn_lab --scenario=gossip --trace/--counters reports the engine like
 // any broadcast run. The trace's `informed` gauge counts the agents that
 // know every rumor. Frog mobility is rejected ("only informed agents

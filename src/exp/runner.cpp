@@ -6,6 +6,7 @@
 
 #include "obs/counter_sink.hpp"
 #include "obs/process.hpp"
+#include "obs/step_trace.hpp"
 #include "rng/rng.hpp"
 #include "util/failpoint.hpp"
 
@@ -72,6 +73,13 @@ std::vector<PointResult> run_points(const Scenario& scenario,
         }
     }
 
+    // The traced unit: the first one this pass computes.
+    std::size_t traced = total;
+    if (options.trace != nullptr) {
+        traced = 0;
+        while (traced < total && replayed[traced] != 0) ++traced;
+    }
+
     std::atomic<std::size_t> skipped{0};
     const auto pool_before = sim::ReplicationPool::instance().stats();
     const double journal_before =
@@ -90,9 +98,14 @@ std::vector<PointResult> run_points(const Scenario& scenario,
             util::failpoint("unit_body");
             // Engines destroyed in this attempt flush their counters (and,
             // with --timings, their phases) into `sink`; a throwing
-            // attempt's sink dies with it.
+            // attempt's sink dies with it, and the traced unit's next
+            // attempt starts its trace afresh.
             obs::CounterSink sink;
             sink.timed = options.timings;
+            if (u == traced) {
+                options.trace->clear();
+                sink.trace = options.trace;
+            }
             const auto begin = clock::now();
             {
                 const obs::ScopedCounterSink scope{sink};

@@ -33,6 +33,10 @@
 #include "sim/runner.hpp"
 #include "stats/running_stats.hpp"
 
+namespace smn::obs {
+class StepTrace;
+}  // namespace smn::obs
+
 namespace smn::exp {
 
 /// Thrown by run_point/run_sweep when a cooperative stop (RunOptions::
@@ -49,10 +53,16 @@ struct RunOptions {
     int reps{8};                         ///< replications per parameter point
     std::uint64_t seed{20110601};        ///< base seed of the whole run
     int threads{0};                      ///< 0 → sim::default_threads()
-    bool quick{false};                   ///< propagated from --quick
     /// Propagated from --timings: engines time their phases and report
     /// them as "timing." metrics (see obs::CounterSink::timed).
     bool timings{false};
+    /// Optional step trace (--trace; non-owning). The runner clears it at
+    /// the start of each attempt of the lowest-index unit this pass
+    /// computes (unit 0 unless the journal replayed it) and puts it on
+    /// that attempt's counter sink, where the first engine built takes it
+    /// (see obs::CounterSink::trace). So a trace holds one attempt of one
+    /// replication, the same at any thread count.
+    obs::StepTrace* trace{nullptr};
     /// Extra attempts for a unit whose body throws (--retries). Retries
     /// are sound because units are pure functions of their index: a retry
     /// recomputes the identical result (see sim::ReplicationPool::

@@ -249,8 +249,11 @@ void SweepJournal::sync() {
     const std::lock_guard<std::mutex> lock{mutex_};
     if (fd_ < 0) return;
     const auto begin = std::chrono::steady_clock::now();
-    ::fsync(fd_);
+    const int rc = ::fsync(fd_);
+    const int err = errno;
     io_seconds_ += seconds_since(begin);
+    // A journal that never reached the disk must not report success.
+    if (rc != 0) fail(path_, std::string{"fsync failed: "} + std::strerror(err));
 }
 
 double SweepJournal::io_seconds() const {

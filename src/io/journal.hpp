@@ -87,7 +87,8 @@ public:
     /// sync() to force it to the platter.
     void record(std::string_view scenario, int unit, const JournalUnit& data);
 
-    /// fsync()s the journal file descriptor.
+    /// fsync()s the journal file descriptor; throws JournalError when the
+    /// fsync fails.
     void sync();
 
     /// Wall-clock seconds spent so far inside record()'s write and

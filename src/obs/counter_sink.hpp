@@ -10,9 +10,12 @@
 // --timings) also turns on the engine's phase timers when the engine is
 // built, and receives its phase seconds under "timing.". A failed
 // attempt's sink is dropped with it, so a retried replication reports
-// one attempt's counters and phases. Without a sink (benchmarks, tests,
-// examples driving engines directly) the destructor does nothing but
-// read the thread-local pointer.
+// one attempt's counters and phases. A sink can also carry a step trace
+// (obs/step_trace.hpp, smn_lab --trace): the first engine built under it
+// takes the trace, times its phases, and pushes one record per step.
+// Without a sink (benchmarks, tests, examples driving engines directly)
+// the constructor and destructor do nothing but read the thread-local
+// pointer.
 #pragma once
 
 #include <map>
@@ -20,11 +23,16 @@
 
 namespace smn::obs {
 
+class StepTrace;
+
 struct CounterSink {
     /// Metric name ("obs." counter or "timing." phase) → summed value.
     std::map<std::string, double> metrics;
     /// Engines built under this sink time their phases and report them.
     bool timed{false};
+    /// Step trace for the first engine built under this sink (non-owning);
+    /// that engine takes it and sets this back to nullptr.
+    StepTrace* trace{nullptr};
 };
 
 /// This thread's current sink; nullptr when none is set.

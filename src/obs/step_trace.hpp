@@ -7,14 +7,14 @@
 // few instantaneous gauges (occupied nodes, informed agents, component
 // count). The ring keeps the *latest* `capacity` steps; pushes past
 // capacity overwrite the oldest and bump `dropped`, so a week-long run can
-// leave a trace armed without unbounded memory.
+// carry a trace without unbounded memory.
 //
-// Arming: smn_lab --trace=FILE arms the process-wide one-shot sink, and
-// the first engine constructed afterwards — broadcast or gossip — claims
-// it (an atomic exchange — exactly one replication traces, whichever
-// engine is built first; run with --threads=1 --reps=1 to pin it to a
-// specific one).
-// Tracing is purely observational: the claiming engine enables its phase
+// Attaching: a trace rides the per-attempt counter sink (CounterSink::
+// trace, counter_sink.hpp). The runner puts RunOptions::trace on the sink
+// of the lowest-index unit its pass computes, and the first engine built
+// under that sink — broadcast or gossip — takes it, so exactly one
+// replication traces and which one does not depend on the thread count.
+// Tracing is purely observational: the tracing engine enables its phase
 // timing, which touches only timing fields, never trajectories.
 //
 // Export: write_json() emits a standalone JSON document
@@ -23,7 +23,6 @@
 // Perfetto-loadable event file.
 #pragma once
 
-#include <atomic>
 #include <charconv>
 #include <cstdint>
 #include <ostream>
@@ -144,27 +143,5 @@ private:
     std::size_t head_{0};       ///< index of the oldest retained record
     std::int64_t dropped_{0};
 };
-
-/// The process-wide one-shot trace sink. arm_trace publishes a trace for
-/// the next engine to claim; claim_trace atomically takes it (so exactly
-/// one claimant wins); disarm_trace withdraws an unclaimed trace. The
-/// armed pointer must outlive the engine that claims it.
-[[nodiscard]] inline std::atomic<StepTrace*>& trace_slot() noexcept {
-    static std::atomic<StepTrace*> slot{nullptr};
-    return slot;
-}
-
-inline void arm_trace(StepTrace* trace) noexcept {
-    trace_slot().store(trace, std::memory_order_release);
-}
-
-[[nodiscard]] inline StepTrace* claim_trace() noexcept {
-    // Plain load first: the unarmed case (every engine construction in a
-    // normal run) stays a read, not an exchange.
-    if (trace_slot().load(std::memory_order_acquire) == nullptr) return nullptr;
-    return trace_slot().exchange(nullptr, std::memory_order_acq_rel);
-}
-
-inline void disarm_trace() noexcept { trace_slot().store(nullptr, std::memory_order_release); }
 
 }  // namespace smn::obs

@@ -50,17 +50,6 @@ inline constexpr int kU64Lanes = 4;
 /// Byte lanes add_bit_lanes / fold_byte_lanes touch: one per bit of a word.
 inline constexpr int kBitLanes = 64;
 
-/// Name of the configure-time backend (for --version strings and tests).
-[[nodiscard]] constexpr const char* backend_name() noexcept {
-#if defined(SMN_SIMD_AVX2)
-    return "avx2";
-#elif defined(SMN_SIMD_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
-}
-
 #if defined(SMN_SIMD_AVX2)
 
 // ------------------------------------------------------------- AVX2 backend

@@ -16,6 +16,8 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,6 +30,8 @@
 #include "exp/sweep.hpp"
 #include "exp/writer.hpp"
 #include "io/journal.hpp"
+#include "obs/counter_sink.hpp"
+#include "obs/step_trace.hpp"
 #include "rng/rng.hpp"
 #include "util/failpoint.hpp"
 
@@ -699,7 +703,6 @@ TEST(BuiltinScenarios, QuickSweepsProduceValidRecords) {
     exp::register_builtin_scenarios();
     exp::RunOptions options;
     options.reps = 2;
-    options.quick = true;
     options.threads = 2;
     for (const auto* scenario : exp::ScenarioRegistry::instance().all()) {
         const auto sweep = exp::SweepSpec::parse(scenario->quick_sweep);
@@ -1093,10 +1096,13 @@ std::string default_record(const exp::PointResult& result) {
 
 /// Σ over the point's replications of counters() from engines built the
 /// way the grid_broadcast / frog_broadcast / gossip bodies build them,
-/// with the runner's seeds.
+/// with the runner's seeds. With a `trace`, replication `traced_rep`'s
+/// engine is built under a sink carrying it, so it traces that replication.
 std::map<std::string, double> expected_engine_counters(const std::string& scenario,
                                                        const exp::ParamValues& values,
-                                                       const exp::RunOptions& options) {
+                                                       const exp::RunOptions& options,
+                                                       obs::StepTrace* trace = nullptr,
+                                                       int traced_rep = 0) {
     const exp::ScenarioParams p{exp::ScenarioRegistry::instance().at(scenario).params, values};
     core::EngineConfig cfg;
     cfg.side = static_cast<grid::Coord>(p.get_int("side"));
@@ -1108,6 +1114,9 @@ std::map<std::string, double> expected_engine_counters(const std::string& scenar
     std::map<std::string, double> sum;
     for (int rep = 0; rep < options.reps; ++rep) {
         cfg.seed = rng::replication_seed(point, static_cast<std::uint64_t>(rep));
+        obs::CounterSink sink;
+        sink.trace = rep == traced_rep ? trace : nullptr;
+        const obs::ScopedCounterSink scope{sink};
         if (scenario == "gossip") {
             core::GossipProcess process{cfg};
             (void)process.run_until_complete(cap);
@@ -1121,6 +1130,21 @@ std::map<std::string, double> expected_engine_counters(const std::string& scenar
     return sum;
 }
 
+/// A trace's records less their host-dependent phase seconds: step,
+/// gauges and counter deltas.
+using TraceRow = std::tuple<std::int64_t, std::int64_t, std::int64_t, std::int64_t,
+                            std::vector<std::pair<std::string, double>>>;
+std::vector<TraceRow> trace_rows(const obs::StepTrace& trace) {
+    std::vector<TraceRow> rows;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const auto& rec = trace.at(i);
+        std::vector<std::pair<std::string, double>> deltas;
+        for (const auto& [name, delta] : rec.counters) deltas.emplace_back(name, delta);
+        rows.emplace_back(rec.step, rec.units, rec.informed, rec.components, std::move(deltas));
+    }
+    return rows;
+}
+
 TEST(EngineScenarioCounters, RecordsCarryEveryEnginesCountersAtAnyThreadCount) {
     exp::register_builtin_scenarios();
     const std::vector<std::pair<std::string, exp::ParamValues>> cases{
@@ -1131,23 +1155,36 @@ TEST(EngineScenarioCounters, RecordsCarryEveryEnginesCountersAtAnyThreadCount) {
     };
     for (const auto& [name, values] : cases) {
         const auto& scenario = exp::ScenarioRegistry::instance().at(name);
+        // Traced: unit 0 traces at any thread count.
+        obs::StepTrace serial_trace;
+        obs::StepTrace pooled_trace;
+        obs::StepTrace unit0_trace;
         exp::RunOptions options;
         options.reps = 6;
         options.threads = 1;
+        options.trace = &serial_trace;
         const auto serial = exp::run_point(scenario, values, options);
         options.threads = 4;
+        options.trace = &pooled_trace;
         const auto pooled = exp::run_point(scenario, values, options);
+        options.trace = nullptr;
         const auto where = name + "/" + exp::canonical_point(values);
         const auto counters = engine_counters(serial);
         EXPECT_EQ(engine_counters(pooled), counters) << where;
-        EXPECT_EQ(counters, expected_engine_counters(name, values, options)) << where;
+        EXPECT_EQ(counters, expected_engine_counters(name, values, options, &unit0_trace))
+            << where;
+        ASSERT_GT(unit0_trace.size(), 0U) << where;
+        EXPECT_EQ(trace_rows(serial_trace), trace_rows(unit0_trace)) << where;
+        EXPECT_EQ(trace_rows(pooled_trace), trace_rows(unit0_trace)) << where;
         EXPECT_EQ(counters.size(), 15U) << where;  // counters() + agents
         EXPECT_EQ(counters.at("agents"), 6 * 8) << where;
         EXPECT_GT(counters.at("walk.blocks_decoded"), 0.0) << where;
         EXPECT_GT(counters.at("exchange.linked"), 0.0) << where;
         EXPECT_TRUE(serial.counters.contains("pool.units")) << where;
         EXPECT_GT(serial.counters.at("process.rss_bytes_per_agent"), 0.0) << where;
-        EXPECT_TRUE(serial.phase_seconds.empty()) << where;  // timers are opt-in
+        // Timers are opt-in: the tracing engine's are on, yet an untimed
+        // sink gets no phases.
+        EXPECT_TRUE(serial.phase_seconds.empty()) << where;
 
         // Timed: the four phases at any thread count, the same counters,
         // and the same deterministic record bytes as untimed.
@@ -1164,9 +1201,10 @@ TEST(EngineScenarioCounters, RecordsCarryEveryEnginesCountersAtAnyThreadCount) {
     }
 }
 
-// The engine counters and phases of a replication that throws after
-// stepping an engine, then passes on its retry, are one attempt's: the
-// failed attempt's sink is dropped with it.
+// The engine counters, phases and step trace of a replication that
+// throws after stepping an engine, then passes on its retry, are one
+// attempt's: the failed attempt's sink is dropped with it, and the trace
+// restarts with the retry.
 TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
     const auto config = [](std::uint64_t seed) {
         core::EngineConfig cfg;
@@ -1189,13 +1227,18 @@ TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
         m["value"] = 1.0;
         return m;
     };
+    obs::StepTrace trace;
     exp::RunOptions options;
     options.reps = 1;
     options.retries = 1;
     options.timings = true;
+    options.trace = &trace;
     const auto result = exp::run_point(scenario, {}, options);
     EXPECT_EQ(attempts->load(), 2);
     EXPECT_TRUE(result.failures.empty());
+    ASSERT_EQ(trace.size(), 30U);
+    EXPECT_EQ(trace.dropped(), 0);
+    EXPECT_EQ(trace.at(29).step, 30);
     EXPECT_EQ(phase_names(result), kPhaseNames);
     double phase_total = 0.0;
     for (const auto& [name, seconds] : result.phase_seconds) phase_total += seconds;
@@ -1212,7 +1255,8 @@ TEST(EngineScenarioCounters, RetriedUnitReportsOneAttempt) {
 
 // Counters and phases ride in the journaled metrics, so a resumed sweep —
 // fully replayed or half re-run — reports the counters of the original
-// run, and a fully replayed one its phases too.
+// run, and a fully replayed one its phases too. The half re-run one traces
+// the first unit it computes.
 TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
     exp::register_builtin_scenarios();
     const auto& scenario = exp::ScenarioRegistry::instance().at("grid_broadcast");
@@ -1258,14 +1302,28 @@ TEST(EngineScenarioCounters, ResumedJournalReproducesCounters) {
         std::ofstream out{partial_file.path(), std::ios::binary};
         for (std::size_t i = 0; i < 3; ++i) out << lines[i] << '\n';
     }
+    // The partial journal holds the first two units the pool finished;
+    // the resume traces the lowest-index unit missing from it.
+    int first_computed = 0;
+    {
+        const io::SweepJournal partial{partial_file.path(), fp, /*resume=*/true};
+        while (partial.find(scenario.name, first_computed) != nullptr) ++first_computed;
+    }
+    obs::StepTrace resumed_trace;
+    obs::StepTrace unit_trace;
+    (void)expected_engine_counters(scenario.name, sweep.points()[first_computed / 3], options,
+                                   &unit_trace, first_computed % 3);
+    ASSERT_GT(unit_trace.size(), 0U);
     for (const auto* path : {&journal_file.path(), &partial_file.path()}) {
         io::SweepJournal journal{*path, fp, /*resume=*/true};
         options.journal = &journal;
+        options.trace = path == &partial_file.path() ? &resumed_trace : nullptr;
         EXPECT_EQ(counters_of(), first) << *path;
         if (path == &journal_file.path()) {
             EXPECT_EQ(phases, first_phases);
         }
     }
+    EXPECT_EQ(trace_rows(resumed_trace), trace_rows(unit_trace));
 }
 
 /// Names of every built-in scenario, in registry order.
@@ -1291,7 +1349,6 @@ TEST_P(ScenarioQuickSweep, ByteIdenticalAtOneAndSevenThreads) {
     for (const int threads : {1, 7}) {
         exp::RunOptions options;
         options.reps = 3;
-        options.quick = true;
         options.threads = threads;
         std::ostringstream os;
         exp::JsonlWriter writer{os};

@@ -111,6 +111,14 @@ TEST(SweepJournal, IoSecondsCountAppendsAndSync) {
     EXPECT_GT(journal.io_seconds(), after_append);
 }
 
+TEST(SweepJournal, FailedSyncIsAnError) {
+    // fsync on a character device fails (EINVAL): the journal's data never
+    // reached a disk, so sync() must not report success.
+    SweepJournal journal{"/dev/null", 1, /*resume=*/false};
+    journal.record("gossip", 0, JournalUnit{});
+    EXPECT_THROW(journal.sync(), JournalError);
+}
+
 TEST(SweepJournal, MetricDoublesRoundTripExactly) {
     TempFile file{"exact"};
     const auto fp = sweep_fingerprint(1, 1, kScenarios, "sha");

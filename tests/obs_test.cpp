@@ -1,5 +1,6 @@
-// obs_test.cpp — telemetry layer: the bounded step-trace ring and its
-// claim-once arming protocol, and the engine-level contracts, checked on
+// obs_test.cpp — telemetry layer: the bounded step-trace ring, which the
+// first engine built under a counter sink carrying it takes, and the
+// engine-level contracts, checked on
 // both engines (broadcast and gossip share one step loop): tracing never
 // perturbs trajectories, the trace's per-step counter deltas add up to
 // counters(), per-step scan counters satisfy rescanned + replayed ==
@@ -69,16 +70,6 @@ TEST(StepTrace, WriteJsonEmitsEveryRetainedStep) {
     EXPECT_EQ(text.back(), '\n');
 }
 
-TEST(StepTrace, ArmedTraceIsClaimedExactlyOnce) {
-    StepTrace trace;
-    arm_trace(&trace);
-    EXPECT_EQ(claim_trace(), &trace);
-    EXPECT_EQ(claim_trace(), nullptr) << "second claimant must lose";
-    arm_trace(&trace);
-    disarm_trace();
-    EXPECT_EQ(claim_trace(), nullptr) << "disarm must withdraw the trace";
-}
-
 // ------------------------------------------------- engine-level contracts
 
 /// The value of counter `name` in `counters`; -1 when it is absent.
@@ -116,6 +107,29 @@ std::int64_t agents_knowing_all(const core::GossipProcess& process) {
     return count;
 }
 
+/// A counter sink carrying `trace`: the first engine built under it traces.
+CounterSink tracing(StepTrace& trace) {
+    CounterSink sink;
+    sink.trace = &trace;
+    return sink;
+}
+
+// Two engines built under one traced sink: the first takes the trace
+// (clearing the sink's pointer), the second never traces.
+TEST(StepTrace, ArmedTraceIsClaimedExactlyOnce) {
+    StepTrace trace;
+    auto sink = tracing(trace);
+    const ScopedCounterSink scope{sink};
+    core::BroadcastProcess first{small_config()};
+    EXPECT_EQ(sink.trace, nullptr) << "the first engine must take the trace";
+    core::GossipProcess second{small_config()};
+    for (int s = 0; s < 5; ++s) second.step();
+    EXPECT_EQ(trace.size(), 0u) << "the second engine must not trace";
+    for (int s = 0; s < 3; ++s) first.step();
+    ASSERT_EQ(trace.size(), 3u);
+    EXPECT_EQ(trace.at(2).step, 3);
+}
+
 template <typename Process>
 std::vector<std::int64_t> progress_series(Process& process, int steps) {
     std::vector<std::int64_t> series;
@@ -133,10 +147,10 @@ void expect_tracing_never_perturbs() {
     const auto baseline = progress_series(plain, kSteps);
 
     StepTrace trace;
-    arm_trace(&trace);
+    auto sink = tracing(trace);
+    const ScopedCounterSink scope{sink};
     Process traced{small_config()};
     const auto with_trace = progress_series(traced, kSteps);
-    disarm_trace();
 
     EXPECT_EQ(baseline, with_trace);
     EXPECT_EQ(trace.size(), static_cast<std::size_t>(kSteps));
@@ -150,8 +164,9 @@ TEST(EngineTrace, TracingNeverPerturbsTrajectories) {
 template <typename Process>
 void expect_records_carry_gauges() {
     StepTrace trace;
+    auto sink = tracing(trace);
+    const ScopedCounterSink scope{sink};
     Process process{small_config()};
-    process.set_trace(&trace);
     std::vector<std::int64_t> done;
     std::vector<std::int64_t> occupied;
     for (int s = 0; s < 10; ++s) {
@@ -181,7 +196,7 @@ TEST(EngineTrace, RecordsCarryGaugesAndStepNumbers) {
 }
 
 // GoldenGossip.ReproducesSeedImplementationBitForBit's first config, run
-// with the trace armed: the gossip engine claims it, traces every step,
+// under a traced sink: the gossip engine takes the trace, traces every step,
 // and reproduces the same T_G and rumor times.
 TEST(EngineTrace, ArmedTraceLeavesGossipGoldensIntact) {
     core::EngineConfig cfg;
@@ -190,9 +205,11 @@ TEST(EngineTrace, ArmedTraceLeavesGossipGoldensIntact) {
     cfg.radius = 2;
     cfg.seed = 4;
     StepTrace trace;
-    arm_trace(&trace);
-    const auto res = core::run_gossip(cfg);
-    disarm_trace();
+    auto sink = tracing(trace);
+    const auto res = [&] {
+        const ScopedCounterSink scope{sink};
+        return core::run_gossip(cfg);
+    }();
     EXPECT_EQ(res.gossip_time, 117);
     EXPECT_EQ(res.max_rumor_broadcast_time, 117);
     EXPECT_EQ(res.min_rumor_broadcast_time, 79);
@@ -209,8 +226,9 @@ TEST(EngineTrace, ArmedTraceLeavesGossipGoldensIntact) {
 // units field is the occupied count at the same pass).
 TEST(EngineCounters, RescannedPlusReplayedTilesOccupiedUnitsEachStep) {
     StepTrace trace;
+    auto sink = tracing(trace);
+    const ScopedCounterSink scope{sink};
     core::BroadcastProcess process{small_config()};
-    process.set_trace(&trace);
     // Stop at completion: post-saturation steps take the lazy path (no
     // component pass), which the invariant deliberately doesn't cover.
     for (int s = 0; s < 60 && !process.complete(); ++s) process.step();
@@ -347,7 +365,10 @@ TEST(EngineCounters, ReportsTheDocumentedNames) {
 
 template <typename Process>
 void expect_flush_exactly_once() {
-    CounterSink sink;
+    // The outer sink also carries a trace: its first engine traces (and
+    // times its phases) yet, the sink being untimed, reports no timing.*.
+    StepTrace trace;
+    auto sink = tracing(trace);
     CounterSink inner;
     inner.timed = true;
     Counters totals;
@@ -367,6 +388,8 @@ void expect_flush_exactly_once() {
         Process moved{std::move(process)};
     }
     EXPECT_EQ(counter_sink(), nullptr);
+    EXPECT_EQ(sink.trace, nullptr);
+    EXPECT_EQ(trace.size(), 8u);  // the first engine's steps only
     ASSERT_EQ(sink.metrics.size(), totals.size() + 1);  // + obs.agents, no timing.*
     EXPECT_EQ(sink.metrics.at("obs.agents"), small_config().k);
     EXPECT_GT(counter(totals, "scan.passes"), 0.0);
@@ -392,9 +415,9 @@ TEST(EngineCounters, DestructorFlushesToSinkExactlyOnce) {
 template <typename Process>
 void expect_trace_deltas_sum_to_counters(const core::EngineConfig& cfg, int extra) {
     StepTrace trace{1 << 16};
-    arm_trace(&trace);
+    auto sink = tracing(trace);
+    const ScopedCounterSink scope{sink};
     Process process{cfg};
-    disarm_trace();
     const auto at_attach = process.counters();
     ASSERT_TRUE(process.run_until_complete(1 << 15).has_value());
     for (int s = 0; s < extra; ++s) process.step();

@@ -167,8 +167,8 @@ int run(int argc, char** argv) {
     const bool timings = args.get_flag("timings");
     // Telemetry opt-ins, both host/build-dependent (never in default
     // output): --counters appends the per-record "counters" object;
-    // --trace=FILE dumps the per-step timeline of one replication (the
-    // first engine constructed).
+    // --trace=FILE dumps the per-step timeline of one replication, the
+    // same one at any --threads (see RunOptions::trace).
     const bool counters = args.get_flag("counters");
     const std::string trace_path = args.get_string("trace", "");
     // Progress/ETA: on for interactive runs, opt-in (--progress) for
@@ -177,9 +177,9 @@ int run(int argc, char** argv) {
     const bool no_progress = args.get_flag("no-progress");
 
     exp::RunOptions options;
-    options.quick = args.quick();
+    const bool quick = args.quick();
     options.timings = timings;
-    options.reps = static_cast<int>(args.get_int("reps", options.quick ? 3 : 8));
+    options.reps = static_cast<int>(args.get_int("reps", quick ? 3 : 8));
     options.seed = static_cast<std::uint64_t>(args.get_int("seed", 20110601));
     options.threads = args.threads();
     options.retries = static_cast<int>(args.get_int("retries", 0));
@@ -222,7 +222,7 @@ int run(int argc, char** argv) {
     for (const auto* scenario : selected) {
         const std::string sweep_text =
             !sweep_arg.empty() ? sweep_arg
-                               : (options.quick ? scenario->quick_sweep
+                               : (quick ? scenario->quick_sweep
                                                 : scenario->default_sweep);
         sweeps.push_back(exp::SweepSpec::parse(sweep_text));
         sweep_texts.push_back(sweep_text);
@@ -285,11 +285,12 @@ int run(int argc, char** argv) {
         exp::write_provenance(os, prov);
     }
 
-    // --trace: arm a step-trace ring; the first engine (broadcast or
-    // gossip) constructed afterwards claims it (obs::claim_trace) and
-    // records one replication's per-step timeline. Observational only.
+    // --trace: one step-trace ring for the whole run. Each scenario's
+    // sweep gets it until one has filled it; the runner hands it to the
+    // first engine of the sweep's lowest-index computed unit
+    // (RunOptions::trace), so the traced replication is the same at any
+    // --threads. A scenario with no engine leaves it empty.
     obs::StepTrace trace;
-    if (!trace_path.empty()) obs::arm_trace(&trace);
 
     const bool tty = isatty(fileno(stderr)) != 0;
     ProgressReporter progress{tty};
@@ -307,6 +308,7 @@ int run(int argc, char** argv) {
                   << " point(s) x " << options.reps << " rep(s), sweep \"" << sweep_texts[i]
                   << "\"\n";
         progress.begin(scenario->name);
+        options.trace = !trace_path.empty() && trace.size() == 0 ? &trace : nullptr;
         std::vector<exp::PointResult> results;
         try {
             results = exp::run_sweep(*scenario, sweep, options);
@@ -327,7 +329,6 @@ int run(int argc, char** argv) {
         if (format == "jsonl") exp::write_failed_units(os, results);
     }
     if (!trace_path.empty()) {
-        obs::disarm_trace();
         const auto parent = std::filesystem::path{trace_path}.parent_path();
         if (!parent.empty()) std::filesystem::create_directories(parent);
         std::ofstream trace_file{trace_path, std::ios::trunc};
