@@ -5,19 +5,19 @@
 # set — mixing ISAs across translation units that include the same inline
 # kernels would be an ODR violation waiting to happen.
 #
-# Backends (see src/util/simd.hpp for the kernel-facing contract):
+# Selection between the two backends, AVX2 and scalar (see src/util/simd.hpp
+# for the kernel-facing contract):
 #  * -DSMN_DISABLE_SIMD=ON  — force the scalar backend everywhere. This is
 #    the CI force-scalar leg; determinism tests compare its goldens against
 #    the vectorized build's.
 #  * x86-64 where the compiler accepts -mavx2 — AVX2. Note this makes the
 #    binaries require an AVX2-capable host (any x86-64-v3 machine, i.e.
 #    Haswell 2013 onward); pass SMN_DISABLE_SIMD=ON to build for older CPUs.
-#  * AArch64 — NEON, no extra flags needed (baseline on arm64).
-#  * anything else — scalar.
+#  * anything else (AArch64 included) — scalar.
 
 include(CheckCXXSourceCompiles)
 
-option(SMN_DISABLE_SIMD "Force the scalar kernel backend (no AVX2/NEON)" OFF)
+option(SMN_DISABLE_SIMD "Force the scalar kernel backend (no AVX2)" OFF)
 
 add_library(smn_simd INTERFACE)
 add_library(smn::simd ALIAS smn_simd)
@@ -41,10 +41,8 @@ elseif(CMAKE_SYSTEM_PROCESSOR MATCHES "^(x86_64|amd64|AMD64)$")
   else()
     set(SMN_SIMD_BACKEND "scalar (no AVX2 compiler support)")
   endif()
-elseif(CMAKE_SYSTEM_PROCESSOR MATCHES "^(aarch64|arm64)$")
-  set(SMN_SIMD_BACKEND "neon")
 else()
-  set(SMN_SIMD_BACKEND "scalar (unrecognized architecture)")
+  set(SMN_SIMD_BACKEND "scalar (not x86-64)")
 endif()
 
 message(STATUS "smn: SIMD backend: ${SMN_SIMD_BACKEND}")

@@ -6,23 +6,26 @@
 // are written once against the two wrapper types below; gossip's
 // per-rumor tally (core/gossip.cpp) uses the two byte-lane kernels
 // add_bit_lanes and fold_byte_lanes. All of it is compiled against one of
-// three backends, selected at CONFIGURE time (never at runtime — a runtime
+// two backends, selected at CONFIGURE time (never at runtime — a runtime
 // dispatch would put an unpredictable branch in loops that run billions of
 // times):
 //
 //  * AVX2   — x86-64 with -mavx2 (cmake/Simd.cmake probes the compiler and
 //             adds the flag; the binary then requires an AVX2 host).
-//  * NEON   — AArch64 (no extra flags; NEON is baseline on arm64).
-//  * scalar — everything else, or any build configured with
-//             -DSMN_DISABLE_SIMD=ON. Plain loops over small arrays; the
-//             force-scalar CI leg runs the full test suite against it.
+//  * scalar — everything else (AArch64 included), or any build configured
+//             with -DSMN_DISABLE_SIMD=ON. Plain loops over small arrays;
+//             the force-scalar CI leg runs the full test suite against it.
 //
-// Lane widths are fixed at 8×int32 / 4×uint64 on every backend (the NEON
-// backend pairs two 128-bit registers) so kernel code never branches on
-// width. Masks are carried as lane vectors (all-ones per true lane).
+// A new op goes into both backends. Only these two are built, tested and
+// benchmarked; another ISA's backend belongs here once a CI runner and a
+// benchmark host of that ISA can exercise it.
+//
+// Lane widths are fixed at 8×int32 / 4×uint64 on both backends so kernel
+// code never branches on width. Masks are carried as lane vectors
+// (all-ones per true lane).
 //
 // Determinism note: every operation here is exact integer arithmetic —
-// identical results on every backend by construction. There is no
+// identical results on both backends by construction. There is no
 // floating point, no FMA, no reassociation. The SIMD-vs-scalar golden
 // tests (tests/determinism_test.cpp, force-scalar CI leg) enforce this
 // end to end.
@@ -35,16 +38,13 @@
 #if !defined(SMN_DISABLE_SIMD) && defined(__AVX2__)
 #define SMN_SIMD_AVX2 1
 #include <immintrin.h>
-#elif !defined(SMN_DISABLE_SIMD) && defined(__ARM_NEON) && defined(__aarch64__)
-#define SMN_SIMD_NEON 1
-#include <arm_neon.h>
 #else
 #define SMN_SIMD_SCALAR 1
 #endif
 
 namespace smn::util::simd {
 
-/// Lanes per I32x8 / U64x4 — fixed on every backend.
+/// Lanes per I32x8 / U64x4 — fixed on both backends.
 inline constexpr int kI32Lanes = 8;
 inline constexpr int kU64Lanes = 4;
 /// Byte lanes add_bit_lanes / fold_byte_lanes touch: one per bit of a word.
@@ -213,172 +213,6 @@ inline void add_bit_lanes(std::uint64_t bits, std::uint8_t* lanes) noexcept {
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes), zero);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(lanes + 32), zero);
-    return hit;
-}
-
-#elif defined(SMN_SIMD_NEON)
-
-// ------------------------------------------------------------- NEON backend
-// 128-bit registers paired to keep the 8×int32 / 4×uint64 shape.
-
-struct I32x8 {
-    int32x4_t lo;
-    int32x4_t hi;
-
-    [[nodiscard]] static I32x8 load(const std::int32_t* p) noexcept {
-        return {vld1q_s32(p), vld1q_s32(p + 4)};
-    }
-    [[nodiscard]] static I32x8 splat(std::int32_t x) noexcept {
-        return {vdupq_n_s32(x), vdupq_n_s32(x)};
-    }
-    void store(std::int32_t* p) const noexcept {
-        vst1q_s32(p, lo);
-        vst1q_s32(p + 4, hi);
-    }
-};
-
-[[nodiscard]] inline I32x8 add(I32x8 a, I32x8 b) noexcept {
-    return {vaddq_s32(a.lo, b.lo), vaddq_s32(a.hi, b.hi)};
-}
-[[nodiscard]] inline I32x8 bit_and(I32x8 a, I32x8 b) noexcept {
-    return {vandq_s32(a.lo, b.lo), vandq_s32(a.hi, b.hi)};
-}
-[[nodiscard]] inline I32x8 bit_or(I32x8 a, I32x8 b) noexcept {
-    return {vorrq_s32(a.lo, b.lo), vorrq_s32(a.hi, b.hi)};
-}
-[[nodiscard]] inline I32x8 cmpgt(I32x8 a, I32x8 b) noexcept {
-    return {vreinterpretq_s32_u32(vcgtq_s32(a.lo, b.lo)),
-            vreinterpretq_s32_u32(vcgtq_s32(a.hi, b.hi))};
-}
-template <int N>
-[[nodiscard]] inline I32x8 shift_left(I32x8 a) noexcept {
-    return {vshlq_n_s32(a.lo, N), vshlq_n_s32(a.hi, N)};
-}
-template <int N>
-[[nodiscard]] inline I32x8 shift_right_arith(I32x8 a) noexcept {
-    return {vshrq_n_s32(a.lo, N), vshrq_n_s32(a.hi, N)};
-}
-[[nodiscard]] inline I32x8 gather(const std::int32_t* table, I32x8 idx) noexcept {
-    std::int32_t is[8];
-    idx.store(is);
-    const std::int32_t g[8] = {table[is[0]], table[is[1]], table[is[2]], table[is[3]],
-                               table[is[4]], table[is[5]], table[is[6]], table[is[7]]};
-    return I32x8::load(g);
-}
-inline void store_interleaved(std::int32_t* dst, I32x8 a, I32x8 b) noexcept {
-    int32x4x2_t lo{{a.lo, b.lo}};
-    int32x4x2_t hi{{a.hi, b.hi}};
-    vst2q_s32(dst, lo);
-    vst2q_s32(dst + 8, hi);
-}
-
-struct U64x4 {
-    uint64x2_t lo;
-    uint64x2_t hi;
-
-    [[nodiscard]] static U64x4 load(const std::uint64_t* p) noexcept {
-        return {vld1q_u64(p), vld1q_u64(p + 2)};
-    }
-    [[nodiscard]] static U64x4 splat(std::uint64_t x) noexcept {
-        return {vdupq_n_u64(x), vdupq_n_u64(x)};
-    }
-    void store(std::uint64_t* p) const noexcept {
-        vst1q_u64(p, lo);
-        vst1q_u64(p + 2, hi);
-    }
-    [[nodiscard]] static U64x4 load_bytes(const void* p) noexcept {
-        const auto* b = static_cast<const std::uint8_t*>(p);
-        return {vreinterpretq_u64_u8(vld1q_u8(b)), vreinterpretq_u64_u8(vld1q_u8(b + 16))};
-    }
-    void store_bytes(void* p) const noexcept {
-        auto* b = static_cast<std::uint8_t*>(p);
-        vst1q_u8(b, vreinterpretq_u8_u64(lo));
-        vst1q_u8(b + 16, vreinterpretq_u8_u64(hi));
-    }
-};
-
-[[nodiscard]] inline U64x4 add(U64x4 a, U64x4 b) noexcept {
-    return {vaddq_u64(a.lo, b.lo), vaddq_u64(a.hi, b.hi)};
-}
-[[nodiscard]] inline U64x4 bit_and(U64x4 a, U64x4 b) noexcept {
-    return {vandq_u64(a.lo, b.lo), vandq_u64(a.hi, b.hi)};
-}
-[[nodiscard]] inline U64x4 bit_or(U64x4 a, U64x4 b) noexcept {
-    return {vorrq_u64(a.lo, b.lo), vorrq_u64(a.hi, b.hi)};
-}
-[[nodiscard]] inline U64x4 and_not(U64x4 a, U64x4 b) noexcept {
-    return {vbicq_u64(a.lo, b.lo), vbicq_u64(a.hi, b.hi)};
-}
-[[nodiscard]] inline U64x4 cmpeq(U64x4 a, U64x4 b) noexcept {
-    return {vceqq_u64(a.lo, b.lo), vceqq_u64(a.hi, b.hi)};
-}
-template <int N>
-[[nodiscard]] inline U64x4 shift_left(U64x4 a) noexcept {
-    return {vshlq_n_u64(a.lo, N), vshlq_n_u64(a.hi, N)};
-}
-template <int N>
-[[nodiscard]] inline U64x4 shift_right(U64x4 a) noexcept {
-    return {vshrq_n_u64(a.lo, N), vshrq_n_u64(a.hi, N)};
-}
-[[nodiscard]] inline bool any(U64x4 a) noexcept {
-    return (vgetq_lane_u64(vorrq_u64(a.lo, a.hi), 0) |
-            vgetq_lane_u64(vorrq_u64(a.lo, a.hi), 1)) != 0;
-}
-inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
-    const uint32x4_t narrow = vcombine_u32(vmovn_u64(a.lo), vmovn_u64(a.hi));
-    vst1q_s32(dst, vreinterpretq_s32_u32(narrow));
-}
-[[nodiscard]] inline U64x4 gather_bytes(const std::uint8_t* base, U64x4 offsets) noexcept {
-    std::uint64_t at[4];
-    offsets.store(at);
-    std::uint64_t w[4];
-    for (int i = 0; i < 4; ++i) std::memcpy(&w[i], base + at[i], sizeof w[i]);  // AArch64 is LE
-    return U64x4::load(w);
-}
-/// USHL shifts left by a signed count, so a negated count shifts right.
-[[nodiscard]] inline U64x4 shift_right(U64x4 a, U64x4 counts) noexcept {
-    return {vshlq_u64(a.lo, vnegq_s64(vreinterpretq_s64_u64(counts.lo))),
-            vshlq_u64(a.hi, vnegq_s64(vreinterpretq_s64_u64(counts.hi)))};
-}
-[[nodiscard]] inline unsigned nonzero_mask(U64x4 a) noexcept {
-    return static_cast<unsigned>(vgetq_lane_u64(a.lo, 0) != 0) |
-           static_cast<unsigned>(vgetq_lane_u64(a.lo, 1) != 0) << 1 |
-           static_cast<unsigned>(vgetq_lane_u64(a.hi, 0) != 0) << 2 |
-           static_cast<unsigned>(vgetq_lane_u64(a.hi, 1) != 0) << 3;
-}
-/// 16 lanes per chunk: the low 8 take source byte 2c, the high 8 byte
-/// 2c + 1; VTST turns each selected bit into an all-ones byte.
-inline void add_bit_lanes(std::uint64_t bits, std::uint8_t* lanes) noexcept {
-    const uint8x16_t bit = vreinterpretq_u8_u64(vdupq_n_u64(0x8040201008040201ULL));
-    for (int c = 0; c < 4; ++c) {
-        const uint8x16_t spread =
-            vcombine_u8(vdup_n_u8(static_cast<std::uint8_t>(bits >> (16 * c))),
-                        vdup_n_u8(static_cast<std::uint8_t>(bits >> (16 * c + 8))));
-        auto* p = lanes + 16 * c;
-        vst1q_u8(p, vsubq_u8(vld1q_u8(p), vtstq_u8(spread, bit)));
-    }
-}
-[[nodiscard]] inline std::uint64_t fold_byte_lanes(std::uint8_t* lanes, std::int32_t* counts,
-                                                   std::int32_t target) noexcept {
-    const int32x4_t want = vdupq_n_s32(target);
-    const std::uint32_t weight_bits[4] = {1, 2, 4, 8};
-    const uint32x4_t weight = vld1q_u32(weight_bits);
-    std::uint64_t hit = 0;
-    for (int c = 0; c < 4; ++c) {
-        const uint8x16_t d8 = vld1q_u8(lanes + 16 * c);
-        const uint16x8_t d16[2] = {vmovl_u8(vget_low_u8(d8)), vmovl_u8(vget_high_u8(d8))};
-        for (int q = 0; q < 4; ++q) {
-            const uint16x8_t wide = d16[q / 2];
-            const uint32x4_t delta =
-                q % 2 == 0 ? vmovl_u16(vget_low_u16(wide)) : vmovl_u16(vget_high_u16(wide));
-            auto* cp = counts + 16 * c + 4 * q;
-            const int32x4_t sum = vaddq_s32(vld1q_s32(cp), vreinterpretq_s32_u32(delta));
-            vst1q_s32(cp, sum);
-            const uint32x4_t reached = vandq_u32(vceqq_s32(sum, want), vtstq_u32(delta, delta));
-            hit |= std::uint64_t{vaddvq_u32(vandq_u32(reached, weight))} << (16 * c + 4 * q);
-        }
-        vst1q_u8(lanes + 16 * c, vdupq_n_u8(0));
-    }
     return hit;
 }
 

@@ -23,7 +23,7 @@
 // lo5 = 5·lo, both < 2^35, so
 //   hi64(word·5) = (hi5 + (lo5 >> 32)) >> 32
 // computes exactly in 64-bit lanes using only shifts and adds — all of
-// which AVX2/NEON have for 64-bit elements (they lack 64×64 multiplies).
+// which AVX2 has for 64-bit elements (it lacks a 64×64 multiply).
 #pragma once
 
 #include <cstddef>

@@ -20,7 +20,7 @@
 // trajectories (see docs/performance.md for the invariant).
 //
 // The lazy-paper paths (step_all, and the Frog model's step_subset) are
-// additionally vectorized end to end (util/simd.hpp — AVX2/NEON/scalar
+// additionally vectorized end to end (util/simd.hpp — AVX2 or scalar,
 // selected at configure time): the Lemire decode runs 4 words per 64-bit
 // vector (walk/decode.hpp) and the position update runs 8 agents per
 // 32-bit vector — boundary mask, packed step-table gather, SoA stores and
@@ -28,7 +28,7 @@
 // leaves the vector path. step_subset gives each frozen agent the stay
 // draw kStayDraw (walk/step.hpp), so it runs step_all's apply pass. Lanes are
 // just a partition of the agent order, so the trajectories (and the word
-// stream, which the decode never reorders) stay bit-identical across
+// stream, which the decode never reorders) stay bit-identical on both
 // backends — the force-scalar CI leg replays the same goldens to prove it.
 #pragma once
 

@@ -126,7 +126,7 @@ RULES = [
         "src",
         "ISA intrinsics outside src/util/simd.hpp escape the force-scalar "
         "build, whose goldens prove bit-identity only for kernels written "
-        "against that layer; add the op to all three backends there",
+        "against that layer; add the op to both backends there",
         includes=True,
         exempt="src/util/simd.hpp",
     ),
