@@ -1,6 +1,8 @@
 // churn_test.cpp — broadcast under agent churn, and CellReachObserver.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/cell_observer.hpp"
@@ -31,6 +33,47 @@ TEST(Churn, RejectsBadConfig) {
     EXPECT_THROW((models::ColocationBroadcast{g, cfg}), std::invalid_argument);
 }
 
+// Steps ColocationBroadcast<Grid2D> at churn 0 and BroadcastProcess at
+// r = 0 from the same seed and requires the same positions and informed
+// flags at t = 0 and after every step: until both complete (on the same
+// step), or for `prefix` steps when `prefix` > 0. The two share only the
+// RNG and the co-location table; one walks agent by agent through
+// walk::step, the other block-draws and decodes through the SIMD layer.
+void expect_same_trajectory(grid::Coord side, std::int32_t k, std::uint64_t seed,
+                            walk::WalkKind walk, std::int64_t prefix) {
+    SCOPED_TRACE(testing::Message() << "side " << side << " k " << k << " seed " << seed
+                                    << " walk " << walk::walk_kind_name(walk));
+    models::ColocationConfig ccfg;
+    ccfg.k = k;
+    ccfg.seed = seed;
+    ccfg.walk = walk;
+    models::ColocationBroadcast churn{grid::Grid2D::square(side), ccfg};
+    core::EngineConfig ecfg;
+    ecfg.side = side;
+    ecfg.k = k;
+    ecfg.seed = seed;
+    ecfg.walk = walk;
+    core::BroadcastProcess engine{ecfg};
+    const std::int64_t cap = prefix > 0 ? prefix : std::int64_t{1} << 22;
+    for (std::int64_t t = 0;; ++t) {
+        const auto& rumor = engine.view().rumor;
+        for (std::int32_t a = 0; a < k; ++a) {
+            ASSERT_EQ(churn.position(a), engine.agents().position(a)) << "t " << t << " agent " << a;
+            ASSERT_EQ(churn.is_informed(a), rumor.is_informed(a)) << "t " << t << " agent " << a;
+        }
+        ASSERT_EQ(churn.complete(), engine.complete()) << "t " << t;
+        if (engine.complete() || t == cap) {
+            ASSERT_TRUE(prefix > 0 || engine.complete()) << "no completion within " << cap;
+            return;
+        }
+        churn.step();
+        engine.step();
+    }
+}
+
+// The churn model at rate 0 is the paper's r = 0 broadcast word for word,
+// so it witnesses the engine pathwise. The simple walk is compared over a
+// prefix only: its parity can keep two agents apart forever at r = 0.
 TEST(Churn, ZeroChurnBehavesLikePlainBroadcast) {
     models::ColocationConfig cfg;
     cfg.k = 6;
@@ -40,6 +83,21 @@ TEST(Churn, ZeroChurnBehavesLikePlainBroadcast) {
     EXPECT_TRUE(result.completed);
     EXPECT_FALSE(result.extinct);
     EXPECT_EQ(result.replacements, 0);
+
+    constexpr std::int64_t kSimplePrefix = 500;
+    for (const grid::Coord side : {1, 2, 5, 8, 16, 32, 64}) {
+        for (const std::int32_t k : {1, 2, 7, 16, 64, 300}) {
+            for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+                for (const auto& [walk, prefix] :
+                     {std::pair{walk::WalkKind::kLazyPaper, std::int64_t{0}},
+                      std::pair{walk::WalkKind::kLazyHalf, std::int64_t{0}},
+                      std::pair{walk::WalkKind::kSimple, kSimplePrefix}}) {
+                    expect_same_trajectory(side, k, seed, walk, prefix);
+                    if (HasFatalFailure()) return;
+                }
+            }
+        }
+    }
 }
 
 TEST(Churn, RelocationChurnAlwaysCompletes) {
