@@ -2,7 +2,7 @@
 # crash_resume.sh — end-to-end crash-safety check for journaled sweeps
 # (docs/robustness.md). Legs 1-3 each assert that the merged output is
 # byte-identical to an uninterrupted reference run; leg 4 bounds what the
-# journal costs:
+# journal costs; leg 5 checks that a failed fsync keeps the records:
 #
 #   1. SIGKILL: a journaled sweep is killed with -9 mid-flight, then
 #      finished with --resume. The journal's torn final line (if the kill
@@ -14,6 +14,8 @@
 #   4. Journaling overhead: the time the journal spends in its own appends
 #      and fsync (the timing record's journal_s) must stay within 2% of
 #      the journaled sweep's wall clock (sweep_wall_s).
+#   5. Failed fsync: a journal on /dev/null cannot be fsynced, so the run
+#      must exit nonzero, yet still write the point's completed record.
 #
 # Usage: scripts/crash_resume.sh [build-dir] [work-dir]
 set -euo pipefail
@@ -124,5 +126,27 @@ print(f"  journal appends + fsync: {journal * 1e3:.3f} ms of a {wall:.3f} s swee
       f"{share:.3f}% (budget 2%)")
 sys.exit(f"crash_resume: journaling costs {share:.2f}% of sweep wall" if share > 2.0 else 0)
 PY
+
+# ---------------------------------------------------------------- leg 5
+echo "[crash_resume] leg 5: a failed journal fsync still writes the records"
+set +e
+"${lab}" --scenario=gossip --sweep="side=12;k=4" --reps=2 --no-progress \
+    --journal=/dev/null --out="${work_dir}/unsynced.jsonl" 2> "${work_dir}/unsynced.err"
+status=$?
+set -e
+[ "${status}" -ne 0 ] || {
+    echo "crash_resume: a failed journal fsync exited 0" >&2
+    exit 1
+}
+grep -q 'fsync failed' "${work_dir}/unsynced.err" || {
+    echo "crash_resume: the fsync error was not reported" >&2
+    cat "${work_dir}/unsynced.err" >&2
+    exit 1
+}
+grep -q '"scenario":"gossip"' "${work_dir}/unsynced.jsonl" || {
+    echo "crash_resume: the point record is missing after the failed fsync" >&2
+    exit 1
+}
+echo "  exit ${status} with the fsync error, point record written"
 
 echo "crash_resume: all legs OK"

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/counter_sink.hpp"
@@ -125,8 +126,17 @@ std::vector<PointResult> run_points(const Scenario& scenario,
             }
         });
     // The journal is made durable inside the pass's wall clock, so the
-    // journal time reported with it covers every append and the fsync.
-    if (options.journal != nullptr) options.journal->sync();
+    // journal time reported with it covers every append and the fsync. A
+    // failed fsync is raised only after aggregation (JournalSyncFailed),
+    // so the units computed here are not lost with it.
+    std::optional<io::JournalError> sync_error;
+    if (options.journal != nullptr) {
+        try {
+            options.journal->sync();
+        } catch (const io::JournalError& err) {
+            sync_error = err;
+        }
+    }
     if (skipped.load(std::memory_order_relaxed) > 0) {
         throw Interrupted("run interrupted with " +
                           std::to_string(skipped.load(std::memory_order_relaxed)) + " of " +
@@ -214,6 +224,7 @@ std::vector<PointResult> run_points(const Scenario& scenario,
         }
         results.push_back(std::move(result));
     }
+    if (sync_error) throw JournalSyncFailed{*sync_error, std::move(results)};
     return results;
 }
 

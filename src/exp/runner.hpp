@@ -25,6 +25,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/scenario.hpp"
@@ -143,6 +144,18 @@ struct PointResult {
     /// Sample for `name`; throws std::out_of_range when no replication
     /// reported it.
     [[nodiscard]] const stats::Sample& metric(const std::string& name) const;
+};
+
+/// Thrown by run_point/run_sweep when every unit completed but the
+/// journal's closing fsync failed (io::SweepJournal::sync). The pass's
+/// records are complete and travel with the error, so a caller can still
+/// write them before reporting that the journal is not durable.
+class JournalSyncFailed : public io::JournalError {
+public:
+    JournalSyncFailed(const io::JournalError& cause, std::vector<PointResult> completed)
+        : io::JournalError{cause}, results{std::move(completed)} {}
+
+    std::vector<PointResult> results;  ///< what run_sweep would have returned
 };
 
 /// Deterministic seed of a parameter point (exposed for tests).

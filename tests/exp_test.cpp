@@ -799,6 +799,33 @@ TEST(JsonlWriter, JournaledTimingsReportTheJournalsOwnTime) {
     EXPECT_DOUBLE_EQ(record.at("timing").at("journal_s").number(), *result.journal_seconds);
 }
 
+TEST(RunSweep, FailedJournalSyncStillDeliversTheRecords) {
+    // fsync on a character device fails (EINVAL) after every unit has
+    // completed: the error must carry the sweep's records, the same ones a
+    // run without a journal returns, so a caller can still write them.
+    const auto scenario = synthetic_scenario();
+    const auto sweep = exp::SweepSpec::parse("a=1,2;b=3");
+    exp::RunOptions options;
+    options.reps = 3;
+    const auto plain = exp::run_sweep(scenario, sweep, options);
+    io::SweepJournal journal{"/dev/null", 1, /*resume=*/false};
+    options.journal = &journal;
+    try {
+        (void)exp::run_sweep(scenario, sweep, options);
+        FAIL() << "a failed fsync must not report success";
+    } catch (const exp::JournalSyncFailed& err) {
+        EXPECT_NE(std::string{err.what()}.find("fsync failed"), std::string::npos);
+        ASSERT_EQ(err.results.size(), plain.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+            std::ostringstream want;
+            std::ostringstream got;
+            exp::JsonlWriter{want}.write(plain[i]);
+            exp::JsonlWriter{got}.write(err.results[i]);
+            EXPECT_EQ(got.str(), want.str()) << i;
+        }
+    }
+}
+
 TEST(RunPoint, TolerantModeCollectsFailuresAndAggregatesTheRest) {
     auto scenario = synthetic_scenario();
     exp::RunOptions options;

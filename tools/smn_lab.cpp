@@ -28,12 +28,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.hpp"
@@ -310,6 +312,9 @@ int run(int argc, char** argv) {
         progress.begin(scenario->name);
         options.trace = !trace_path.empty() && trace.size() == 0 ? &trace : nullptr;
         std::vector<exp::PointResult> results;
+        // A failed journal fsync ends the run once this sweep's completed
+        // records are written (exit 2, through main's handler).
+        std::exception_ptr sync_error;
         try {
             results = exp::run_sweep(*scenario, sweep, options);
         } catch (const exp::Interrupted& err) {
@@ -317,6 +322,9 @@ int run(int argc, char** argv) {
                       << "finish with: --resume=" << (journal ? journal->path() : "JOURNAL")
                       << " (plus the original options)\n";
             return 130;
+        } catch (exp::JournalSyncFailed& err) {
+            results = std::move(err.results);
+            sync_error = std::current_exception();
         }
         for (const auto& result : results) {
             if (format == "csv") {
@@ -327,6 +335,7 @@ int run(int argc, char** argv) {
             failed_reps += result.failures.size();
         }
         if (format == "jsonl") exp::write_failed_units(os, results);
+        if (sync_error) std::rethrow_exception(sync_error);
     }
     if (!trace_path.empty()) {
         const auto parent = std::filesystem::path{trace_path}.parent_path();
