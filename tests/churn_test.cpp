@@ -58,8 +58,12 @@ void expect_same_trajectory(grid::Coord side, std::int32_t k, std::uint64_t seed
     for (std::int64_t t = 0;; ++t) {
         const auto& rumor = engine.view().rumor;
         for (std::int32_t a = 0; a < k; ++a) {
-            ASSERT_EQ(churn.position(a), engine.agents().position(a)) << "t " << t << " agent " << a;
-            ASSERT_EQ(churn.is_informed(a), rumor.is_informed(a)) << "t " << t << " agent " << a;
+            if (churn.position(a) != engine.agents().position(a) ||
+                churn.is_informed(a) != rumor.is_informed(a)) {
+                FAIL() << "t " << t << " agent " << a << ": churn " << churn.position(a)
+                       << " informed " << churn.is_informed(a) << ", engine "
+                       << engine.agents().position(a) << " informed " << rumor.is_informed(a);
+            }
         }
         ASSERT_EQ(churn.complete(), engine.complete()) << "t " << t;
         if (engine.complete() || t == cap) {
