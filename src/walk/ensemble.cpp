@@ -1,10 +1,9 @@
 // ensemble.cpp — AgentEnsemble's walk kernel, compiled once.
 //
-// The step entry points and the two block passes live here, not in the
-// header, so every binary runs this object's code. As header-inline
-// members each includer compiled its own weak copy, the linker kept
-// whichever it met first, and that copy's inlining shifted with edits to
-// unrelated headers.
+// The step entry points and the two block passes are defined here, not in
+// the header, so every binary runs this one compiled copy: an inline copy
+// would be compiled into each includer, and which one the linker keeps,
+// and what got inlined into it, would depend on unrelated headers.
 #include "walk/ensemble.hpp"
 
 #include <algorithm>

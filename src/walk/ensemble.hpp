@@ -31,8 +31,8 @@
 // stream, which the decode never reorders) stay bit-identical on both
 // backends — the force-scalar CI leg replays the same goldens to prove it.
 //
-// The kernel is defined once, in walk/ensemble.cpp; only the paperbench
-// adapters below stay header templates.
+// The kernel is defined in walk/ensemble.cpp; the paperbench adapters
+// below are header templates.
 #pragma once
 
 #include <cassert>
