@@ -17,7 +17,6 @@
 #include "graph/visibility.hpp"
 #include "grid/grid.hpp"
 #include "rng/rng.hpp"
-#include "walk/decode.hpp"
 #include "walk/ensemble.hpp"
 
 namespace {
@@ -35,7 +34,8 @@ void BM_WalkStepAll(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * k);
 }
-BENCHMARK(BM_WalkStepAll)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+// 1000: one partial 1024-agent block.
+BENCHMARK(BM_WalkStepAll)->Arg(64)->Arg(256)->Arg(1000)->Arg(1024)->Arg(4096);
 
 /// The Frog model's walk: a fixed random half of the k agents moves, the
 /// rest take the stay draw. Items are all k agents, as in BM_WalkStepAll.
@@ -121,31 +121,6 @@ void BM_ComponentStats(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ComponentStats)->Arg(256)->Arg(4096);
-
-// ------------------------------------------------- vectorized kernel diffs
-//
-// The walk decode kernel timed against its always-scalar reference, so one
-// binary shows the backend's speedup (or, on a force-scalar build,
-// confirms parity). Both process identical inputs; the reference is the
-// function the bit-identity suite diffs against.
-
-void BM_WalkDecode5(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    rng::Rng rng{7};
-    std::vector<std::uint64_t> words(n);
-    for (auto& w : words) w = rng.next_u64();
-    std::vector<std::int32_t> draws(n);
-    const bool scalar = state.range(1) != 0;
-    for (auto _ : state) {
-        const bool ok = scalar ? walk::decode_draws5_scalar(words.data(), n, draws.data())
-                               : walk::decode_draws5(words.data(), n, draws.data());
-        benchmark::DoNotOptimize(ok);
-        benchmark::DoNotOptimize(draws.data());
-    }
-    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-    state.SetLabel(scalar ? "scalar-ref" : "backend");
-}
-BENCHMARK(BM_WalkDecode5)->Args({4096, 0})->Args({4096, 1});
 
 // One replication run to completion per iteration (args: side, k, r), the
 // next seed each time; items are agent-steps. A whole run rather than a

@@ -8,6 +8,7 @@
 // reproducible across implementations, so we avoid it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -26,8 +27,18 @@ public:
     /// Seeds the underlying engine from a single 64-bit seed.
     explicit Rng(std::uint64_t seed = 0xC0FFEE5EEDULL) noexcept : engine_{seed} {}
 
+    /// Starts the engine at a full xoshiro256 state. Precondition: not all
+    /// zero. Lets a test place a chosen word (a zero, say) in the stream.
+    explicit Rng(const std::array<std::uint64_t, 4>& state) noexcept : engine_{state} {}
+
     /// Raw 64 random bits.
     std::uint64_t next_u64() noexcept { return engine_(); }
+
+    /// The next raw word before xoshiro256**'s output scrambler; advances
+    /// the engine exactly as next_u64() does, and next_u64() ==
+    /// Xoshiro256StarStar::scramble(next_state_word()). For kernels that
+    /// scramble in vector lanes (walk::AgentEnsemble).
+    std::uint64_t next_state_word() noexcept { return engine_.next_state_word(); }
 
     /// uniform_random_bit_generator interface (allows use with std::shuffle
     /// and friends when reproducibility across stdlibs is not required).
@@ -83,8 +94,9 @@ private:
 /// once the buffer is exhausted. Because engine words are generated
 /// sequentially either way, any draw pattern that consumes at least
 /// `count` words between fills is bit-identical to calling Rng::next_u64 /
-/// Rng::below directly — this is the invariant the batched walk kernels
-/// rely on to keep all existing seeds reproducible (see docs/performance.md).
+/// Rng::below directly. The ablation walks (walk::AgentEnsemble, kSimple
+/// and kLazyHalf) draw through it; the lazy-paper kernel draws straight
+/// from the engine (see docs/performance.md).
 class BlockRng {
 public:
     /// Pre-draws exactly `count` raw engine words. Any words still buffered
@@ -122,11 +134,6 @@ public:
         }
         return static_cast<std::uint64_t>(m >> 64);
     }
-
-    /// The raw words of the current block (for vectorized kernels that
-    /// compute draws out-of-band; they must re-enter via below()/take() as
-    /// soon as a rejection would occur).
-    [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return buffer_; }
 
 private:
     std::vector<std::uint64_t> buffer_;

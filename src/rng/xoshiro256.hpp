@@ -33,8 +33,15 @@ public:
         : state_{state} {}
 
     /// Advances the state and returns the next 64-bit output.
-    constexpr std::uint64_t operator()() noexcept {
-        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    constexpr std::uint64_t operator()() noexcept { return scramble(next_state_word()); }
+
+    /// Advances the state and returns the next output *before* the `**`
+    /// scrambler: the state word s1 it would scramble. Only the xor/shift/
+    /// rotate update runs here, so a batched kernel can keep this serial
+    /// chain in scalar registers and scramble many words at once in vector
+    /// lanes. operator()() == scramble(next_state_word()) by definition.
+    constexpr std::uint64_t next_state_word() noexcept {
+        const std::uint64_t word = state_[1];
         const std::uint64_t t = state_[1] << 17;
         state_[2] ^= state_[0];
         state_[3] ^= state_[1];
@@ -42,7 +49,13 @@ public:
         state_[0] ^= state_[3];
         state_[2] ^= t;
         state_[3] = rotl(state_[3], 45);
-        return result;
+        return word;
+    }
+
+    /// The `**` output scrambler, rotl(s1 * 5, 7) * 9. A bijection with
+    /// scramble(0) == 0, so an output is 0 iff its state word is.
+    [[nodiscard]] static constexpr std::uint64_t scramble(std::uint64_t s1) noexcept {
+        return rotl(s1 * 5, 7) * 9;
     }
 
     /// Equivalent to 2^128 calls to operator(); used to split one seed into

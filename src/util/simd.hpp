@@ -1,6 +1,6 @@
 // simd.hpp — fixed-width portable SIMD lanes for the hot kernels.
 //
-// The walk decode/apply kernels (walk/ensemble.hpp, walk/decode.hpp),
+// The walk kernel (walk/ensemble.cpp, walk/decode.hpp),
 // gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) and the
 // visibility pass's window gather and move tally (graph/visibility.cpp)
 // are written once against the two wrapper types below; gossip's
@@ -111,6 +111,14 @@ struct U64x4 {
     [[nodiscard]] static U64x4 splat(std::uint64_t x) noexcept {
         return {_mm256_set1_epi64x(static_cast<long long>(x))};
     }
+    /// Lanes w0, w1, w2, w3 from four values held in registers (no
+    /// memory round trip: a store and a wide reload of fresh values
+    /// cannot be store-forwarded).
+    [[nodiscard]] static U64x4 set(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
+                                   std::uint64_t w3) noexcept {
+        return {_mm256_set_epi64x(static_cast<long long>(w3), static_cast<long long>(w2),
+                                  static_cast<long long>(w1), static_cast<long long>(w0))};
+    }
     void store(std::uint64_t* p) const noexcept {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
     }
@@ -150,11 +158,14 @@ template <int N>
 [[nodiscard]] inline bool any(U64x4 a) noexcept {
     return _mm256_testz_si256(a.v, a.v) == 0;
 }
-/// Stores the low 32 bits of each lane as 4 consecutive int32 at dst.
-inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
-    const __m256i shuffled =
-        _mm256_permutevar8x32_epi32(a.v, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm256_castsi256_si128(shuffled));
+/// The low 32 bits of lo's four lanes, then of hi's, as eight int32
+/// lanes in that order.
+[[nodiscard]] inline I32x8 narrow(U64x4 lo, U64x4 hi) noexcept {
+    // Per 128-bit half: lo0 lo1 hi0 hi1 | lo2 lo3 hi2 hi3; then the
+    // middle two 64-bit pairs swap.
+    const __m256 halves = _mm256_shuffle_ps(_mm256_castsi256_ps(lo.v), _mm256_castsi256_ps(hi.v),
+                                            _MM_SHUFFLE(2, 0, 2, 0));
+    return {_mm256_permute4x64_epi64(_mm256_castps_si256(halves), _MM_SHUFFLE(3, 1, 2, 0))};
 }
 /// Lane i: the 8 bytes at base + offsets[i], read as a little-endian
 /// uint64 (no alignment required).
@@ -297,6 +308,10 @@ struct U64x4 {
         return {{p[0], p[1], p[2], p[3]}};
     }
     [[nodiscard]] static U64x4 splat(std::uint64_t x) noexcept { return {{x, x, x, x}}; }
+    [[nodiscard]] static U64x4 set(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
+                                   std::uint64_t w3) noexcept {
+        return {{w0, w1, w2, w3}};
+    }
     void store(std::uint64_t* p) const noexcept {
         for (int i = 0; i < 4; ++i) p[i] = l[i];
     }
@@ -337,8 +352,13 @@ template <int N>
 [[nodiscard]] inline bool any(U64x4 a) noexcept {
     return (a.l[0] | a.l[1] | a.l[2] | a.l[3]) != 0;
 }
-inline void store_narrow(std::int32_t* dst, U64x4 a) noexcept {
-    for (int i = 0; i < 4; ++i) dst[i] = static_cast<std::int32_t>(a.l[i] & 0xFFFFFFFFu);
+[[nodiscard]] inline I32x8 narrow(U64x4 lo, U64x4 hi) noexcept {
+    I32x8 r;
+    for (int i = 0; i < 4; ++i) {
+        r.l[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(lo.l[i]));
+        r.l[i + 4] = static_cast<std::int32_t>(static_cast<std::uint32_t>(hi.l[i]));
+    }
+    return r;
 }
 [[nodiscard]] inline U64x4 gather_bytes(const std::uint8_t* base, U64x4 offsets) noexcept {
     U64x4 r;

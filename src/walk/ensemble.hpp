@@ -6,30 +6,34 @@
 // uniform and independent over the grid nodes.
 //
 // Layout: structure-of-arrays. The walk kernel reads and writes separate
-// x/y coordinate arrays (vectorization-friendly, and the batched decode
-// pass below touches only raw RNG words and one byte per agent); an
-// array-of-Point mirror is kept coherent in the same pass so the wide
+// x/y coordinate arrays (vectorization-friendly); an array-of-Point
+// mirror is kept coherent in the same pass so the wide
 // span<const Point> API surface (spatial indexes, recorders, renderers)
 // stays zero-copy.
 //
-// Stepping is batched: raw RNG words are drawn in blocks (rng::BlockRng)
-// and decoded branch-light through walk::kStepTable. The kernel consumes
-// exactly the same engine-word stream as the scalar walk::step loop it
-// replaced — one bounded draw per moving agent, in agent order, Lemire
-// rejections included — so every existing seed reproduces bit-identical
-// trajectories (see docs/performance.md for the invariant).
+// The kernel consumes exactly the same engine-word stream as the scalar
+// walk::step loop it replaced — one bounded draw per moving agent, in
+// agent order, Lemire rejections included — so every existing seed
+// reproduces bit-identical trajectories (see docs/performance.md for the
+// invariant).
 //
-// The lazy-paper paths (step_all, and the Frog model's step_subset) are
-// additionally vectorized end to end (util/simd.hpp — AVX2 or scalar,
-// selected at configure time): the Lemire decode runs 4 words per 64-bit
-// vector (walk/decode.hpp) and the position update runs 8 agents per
-// 32-bit vector — boundary mask, packed step-table gather, SoA stores and
-// the AoS mirror interleave are all branch-free lane math, and no lane
-// leaves the vector path. step_subset gives each frozen agent the stay
-// draw kStayDraw (walk/step.hpp), so it runs step_all's apply pass. Lanes are
-// just a partition of the agent order, so the trajectories (and the word
-// stream, which the decode never reorders) stay bit-identical on both
-// backends — the force-scalar CI leg replays the same goldens to prove it.
+// The lazy-paper paths (step_all, and the Frog model's step_subset) run
+// one loop over chunks of 8 agents (util/simd.hpp — AVX2 or scalar,
+// selected at configure time). Per chunk, only xoshiro256**'s serial
+// state update runs in scalar registers; the `**` scrambler and the
+// Lemire decode run 4 words per 64-bit vector (walk/decode.hpp), and the
+// move runs 8 agents per 32-bit vector — boundary mask, packed step-table
+// gather, SoA stores and the AoS mirror interleave are all branch-free
+// lane math. Drawing, decoding and moving in one pass lets the decode and
+// the move overlap the state chain instead of adding to it. A zero word
+// (Lemire's only rejection for bound 5, a ~2^-64 event) sends the rest of
+// its 1024-agent block through Rng::below(5). step_subset draws its
+// movers through the same chunk loop, scatters the draws into a row that
+// gives each frozen agent the stay draw kStayDraw (walk/step.hpp), and
+// moves all k agents in one pass. Lanes are just a partition of the agent
+// order, so the trajectories (and the word stream) stay bit-identical on
+// both backends — the force-scalar CI leg replays the same goldens to
+// prove it.
 //
 // The kernel is defined in walk/ensemble.cpp; the paperbench adapters
 // below are header templates.
@@ -54,9 +58,10 @@ using AgentId = std::int32_t;
 /// k agents on a Grid2D, stepped synchronously.
 class AgentEnsemble {
 public:
-    /// Telemetry tallies of the batched step kernel: how many RNG blocks
-    /// took the vectorized decode vs the exact scalar replay (Lemire
-    /// rejection, or ablation walks that never decode in bulk).
+    /// Telemetry tallies of the step kernel, per block of up to 1024
+    /// drawing agents: how many took the vectorized decode vs the exact
+    /// scalar replay (a Lemire rejection, or the ablation walks, which
+    /// never decode in lanes).
     struct DecodeStats {
         std::int64_t blocks_decoded{0};  ///< blocks decoded rejection-free
         std::int64_t blocks_scalar{0};   ///< blocks replayed word-by-word
@@ -134,12 +139,12 @@ public:
     /// others stay frozen (Frog-model dynamics, Sec. 4). The mask is read
     /// before the first position changes and never after.
     ///
-    /// Lazy-paper: the movers draw block by block in agent order, exactly
-    /// as step_all's agents do, so the word stream and the decode tallies
-    /// are those of a walk over the movers alone. Their draws are scattered
-    /// into a row of stay draws (kStayDraw), and one apply_block pass runs
-    /// over all k agents. The ablation walks' draw bounds depend on the
-    /// node's degree, so they step the movers one by one instead.
+    /// Lazy-paper: the movers draw through step_all's chunk loop in agent
+    /// order, so the word stream and the decode tallies are those of a
+    /// walk over the movers alone. Their draws are scattered into a row of
+    /// stay draws (kStayDraw), and one vector pass moves all k agents. The
+    /// ablation walks' draw bounds depend on the node's degree, so they
+    /// step the movers one by one instead.
     void step_subset(rng::Rng& rng, std::span<const std::uint8_t> should_move);
 
     // ---- For paperbench's shadow loop only; deleted together with that
@@ -163,8 +168,8 @@ public:
     }
 
 private:
-    /// Agents decoded per RNG block; 8 KiB of raw words + 4 KiB of draws,
-    /// comfortably L1-resident.
+    /// Drawing agents per decode tally (DecodeStats) and per rejection
+    /// replay; a multiple of the 8-agent chunk.
     static constexpr std::size_t kBlockSize = 1024;
 
     void reserve(std::size_t k) {
@@ -187,27 +192,20 @@ private:
     template <typename IndexFn>
     void step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of);
 
-    /// Pass 1 of the lazy-paper kernel: draws u ∈ [0,5) for `len` agents
-    /// into `out` from one fresh RNG block. The block's words are decoded
-    /// with Lemire's multiply (walk/decode.hpp, SIMD when configured); if
-    /// any word would be rejected (one word == 0, a ~2^-64 event), the
-    /// block is replayed through BlockRng instead, which re-consumes the
-    /// same buffered words so the engine stream cannot diverge. A
-    /// lazy-paper draw does not depend on the agent's node, so drawing a
-    /// whole block before applying it is exact.
-    void draw_block(rng::Rng& rng, std::size_t len, std::int32_t* out);
+    /// The lazy-paper draw loop: one draw u ∈ [0,5) for each of `count`
+    /// drawing agents, in order, handed out as `on_chunk(i, I32x8 u)` for
+    /// agents i..i+7 of each whole 8-agent chunk of a block and as
+    /// `on_one(i, u)` for the rest. Words are drawn and decoded in
+    /// registers (walk/decode.hpp). A zero word — the only one
+    /// Rng::below(5) rejects — restores the engine at its block's start,
+    /// skips one word per agent already handed out, and finishes the block
+    /// with Rng::below(5) through on_one, so the engine stream cannot
+    /// diverge. A lazy-paper draw does not depend on the agent's node, so
+    /// a chunk may draw before it moves.
+    template <typename OnChunk, typename OnOne>
+    void draw_lazy(rng::Rng& rng, std::size_t count, OnChunk&& on_chunk, OnOne&& on_one);
 
-    /// Pass 2 of the lazy-paper kernel: apply draws[i] to agent base + i
-    /// for i < len, 8 agents per vector. Lane math mirrors
-    /// apply()/direction_mask() exactly — cmpgt against the boundary
-    /// coordinates builds the presence mask, a gather through
-    /// kStepTablePacked turns mask*5+u into (dx, dy), and the AoS Point
-    /// mirror is refreshed with an interleaved store. Every lane is stored
-    /// unconditionally (a stay adds a zero delta), so no lane ever leaves
-    /// the vector path.
-    void apply_block(std::size_t base, std::size_t len, const std::int32_t* draws);
-
-    /// Pass 2: apply one decoded draw via the direction table.
+    /// Applies one decoded draw via the direction table.
     void apply(std::size_t a, unsigned mask, unsigned u) noexcept {
         const auto d = kStepTable[mask * 5 + u];
         xs_[a] = static_cast<grid::Coord>(xs_[a] + d.dx);
@@ -231,8 +229,7 @@ private:
     std::vector<grid::Coord> ys_;           ///< SoA y coordinates
     std::vector<grid::Point> positions_;    ///< coherent AoS mirror for span views
     WalkKind kind_;
-    rng::BlockRng block_;                   ///< block-drawn raw RNG words
-    std::vector<std::int32_t> draws_;       ///< decoded u per block slot (int32: SIMD lane width)
+    rng::BlockRng block_;                   ///< the ablation walks' buffered words
     std::vector<std::int32_t> row_;         ///< scratch: step_subset's draw per agent
     std::vector<std::int32_t> moving_;      ///< scratch: step_subset's movers
     std::vector<grid::Point> before_;       ///< scratch: positions before an adapter step

@@ -67,7 +67,7 @@ inline constexpr std::array<StepDelta, 16 * 5> kStepTable = make_step_table();
 
 /// kStepTable re-packed for the SIMD apply kernel: one int32 per entry,
 /// dx in the low 16 bits, dy in the high 16 (both as sign-extendable
-/// 16-bit fields), so AgentEnsemble::apply_block turns eight mask*5+u
+/// 16-bit fields), so the walk kernel (walk/ensemble.cpp) turns eight mask*5+u
 /// indices into eight (dx, dy) pairs with one gather; a stay is entry 0
 /// and adds a zero delta. Lane math: dx = (v << 16) >> 16 (arithmetic),
 /// dy = v >> 16 (arithmetic).

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -123,6 +124,28 @@ TEST(U64Lanes, NonzeroMaskMatchesScalar) {
     }
 }
 
+// The walk kernel's lane assembly: set() takes four values in lane order,
+// and narrow() keeps each lane's low 32 bits, lo's four lanes first.
+TEST(U64Lanes, SetAndNarrowKeepLaneOrder) {
+    namespace simd = util::simd;
+    rng::Rng rng{59};
+    for (int it = 0; it < 64; ++it) {
+        std::array<std::uint64_t, 2 * simd::kU64Lanes> w{};
+        for (auto& x : w) x = it == 0 ? ~std::uint64_t{0} : rng.next_u64();
+        const auto lo = simd::U64x4::set(w[0], w[1], w[2], w[3]);
+        const auto hi = simd::U64x4::set(w[4], w[5], w[6], w[7]);
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        lo.store(got.data());
+        for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], w[i]);
+        std::array<std::int32_t, simd::kI32Lanes> narrow{};
+        simd::narrow(lo, hi).store(narrow.data());
+        for (std::size_t i = 0; i < narrow.size(); ++i) {
+            ASSERT_EQ(narrow[i], static_cast<std::int32_t>(static_cast<std::uint32_t>(w[i])))
+                << "lane " << i;
+        }
+    }
+}
+
 // The move tally's raw lanes: load_bytes reads four Points as one vector
 // (one Point per lane, from any 4-byte-aligned start), cmpeq marks exactly
 // the equal Points, and store_bytes writes them back unchanged.
@@ -223,61 +246,231 @@ TEST(BitLanes, FoldByteLanesMatchesScalar) {
     EXPECT_EQ(count_buffer[0], 0);
 }
 
-// ------------------------------------------------------------ decode_draws5
+// ------------------------------------------------------ lazy-paper decode
 
-TEST(DecodeDraws5, MatchesScalarOnRandomWords) {
-    rng::Rng rng{2024};
-    // Lengths straddling the 4-lane vector body and its scalar tail.
-    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{4},
-                            std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{64},
-                            std::size_t{67}}) {
-        std::vector<std::uint64_t> words(len);
-        for (auto& w : words) w = rng.next_u64();
-        std::vector<std::int32_t> vec(len, -1);
-        std::vector<std::int32_t> ref(len, -1);
-        const bool ok_vec = walk::decode_draws5(words.data(), len, vec.data());
-        const bool ok_ref = walk::decode_draws5_scalar(words.data(), len, ref.data());
-        EXPECT_EQ(ok_vec, ok_ref) << "len=" << len;
-        ASSERT_EQ(vec, ref) << "len=" << len;
-        for (const auto d : vec) {
-            EXPECT_GE(d, 0);
-            EXPECT_LT(d, 5);
+// The walk kernel's decode: scramble() and draw5() on U64x4 lanes, and
+// next_words4(), which feeds them engine words that never leave registers.
+
+/// The vector scrambler matches Rng::next_u64() lane for lane: the state
+/// word s1 is the one next_u64() scrambles, so an engine started at
+/// {·, w, ·, ·} returns scramble(w) first. Random words, then the words 0,
+/// 1, 2^63 and 2^64 − 1; and next_words4() against four next_u64() calls.
+TEST(DecodeDraws5, ScramblerMatchesNextU64) {
+    namespace simd = util::simd;
+    rng::Rng rng{2025};
+    const auto first_output = [](std::uint64_t s1) {
+        return rng::Rng{std::array<std::uint64_t, 4>{1, s1, 2, 3}}.next_u64();
+    };
+    std::vector<std::array<std::uint64_t, simd::kU64Lanes>> inputs{
+        {0, 1, std::uint64_t{1} << 63, ~std::uint64_t{0}}};
+    for (int it = 0; it < 64; ++it) {
+        std::array<std::uint64_t, simd::kU64Lanes> w{};
+        for (auto& x : w) x = rng.next_u64();
+        inputs.push_back(w);
+    }
+    for (const auto& w : inputs) {
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        walk::scramble(simd::U64x4::load(w.data())).store(got.data());
+        for (std::size_t i = 0; i < w.size(); ++i) {
+            ASSERT_EQ(got[i], first_output(w[i])) << "word " << w[i];
         }
+    }
+    EXPECT_EQ(first_output(0), 0u);  // the zero word is the zero state word
+    for (int it = 0; it < 64; ++it) {
+        rng::Rng twin = rng;
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        walk::next_words4(rng).store(got.data());
+        for (const auto word : got) ASSERT_EQ(word, twin.next_u64()) << "round " << it;
+        ASSERT_EQ(rng.next_u64(), twin.next_u64()) << "round " << it;
     }
 }
 
-TEST(DecodeDraws5, RejectsZeroWordInEveryPosition) {
-    // word == 0 is the one input Rng::below(5) rejects (threshold 1 and 5
-    // invertible mod 2^64 — see decode.hpp); both variants must flag it no
-    // matter where in the block it lands.
-    rng::Rng rng{7};
-    constexpr std::size_t kLen = 9;  // vector body + tail
-    for (std::size_t zero_at = 0; zero_at < kLen; ++zero_at) {
-        std::array<std::uint64_t, kLen> words{};
-        for (auto& w : words) {
-            do {
-                w = rng.next_u64();
-            } while (w == 0);
+TEST(DecodeDraws5, MatchesScalarOnRandomWords) {
+    // draw5 on lanes, narrowed to the eight int32 draws of a chunk, against
+    // the scalar draw5: random words, then words at the edges of the five
+    // draw intervals.
+    namespace simd = util::simd;
+    rng::Rng rng{2024};
+    std::vector<std::uint64_t> words{1, 2, ~std::uint64_t{0}, std::uint64_t{1} << 63};
+    for (std::uint64_t d = 1; d < 5; ++d) {
+        const auto edge = static_cast<std::uint64_t>((static_cast<__uint128_t>(d) << 64) / 5);
+        words.insert(words.end(), {edge - 1, edge, edge + 1, edge + 2});
+    }
+    while (words.size() < 8 * 64) words.push_back(rng.next_u64());
+    for (std::size_t c = 0; c < words.size(); c += 8) {
+        const auto lo = simd::U64x4::load(words.data() + c);
+        const auto hi = simd::U64x4::load(words.data() + c + 4);
+        std::array<std::int32_t, 8> got{};
+        simd::narrow(walk::draw5(lo), walk::draw5(hi)).store(got.data());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], walk::draw5(words[c + i])) << "word " << words[c + i];
+            ASSERT_GE(got[i], 0);
+            ASSERT_LT(got[i], 5);
         }
-        words[zero_at] = 0;
-        std::array<std::int32_t, kLen> vec{};
-        std::array<std::int32_t, kLen> ref{};
-        EXPECT_FALSE(walk::decode_draws5(words.data(), kLen, vec.data()));
-        EXPECT_FALSE(walk::decode_draws5_scalar(words.data(), kLen, ref.data()));
     }
 }
 
 TEST(DecodeDraws5, DrawEqualsLemireHighProduct) {
-    // Spot-check the decode against the definition it replays:
-    // draw = hi64(word * 5), the first pass of Rng::below(5).
+    // The decode against the definition it replays: draw = hi64(word * 5),
+    // which is what Rng::below(5) returns on the same stream.
+    namespace simd = util::simd;
     rng::Rng rng{11};
     for (int it = 0; it < 256; ++it) {
+        rng::Rng twin = rng;
+        std::array<std::uint64_t, simd::kU64Lanes> draws{};
+        walk::draw5(walk::next_words4(rng)).store(draws.data());
+        for (const auto d : draws) ASSERT_EQ(d, twin.below(5)) << "round " << it;
+    }
+    for (int it = 0; it < 256; ++it) {
         const auto w = rng.next_u64();
-        std::int32_t d = -1;
-        (void)walk::decode_draws5(&w, 1, &d);
         const auto expected = static_cast<std::int32_t>(
             (static_cast<__uint128_t>(w) * static_cast<__uint128_t>(std::uint64_t{5})) >> 64);
-        EXPECT_EQ(d, expected);
+        EXPECT_EQ(walk::draw5(w), expected);
+    }
+}
+
+// --------------------------------------------------- planted zero words
+
+/// A start state whose output j (0-based) is the zero word, the one word
+/// Rng::below(5) rejects. Output j is 0 iff the state word s1 is 0 after j
+/// steps (the scrambler is a bijection fixing 0), and the state update is
+/// linear over GF(2): s1 after j steps is M·state for a 64×256 bit matrix
+/// M. Any nonzero solution of M·state = 0 will do; one is picked at random
+/// by giving M's free columns random bits.
+std::array<std::uint64_t, 4> state_with_zero_output(std::size_t j, std::uint64_t seed) {
+    using Bits = std::array<std::uint64_t, 4>;  // one bit per state bit
+    // Column b of M: s1 after j steps from the unit state e_b.
+    std::array<std::uint64_t, 256> column{};
+    for (std::size_t b = 0; b < 256; ++b) {
+        Bits unit{};
+        unit[b / 64] = std::uint64_t{1} << (b % 64);
+        rng::Rng engine{unit};
+        for (std::size_t t = 0; t < j; ++t) (void)engine.next_state_word();
+        column[b] = engine.next_state_word();
+    }
+    std::vector<Bits> rows(64, Bits{});
+    for (std::size_t r = 0; r < 64; ++r) {
+        for (std::size_t b = 0; b < 256; ++b) {
+            rows[r][b / 64] |= ((column[b] >> r) & 1) << (b % 64);
+        }
+    }
+    const auto bit = [](const Bits& v, std::size_t b) { return (v[b / 64] >> (b % 64)) & 1; };
+    // Reduced row echelon form.
+    std::vector<std::size_t> pivot_of_row;
+    std::array<bool, 256> is_pivot{};
+    for (std::size_t b = 0, r = 0; b < 256 && r < rows.size(); ++b) {
+        std::size_t p = r;
+        while (p < rows.size() && bit(rows[p], b) == 0) ++p;
+        if (p == rows.size()) continue;
+        std::swap(rows[r], rows[p]);
+        for (std::size_t q = 0; q < rows.size(); ++q) {
+            if (q != r && bit(rows[q], b) != 0) {
+                for (std::size_t w = 0; w < 4; ++w) rows[q][w] ^= rows[r][w];
+            }
+        }
+        pivot_of_row.push_back(b);
+        is_pivot[b] = true;
+        ++r;
+    }
+    rng::Rng pick{seed};
+    Bits state{};
+    while (state == Bits{}) {
+        for (auto& w : state) w = pick.next_u64();
+        for (std::size_t b = 0; b < 256; ++b) {
+            if (is_pivot[b]) state[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+        }
+        // Each pivot bit is the parity of its row over the free bits.
+        for (std::size_t r = 0; r < pivot_of_row.size(); ++r) {
+            std::uint64_t parity = 0;
+            for (std::size_t w = 0; w < 4; ++w) parity ^= rows[r][w] & state[w];
+            const auto b = pivot_of_row[r];
+            state[b / 64] |= static_cast<std::uint64_t>(std::popcount(parity) & 1) << (b % 64);
+        }
+    }
+    return state;
+}
+
+/// An engine whose output j is the zero word, checked.
+rng::Rng engine_with_zero_output(std::size_t j) {
+    const auto state = state_with_zero_output(j, 1000 + j);
+    rng::Rng check{state};
+    for (std::size_t t = 0; t < j; ++t) EXPECT_NE(check.next_u64(), 0u) << "output " << t;
+    EXPECT_EQ(check.next_u64(), 0u) << "output " << j;
+    return rng::Rng{state};
+}
+
+/// One planted-zero step of the ensemble against the per-agent reference:
+/// the agents flagged in `mask` (all of them for step_all) move, and output
+/// j of the step's stream is zero. Positions, the next engine word, and the
+/// decode tallies (the zero's block replayed, every other block decoded)
+/// must all match, with exactly one word more drawn than agents moved.
+void expect_planted_zero_step(const Grid2D& g, const std::vector<Point>& start,
+                              const std::vector<std::uint8_t>& mask, bool subset, std::size_t j) {
+    walk::AgentEnsemble agents{g, start};
+    std::vector<Point> ref = start;
+    rng::Rng rng_a = engine_with_zero_output(j);
+    rng::Rng rng_b = rng_a;
+    std::size_t movers = 0;
+    for (const auto m : mask) movers += m != 0;
+    ASSERT_LT(j, movers);
+    if (subset) {
+        agents.step_subset(rng_a, mask);
+    } else {
+        agents.step_all(rng_a);
+    }
+    for (std::size_t a = 0; a < ref.size(); ++a) {
+        if (mask[a] != 0) ref[a] = walk::step(g, ref[a], rng_b);
+    }
+    const char* const path = subset ? "step_subset" : "step_all";
+    for (std::size_t a = 0; a < ref.size(); ++a) {
+        ASSERT_EQ(agents.position(static_cast<walk::AgentId>(a)), ref[a])
+            << path << " zero at " << j << ", agent " << a;
+    }
+    ASSERT_EQ(rng::Rng{rng_a}.next_u64(), rng::Rng{rng_b}.next_u64())
+        << path << " zero at " << j;
+    rng::Rng drawn = engine_with_zero_output(j);
+    for (std::size_t t = 0; t < movers + 1; ++t) (void)drawn.next_u64();
+    EXPECT_EQ(rng::Rng{rng_a}.next_u64(), drawn.next_u64()) << path << " zero at " << j;
+    const auto blocks = static_cast<std::int64_t>((movers + 1023) / 1024);
+    EXPECT_EQ(agents.decode_stats().blocks_scalar, 1) << path << " zero at " << j;
+    EXPECT_EQ(agents.decode_stats().blocks_decoded, blocks - 1) << path << " zero at " << j;
+}
+
+/// A zero word at every position of an 8-agent chunk and in the agent
+/// past it (k = 9: one chunk, one agent below the 8 lanes).
+TEST(DecodeDraws5, RejectsZeroWordInEveryPosition) {
+    const auto g = Grid2D{5, 4};
+    rng::Rng place{3};
+    std::vector<Point> start(9);
+    for (auto& p : start) p = walk::AgentEnsemble::random_node(g, place);
+    const std::vector<std::uint8_t> all(start.size(), 1);
+    for (std::size_t j = 0; j < start.size(); ++j) {
+        expect_planted_zero_step(g, start, all, false, j);
+    }
+}
+
+/// The rejection replay at the positions that exercise its cases: chunk
+/// position 0 of the first and of a later chunk (nothing, then 16 words
+/// to skip), mid-chunk, the first word of the second 1024-agent block, and
+/// the agents below the 8 lanes at the end (1500 = 187·8 + 4) — for
+/// step_all and, over 1500 movers out of 3000 agents, for step_subset.
+TEST(EnsembleSimd, ZeroWordReplaysItsBlockThroughBelow5) {
+    const auto g = Grid2D{5, 4};
+    rng::Rng place{5};
+    std::vector<Point> start(1500);
+    for (auto& p : start) p = walk::AgentEnsemble::random_node(g, place);
+    const std::vector<std::uint8_t> all(start.size(), 1);
+    std::vector<Point> wide(3000);
+    for (auto& p : wide) p = walk::AgentEnsemble::random_node(g, place);
+    // Half the agents move, in runs of three that straddle the chunks.
+    std::vector<std::uint8_t> half(wide.size());
+    for (std::size_t a = 0; a < half.size(); ++a) half[a] = (a / 3) % 2 == 0 ? 2 : 0;
+    std::size_t movers = 0;
+    for (const auto m : half) movers += m != 0;
+    ASSERT_EQ(movers, 1500u);
+    for (const std::size_t j : {0, 16, 43, 1024, 1497}) {
+        expect_planted_zero_step(g, start, all, false, j);
+        expect_planted_zero_step(g, wide, half, true, j);
     }
 }
 
@@ -286,26 +479,36 @@ TEST(DecodeDraws5, DrawEqualsLemireHighProduct) {
 /// The batched ensemble kernel must consume the engine RNG stream exactly
 /// like the per-agent reference: one below(5) per stepping agent, agent
 /// order, Lemire rejections included. Boundary-heavy grids exercise every
-/// direction-mask lane shape.
+/// direction-mask lane shape; k runs a lone agent, agents below the 8
+/// lanes only, whole chunks, and a second 1024-agent block with 4 agents
+/// past its last chunk.
 TEST(EnsembleSimd, StepAllMatchesPerAgentReferenceOnBoundaryHeavyGrid) {
     const auto g = Grid2D{5, 4};  // most nodes are boundary
-    rng::Rng rng_a{77};
-    rng::Rng rng_b{77};
-    walk::AgentEnsemble agents{g, 64, rng_a};
-    {
-        walk::AgentEnsemble twin{g, 64, rng_b};  // consume placement draws
-        for (std::int32_t i = 0; i < 64; ++i) {
-            ASSERT_EQ(agents.position(i), twin.position(i));
+    for (const std::int32_t k : {1, 7, 64, 1500}) {
+        rng::Rng rng_a{77};
+        rng::Rng rng_b{77};
+        walk::AgentEnsemble agents{g, k, rng_a};
+        {
+            walk::AgentEnsemble twin{g, k, rng_b};  // consume placement draws
+            for (std::int32_t i = 0; i < k; ++i) {
+                ASSERT_EQ(agents.position(i), twin.position(i));
+            }
         }
-    }
-    std::vector<Point> ref(agents.positions().begin(), agents.positions().end());
-    for (int t = 0; t < 200; ++t) {
-        agents.step_all(rng_a);
-        for (auto& p : ref) p = walk::step(g, p, rng_b);
-        for (std::int32_t i = 0; i < 64; ++i) {
-            ASSERT_EQ(agents.position(i), ref[static_cast<std::size_t>(i)])
-                << "t=" << t << " agent=" << i;
+        std::vector<Point> ref(agents.positions().begin(), agents.positions().end());
+        constexpr int kSteps = 200;
+        for (int t = 0; t < kSteps; ++t) {
+            agents.step_all(rng_a);
+            for (auto& p : ref) p = walk::step(g, p, rng_b);
+            for (std::int32_t i = 0; i < k; ++i) {
+                ASSERT_EQ(agents.position(i), ref[static_cast<std::size_t>(i)])
+                    << "k=" << k << " t=" << t << " agent=" << i;
+            }
+            ASSERT_EQ(rng::Rng{rng_a}.next_u64(), rng::Rng{rng_b}.next_u64())
+                << "k=" << k << " t=" << t;
         }
+        EXPECT_EQ(agents.decode_stats().blocks_decoded, kSteps * ((k + 1023) / 1024))
+            << "k=" << k;
+        EXPECT_EQ(agents.decode_stats().blocks_scalar, 0) << "k=" << k;
     }
 }
 
