@@ -23,7 +23,7 @@ std::uint64_t fnv1a(const std::string& text, std::uint64_t hash) noexcept {
 }
 
 /// Executes every (point, replication) unit of `points` through one
-/// ReplicationPool pass and aggregates per point in index order. The
+/// sim::run_units pass and aggregates per point in index order. The
 /// shared implementation of run_point and run_sweep: both produce records
 /// through the exact same aggregation walk, so a pipelined sweep is
 /// byte-identical to running its points one at a time.
@@ -82,11 +82,10 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     }
 
     std::atomic<std::size_t> skipped{0};
-    const auto pool_before = sim::ReplicationPool::instance().stats();
     const double journal_before =
         options.journal != nullptr ? options.journal->io_seconds() : 0.0;
     const auto sweep_begin = clock::now();
-    const auto failed_units = sim::ReplicationPool::instance().run_units(
+    const auto pass = sim::run_units(
         static_cast<int>(total), threads, options.retries, [&](int unit) {
             const auto u = static_cast<std::size_t>(unit);
             if (replayed[u] != 0) return;
@@ -142,10 +141,10 @@ std::vector<PointResult> run_points(const Scenario& scenario,
                           std::to_string(skipped.load(std::memory_order_relaxed)) + " of " +
                           std::to_string(total) + " units not run");
     }
-    if (!failed_units.empty() && !options.tolerate_failures) {
+    if (!pass.failures.empty() && !options.tolerate_failures) {
         // Fail-fast mode: surface the first failure (by unit index, so
         // the choice is deterministic) with its original type.
-        std::rethrow_exception(failed_units.front().error);
+        std::rethrow_exception(pass.failures.front().error);
     }
     const double sweep_wall =
         std::chrono::duration<double>(clock::now() - sweep_begin).count();
@@ -153,24 +152,15 @@ std::vector<PointResult> run_points(const Scenario& scenario,
     if (options.journal != nullptr) {
         journal_seconds = options.journal->io_seconds() - journal_before;
     }
-    const auto pool_after = sim::ReplicationPool::instance().stats();
     // Pass-level pool/process telemetry: units interleave across a
     // pipelined sweep's points, so these figures describe the pass as a
     // whole and are attached identically to each of its points (like
     // sweep_wall_seconds).
-    const double pool_units = static_cast<double>((pool_after.units_pooled +
-                                                   pool_after.units_inline) -
-                                                  (pool_before.units_pooled +
-                                                   pool_before.units_inline));
-    const double pool_units_inline =
-        static_cast<double>(pool_after.units_inline - pool_before.units_inline);
-    const double pool_busy =
-        pool_after.worker_busy_seconds - pool_before.worker_busy_seconds;
     const double peak_rss = static_cast<double>(obs::peak_rss_bytes());
 
     std::vector<PointResult> results;
     results.reserve(points.size());
-    std::size_t next_failure = 0;  // failed_units is sorted by unit index
+    std::size_t next_failure = 0;  // pass.failures is sorted by unit index
     for (std::size_t point = 0; point < points.size(); ++point) {
         PointResult result;
         result.scenario = scenario.name;
@@ -179,9 +169,9 @@ std::vector<PointResult> run_points(const Scenario& scenario,
         result.seed = seeds[point];
         result.sweep_wall_seconds = sweep_wall;
         result.journal_seconds = journal_seconds;
-        while (next_failure < failed_units.size() &&
-               static_cast<std::size_t>(failed_units[next_failure].unit) < (point + 1) * reps) {
-            const auto& failure = failed_units[next_failure++];
+        while (next_failure < pass.failures.size() &&
+               static_cast<std::size_t>(pass.failures[next_failure].unit) < (point + 1) * reps) {
+            const auto& failure = pass.failures[next_failure++];
             result.failures.push_back({static_cast<int>(
                                            static_cast<std::size_t>(failure.unit) % reps),
                                        failure.attempts, failure.message});
@@ -211,10 +201,11 @@ std::vector<PointResult> run_points(const Scenario& scenario,
         result.steps_per_second =
             result.wall_seconds > 0.0 ? result.steps / result.wall_seconds : 0.0;
         if (!result.counters.empty()) {
-            result.counters["pool.units"] = pool_units;
-            result.counters["pool.units_inline"] = pool_units_inline;
-            result.counters["pool.workers"] = static_cast<double>(pool_after.workers);
-            result.counters["pool.worker_busy_s"] = pool_busy;
+            result.counters["pool.units"] = static_cast<double>(total);
+            result.counters["pool.units_inline"] =
+                pass.workers == 1 ? static_cast<double>(total) : 0.0;
+            result.counters["pool.workers"] = static_cast<double>(pass.workers);
+            result.counters["pool.worker_busy_s"] = pass.busy_seconds;
             result.counters["process.peak_rss_bytes"] = peak_rss;
             const auto agents = result.counters.find("agents");
             if (agents != result.counters.end() && agents->second > 0.0) {

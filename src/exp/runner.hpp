@@ -1,16 +1,16 @@
 // runner.hpp — executes scenarios over parameter points and replications.
 //
 // run_point() executes one (scenario, parameter point): `reps`
-// replications farmed over the shared sim::ReplicationPool, each with a
-// seed derived deterministically from (base seed, scenario name, canonical
-// parameter point, replication index). Aggregation walks replications in
-// index order, so every statistic — and therefore every emitted record —
-// is bit-identical regardless of the thread count. run_sweep() pipelines
-// the whole cross-product of a SweepSpec through one pool pass: every
-// (point, replication) unit enters a single dynamically-scheduled queue,
-// so a small point's replications never serialize behind a slow
-// neighbour's, while per-point aggregation stays ordered (records are
-// byte-identical to a serial run).
+// replications farmed over the workers of one sim::run_units pass, each
+// with a seed derived deterministically from (base seed, scenario name,
+// canonical parameter point, replication index). Aggregation walks
+// replications in index order, so every statistic — and therefore every
+// emitted record — is bit-identical regardless of the thread count.
+// run_sweep() pipelines the whole cross-product of a SweepSpec through one
+// such pass: every (point, replication) unit enters a single
+// dynamically-scheduled queue, so a small point's replications never
+// serialize behind a slow neighbour's, while per-point aggregation stays
+// ordered (records are byte-identical to a serial run).
 //
 // Seeds are decoupled from sweep *shape*: a point's seed depends only on
 // its own canonical parameters, so adding an axis value to a sweep never
@@ -66,8 +66,7 @@ struct RunOptions {
     obs::StepTrace* trace{nullptr};
     /// Extra attempts for a unit whose body throws (--retries). Retries
     /// are sound because units are pure functions of their index: a retry
-    /// recomputes the identical result (see sim::ReplicationPool::
-    /// run_units).
+    /// recomputes the identical result (see sim::run_units).
     int retries{0};
     /// When true, a unit that still throws after every retry is recorded
     /// in PointResult::failures and the remaining units complete; when
@@ -167,7 +166,7 @@ public:
                                     const RunOptions& options);
 
 /// Runs every point of the sweep in cross-product order. All points'
-/// replications share one dynamically-scheduled pool pass (results stay
+/// replications share one dynamically-scheduled pass (results stay
 /// byte-identical to running the points one at a time).
 [[nodiscard]] std::vector<PointResult> run_sweep(const Scenario& scenario,
                                                  const SweepSpec& sweep,

@@ -1,8 +1,9 @@
 // process.hpp — process-level resource gauges.
 //
-// One query today: peak resident set size, the input to the ROADMAP's
-// bytes-per-agent budget at the 10^7-agent scale. Read at quiescent
-// points (end of a sweep pass); it is a syscall, not a hot-path tally.
+// One query today: peak resident set size, behind the records'
+// process.peak_rss_bytes and process.rss_bytes_per_agent counters. Read
+// at quiescent points (end of a sweep pass); it is a syscall, not a
+// hot-path tally.
 #pragma once
 
 #include <cstdint>

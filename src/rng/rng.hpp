@@ -88,58 +88,6 @@ private:
     Xoshiro256StarStar engine_;
 };
 
-/// Block-buffered draws over an Rng that preserve the exact engine word
-/// stream of unbatched use. fill() pre-draws `count` raw words; take() and
-/// below() then consume them in order, falling through to the live engine
-/// once the buffer is exhausted. Because engine words are generated
-/// sequentially either way, any draw pattern that consumes at least
-/// `count` words between fills is bit-identical to calling Rng::next_u64 /
-/// Rng::below directly. The ablation walks (walk::AgentEnsemble, kSimple
-/// and kLazyHalf) draw through it; the lazy-paper kernel draws straight
-/// from the engine (see docs/performance.md).
-class BlockRng {
-public:
-    /// Pre-draws exactly `count` raw engine words. Any words still buffered
-    /// from a previous fill are discarded — callers must consume the whole
-    /// block (each agent draws at least once) before refilling.
-    void fill(Rng& rng, std::size_t count) {
-        buffer_.resize(count);
-        // Drawn through a local copy of the engine: the buffer's stores may
-        // alias the caller's Rng, which would make the compiler load and
-        // store its four state words for every word drawn.
-        Rng engine = rng;
-        for (auto& word : buffer_) word = engine.next_u64();
-        rng = engine;
-        cursor_ = 0;
-    }
-
-    /// Next raw word: buffered if available, else straight from the engine.
-    std::uint64_t take(Rng& rng) noexcept {
-        return cursor_ < buffer_.size() ? buffer_[cursor_++] : rng.next_u64();
-    }
-
-    /// Uniform integer in [0, bound) — the same Lemire rejection algorithm
-    /// as Rng::below, word-for-word, so the consumed stream matches.
-    std::uint64_t below(Rng& rng, std::uint64_t bound) noexcept {
-        std::uint64_t x = take(rng);
-        __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-        auto lo = static_cast<std::uint64_t>(m);
-        if (lo < bound) {
-            const std::uint64_t threshold = (0 - bound) % bound;
-            while (lo < threshold) {
-                x = take(rng);
-                m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-                lo = static_cast<std::uint64_t>(m);
-            }
-        }
-        return static_cast<std::uint64_t>(m >> 64);
-    }
-
-private:
-    std::vector<std::uint64_t> buffer_;
-    std::size_t cursor_{0};
-};
-
 /// Derives the seed for replication `rep` of an experiment with base seed
 /// `base`. Streams for distinct (base, rep) pairs are decorrelated by two
 /// rounds of SplitMix64 mixing.

@@ -1,10 +1,10 @@
-// runner.hpp — deterministic multi-threaded replication pool.
+// runner.hpp — deterministic multi-threaded replication passes.
 //
 // Experiments estimate expectations (and tails) over many independent
 // replications with heavy-tailed per-replication cost (a near-critical
 // replication can run orders of magnitude longer than its siblings).
-// ReplicationPool farms unit indices over persistent worker threads that
-// pull the next index from a shared queue (dynamic scheduling), so a slow
+// run_units farms the unit indices of one pass over workers that pull the
+// next index from a shared counter (dynamic scheduling), so a slow
 // replication never strands the rest of a static stride. exp::run_sweep
 // derives every replication's RNG seed from (point_seed, rep_index) and
 // writes it to its own result slot, so the aggregate result is
@@ -15,14 +15,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace smn::sim {
@@ -48,10 +47,11 @@ inline constexpr int kMaxThreads = 1024;
 }
 
 /// Effective replication-level worker count for `threads` requested
-/// workers and `reps` replications: clamped to [1, reps], so idle workers
-/// are never spawned.
+/// workers and `reps` replications: clamped to [1, min(reps, kMaxThreads)],
+/// so idle workers are never spawned and an unvalidated library request
+/// cannot start more threads than --threads accepts.
 [[nodiscard]] inline int replication_workers(int threads, int reps) noexcept {
-    int workers = threads < 1 ? 1 : threads;
+    int workers = std::clamp(threads, 1, kMaxThreads);
     if (reps >= 0) workers = std::min(workers, reps);
     return std::max(workers, 1);
 }
@@ -66,189 +66,79 @@ struct UnitFailure {
     std::exception_ptr error;  ///< the final exception itself
 };
 
-/// Process-wide persistent pool for replication-level parallelism.
+/// What one run_units pass did.
+struct PassResult {
+    std::vector<UnitFailure> failures;  ///< sorted by unit; empty when every unit succeeded
+    int workers{1};                     ///< workers that ran units, the caller included
+    double busy_seconds{0.0};           ///< time the workers spent inside unit bodies
+};
+
+namespace detail {
+/// Whether this thread is running a unit body (see run_units).
+inline thread_local bool in_unit = false;
+}  // namespace detail
+
+/// Runs task(unit) for every unit in [0, units) over at most `threads`
+/// workers (clamped via replication_workers) and returns once all units
+/// are done. The caller is worker 0; the pass starts the other workers
+/// and joins them before it returns. A call from inside a unit body runs
+/// its units inline on that thread, which is always correct because
+/// results never depend on scheduling.
 ///
-/// Unit bodies are handed out dynamically (each worker pulls the next
-/// index from the shared queue), results are written to index-addressed
-/// slots, and the worker threads persist across calls — run_point after
-/// run_point reuses the same threads instead of spawning per call. The
-/// pool grows its threads lazily to the largest request it has served.
-///
-/// Dispatch is serialized: if the pool is already busy — a concurrent
-/// run_units() from another thread, or a unit body recursively running
-/// units — the new call falls back to inline serial execution, which is
-/// always correct because results never depend on scheduling.
-class ReplicationPool {
-public:
-    /// Pool telemetry snapshot. The unit counters cost one atomic per
-    /// run_units call; worker_busy_seconds is the time pooled workers
-    /// (the caller included) spent inside unit bodies.
-    struct PoolStats {
-        std::int64_t units_pooled{0};  ///< units executed via the worker pool
-        std::int64_t units_inline{0};  ///< units executed inline (serial/fallback)
-        double worker_busy_seconds{0.0};
-        int workers{0};                ///< pool threads alive, counting the caller
+/// A throwing body is retried up to `retries` more times; if every
+/// attempt throws, the unit is recorded as a UnitFailure and every other
+/// unit still runs. Retrying is sound only because unit bodies are pure
+/// functions of their index (the determinism contract): a retry re-derives
+/// the same seed and recomputes the identical result.
+[[nodiscard]] inline PassResult run_units(int units, int threads, int retries,
+                                          const std::function<void(int)>& task) {
+    PassResult pass;
+    std::mutex failures_mutex;
+    const int attempts_allowed = 1 + std::max(retries, 0);
+    // The one place a unit's exception is caught, so no exception ever
+    // leaves a worker thread.
+    const auto record = [&](int unit, int attempts, std::string message) {
+        const std::lock_guard<std::mutex> lock{failures_mutex};
+        pass.failures.push_back({unit, attempts, std::move(message), std::current_exception()});
+    };
+    const auto guarded = [&](int unit) {
+        for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
+            try {
+                task(unit);
+                return;
+            } catch (const std::exception& e) {
+                if (attempt == attempts_allowed) record(unit, attempt, e.what());
+            } catch (...) {
+                if (attempt == attempts_allowed) record(unit, attempt, "unknown exception");
+            }
+        }
     };
 
-    /// The singleton every runner shares.
-    [[nodiscard]] static ReplicationPool& instance() {
-        static ReplicationPool pool;
-        return pool;
-    }
-
-    ReplicationPool(const ReplicationPool&) = delete;
-    ReplicationPool& operator=(const ReplicationPool&) = delete;
-
-    ~ReplicationPool() {
-        {
-            const std::lock_guard<std::mutex> lock{mutex_};
-            stop_ = true;
-        }
-        wake_.notify_all();
-        for (auto& thread : threads_) thread.join();
-    }
-
-    /// Current telemetry totals. Safe to call between run_units calls
-    /// (runner code snapshots around a sweep pass).
-    [[nodiscard]] PoolStats stats() {
-        PoolStats out;
-        out.units_pooled = units_pooled_.load(std::memory_order_relaxed);
-        out.units_inline = units_inline_.load(std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock{mutex_};
-        out.worker_busy_seconds = busy_seconds_;
-        out.workers = static_cast<int>(threads_.size()) + 1;
-        return out;
-    }
-
-    /// Runs task(unit) for every unit in [0, units) over at most `threads`
-    /// workers (clamped via replication_workers); blocks until all units
-    /// are done, and the calling thread participates. A throwing body is
-    /// retried up to `retries` more times; if every attempt throws, the
-    /// unit is recorded as a UnitFailure and every other unit still runs.
-    /// Retrying is sound only because unit bodies are pure functions of
-    /// their index (the determinism contract): a retry re-derives the same
-    /// seed and recomputes the identical result. Returns the failures
-    /// sorted by unit index (deterministic regardless of scheduling);
-    /// empty means every unit eventually succeeded.
-    [[nodiscard]] std::vector<UnitFailure> run_units(int units, int threads, int retries,
-                                                     const std::function<void(int)>& task) {
-        std::vector<UnitFailure> failures;
-        std::mutex failures_mutex;
-        const int attempts_allowed = 1 + std::max(retries, 0);
-        // The one place a unit's exception is caught, so no exception ever
-        // leaves a worker thread.
-        const auto record = [&](int unit, int attempts, std::string message) {
-            const std::lock_guard<std::mutex> lock{failures_mutex};
-            failures.push_back({unit, attempts, std::move(message), std::current_exception()});
-        };
-        const std::function<void(int)> guarded = [&](int unit) {
-            for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
-                try {
-                    task(unit);
-                    return;
-                } catch (const std::exception& e) {
-                    if (attempt == attempts_allowed) record(unit, attempt, e.what());
-                } catch (...) {
-                    if (attempt == attempts_allowed) record(unit, attempt, "unknown exception");
-                }
-            }
-        };
-
-        const int workers = replication_workers(threads, units);
-        // Recursion is detected before touching the lock: try_lock on a
-        // mutex this thread already holds is undefined. A concurrent
-        // dispatch from another thread does not queue behind the running
-        // one either — determinism never depended on the pool.
-        std::unique_lock<std::mutex> dispatch{dispatch_mutex_, std::defer_lock};
-        if (workers > 1 && !busy_here()) (void)dispatch.try_lock();
-        if (dispatch.owns_lock()) {
-            units_pooled_.fetch_add(units, std::memory_order_relaxed);
-            run_pooled(units, workers, guarded);
-        } else {
-            units_inline_.fetch_add(units, std::memory_order_relaxed);
-            for (int unit = 0; unit < units; ++unit) guarded(unit);
-        }
-        std::sort(failures.begin(), failures.end(),
-                  [](const UnitFailure& a, const UnitFailure& b) { return a.unit < b.unit; });
-        return failures;
-    }
-
-private:
-    ReplicationPool() = default;
-
-    /// Whether THIS thread is inside a pooled dispatch (see run_units).
-    [[nodiscard]] static bool& busy_here() noexcept {
-        thread_local bool busy = false;
-        return busy;
-    }
-
-    /// Hands units [0, units) to `workers` participants — the caller as
-    /// worker 0 plus pool threads 1..workers-1, grown on demand — and
-    /// returns once every unit is done. `task` must not throw.
-    void run_pooled(int units, int workers, const std::function<void(int)>& task) {
-        std::unique_lock<std::mutex> lock{mutex_};
-        for (int w = static_cast<int>(threads_.size()) + 1; w < workers; ++w) {
-            threads_.emplace_back([this, w] { worker_loop(w); });
-        }
-        task_ = &task;
-        next_unit_ = 0;
-        units_ = units;
-        active_ = workers;
-        wake_.notify_all();
-        busy_here() = true;
-        drain(0, lock);
-        busy_here() = false;
-        done_.wait(lock, [this] { return next_unit_ >= units_ && in_flight_ == 0; });
-        task_ = nullptr;
-        units_ = 0;  // parks the workers until the next dispatch
-    }
-
-    /// Pops units until none are left, running each outside the mutex.
-    /// `lock` holds mutex_ on entry and on return.
-    void drain(int worker, std::unique_lock<std::mutex>& lock) {
-        while (worker < active_ && next_unit_ < units_) {
-            const int unit = next_unit_++;
-            ++in_flight_;
-            const auto* task = task_;
-            lock.unlock();
+    pass.workers = detail::in_unit ? 1 : replication_workers(threads, units);
+    std::atomic<int> next_unit{0};
+    // One slot per worker, summed in worker order after the join.
+    std::vector<double> busy(static_cast<std::size_t>(pass.workers), 0.0);
+    const auto work = [&](int worker) {
+        const bool outer = std::exchange(detail::in_unit, true);
+        for (int unit = next_unit.fetch_add(1, std::memory_order_relaxed); unit < units;
+             unit = next_unit.fetch_add(1, std::memory_order_relaxed)) {
             const auto begin = std::chrono::steady_clock::now();
-            (*task)(unit);
-            const std::chrono::duration<double> busy = std::chrono::steady_clock::now() - begin;
-            lock.lock();
-            busy_seconds_ += busy.count();
-            --in_flight_;
-            if (next_unit_ >= units_ && in_flight_ == 0) done_.notify_all();
+            guarded(unit);
+            const std::chrono::duration<double> spent = std::chrono::steady_clock::now() - begin;
+            busy[static_cast<std::size_t>(worker)] += spent.count();
         }
-    }
-
-    void worker_loop(int worker) {
-        std::unique_lock<std::mutex> lock{mutex_};
-        for (;;) {
-            wake_.wait(lock, [this, worker] {
-                return stop_ || (worker < active_ && next_unit_ < units_);
-            });
-            if (stop_) return;
-            drain(worker, lock);
-        }
-    }
-
-    std::mutex dispatch_mutex_;  ///< held by the one pooled dispatch in flight
-    // Telemetry (see PoolStats). Atomics: the inline-fallback paths run
-    // concurrently with a pooled dispatch by design.
-    std::atomic<std::int64_t> units_pooled_{0};
-    std::atomic<std::int64_t> units_inline_{0};
-    // Dispatch state, guarded by mutex_.
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    const std::function<void(int)>* task_{nullptr};
-    int next_unit_{0};
-    int units_{0};
-    int active_{0};
-    int in_flight_{0};
-    bool stop_{false};
-    double busy_seconds_{0.0};
-    std::vector<std::thread> threads_;  ///< after everything the workers use
-};
+        detail::in_unit = outer;
+    };
+    {
+        std::vector<std::jthread> helpers;
+        helpers.reserve(busy.size() - 1);
+        for (int worker = 1; worker < pass.workers; ++worker) helpers.emplace_back(work, worker);
+        work(0);
+    }  // joins the helpers
+    for (const double seconds : busy) pass.busy_seconds += seconds;
+    std::sort(pass.failures.begin(), pass.failures.end(),
+              [](const UnitFailure& a, const UnitFailure& b) { return a.unit < b.unit; });
+    return pass;
+}
 
 }  // namespace smn::sim

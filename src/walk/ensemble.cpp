@@ -121,20 +121,22 @@ template <typename IndexFn>
 void AgentEnsemble::step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of) {
     const auto width = grid_.width();
     const auto height = grid_.height();
-    for (std::size_t base = 0; base < count; base += kBlockSize) {
-        const std::size_t len = std::min(kBlockSize, count - base);
-        block_.fill(rng, len);
-        ++decode_stats_.blocks_scalar;
-        for (std::size_t i = 0; i < len; ++i) {
-            const auto a = index_of(base + i);
-            const auto mask = direction_mask(xs_[a], ys_[a], width, height);
-            const auto deg = static_cast<std::uint64_t>(std::popcount(mask));
-            const auto u = kind_ == WalkKind::kSimple
-                               ? block_.below(rng, deg)
-                               : std::min<std::uint64_t>(block_.below(rng, 2 * deg), 4);
-            apply(a, mask, static_cast<unsigned>(u));
-        }
+    // Drawn through a local copy of the engine: apply()'s stores may alias
+    // the caller's Rng, which would make the compiler load and store its
+    // four state words for every word drawn.
+    rng::Rng engine = rng;
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto a = index_of(i);
+        const auto mask = direction_mask(xs_[a], ys_[a], width, height);
+        const auto deg = static_cast<std::uint64_t>(std::popcount(mask));
+        const auto u = kind_ == WalkKind::kSimple
+                           ? engine.below(deg)
+                           : std::min<std::uint64_t>(engine.below(2 * deg), 4);
+        apply(a, mask, static_cast<unsigned>(u));
     }
+    rng = engine;
+    decode_stats_.blocks_scalar +=
+        static_cast<std::int64_t>((count + kBlockSize - 1) / kBlockSize);
 }
 
 template <typename OnChunk, typename OnOne>

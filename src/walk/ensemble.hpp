@@ -187,8 +187,8 @@ private:
     /// Scalar step of the ablation walks (kSimple, kLazyHalf) over `count`
     /// agents selected by `index_of` (identity for step_all, the moving-agent
     /// list for step_subset), in order. Their draw bound is the node's degree
-    /// (or twice it), so each agent draws through BlockRng word by word; the
-    /// blocks count as blocks_scalar.
+    /// (or twice it), so each agent draws through Rng::below word by word;
+    /// every started block of kBlockSize agents counts as blocks_scalar.
     template <typename IndexFn>
     void step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of);
 
@@ -229,7 +229,6 @@ private:
     std::vector<grid::Coord> ys_;           ///< SoA y coordinates
     std::vector<grid::Point> positions_;    ///< coherent AoS mirror for span views
     WalkKind kind_;
-    rng::BlockRng block_;                   ///< the ablation walks' buffered words
     std::vector<std::int32_t> row_;         ///< scratch: step_subset's draw per agent
     std::vector<std::int32_t> moving_;      ///< scratch: step_subset's movers
     std::vector<grid::Point> before_;       ///< scratch: positions before an adapter step

@@ -1,4 +1,4 @@
-// sim_test.cpp — CLI args and the shared replication pool.
+// sim_test.cpp — CLI args and the replication runner's passes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -232,33 +232,35 @@ TEST(Runner, ReplicationWorkersClampsToReps) {
     EXPECT_EQ(replication_workers(0, 10), 1);
     EXPECT_EQ(replication_workers(-3, 10), 1);
     EXPECT_EQ(replication_workers(8, 0), 1);
+    // An unvalidated library request is capped like --threads (arithmetic
+    // only: no thread starts here).
+    EXPECT_EQ(replication_workers(1 << 20, 1 << 20), kMaxThreads);
+    EXPECT_EQ(replication_workers(kMaxThreads + 1, 3), 3);
 }
 
-/// Runs unit(u) for every u in [0, units) on the shared pool and returns
-/// the results in unit order.
+/// Runs unit(u) for every u in [0, units) in one pass and returns the
+/// results in unit order.
 std::vector<int> run_units(int units, int threads, int (*unit)(int)) {
     std::vector<int> results(static_cast<std::size_t>(units), -1);
-    EXPECT_TRUE(ReplicationPool::instance()
-                    .run_units(units, threads, 0,
+    EXPECT_TRUE(sim::run_units(units, threads, 0,
                                [&](int u) { results[static_cast<std::size_t>(u)] = unit(u); })
-                    .empty());
+                    .failures.empty());
     return results;
 }
 
 /// Runs a seeded replication body, body(rep, replication_seed(base, rep)),
-/// for every rep on the shared pool and returns the values in rep order —
-/// the way exp::run_point drives the pool.
+/// for every rep in one pass and returns the values in rep order — the
+/// way exp::run_point drives its pass.
 template <typename Body>
 std::vector<double> run_seeded(int reps, std::uint64_t base, int threads, Body body) {
     std::vector<double> results(static_cast<std::size_t>(reps), -1.0);
-    EXPECT_TRUE(ReplicationPool::instance()
-                    .run_units(reps, threads, 0,
+    EXPECT_TRUE(sim::run_units(reps, threads, 0,
                                [&](int rep) {
                                    results[static_cast<std::size_t>(rep)] = body(
                                        rep, rng::replication_seed(
                                                 base, static_cast<std::uint64_t>(rep)));
                                })
-                    .empty());
+                    .failures.empty());
     return results;
 }
 
@@ -267,10 +269,9 @@ TEST(Runner, ProducesOneResultPerReplication) {
     for (const int threads : {1, 4, 16}) {
         std::vector<std::atomic<int>> calls(10);
         const auto results = run_units(10, threads, [](int u) { return u; });
-        EXPECT_TRUE(ReplicationPool::instance()
-                        .run_units(10, threads, 0,
+        EXPECT_TRUE(sim::run_units(10, threads, 0,
                                    [&](int u) { calls[static_cast<std::size_t>(u)].fetch_add(1); })
-                        .empty());
+                        .failures.empty());
         for (int u = 0; u < 10; ++u) {
             EXPECT_EQ(results[static_cast<std::size_t>(u)], u) << threads;
             EXPECT_EQ(calls[static_cast<std::size_t>(u)].load(), 1) << threads;
@@ -326,12 +327,12 @@ TEST(Runner, SkewedWorkloadIsThreadInvariant) {
 
 TEST(Runner, BodyExceptionSurfacesOnCallerThread) {
     // A throwing unit comes back to the caller as a failure carrying its
-    // exception, at any thread count, and the pool serves the next
-    // dispatch normally.
+    // exception, at any thread count, and the next pass runs normally.
     for (const int threads : {1, 4, 16}) {
-        const auto failures = ReplicationPool::instance().run_units(9, threads, 0, [](int u) {
+        const auto pass = sim::run_units(9, threads, 0, [](int u) {
             if (u == 4) throw std::runtime_error("unit 4 boom");
         });
+        const auto& failures = pass.failures;
         ASSERT_EQ(failures.size(), 1U) << threads;
         EXPECT_EQ(failures[0].unit, 4) << threads;
         EXPECT_EQ(failures[0].attempts, 1) << threads;
@@ -348,11 +349,12 @@ TEST(Runner, FailingUnitNeverStopsTheOthers) {
     // every other unit runs exactly once, and only unit 0 is reported.
     for (const int threads : {1, 4, 16}) {
         std::vector<std::atomic<int>> calls(200);
-        const auto failures = ReplicationPool::instance().run_units(200, threads, 0, [&](int u) {
+        const auto pass = sim::run_units(200, threads, 0, [&](int u) {
             calls[static_cast<std::size_t>(u)].fetch_add(1);
             if (u == 0) throw std::logic_error("early");
             std::this_thread::sleep_for(std::chrono::microseconds{50});
         });
+        const auto& failures = pass.failures;
         ASSERT_EQ(failures.size(), 1U) << threads;
         EXPECT_EQ(failures[0].unit, 0) << threads;
         for (const auto& count : calls) EXPECT_EQ(count.load(), 1) << threads;
@@ -364,13 +366,12 @@ TEST(Runner, RetriesTransientFailures) {
     // of them, and each body ran exactly twice.
     for (const int threads : {1, 4}) {
         std::vector<std::atomic<int>> attempts(12);
-        const auto failures = ReplicationPool::instance().run_units(
-            12, threads, 1, [&](int u) {
-                if (attempts[static_cast<std::size_t>(u)].fetch_add(1) == 0) {
-                    throw std::runtime_error("transient");
-                }
-            });
-        EXPECT_TRUE(failures.empty()) << threads;
+        const auto pass = sim::run_units(12, threads, 1, [&](int u) {
+            if (attempts[static_cast<std::size_t>(u)].fetch_add(1) == 0) {
+                throw std::runtime_error("transient");
+            }
+        });
+        EXPECT_TRUE(pass.failures.empty()) << threads;
         for (const auto& count : attempts) EXPECT_EQ(count.load(), 2) << threads;
     }
 }
@@ -381,12 +382,12 @@ TEST(Runner, RecordsPersistentFailuresInUnitOrder) {
     // unit, with every attempt counted and the final exception kept.
     for (const int threads : {1, 4, 16}) {
         std::vector<std::atomic<int>> attempts(11);
-        const auto failures = ReplicationPool::instance().run_units(
-            11, threads, 2, [&](int u) {
-                attempts[static_cast<std::size_t>(u)].fetch_add(1);
-                if (u == 2 || u == 7) throw std::runtime_error("unit " + std::to_string(u));
-                if (u == 9) throw 9;
-            });
+        const auto pass = sim::run_units(11, threads, 2, [&](int u) {
+            attempts[static_cast<std::size_t>(u)].fetch_add(1);
+            if (u == 2 || u == 7) throw std::runtime_error("unit " + std::to_string(u));
+            if (u == 9) throw 9;
+        });
+        const auto& failures = pass.failures;
         ASSERT_EQ(failures.size(), 3U) << threads;
         EXPECT_EQ(failures[0].unit, 2);
         EXPECT_EQ(failures[1].unit, 7);
@@ -410,22 +411,23 @@ TEST(Runner, RetryStopsAtTheFirstSuccess) {
     // attempts and is not reported.
     for (const int threads : {1, 4}) {
         std::vector<std::atomic<int>> attempts(8);
-        const auto failures = ReplicationPool::instance().run_units(8, threads, 5, [&](int u) {
+        const auto pass = sim::run_units(8, threads, 5, [&](int u) {
             if (attempts[static_cast<std::size_t>(u)].fetch_add(1) < 2) {
                 throw std::runtime_error("flaky");
             }
         });
-        EXPECT_TRUE(failures.empty()) << threads;
+        EXPECT_TRUE(pass.failures.empty()) << threads;
         for (const auto& count : attempts) EXPECT_EQ(count.load(), 3) << threads;
     }
 }
 
 TEST(Runner, NegativeRetriesMeanOneAttempt) {
     std::atomic<int> attempts{0};
-    const auto failures = ReplicationPool::instance().run_units(1, 1, -3, [&](int) {
+    const auto pass = sim::run_units(1, 1, -3, [&](int) {
         attempts.fetch_add(1);
         throw std::runtime_error("always");
     });
+    const auto& failures = pass.failures;
     ASSERT_EQ(failures.size(), 1U);
     EXPECT_EQ(failures[0].attempts, 1);
     EXPECT_EQ(attempts.load(), 1);
@@ -435,9 +437,10 @@ TEST(Runner, FailureKeepsTheFinalAttemptsException) {
     // Each attempt throws a different message: the record carries the last.
     for (const int threads : {1, 4}) {
         std::atomic<int> attempts{0};
-        const auto failures = ReplicationPool::instance().run_units(2, threads, 2, [&](int u) {
+        const auto pass = sim::run_units(2, threads, 2, [&](int u) {
             if (u == 1) throw std::runtime_error("attempt " + std::to_string(++attempts));
         });
+        const auto& failures = pass.failures;
         ASSERT_EQ(failures.size(), 1U) << threads;
         EXPECT_EQ(failures[0].message, "attempt 3") << threads;
         try {
@@ -451,9 +454,8 @@ TEST(Runner, FailureKeepsTheFinalAttemptsException) {
 TEST(Runner, ZeroUnitsRunNothing) {
     for (const int threads : {1, 4}) {
         std::atomic<int> calls{0};
-        EXPECT_TRUE(ReplicationPool::instance()
-                        .run_units(0, threads, 0, [&](int) { calls.fetch_add(1); })
-                        .empty());
+        EXPECT_TRUE(sim::run_units(0, threads, 0, [&](int) { calls.fetch_add(1); })
+                        .failures.empty());
         EXPECT_EQ(calls.load(), 0) << threads;
     }
 }
@@ -464,13 +466,13 @@ TEST(Runner, MoreThreadsThanWork) {
 }
 
 TEST(Runner, SingleRepAtManyThreads) {
-    // One unit exercises the clamped pool path: one unit, one worker.
+    // One unit exercises the clamped path: one unit, one worker.
     EXPECT_EQ(run_units(1, 16, [](int u) { return u + 41; }), std::vector<int>{41});
 }
 
 TEST(Runner, PersistentPoolSurvivesManyCalls) {
-    // Back-to-back calls reuse the shared pool's workers; every unit runs
-    // exactly once, call after call.
+    // Back-to-back passes each start and join their own workers; every
+    // unit runs exactly once, pass after pass.
     const auto unit = [](int u) { return 3 * u + 1; };
     const auto expected = run_units(10, 1, unit);
     for (int round = 0; round < 25; ++round) {
@@ -479,61 +481,48 @@ TEST(Runner, PersistentPoolSurvivesManyCalls) {
 }
 
 TEST(Runner, AtMostThreadsWorkersTakePart) {
-    // Grow the pool past the request first, so idle workers are there to
-    // be (wrongly) woken.
+    // A wider pass first, so a pass that started more workers than it was
+    // asked for would show up as extra thread ids.
     EXPECT_EQ(run_units(8, 8, [](int u) { return u; }).size(), 8U);
     std::mutex mutex;
     std::set<std::thread::id> seen;
-    EXPECT_TRUE(ReplicationPool::instance()
-                    .run_units(64, 2, 0,
-                               [&](int) {
-                                   const std::lock_guard<std::mutex> lock{mutex};
-                                   seen.insert(std::this_thread::get_id());
-                               })
-                    .empty());
+    const auto pass = sim::run_units(64, 2, 0, [&](int) {
+        const std::lock_guard<std::mutex> lock{mutex};
+        seen.insert(std::this_thread::get_id());
+    });
+    EXPECT_TRUE(pass.failures.empty());
+    EXPECT_EQ(pass.workers, 2);
     EXPECT_GE(seen.size(), 1U);
     EXPECT_LE(seen.size(), 2U);
 }
 
-TEST(Runner, PoolGrowsToTheLargestRequest) {
-    auto& pool = ReplicationPool::instance();
-    EXPECT_EQ(run_units(5, 5, [](int u) { return u; }).size(), 5U);
-    const int grown = pool.stats().workers;
-    EXPECT_GE(grown, 5);
-    EXPECT_EQ(run_units(5, 2, [](int u) { return u; }).size(), 5U);
-    EXPECT_EQ(pool.stats().workers, grown);  // never shrinks
-}
-
-TEST(Runner, StatsCountPooledAndInlineUnits) {
-    // These totals feed the pool.* record counters: a serial dispatch runs
-    // inline, a parallel one through the pool.
-    auto& pool = ReplicationPool::instance();
-    const auto before = pool.stats();
-    EXPECT_EQ(run_units(6, 1, [](int u) { return u; }).size(), 6U);
-    const auto serial = pool.stats();
-    EXPECT_EQ(serial.units_inline - before.units_inline, 6);
-    EXPECT_EQ(serial.units_pooled, before.units_pooled);
-    EXPECT_EQ(run_units(9, 3, [](int u) { return u; }).size(), 9U);
-    const auto pooled = pool.stats();
-    EXPECT_EQ(pooled.units_pooled - serial.units_pooled, 9);
-    EXPECT_EQ(pooled.units_inline, serial.units_inline);
-    EXPECT_GE(pooled.worker_busy_seconds, serial.worker_busy_seconds);
-    EXPECT_GE(pooled.workers, 3);
+TEST(Runner, PassReportsItsWorkersAndBusyTime) {
+    // These figures feed the pool.* record counters: the workers of this
+    // pass alone (the caller included, clamped to the units), and the time
+    // they spent inside unit bodies.
+    const auto body = [](int) { std::this_thread::sleep_for(std::chrono::milliseconds{2}); };
+    const auto serial = sim::run_units(6, 1, 0, body);
+    EXPECT_EQ(serial.workers, 1);
+    EXPECT_GE(serial.busy_seconds, 6 * 0.002);
+    const auto pooled = sim::run_units(9, 3, 0, body);
+    EXPECT_EQ(pooled.workers, 3);
+    EXPECT_GE(pooled.busy_seconds, 9 * 0.002);
+    EXPECT_EQ(sim::run_units(2, 16, 0, body).workers, 2);
+    EXPECT_EQ(sim::run_units(0, 4, 0, body).busy_seconds, 0.0);
 }
 
 TEST(Runner, ConcurrentDispatchesBothComplete) {
-    // Two threads dispatch at once: whichever finds the pool busy runs
-    // inline, and each still runs every one of its units exactly once.
+    // Two threads dispatch at once: each pass has its own workers and
+    // still runs every one of its units exactly once.
     std::vector<std::atomic<int>> first(40);
     std::vector<std::atomic<int>> second(40);
     const auto dispatch = [](std::vector<std::atomic<int>>& calls) {
-        EXPECT_TRUE(ReplicationPool::instance()
-                        .run_units(40, 4, 0,
+        EXPECT_TRUE(sim::run_units(40, 4, 0,
                                    [&](int u) {
                                        calls[static_cast<std::size_t>(u)].fetch_add(1);
                                        std::this_thread::sleep_for(std::chrono::microseconds{20});
                                    })
-                        .empty());
+                        .failures.empty());
     };
     std::thread other{[&] { dispatch(second); }};
     dispatch(first);
@@ -546,24 +535,31 @@ TEST(Runner, NestedFailureStaysWithTheInnerDispatch) {
     // A failure inside a nested dispatch is returned to the unit that ran
     // it; the outer dispatch sees a healthy unit.
     std::atomic<int> inner_failures{0};
-    const auto outer = ReplicationPool::instance().run_units(4, 4, 0, [&](int) {
-        const auto inner = ReplicationPool::instance().run_units(3, 4, 0, [](int u) {
+    const auto outer = sim::run_units(4, 4, 0, [&](int) {
+        const auto inner = sim::run_units(3, 4, 0, [](int u) {
             if (u == 2) throw std::runtime_error("inner");
         });
-        inner_failures.fetch_add(static_cast<int>(inner.size()));
+        inner_failures.fetch_add(static_cast<int>(inner.failures.size()));
     });
-    EXPECT_TRUE(outer.empty());
+    EXPECT_TRUE(outer.failures.empty());
     EXPECT_EQ(inner_failures.load(), 4);
 }
 
 TEST(Runner, NestedReplicationsRunInline) {
-    // A unit that itself dispatches units must not deadlock on the shared
-    // pool: the inner call detects the busy pool and runs inline.
-    const auto results = run_units(6, 4, [](int) {
+    // A unit that itself dispatches units runs them inline on its own
+    // thread: the inner pass starts no workers of its own.
+    std::vector<int> results(6, -1);
+    const auto outer = sim::run_units(6, 4, 0, [&](int unit) {
+        std::vector<int> inner(4, -1);
+        const auto pass = sim::run_units(
+            4, 4, 0, [&](int u) { inner[static_cast<std::size_t>(u)] = u; });
+        EXPECT_EQ(pass.workers, 1);
         int total = 0;
-        for (const int v : run_units(4, 4, [](int u) { return u; })) total += v;
-        return total;
+        for (const int v : inner) total += v;
+        results[static_cast<std::size_t>(unit)] = total;
     });
+    EXPECT_TRUE(outer.failures.empty());
+    EXPECT_EQ(outer.workers, 4);
     EXPECT_EQ(results, std::vector<int>(6, 6));
 }
 
@@ -612,7 +608,7 @@ TEST(Runner, SmnThreadsEnvironmentOverride) {
         EXPECT_GE(default_threads(), 1);
     }
     // The caller's setting (CI runs this suite at SMN_THREADS=4) survives,
-    // so later pool tests keep running at it.
+    // so later runner tests keep running at it.
     EXPECT_EQ(current(), before);
 }
 

@@ -2,10 +2,10 @@
 //
 // Lists registered scenarios and runs declarative parameter sweeps over
 // them, writing one structured record per (scenario, parameter point) to
-// JSONL or CSV. Replications are farmed over sim::ReplicationPool
-// workers with deterministic per-replication seeds, so the emitted
-// results are bit-identical for any --threads value (timings, which are
-// host-dependent, are opt-in via --timings).
+// JSONL or CSV. Each sweep's replications are farmed over the workers of
+// one sim::run_units pass with deterministic per-replication seeds, so the
+// emitted results are bit-identical for any --threads value (timings,
+// which are host-dependent, are opt-in via --timings).
 //
 //   smn_lab --list                 # catalogue: scenarios, params, sweeps
 //   smn_lab                        # default sweep of every scenario
