@@ -3,7 +3,7 @@
 // The walk kernel (walk/ensemble.cpp, walk/decode.hpp),
 // gossip's row merge (MultiRumorState::merge_row, core/rumor.hpp) and the
 // visibility pass's window gather and move tally (graph/visibility.cpp)
-// are written once against the two wrapper types below; gossip's
+// are written once against the U64x4 lane type below; gossip's
 // per-rumor tally (core/gossip.cpp) uses the two byte-lane kernels
 // add_bit_lanes and fold_byte_lanes. All of it is compiled against one of
 // two backends, selected at CONFIGURE time (never at runtime — a runtime
@@ -20,9 +20,10 @@
 // benchmarked; another ISA's backend belongs here once a CI runner and a
 // benchmark host of that ISA can exercise it.
 //
-// Lane widths are fixed at 8×int32 / 4×uint64 on both backends so kernel
-// code never branches on width. Masks are carried as lane vectors
-// (all-ones per true lane).
+// The lane width is fixed at 4×uint64 on both backends so kernel code
+// never branches on width. A lane may also hold two int32 halves, as the
+// walk's grid::Point does (cmpgt_halves). Masks are carried as lane
+// vectors (all-ones per true lane or half).
 //
 // Determinism note: every operation here is exact integer arithmetic —
 // identical results on both backends by construction. There is no
@@ -44,8 +45,7 @@
 
 namespace smn::util::simd {
 
-/// Lanes per I32x8 / U64x4 — fixed on both backends.
-inline constexpr int kI32Lanes = 8;
+/// Lanes per U64x4 — fixed on both backends.
 inline constexpr int kU64Lanes = 4;
 /// Byte lanes add_bit_lanes / fold_byte_lanes touch: one per bit of a word.
 inline constexpr int kBitLanes = 64;
@@ -53,53 +53,6 @@ inline constexpr int kBitLanes = 64;
 #if defined(SMN_SIMD_AVX2)
 
 // ------------------------------------------------------------- AVX2 backend
-
-/// Eight int32 lanes.
-struct I32x8 {
-    __m256i v;
-
-    [[nodiscard]] static I32x8 load(const std::int32_t* p) noexcept {
-        return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-    }
-    [[nodiscard]] static I32x8 splat(std::int32_t x) noexcept { return {_mm256_set1_epi32(x)}; }
-    void store(std::int32_t* p) const noexcept {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-    }
-};
-
-[[nodiscard]] inline I32x8 add(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_add_epi32(a.v, b.v)};
-}
-[[nodiscard]] inline I32x8 bit_and(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_and_si256(a.v, b.v)};
-}
-[[nodiscard]] inline I32x8 bit_or(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_or_si256(a.v, b.v)};
-}
-/// Per-lane a > b (signed): all-ones lane when true.
-[[nodiscard]] inline I32x8 cmpgt(I32x8 a, I32x8 b) noexcept {
-    return {_mm256_cmpgt_epi32(a.v, b.v)};
-}
-template <int N>
-[[nodiscard]] inline I32x8 shift_left(I32x8 a) noexcept {
-    return {_mm256_slli_epi32(a.v, N)};
-}
-template <int N>
-[[nodiscard]] inline I32x8 shift_right_arith(I32x8 a) noexcept {
-    return {_mm256_srai_epi32(a.v, N)};
-}
-/// table[idx[lane]] for each lane (table entries int32).
-[[nodiscard]] inline I32x8 gather(const std::int32_t* table, I32x8 idx) noexcept {
-    return {_mm256_i32gather_epi32(table, idx.v, 4)};
-}
-/// Stores the 16 values a0,b0,a1,b1,…,a7,b7 at dst (AoS pair mirror).
-inline void store_interleaved(std::int32_t* dst, I32x8 a, I32x8 b) noexcept {
-    const __m256i lo = _mm256_unpacklo_epi32(a.v, b.v);  // a0 b0 a1 b1 | a4 b4 a5 b5
-    const __m256i hi = _mm256_unpackhi_epi32(a.v, b.v);  // a2 b2 a3 b3 | a6 b6 a7 b7
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), _mm256_permute2x128_si256(lo, hi, 0x20));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 8),
-                        _mm256_permute2x128_si256(lo, hi, 0x31));
-}
 
 /// Four uint64 lanes.
 struct U64x4 {
@@ -118,6 +71,10 @@ struct U64x4 {
                                    std::uint64_t w3) noexcept {
         return {_mm256_set_epi64x(static_cast<long long>(w3), static_cast<long long>(w2),
                                   static_cast<long long>(w1), static_cast<long long>(w0))};
+    }
+    /// Four uint32 at p, zero-extended.
+    [[nodiscard]] static U64x4 load_u32(const std::uint32_t* p) noexcept {
+        return {_mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))};
     }
     void store(std::uint64_t* p) const noexcept {
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
@@ -158,14 +115,13 @@ template <int N>
 [[nodiscard]] inline bool any(U64x4 a) noexcept {
     return _mm256_testz_si256(a.v, a.v) == 0;
 }
-/// The low 32 bits of lo's four lanes, then of hi's, as eight int32
-/// lanes in that order.
-[[nodiscard]] inline I32x8 narrow(U64x4 lo, U64x4 hi) noexcept {
-    // Per 128-bit half: lo0 lo1 hi0 hi1 | lo2 lo3 hi2 hi3; then the
-    // middle two 64-bit pairs swap.
-    const __m256 halves = _mm256_shuffle_ps(_mm256_castsi256_ps(lo.v), _mm256_castsi256_ps(hi.v),
-                                            _MM_SHUFFLE(2, 0, 2, 0));
-    return {_mm256_permute4x64_epi64(_mm256_castps_si256(halves), _MM_SHUFFLE(3, 1, 2, 0))};
+/// Per 32-bit half, signed a > b: an all-ones half where true.
+[[nodiscard]] inline U64x4 cmpgt_halves(U64x4 a, U64x4 b) noexcept {
+    return {_mm256_cmpgt_epi32(a.v, b.v)};
+}
+/// table[idx[lane]] for each lane.
+[[nodiscard]] inline U64x4 gather(const std::uint64_t* table, U64x4 idx) noexcept {
+    return {_mm256_i64gather_epi64(reinterpret_cast<const long long*>(table), idx.v, 8)};
 }
 /// Lane i: the 8 bytes at base + offsets[i], read as a little-endian
 /// uint64 (no alignment required).
@@ -233,74 +189,6 @@ inline void add_bit_lanes(std::uint64_t bits, std::uint8_t* lanes) noexcept {
 // Plain loops; gcc/clang auto-vectorize most of them at -O2, and the
 // force-scalar CI leg keeps this path green under ASan/UBSan.
 
-struct I32x8 {
-    std::int32_t l[8];
-
-    [[nodiscard]] static I32x8 load(const std::int32_t* p) noexcept {
-        I32x8 r;
-        for (int i = 0; i < 8; ++i) r.l[i] = p[i];
-        return r;
-    }
-    [[nodiscard]] static I32x8 splat(std::int32_t x) noexcept {
-        I32x8 r;
-        for (auto& v : r.l) v = x;
-        return r;
-    }
-    void store(std::int32_t* p) const noexcept {
-        for (int i = 0; i < 8; ++i) p[i] = l[i];
-    }
-};
-
-namespace detail {
-template <typename Fn>
-[[nodiscard]] inline I32x8 map8(I32x8 a, I32x8 b, Fn&& fn) noexcept {
-    I32x8 r;
-    for (int i = 0; i < 8; ++i) r.l[i] = fn(a.l[i], b.l[i]);
-    return r;
-}
-}  // namespace detail
-
-[[nodiscard]] inline I32x8 add(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) {
-        return static_cast<std::int32_t>(static_cast<std::uint32_t>(x) +
-                                         static_cast<std::uint32_t>(y));
-    });
-}
-[[nodiscard]] inline I32x8 bit_and(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x & y; });
-}
-[[nodiscard]] inline I32x8 bit_or(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x | y; });
-}
-[[nodiscard]] inline I32x8 cmpgt(I32x8 a, I32x8 b) noexcept {
-    return detail::map8(a, b, [](std::int32_t x, std::int32_t y) { return x > y ? -1 : 0; });
-}
-template <int N>
-[[nodiscard]] inline I32x8 shift_left(I32x8 a) noexcept {
-    I32x8 r;
-    for (int i = 0; i < 8; ++i) {
-        r.l[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(a.l[i]) << N);
-    }
-    return r;
-}
-template <int N>
-[[nodiscard]] inline I32x8 shift_right_arith(I32x8 a) noexcept {
-    I32x8 r;
-    for (int i = 0; i < 8; ++i) r.l[i] = a.l[i] >> N;
-    return r;
-}
-[[nodiscard]] inline I32x8 gather(const std::int32_t* table, I32x8 idx) noexcept {
-    I32x8 r;
-    for (int i = 0; i < 8; ++i) r.l[i] = table[idx.l[i]];
-    return r;
-}
-inline void store_interleaved(std::int32_t* dst, I32x8 a, I32x8 b) noexcept {
-    for (int i = 0; i < 8; ++i) {
-        dst[2 * i] = a.l[i];
-        dst[2 * i + 1] = b.l[i];
-    }
-}
-
 struct U64x4 {
     std::uint64_t l[4];
 
@@ -311,6 +199,9 @@ struct U64x4 {
     [[nodiscard]] static U64x4 set(std::uint64_t w0, std::uint64_t w1, std::uint64_t w2,
                                    std::uint64_t w3) noexcept {
         return {{w0, w1, w2, w3}};
+    }
+    [[nodiscard]] static U64x4 load_u32(const std::uint32_t* p) noexcept {
+        return {{p[0], p[1], p[2], p[3]}};
     }
     void store(std::uint64_t* p) const noexcept {
         for (int i = 0; i < 4; ++i) p[i] = l[i];
@@ -352,13 +243,18 @@ template <int N>
 [[nodiscard]] inline bool any(U64x4 a) noexcept {
     return (a.l[0] | a.l[1] | a.l[2] | a.l[3]) != 0;
 }
-[[nodiscard]] inline I32x8 narrow(U64x4 lo, U64x4 hi) noexcept {
-    I32x8 r;
-    for (int i = 0; i < 4; ++i) {
-        r.l[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(lo.l[i]));
-        r.l[i + 4] = static_cast<std::int32_t>(static_cast<std::uint32_t>(hi.l[i]));
-    }
+[[nodiscard]] inline U64x4 cmpgt_halves(U64x4 a, U64x4 b) noexcept {
+    const auto gt = [](std::uint64_t x, std::uint64_t y, int shift) -> std::uint64_t {
+        return static_cast<std::int32_t>(x >> shift) > static_cast<std::int32_t>(y >> shift)
+                   ? std::uint64_t{0xFFFFFFFF} << shift
+                   : 0;
+    };
+    U64x4 r;
+    for (int i = 0; i < 4; ++i) r.l[i] = gt(a.l[i], b.l[i], 0) | gt(a.l[i], b.l[i], 32);
     return r;
+}
+[[nodiscard]] inline U64x4 gather(const std::uint64_t* table, U64x4 idx) noexcept {
+    return {{table[idx.l[0]], table[idx.l[1]], table[idx.l[2]], table[idx.l[3]]}};
 }
 [[nodiscard]] inline U64x4 gather_bytes(const std::uint8_t* base, U64x4 offsets) noexcept {
     U64x4 r;

@@ -18,32 +18,34 @@ namespace smn::walk {
 namespace {
 
 namespace s = util::simd;
-constexpr auto kLanes = static_cast<std::size_t>(s::kI32Lanes);
-static_assert(sizeof(grid::Point) == 2 * sizeof(grid::Coord));
+/// Agents per draw_lazy chunk: one U64x4 of draws for each half.
+constexpr auto kChunk = static_cast<std::size_t>(2 * s::kU64Lanes);
+static_assert(sizeof(grid::Point) == sizeof(std::uint64_t));
+// move4 reads a Point as the word x + y·2³²; no CI leg or benchmark host
+// is big-endian.
+static_assert(std::endian::native == std::endian::little);
 
-/// Moves the eight agents at xs/ys, and their AoS mirror at points, by the
-/// lazy-paper draws uv. Lane math mirrors AgentEnsemble::apply() and
-/// direction_mask() exactly: cmpgt against the boundary coordinates builds
-/// the presence mask, a gather through kStepTablePacked turns mask*5+u
-/// into (dx, dy), and the mirror is refreshed with an interleaved store.
-/// Every lane is stored unconditionally (a stay adds a zero delta).
-inline void move8(std::int32_t* xs, std::int32_t* ys, std::int32_t* points, s::I32x8 uv,
-                  s::I32x8 xmax, s::I32x8 ymax) noexcept {
-    const auto zero = s::I32x8::splat(0);
-    const auto xv = s::I32x8::load(xs);
-    const auto yv = s::I32x8::load(ys);
-    // direction_mask(), lane-wise: x+1 < width ⇔ x < width−1.
-    auto mask = s::bit_and(s::cmpgt(xv, zero), s::I32x8::splat(1));
-    mask = s::bit_or(mask, s::bit_and(s::cmpgt(xmax, xv), s::I32x8::splat(2)));
-    mask = s::bit_or(mask, s::bit_and(s::cmpgt(yv, zero), s::I32x8::splat(4)));
-    mask = s::bit_or(mask, s::bit_and(s::cmpgt(ymax, yv), s::I32x8::splat(8)));
-    const auto idx = s::add(s::add(s::shift_left<2>(mask), mask), uv);
-    const auto delta = s::gather(kStepTablePacked.data(), idx);
-    const auto nx = s::add(xv, s::shift_right_arith<16>(s::shift_left<16>(delta)));
-    const auto ny = s::add(yv, s::shift_right_arith<16>(delta));
-    nx.store(xs);
-    ny.store(ys);
-    s::store_interleaved(points, nx, ny);
+/// (width − 1) | (height − 1)·2³²: the largest Point, as move4 reads it.
+s::U64x4 point_limit(const grid::Grid2D& grid) noexcept {
+    return s::U64x4::splat(static_cast<std::uint32_t>(grid.width() - 1) |
+                           std::uint64_t{static_cast<std::uint32_t>(grid.height() - 1)} << 32);
+}
+
+/// Moves the four agents at p by the lazy-paper draws u, one Point per
+/// lane. Lane math mirrors AgentEnsemble::apply() and direction_mask()
+/// exactly: per-half compares against 0 and `limit` give the mask bits
+/// 1, 2 (x) and 4, 8 (y) in the two halves, which fold into the low half;
+/// a gather through kStepTableWide turns mask*5+u into dx + dy·2³², and
+/// one add moves both coordinates. Every lane is stored unconditionally
+/// (a stay adds zero).
+inline void move4(grid::Point* p, s::U64x4 u, s::U64x4 limit) noexcept {
+    const auto pos = s::U64x4::load_bytes(p);
+    const auto m = s::bit_or(
+        s::bit_and(s::cmpgt_halves(pos, s::U64x4::splat(0)), s::U64x4::splat(1 | 4ULL << 32)),
+        s::bit_and(s::cmpgt_halves(limit, pos), s::U64x4::splat(2 | 8ULL << 32)));
+    const auto mask = s::bit_and(s::bit_or(m, s::shift_right<32>(m)), s::U64x4::splat(15));
+    const auto idx = s::add(s::add(s::shift_left<2>(mask), mask), u);
+    s::add(pos, s::gather(kStepTableWide.data(), idx)).store_bytes(p);
 }
 
 }  // namespace
@@ -53,23 +55,17 @@ void AgentEnsemble::step_all(rng::Rng& rng) {
         step_indices(rng, positions_.size(), [](std::size_t i) { return i; });
         return;
     }
-    const auto width = grid_.width();
-    const auto height = grid_.height();
-    const auto xmax = s::I32x8::splat(width - 1);
-    const auto ymax = s::I32x8::splat(height - 1);
-    // Hoisted: the vector stores may alias any memory, so data() of the
-    // member vectors would otherwise be reloaded every chunk.
-    std::int32_t* const xs = xs_.data();
-    std::int32_t* const ys = ys_.data();
-    auto* const points = reinterpret_cast<std::int32_t*>(positions_.data());
+    const auto limit = point_limit(grid_);
+    // Hoisted: the vector stores may alias any memory, so data() would
+    // otherwise be reloaded every chunk.
+    grid::Point* const points = positions_.data();
     draw_lazy(
         rng, positions_.size(),
-        [=](std::size_t i, s::I32x8 uv) {
-            move8(xs + i, ys + i, points + 2 * i, uv, xmax, ymax);
+        [=](std::size_t i, s::U64x4 lo, s::U64x4 hi) {
+            move4(points + i, lo, limit);
+            move4(points + i + s::kU64Lanes, hi, limit);
         },
-        [&](std::size_t i, std::int32_t u) {
-            apply(i, direction_mask(xs[i], ys[i], width, height), static_cast<unsigned>(u));
-        });
+        [this](std::size_t i, std::int32_t u) { apply(i, static_cast<unsigned>(u)); });
 }
 
 void AgentEnsemble::step_subset(rng::Rng& rng, std::span<const std::uint8_t> should_move) {
@@ -90,49 +86,41 @@ void AgentEnsemble::step_subset(rng::Rng& rng, std::span<const std::uint8_t> sho
     // The movers draw through step_all's chunk loop, and their draws are
     // scattered into a row of stay draws; then all k agents move at once.
     row_.assign(k, kStayDraw);
-    std::int32_t* const row = row_.data();
+    std::uint32_t* const row = row_.data();
     const std::int32_t* const ids = moving_.data();
     draw_lazy(
         rng, movers,
-        [=](std::size_t i, s::I32x8 uv) {
-            std::int32_t u[kLanes]{};
-            uv.store(u);
-            for (std::size_t j = 0; j < kLanes; ++j) row[ids[i + j]] = u[j];
+        [=](std::size_t i, s::U64x4 lo, s::U64x4 hi) {
+            std::uint64_t u[kChunk];
+            lo.store(u);
+            hi.store(u + s::kU64Lanes);
+            for (std::size_t j = 0; j < kChunk; ++j) row[ids[i + j]] = static_cast<std::uint32_t>(u[j]);
         },
-        [=](std::size_t i, std::int32_t u) { row[ids[i]] = u; });
+        [=](std::size_t i, std::int32_t u) { row[ids[i]] = static_cast<std::uint32_t>(u); });
 
-    const auto width = grid_.width();
-    const auto height = grid_.height();
-    const auto xmax = s::I32x8::splat(width - 1);
-    const auto ymax = s::I32x8::splat(height - 1);
-    std::int32_t* const xs = xs_.data();
-    std::int32_t* const ys = ys_.data();
-    auto* const points = reinterpret_cast<std::int32_t*>(positions_.data());
+    const auto limit = point_limit(grid_);
+    grid::Point* const points = positions_.data();
     std::size_t i = 0;
-    for (; i + kLanes <= k; i += kLanes) {
-        move8(xs + i, ys + i, points + 2 * i, s::I32x8::load(row + i), xmax, ymax);
+    for (; i + s::kU64Lanes <= k; i += s::kU64Lanes) {
+        move4(points + i, s::U64x4::load_u32(row + i), limit);
     }
-    for (; i < k; ++i) {
-        apply(i, direction_mask(xs[i], ys[i], width, height), static_cast<unsigned>(row[i]));
-    }
+    for (; i < k; ++i) apply(i, row[i]);
 }
 
 template <typename IndexFn>
 void AgentEnsemble::step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of) {
-    const auto width = grid_.width();
-    const auto height = grid_.height();
     // Drawn through a local copy of the engine: apply()'s stores may alias
     // the caller's Rng, which would make the compiler load and store its
     // four state words for every word drawn.
     rng::Rng engine = rng;
     for (std::size_t i = 0; i < count; ++i) {
         const auto a = index_of(i);
-        const auto mask = direction_mask(xs_[a], ys_[a], width, height);
-        const auto deg = static_cast<std::uint64_t>(std::popcount(mask));
+        const auto deg = static_cast<std::uint64_t>(
+            std::popcount(direction_mask(positions_[a], grid_.width(), grid_.height())));
         const auto u = kind_ == WalkKind::kSimple
                            ? engine.below(deg)
                            : std::min<std::uint64_t>(engine.below(2 * deg), 4);
-        apply(a, mask, static_cast<unsigned>(u));
+        apply(a, static_cast<unsigned>(u));
     }
     rng = engine;
     decode_stats_.blocks_scalar +=
@@ -153,14 +141,14 @@ void AgentEnsemble::draw_lazy(rng::Rng& rng, std::size_t count, OnChunk&& on_chu
         rng::Rng engine = block_start;
         bool rejected = false;
         std::size_t i = base;
-        for (; i + kLanes <= end; i += kLanes) {
+        for (; i + kChunk <= end; i += kChunk) {
             const auto lo = next_words4(engine);
             const auto hi = next_words4(engine);
             if (s::any(s::bit_or(s::cmpeq(lo, zero), s::cmpeq(hi, zero)))) [[unlikely]] {
                 rejected = true;
                 break;
             }
-            on_chunk(i, s::narrow(draw5(lo), draw5(hi)));
+            on_chunk(i, draw5(lo), draw5(hi));
         }
         for (; !rejected && i < end; ++i) {
             const auto word = engine.next_u64();

@@ -5,11 +5,9 @@
 // all agents move simultaneously and independently. Initial placement is
 // uniform and independent over the grid nodes.
 //
-// Layout: structure-of-arrays. The walk kernel reads and writes separate
-// x/y coordinate arrays (vectorization-friendly); an array-of-Point
-// mirror is kept coherent in the same pass so the wide
-// span<const Point> API surface (spatial indexes, recorders, renderers)
-// stays zero-copy.
+// Layout: one array of grid::Point, the only copy of the positions. The
+// walk kernel moves it in place and every reader (spatial indexes,
+// recorders, renderers) views it as a span<const Point>.
 //
 // The kernel consumes exactly the same engine-word stream as the scalar
 // walk::step loop it replaced — one bounded draw per moving agent, in
@@ -22,10 +20,11 @@
 // selected at configure time). Per chunk, only xoshiro256**'s serial
 // state update runs in scalar registers; the `**` scrambler and the
 // Lemire decode run 4 words per 64-bit vector (walk/decode.hpp), and the
-// move runs 8 agents per 32-bit vector — boundary mask, packed step-table
-// gather, SoA stores and the AoS mirror interleave are all branch-free
-// lane math. Drawing, decoding and moving in one pass lets the decode and
-// the move overlap the state chain instead of adding to it. A zero word
+// move runs 4 agents per vector, one Point (x in the low 32 bits, y in
+// the high) per 64-bit lane — boundary mask, step-table gather and one
+// 64-bit add are all branch-free lane math. Drawing, decoding and moving
+// in one pass lets the decode and the move overlap the state chain
+// instead of adding to it. A zero word
 // (Lemire's only rejection for bound 5, a ~2^-64 event) sends the rest of
 // its 1024-agent block through Rng::below(5). step_subset draws its
 // movers through the same chunk loop, scatters the draws into a row that
@@ -43,6 +42,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "grid/grid.hpp"
@@ -74,25 +74,23 @@ public:
                   WalkKind kind = WalkKind::kLazyPaper)
         : grid_{grid}, kind_{kind} {
         if (k < 1) throw std::invalid_argument("AgentEnsemble: k must be >= 1");
-        reserve(static_cast<std::size_t>(k));
+        positions_.reserve(static_cast<std::size_t>(k));
         for (std::int32_t i = 0; i < k; ++i) {
-            push_agent(random_node(grid, rng));
+            positions_.push_back(random_node(grid, rng));
         }
     }
 
     /// Creates agents at caller-chosen positions (each must be on the grid).
     AgentEnsemble(const grid::Grid2D& grid, std::vector<grid::Point> positions,
                   WalkKind kind = WalkKind::kLazyPaper)
-        : grid_{grid}, kind_{kind} {
-        if (positions.empty()) {
+        : grid_{grid}, positions_{std::move(positions)}, kind_{kind} {
+        if (positions_.empty()) {
             throw std::invalid_argument("AgentEnsemble: need at least one agent");
         }
-        reserve(positions.size());
-        for (const auto& p : positions) {
+        for (const auto& p : positions_) {
             if (!grid_.contains(p)) {
                 throw std::invalid_argument("AgentEnsemble: initial position off-grid");
             }
-            push_agent(p);
         }
     }
 
@@ -126,10 +124,7 @@ public:
     /// Frog model).
     void set_position(AgentId a, grid::Point p) noexcept {
         assert(a >= 0 && a < count() && grid_.contains(p));
-        const auto i = static_cast<std::size_t>(a);
-        xs_[i] = p.x;
-        ys_[i] = p.y;
-        positions_[i] = p;
+        positions_[static_cast<std::size_t>(a)] = p;
     }
 
     /// Advances every agent by one synchronized step.
@@ -172,18 +167,6 @@ private:
     /// replay; a multiple of the 8-agent chunk.
     static constexpr std::size_t kBlockSize = 1024;
 
-    void reserve(std::size_t k) {
-        xs_.reserve(k);
-        ys_.reserve(k);
-        positions_.reserve(k);
-    }
-
-    void push_agent(grid::Point p) {
-        xs_.push_back(p.x);
-        ys_.push_back(p.y);
-        positions_.push_back(p);
-    }
-
     /// Scalar step of the ablation walks (kSimple, kLazyHalf) over `count`
     /// agents selected by `index_of` (identity for step_all, the moving-agent
     /// list for step_subset), in order. Their draw bound is the node's degree
@@ -193,9 +176,10 @@ private:
     void step_indices(rng::Rng& rng, std::size_t count, IndexFn&& index_of);
 
     /// The lazy-paper draw loop: one draw u ∈ [0,5) for each of `count`
-    /// drawing agents, in order, handed out as `on_chunk(i, I32x8 u)` for
-    /// agents i..i+7 of each whole 8-agent chunk of a block and as
-    /// `on_one(i, u)` for the rest. Words are drawn and decoded in
+    /// drawing agents, in order, handed out as `on_chunk(i, lo, hi)` for
+    /// each whole 8-agent chunk of a block (U64x4 draws of agents i..i+3
+    /// and i+4..i+7) and as `on_one(i, u)` for the rest. Words are drawn
+    /// and decoded in
     /// registers (walk/decode.hpp). A zero word — the only one
     /// Rng::below(5) rejects — restores the engine at its block's start,
     /// skips one word per agent already handed out, and finishes the block
@@ -205,12 +189,12 @@ private:
     template <typename OnChunk, typename OnOne>
     void draw_lazy(rng::Rng& rng, std::size_t count, OnChunk&& on_chunk, OnOne&& on_one);
 
-    /// Applies one decoded draw via the direction table.
-    void apply(std::size_t a, unsigned mask, unsigned u) noexcept {
-        const auto d = kStepTable[mask * 5 + u];
-        xs_[a] = static_cast<grid::Coord>(xs_[a] + d.dx);
-        ys_[a] = static_cast<grid::Coord>(ys_[a] + d.dy);
-        positions_[a] = grid::Point{xs_[a], ys_[a]};
+    /// Moves agent a by one decoded draw via the direction table.
+    void apply(std::size_t a, unsigned u) noexcept {
+        auto& p = positions_[a];
+        const auto d = kStepTable[direction_mask(p, grid_.width(), grid_.height()) * 5 + u];
+        p.x += d.dx;
+        p.y += d.dy;
     }
 
     /// Paperbench-only adapter tail (see the block above): reports every
@@ -225,11 +209,9 @@ private:
     }
 
     grid::Grid2D grid_;
-    std::vector<grid::Coord> xs_;           ///< SoA x coordinates
-    std::vector<grid::Coord> ys_;           ///< SoA y coordinates
-    std::vector<grid::Point> positions_;    ///< coherent AoS mirror for span views
+    std::vector<grid::Point> positions_;    ///< index = agent id
     WalkKind kind_;
-    std::vector<std::int32_t> row_;         ///< scratch: step_subset's draw per agent
+    std::vector<std::uint32_t> row_;        ///< scratch: step_subset's draw per agent
     std::vector<std::int32_t> moving_;      ///< scratch: step_subset's movers
     std::vector<grid::Point> before_;       ///< scratch: positions before an adapter step
     DecodeStats decode_stats_;              ///< telemetry tallies

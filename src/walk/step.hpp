@@ -65,42 +65,37 @@ struct StepDelta {
 
 inline constexpr std::array<StepDelta, 16 * 5> kStepTable = make_step_table();
 
-/// kStepTable re-packed for the SIMD apply kernel: one int32 per entry,
-/// dx in the low 16 bits, dy in the high 16 (both as sign-extendable
-/// 16-bit fields), so the walk kernel (walk/ensemble.cpp) turns eight mask*5+u
-/// indices into eight (dx, dy) pairs with one gather; a stay is entry 0
-/// and adds a zero delta. Lane math: dx = (v << 16) >> 16 (arithmetic),
-/// dy = v >> 16 (arithmetic).
-[[nodiscard]] constexpr std::array<std::int32_t, 16 * 5> make_step_table_packed() noexcept {
-    std::array<std::int32_t, 16 * 5> table{};
+/// kStepTable widened for the vector move (walk/ensemble.cpp), which
+/// reads a grid::Point as one uint64 — x in the low half, y in the high
+/// half: entry i is dx + dy·2³² (mod 2⁶⁴), so one 64-bit add moves both
+/// coordinates, and a stay adds zero. No carry crosses the halves because
+/// no coordinate leaves [0, side).
+inline constexpr std::array<std::uint64_t, 16 * 5> kStepTableWide = [] {
+    std::array<std::uint64_t, 16 * 5> table{};
     for (std::size_t i = 0; i < table.size(); ++i) {
-        const auto dx16 = static_cast<std::uint16_t>(kStepTable[i].dx);
-        const auto dy16 = static_cast<std::uint16_t>(kStepTable[i].dy);
-        table[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(dx16) |
-                                             (static_cast<std::uint32_t>(dy16) << 16));
+        table[i] = static_cast<std::uint64_t>(kStepTable[i].dx) +
+                   (static_cast<std::uint64_t>(kStepTable[i].dy) << 32);
     }
     return table;
-}
-
-inline constexpr std::array<std::int32_t, 16 * 5> kStepTablePacked = make_step_table_packed();
+}();
 
 /// A lazy-paper draw that stays at every node: no node has a fifth
 /// direction. AgentEnsemble::step_subset gives it to every frozen agent, so
-/// that one apply pass covers all k agents.
-inline constexpr std::int32_t kStayDraw = 4;
+/// that one move pass covers all k agents.
+inline constexpr std::uint32_t kStayDraw = 4;
 static_assert([] {
     for (unsigned mask = 0; mask < 16; ++mask) {
-        if (kStepTablePacked[mask * 5 + kStayDraw] != 0) return false;
+        if (kStepTableWide[mask * 5 + kStayDraw] != 0) return false;
     }
     return true;
 }());
 
-/// Presence mask of the four grid directions at (x, y) on a bounded
+/// Presence mask of the four grid directions at p on a bounded
 /// width×height grid; popcount equals the node degree n_v.
-[[nodiscard]] constexpr unsigned direction_mask(grid::Coord x, grid::Coord y, grid::Coord width,
+[[nodiscard]] constexpr unsigned direction_mask(grid::Point p, grid::Coord width,
                                                 grid::Coord height) noexcept {
-    return static_cast<unsigned>(x > 0) | static_cast<unsigned>(x + 1 < width) << 1 |
-           static_cast<unsigned>(y > 0) << 2 | static_cast<unsigned>(y + 1 < height) << 3;
+    return static_cast<unsigned>(p.x > 0) | static_cast<unsigned>(p.x + 1 < width) << 1 |
+           static_cast<unsigned>(p.y > 0) << 2 | static_cast<unsigned>(p.y + 1 < height) << 3;
 }
 
 /// Performs one step of the selected walk from `p` on `grid`.

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <bit>
+#include <climits>
 #include <cstdint>
 #include <vector>
 
@@ -124,24 +125,103 @@ TEST(U64Lanes, NonzeroMaskMatchesScalar) {
     }
 }
 
-// The walk kernel's lane assembly: set() takes four values in lane order,
-// and narrow() keeps each lane's low 32 bits, lo's four lanes first.
-TEST(U64Lanes, SetAndNarrowKeepLaneOrder) {
+// The walk kernel's lane assembly: set() takes four values in lane order.
+TEST(U64Lanes, SetKeepsLaneOrder) {
     namespace simd = util::simd;
     rng::Rng rng{59};
     for (int it = 0; it < 64; ++it) {
         std::array<std::uint64_t, 2 * simd::kU64Lanes> w{};
         for (auto& x : w) x = it == 0 ? ~std::uint64_t{0} : rng.next_u64();
-        const auto lo = simd::U64x4::set(w[0], w[1], w[2], w[3]);
-        const auto hi = simd::U64x4::set(w[4], w[5], w[6], w[7]);
+        std::array<std::uint64_t, 2 * simd::kU64Lanes> got{};
+        simd::U64x4::set(w[0], w[1], w[2], w[3]).store(got.data());
+        simd::U64x4::set(w[4], w[5], w[6], w[7]).store(got.data() + simd::kU64Lanes);
+        for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], w[i]) << "lane " << i;
+    }
+}
+
+/// Reference cmpgt_halves: per 32-bit half, signed a > b sets the half.
+std::uint64_t cmpgt_halves_ref(std::uint64_t a, std::uint64_t b) {
+    std::uint64_t r = 0;
+    for (const int shift : {0, 32}) {
+        if (static_cast<std::int32_t>(a >> shift) > static_cast<std::int32_t>(b >> shift)) {
+            r |= std::uint64_t{0xFFFFFFFF} << shift;
+        }
+    }
+    return r;
+}
+
+// The walk's boundary compares: each half compares as a signed int32, on
+// its own. Every pair of INT32_MIN, −1, 0, 1 and INT32_MAX in each half
+// (the two halves of one lane disagree in most rounds), then random words.
+TEST(U64Lanes, CmpgtHalvesComparesEachSignedHalf) {
+    namespace simd = util::simd;
+    constexpr std::array<std::int32_t, 5> kEdges{INT32_MIN, -1, 0, 1, INT32_MAX};
+    const auto word = [](std::int32_t lo, std::int32_t hi) {
+        return std::uint64_t{static_cast<std::uint32_t>(lo)} |
+               std::uint64_t{static_cast<std::uint32_t>(hi)} << 32;
+    };
+    std::vector<std::uint64_t> a;
+    std::vector<std::uint64_t> b;
+    for (const auto alo : kEdges) {
+        for (const auto ahi : kEdges) {
+            for (const auto blo : kEdges) {
+                for (const auto bhi : kEdges) {
+                    a.push_back(word(alo, ahi));
+                    b.push_back(word(blo, bhi));
+                }
+            }
+        }
+    }
+    rng::Rng rng{61};
+    while (a.size() % simd::kU64Lanes != 0 || a.size() < 1024) {
+        a.push_back(rng.next_u64());
+        // Every other random lane shares one half with a.
+        const auto r = rng.next_u64();
+        b.push_back(a.size() % 2 == 0 ? r : (r & ~std::uint64_t{0xFFFFFFFF}) | (a.back() & 0xFFFFFFFF));
+    }
+    for (std::size_t c = 0; c < a.size(); c += simd::kU64Lanes) {
         std::array<std::uint64_t, simd::kU64Lanes> got{};
-        lo.store(got.data());
-        for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], w[i]);
-        std::array<std::int32_t, simd::kI32Lanes> narrow{};
-        simd::narrow(lo, hi).store(narrow.data());
-        for (std::size_t i = 0; i < narrow.size(); ++i) {
-            ASSERT_EQ(narrow[i], static_cast<std::int32_t>(static_cast<std::uint32_t>(w[i])))
-                << "lane " << i;
+        simd::cmpgt_halves(simd::U64x4::load(a.data() + c), simd::U64x4::load(b.data() + c))
+            .store(got.data());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], cmpgt_halves_ref(a[c + i], b[c + i]))
+                << std::hex << a[c + i] << " > " << b[c + i];
+        }
+    }
+}
+
+// The walk's step-table fetch: gather reads whole uint64 entries (scale 8),
+// at the first, last and random indices of a table the step table's size.
+TEST(U64Lanes, GatherReadsWholeEntries) {
+    namespace simd = util::simd;
+    rng::Rng rng{67};
+    std::array<std::uint64_t, 16 * 5> table{};
+    for (auto& x : table) x = rng.next_u64();
+    for (int it = 0; it < 256; ++it) {
+        std::array<std::uint64_t, simd::kU64Lanes> idx{};
+        for (std::size_t i = 0; i < idx.size(); ++i) {
+            idx[i] = it == 0 ? 0 : it == 1 ? table.size() - 1 - i : rng.below(table.size());
+        }
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        simd::gather(table.data(), simd::U64x4::load(idx.data())).store(got.data());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], table[idx[i]]) << "index " << idx[i];
+        }
+    }
+}
+
+// step_subset's draw row: load_u32 zero-extends (the top bit set included)
+// and reads from any 4-byte-aligned start.
+TEST(U64Lanes, LoadU32ZeroExtends) {
+    namespace simd = util::simd;
+    rng::Rng rng{71};
+    std::vector<std::uint32_t> row{0xFFFFFFFFu, 0x80000000u, 0, 0x7FFFFFFFu, 4};
+    while (row.size() < 64) row.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+    for (std::size_t start = 0; start + simd::kU64Lanes <= row.size(); ++start) {
+        std::array<std::uint64_t, simd::kU64Lanes> got{};
+        simd::U64x4::load_u32(row.data() + start).store(got.data());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], std::uint64_t{row[start + i]}) << "start " << start;
         }
     }
 }
@@ -286,9 +366,8 @@ TEST(DecodeDraws5, ScramblerMatchesNextU64) {
 }
 
 TEST(DecodeDraws5, MatchesScalarOnRandomWords) {
-    // draw5 on lanes, narrowed to the eight int32 draws of a chunk, against
-    // the scalar draw5: random words, then words at the edges of the five
-    // draw intervals.
+    // draw5 on the two lane vectors of a chunk against the scalar draw5:
+    // random words, then words at the edges of the five draw intervals.
     namespace simd = util::simd;
     rng::Rng rng{2024};
     std::vector<std::uint64_t> words{1, 2, ~std::uint64_t{0}, std::uint64_t{1} << 63};
@@ -300,12 +379,13 @@ TEST(DecodeDraws5, MatchesScalarOnRandomWords) {
     for (std::size_t c = 0; c < words.size(); c += 8) {
         const auto lo = simd::U64x4::load(words.data() + c);
         const auto hi = simd::U64x4::load(words.data() + c + 4);
-        std::array<std::int32_t, 8> got{};
-        simd::narrow(walk::draw5(lo), walk::draw5(hi)).store(got.data());
+        std::array<std::uint64_t, 8> got{};
+        walk::draw5(lo).store(got.data());
+        walk::draw5(hi).store(got.data() + 4);
         for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i], walk::draw5(words[c + i])) << "word " << words[c + i];
-            ASSERT_GE(got[i], 0);
-            ASSERT_LT(got[i], 5);
+            ASSERT_EQ(got[i], static_cast<std::uint64_t>(walk::draw5(words[c + i])))
+                << "word " << words[c + i];
+            ASSERT_LT(got[i], 5u);
         }
     }
 }
@@ -476,39 +556,61 @@ TEST(EnsembleSimd, ZeroWordReplaysItsBlockThroughBelow5) {
 
 // --------------------------------------------------- ensemble vs walk::step
 
+/// Every kStepTableWide entry, added to a Point read as one uint64 (x low,
+/// y high), moves it as kStepTable's (dx, dy) does — at coordinates next to
+/// 0 and next to INT32_MAX, where a carry between the halves would show.
+TEST(EnsembleSimd, WideStepTableMovesPointsLikeStepTable) {
+    constexpr std::array<grid::Coord, 4> kCoords{1, 2, 1000, INT32_MAX - 1};
+    for (std::size_t i = 0; i < walk::kStepTable.size(); ++i) {
+        const auto d = walk::kStepTable[i];
+        for (const auto x : kCoords) {
+            for (const auto y : kCoords) {
+                const auto word = std::bit_cast<std::uint64_t>(Point{x, y});
+                ASSERT_EQ(std::bit_cast<Point>(word + walk::kStepTableWide[i]),
+                          (Point{x + d.dx, y + d.dy}))
+                    << "entry " << i;
+            }
+        }
+    }
+}
+
 /// The batched ensemble kernel must consume the engine RNG stream exactly
 /// like the per-agent reference: one below(5) per stepping agent, agent
 /// order, Lemire rejections included. Boundary-heavy grids exercise every
-/// direction-mask lane shape; k runs a lone agent, agents below the 8
-/// lanes only, whole chunks, and a second 1024-agent block with 4 agents
-/// past its last chunk.
+/// direction-mask lane shape, and the non-square ones tell x's limit from
+/// y's; k runs a lone agent, agents below the 8 lanes only, whole chunks,
+/// and a second 1024-agent block with 4 agents past its last chunk.
 TEST(EnsembleSimd, StepAllMatchesPerAgentReferenceOnBoundaryHeavyGrid) {
-    const auto g = Grid2D{5, 4};  // most nodes are boundary
-    for (const std::int32_t k : {1, 7, 64, 1500}) {
-        rng::Rng rng_a{77};
-        rng::Rng rng_b{77};
-        walk::AgentEnsemble agents{g, k, rng_a};
-        {
-            walk::AgentEnsemble twin{g, k, rng_b};  // consume placement draws
-            for (std::int32_t i = 0; i < k; ++i) {
-                ASSERT_EQ(agents.position(i), twin.position(i));
+    const std::array<Grid2D, 3> grids{Grid2D{5, 4}, Grid2D{1, 7}, Grid2D{7, 1}};
+    for (const auto& g : grids) {
+        for (const std::int32_t k : {1, 7, 64, 1500}) {
+            const auto where = ::testing::Message()
+                               << g.width() << "x" << g.height() << " k=" << k;
+            rng::Rng rng_a{77};
+            rng::Rng rng_b{77};
+            walk::AgentEnsemble agents{g, k, rng_a};
+            {
+                walk::AgentEnsemble twin{g, k, rng_b};  // consume placement draws
+                for (std::int32_t i = 0; i < k; ++i) {
+                    ASSERT_EQ(agents.position(i), twin.position(i));
+                }
             }
-        }
-        std::vector<Point> ref(agents.positions().begin(), agents.positions().end());
-        constexpr int kSteps = 200;
-        for (int t = 0; t < kSteps; ++t) {
-            agents.step_all(rng_a);
-            for (auto& p : ref) p = walk::step(g, p, rng_b);
-            for (std::int32_t i = 0; i < k; ++i) {
-                ASSERT_EQ(agents.position(i), ref[static_cast<std::size_t>(i)])
-                    << "k=" << k << " t=" << t << " agent=" << i;
+            std::vector<Point> ref(agents.positions().begin(), agents.positions().end());
+            constexpr int kSteps = 200;
+            for (int t = 0; t < kSteps; ++t) {
+                agents.step_all(rng_a);
+                for (auto& p : ref) p = walk::step(g, p, rng_b);
+                for (std::int32_t i = 0; i < k; ++i) {
+                    ASSERT_EQ(agents.position(i), ref[static_cast<std::size_t>(i)])
+                        << where << " t=" << t << " agent=" << i;
+                }
+                ASSERT_EQ(rng::Rng{rng_a}.next_u64(), rng::Rng{rng_b}.next_u64())
+                    << where << " t=" << t;
             }
-            ASSERT_EQ(rng::Rng{rng_a}.next_u64(), rng::Rng{rng_b}.next_u64())
-                << "k=" << k << " t=" << t;
+            EXPECT_EQ(agents.decode_stats().blocks_decoded, kSteps * ((k + 1023) / 1024))
+                << where;
+            EXPECT_EQ(agents.decode_stats().blocks_scalar, 0) << where;
         }
-        EXPECT_EQ(agents.decode_stats().blocks_decoded, kSteps * ((k + 1023) / 1024))
-            << "k=" << k;
-        EXPECT_EQ(agents.decode_stats().blocks_scalar, 0) << "k=" << k;
     }
 }
 
