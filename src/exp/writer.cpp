@@ -1,12 +1,12 @@
 #include "exp/writer.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
 
 #include "obs/provenance.hpp"
 #include "stats/table.hpp"
+#include "util/number.hpp"
 
 namespace smn::exp {
 namespace {
@@ -14,7 +14,7 @@ namespace {
 /// JSON number or null (for NaN/±inf, which JSON cannot represent).
 std::string json_number(double value) {
     if (!std::isfinite(value)) return "null";
-    return format_double(value);
+    return util::render_double(value);
 }
 
 void append_stats_object(std::string& out, const stats::Sample& sample) {
@@ -50,13 +50,6 @@ std::string json_escape(const std::string& text) {
         }
     }
     return out;
-}
-
-std::string format_double(double value) {
-    char buf[32];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value);
-    if (ec != std::errc{}) return "0";
-    return std::string(buf, ptr);
 }
 
 void JsonlWriter::write(const PointResult& result) {
@@ -155,15 +148,15 @@ void CsvWriter::write(const PointResult& result) {
                                      std::to_string(result.reps),
                                      name,
                                      std::to_string(sample.count()),
-                                     format_double(sample.mean()),
-                                     format_double(sample.stderr_mean()),
-                                     format_double(sample.median()),
-                                     format_double(sample.min()),
-                                     format_double(sample.max())};
+                                     util::render_double(sample.mean()),
+                                     util::render_double(sample.stderr_mean()),
+                                     util::render_double(sample.median()),
+                                     util::render_double(sample.min()),
+                                     util::render_double(sample.max())};
         if (timings_) {
-            row.push_back(format_double(result.wall_seconds));
-            row.push_back(format_double(result.sweep_wall_seconds));
-            row.push_back(format_double(result.steps_per_second));
+            row.push_back(util::render_double(result.wall_seconds));
+            row.push_back(util::render_double(result.sweep_wall_seconds));
+            row.push_back(util::render_double(result.steps_per_second));
         }
         table.add_row(std::move(row));
     }
@@ -178,15 +171,15 @@ void CsvWriter::write(const PointResult& result) {
                                          std::to_string(result.reps),
                                          "counter." + name,
                                          std::to_string(result.reps),
-                                         format_double(value),
+                                         util::render_double(value),
                                          "",
                                          "",
                                          "",
                                          ""};
             if (timings_) {
-                row.push_back(format_double(result.wall_seconds));
-                row.push_back(format_double(result.sweep_wall_seconds));
-                row.push_back(format_double(result.steps_per_second));
+                row.push_back(util::render_double(result.wall_seconds));
+                row.push_back(util::render_double(result.sweep_wall_seconds));
+                row.push_back(util::render_double(result.steps_per_second));
             }
             table.add_row(std::move(row));
         }

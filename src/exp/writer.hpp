@@ -33,10 +33,6 @@ namespace smn::exp {
 /// JSON string escaping (quotes, backslash, control characters).
 [[nodiscard]] std::string json_escape(const std::string& text);
 
-/// Shortest round-trip decimal rendering of a double ("nan"/"inf" are
-/// rendered as JSON null by the writer; CSV passes them through).
-[[nodiscard]] std::string format_double(double value);
-
 /// Emits one JSON object per PointResult on a single line.
 class JsonlWriter {
 public:

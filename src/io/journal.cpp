@@ -4,7 +4,6 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <fcntl.h>
@@ -160,10 +159,8 @@ SweepJournal::SweepJournal(std::string path, std::uint64_t fingerprint, bool res
                     fail(path_, where() + ": malformed metric field");
                 }
                 const std::string name{kv.substr(0, eq)};
-                const std::string text{kv.substr(eq + 1)};
-                char* end = nullptr;
-                const double value = std::strtod(text.c_str(), &end);
-                if (end != text.c_str() + text.size() || text.empty()) {
+                double value = 0.0;
+                if (!util::parse_double(kv.substr(eq + 1), value)) {
                     fail(path_, where() + ": bad metric value for '" + name + "'");
                 }
                 if (name == "wall") {

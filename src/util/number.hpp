@@ -4,10 +4,11 @@
 // doubles as text and promises that a value that travels through the
 // text form re-serializes to the exact bytes the original producer would
 // have written, so replayed units keep merged JSONL output byte-identical.
-// That holds because the encoding is shortest round-trip via
-// std::to_chars, parsed back with a full-consumption strtod. (The JSONL
-// writer's exp::format_double is intentionally separate: JSON cannot
-// represent nan/inf, so the writer maps them to null.)
+// That holds because the journal writes with render_double (shortest
+// round-trip via std::to_chars) and reads with parse_double (a
+// full-consumption strtod). The lab's writers (exp/writer.cpp) render
+// with render_double too; their json_number maps nan/inf to null, which
+// JSON cannot represent, and CSV passes them through.
 #pragma once
 
 #include <charconv>
