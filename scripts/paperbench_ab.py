@@ -2,10 +2,13 @@
 """Interleaved paperbench A/B of this checkout against a base ref.
 
     python3 scripts/paperbench_ab.py origin/main
+    python3 scripts/paperbench_ab.py origin/main --workload bcast_r0 --pairs 10 --seed 7
 
 Checks the base ref out in a temporary git worktree, then runs
-`paperbench/run.py --workload W` of both trees PAIRS times for every
-workload in BENCHMARK.json, alternating which side goes first in each pair.
+`paperbench/run.py --workload W` of both trees PAIRS times (5, or --pairs)
+for every workload in BENCHMARK.json (or each --workload given),
+alternating which side goes first in each pair. Each run lasts SECONDS
+(10, or --seconds); --seed is passed to both trees' run.py.
 Both trees build through their own run.py, so both get the same flags.
 Prints, per workload and end-to-end metric, each side's median, the ratio
 change / base and the pairs the change won. Exits 1 when the change reports
@@ -13,6 +16,7 @@ change / base and the pairs the change won. Exits 1 when the change reports
 metric, or has a median worse than the base's by more than the metric's
 `bound` in BENCHMARK.json.
 """
+import argparse
 import json
 import statistics
 import subprocess
@@ -66,9 +70,15 @@ def compare(end_to_end, base, change):
     return rows, failures
 
 
-def run(tree, workload):
+def run_command(tree, workload, seconds=SECONDS, seed=None):
+    """The run.py command line of one run of `workload` in `tree`."""
     cmd = [sys.executable, str(tree / "paperbench" / "run.py"), "--workload", workload,
-           "--seconds", str(SECONDS)]
+           "--seconds", str(seconds)]
+    return cmd if seed is None else cmd + ["--seed", str(seed)]
+
+
+def run(tree, workload, seconds, seed):
+    cmd = run_command(tree, workload, seconds, seed)
     out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True).stdout.splitlines()
     try:
         return json.loads(out[-1])
@@ -76,23 +86,56 @@ def run(tree, workload):
         sys.exit(f"paperbench_ab: {tree} printed no result for {workload}")
 
 
-def main():
-    if len(sys.argv) != 2:
+def positive(kind):
+    def parse(text):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text}")
+        return value
+    return parse
+
+
+def parse_args(argv, workloads):
+    """The options, with every BENCHMARK.json workload when none is named.
+
+    Exits 2, listing the valid names, on an unknown workload.
+    """
+    parser = argparse.ArgumentParser(prog="paperbench_ab.py",
+                                     description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="git ref of the base tree")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="a BENCHMARK.json workload (repeatable; default: all)")
+    parser.add_argument("--seed", type=int, help="seed passed to both trees' run.py")
+    parser.add_argument("--pairs", type=positive(int), default=PAIRS)
+    parser.add_argument("--seconds", type=positive(float), default=SECONDS)
+    args = parser.parse_args(argv)
+    unknown = [w for w in args.workload or [] if w not in workloads]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; valid: {', '.join(workloads)}")
+    args.workload = list(dict.fromkeys(args.workload or workloads))
+    return args
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv:
         sys.exit(__doc__)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in bench["workloads"]]
+    args = parse_args(argv, [w["name"] for w in bench["workloads"]])
+    workloads = args.workload
     results = {w: ([], []) for w in workloads}
     with tempfile.TemporaryDirectory(prefix="paperbench_ab.") as tmp:
         base_tree = Path(tmp) / "base"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(base_tree),
-                        sys.argv[1]], stdout=sys.stderr, check=True)
+                        args.base], stdout=sys.stderr, check=True)
         try:
-            for i in range(PAIRS):
+            for i in range(args.pairs):
                 for w in workloads:
                     for side in (0, 1) if i % 2 == 0 else (1, 0):
-                        print(f"[ab] pair {i + 1}/{PAIRS} {w} {('base', 'change')[side]}",
+                        print(f"[ab] pair {i + 1}/{args.pairs} {w} {('base', 'change')[side]}",
                               file=sys.stderr, flush=True)
-                        results[w][side].append(run((base_tree, ROOT)[side], w))
+                        results[w][side].append(
+                            run((base_tree, ROOT)[side], w, args.seconds, args.seed))
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(base_tree)])
@@ -106,7 +149,9 @@ def main():
             print(fmt.format(w, name, "-" if mb is None else f"{mb:.4g}", f"{mc:.4g}",
                              "-" if ratio is None else f"{ratio:.3f}", won, verdict))
         failures += [f"{w}: {f}" for f in failed]
-    print(f"base {sys.argv[1]}: {PAIRS} interleaved pairs of {SECONDS}-s runs per workload")
+    seed = "" if args.seed is None else f", seed {args.seed}"
+    print(f"base {args.base}: {args.pairs} interleaved pairs of {args.seconds}-s runs per "
+          f"workload{seed}")
     if failures:
         print("paperbench_ab: FAILED\n  " + "\n  ".join(failures))
         return 1

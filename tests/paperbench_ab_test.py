@@ -3,13 +3,17 @@
 
 Feeds `compare` synthetic run.py results and checks which ones fail the
 gate: both metric directions at and just past the bound, `correct: false`,
-a higher failed share and a missing metric. Runs no benchmark.
+a higher failed share and a missing metric. Also checks the option parsing
+and the run.py command each run builds. Runs no benchmark.
 
 Run directly (python3 tests/paperbench_ab_test.py) or through CTest
 (paperbench_ab_test).
 """
 
+import contextlib
 import importlib.util
+import io
+import sys
 import unittest
 from pathlib import Path
 
@@ -97,6 +101,63 @@ class OtherChecks(unittest.TestCase):
         rows, failures = ab.compare([HIGHER], runs(), runs(agent_steps_per_s=1.0))
         self.assertEqual(failures, [])
         self.assertEqual(rows[0][-1], "new")
+
+
+WORKLOADS = ["bcast_r0", "bcast_r2", "frog_r2", "gossip_r0"]
+
+
+class Options(unittest.TestCase):
+    def parse(self, *argv):
+        return ab.parse_args(list(argv), WORKLOADS)
+
+    def test_defaults_are_the_gate(self):
+        args = self.parse("main")
+        self.assertEqual((args.base, args.workload, args.seed, args.pairs, args.seconds),
+                         ("main", WORKLOADS, None, 5, 10))
+
+    def test_options(self):
+        args = self.parse("HEAD~1", "--workload", "frog_r2", "--workload", "bcast_r0",
+                          "--seed", "7", "--pairs", "10", "--seconds", "2.5")
+        self.assertEqual((args.base, args.workload, args.seed, args.pairs, args.seconds),
+                         ("HEAD~1", ["frog_r2", "bcast_r0"], 7, 10, 2.5))
+
+    def test_a_repeated_workload_runs_once(self):
+        self.assertEqual(self.parse("main", "--workload", "frog_r2", "--workload",
+                                    "frog_r2").workload, ["frog_r2"])
+
+    def exit_code(self, *argv):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), self.assertRaises(SystemExit) as raised:
+            self.parse(*argv)
+        return raised.exception.code, stderr.getvalue()
+
+    def test_unknown_workload_exits_2_and_lists_the_valid_ones(self):
+        code, message = self.exit_code("main", "--workload", "bcast_r0", "--workload", "nope")
+        self.assertEqual(code, 2)
+        self.assertIn("unknown workload nope", message)
+        self.assertIn("valid: " + ", ".join(WORKLOADS), message)
+
+    def test_bad_numbers_exit_2(self):
+        for argv in (["--pairs", "0"], ["--pairs", "x"], ["--seconds", "-1"], ["--seed", "1.5"]):
+            self.assertEqual(self.exit_code("main", *argv)[0], 2, argv)
+
+    def test_no_arguments_print_the_usage_and_exit_1(self):
+        with self.assertRaises(SystemExit) as raised:
+            ab.main([])
+        self.assertEqual(raised.exception.code, ab.__doc__)
+
+
+class Command(unittest.TestCase):
+    TREE = Path("/tree")
+
+    def test_default_command(self):
+        self.assertEqual(ab.run_command(self.TREE, "gossip_r0"),
+                         [sys.executable, "/tree/paperbench/run.py", "--workload", "gossip_r0",
+                          "--seconds", "10"])
+
+    def test_seed_and_seconds_reach_run_py(self):
+        self.assertEqual(ab.run_command(self.TREE, "frog_r2", 2.5, 7)[2:],
+                         ["--workload", "frog_r2", "--seconds", "2.5", "--seed", "7"])
 
 
 if __name__ == "__main__":
