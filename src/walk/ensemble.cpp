@@ -94,7 +94,9 @@ void AgentEnsemble::step_subset(rng::Rng& rng, std::span<const std::uint8_t> sho
             std::uint64_t u[kChunk];
             lo.store(u);
             hi.store(u + s::kU64Lanes);
-            for (std::size_t j = 0; j < kChunk; ++j) row[ids[i + j]] = static_cast<std::uint32_t>(u[j]);
+            for (std::size_t j = 0; j < kChunk; ++j) {
+                row[ids[i + j]] = static_cast<std::uint32_t>(u[j]);
+            }
         },
         [=](std::size_t i, std::int32_t u) { row[ids[i]] = static_cast<std::uint32_t>(u); });
 

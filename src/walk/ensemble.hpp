@@ -179,9 +179,8 @@ private:
     /// drawing agents, in order, handed out as `on_chunk(i, lo, hi)` for
     /// each whole 8-agent chunk of a block (U64x4 draws of agents i..i+3
     /// and i+4..i+7) and as `on_one(i, u)` for the rest. Words are drawn
-    /// and decoded in
-    /// registers (walk/decode.hpp). A zero word — the only one
-    /// Rng::below(5) rejects — restores the engine at its block's start,
+    /// and decoded in registers (walk/decode.hpp). A zero word — the only
+    /// one Rng::below(5) rejects — restores the engine at its block's start,
     /// skips one word per agent already handed out, and finishes the block
     /// with Rng::below(5) through on_one, so the engine stream cannot
     /// diverge. A lazy-paper draw does not depend on the agent's node, so
