@@ -8,7 +8,7 @@ Checks the base ref out in a temporary git worktree, then runs
 `paperbench/run.py --workload W` of both trees PAIRS times (5, or --pairs)
 for every workload in BENCHMARK.json (or each --workload given),
 alternating which side goes first in each pair. Each run lasts SECONDS
-(10, or --seconds); --seed is passed to both trees' run.py.
+(10); --seed is passed to both trees' run.py.
 Both trees build through their own run.py, so both get the same flags.
 Prints, per workload and end-to-end metric, each side's median, the ratio
 change / base and the pairs the change won. Exits 1 when the change reports
@@ -70,15 +70,15 @@ def compare(end_to_end, base, change):
     return rows, failures
 
 
-def run_command(tree, workload, seconds=SECONDS, seed=None):
+def run_command(tree, workload, seed=None):
     """The run.py command line of one run of `workload` in `tree`."""
     cmd = [sys.executable, str(tree / "paperbench" / "run.py"), "--workload", workload,
-           "--seconds", str(seconds)]
+           "--seconds", str(SECONDS)]
     return cmd if seed is None else cmd + ["--seed", str(seed)]
 
 
-def run(tree, workload, seconds, seed):
-    cmd = run_command(tree, workload, seconds, seed)
+def run(tree, workload, seed):
+    cmd = run_command(tree, workload, seed)
     out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True).stdout.splitlines()
     try:
         return json.loads(out[-1])
@@ -86,13 +86,11 @@ def run(tree, workload, seconds, seed):
         sys.exit(f"paperbench_ab: {tree} printed no result for {workload}")
 
 
-def positive(kind):
-    def parse(text):
-        value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive: {text}")
-        return value
-    return parse
+def positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return value
 
 
 def parse_args(argv, workloads):
@@ -106,8 +104,7 @@ def parse_args(argv, workloads):
     parser.add_argument("--workload", action="append", metavar="NAME",
                         help="a BENCHMARK.json workload (repeatable; default: all)")
     parser.add_argument("--seed", type=int, help="seed passed to both trees' run.py")
-    parser.add_argument("--pairs", type=positive(int), default=PAIRS)
-    parser.add_argument("--seconds", type=positive(float), default=SECONDS)
+    parser.add_argument("--pairs", type=positive_int, default=PAIRS)
     args = parser.parse_args(argv)
     unknown = [w for w in args.workload or [] if w not in workloads]
     if unknown:
@@ -135,7 +132,7 @@ def main(argv=None):
                         print(f"[ab] pair {i + 1}/{args.pairs} {w} {('base', 'change')[side]}",
                               file=sys.stderr, flush=True)
                         results[w][side].append(
-                            run((base_tree, ROOT)[side], w, args.seconds, args.seed))
+                            run((base_tree, ROOT)[side], w, args.seed))
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
                             str(base_tree)])
@@ -150,7 +147,7 @@ def main(argv=None):
                              "-" if ratio is None else f"{ratio:.3f}", won, verdict))
         failures += [f"{w}: {f}" for f in failed]
     seed = "" if args.seed is None else f", seed {args.seed}"
-    print(f"base {args.base}: {args.pairs} interleaved pairs of {args.seconds}-s runs per "
+    print(f"base {args.base}: {args.pairs} interleaved pairs of {SECONDS}-s runs per "
           f"workload{seed}")
     if failures:
         print("paperbench_ab: FAILED\n  " + "\n  ".join(failures))

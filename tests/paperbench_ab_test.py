@@ -112,14 +112,14 @@ class Options(unittest.TestCase):
 
     def test_defaults_are_the_gate(self):
         args = self.parse("main")
-        self.assertEqual((args.base, args.workload, args.seed, args.pairs, args.seconds),
-                         ("main", WORKLOADS, None, 5, 10))
+        self.assertEqual((args.base, args.workload, args.seed, args.pairs),
+                         ("main", WORKLOADS, None, 5))
 
     def test_options(self):
         args = self.parse("HEAD~1", "--workload", "frog_r2", "--workload", "bcast_r0",
-                          "--seed", "7", "--pairs", "10", "--seconds", "2.5")
-        self.assertEqual((args.base, args.workload, args.seed, args.pairs, args.seconds),
-                         ("HEAD~1", ["frog_r2", "bcast_r0"], 7, 10, 2.5))
+                          "--seed", "7", "--pairs", "10")
+        self.assertEqual((args.base, args.workload, args.seed, args.pairs),
+                         ("HEAD~1", ["frog_r2", "bcast_r0"], 7, 10))
 
     def test_a_repeated_workload_runs_once(self):
         self.assertEqual(self.parse("main", "--workload", "frog_r2", "--workload",
@@ -138,7 +138,7 @@ class Options(unittest.TestCase):
         self.assertIn("valid: " + ", ".join(WORKLOADS), message)
 
     def test_bad_numbers_exit_2(self):
-        for argv in (["--pairs", "0"], ["--pairs", "x"], ["--seconds", "-1"], ["--seed", "1.5"]):
+        for argv in (["--pairs", "0"], ["--pairs", "x"], ["--pairs", "-1"], ["--seed", "1.5"]):
             self.assertEqual(self.exit_code("main", *argv)[0], 2, argv)
 
     def test_no_arguments_print_the_usage_and_exit_1(self):
@@ -155,9 +155,9 @@ class Command(unittest.TestCase):
                          [sys.executable, "/tree/paperbench/run.py", "--workload", "gossip_r0",
                           "--seconds", "10"])
 
-    def test_seed_and_seconds_reach_run_py(self):
-        self.assertEqual(ab.run_command(self.TREE, "frog_r2", 2.5, 7)[2:],
-                         ["--workload", "frog_r2", "--seconds", "2.5", "--seed", "7"])
+    def test_seed_reaches_run_py(self):
+        self.assertEqual(ab.run_command(self.TREE, "frog_r2", 7)[2:],
+                         ["--workload", "frog_r2", "--seconds", "10", "--seed", "7"])
 
 
 if __name__ == "__main__":
