@@ -117,12 +117,12 @@ void AgentEnsemble::step_indices(rng::Rng& rng, std::size_t count, IndexFn&& ind
     rng::Rng engine = rng;
     for (std::size_t i = 0; i < count; ++i) {
         const auto a = index_of(i);
-        const auto deg = static_cast<std::uint64_t>(
-            std::popcount(direction_mask(positions_[a], grid_.width(), grid_.height())));
+        const auto mask = direction_mask(positions_[a], grid_.width(), grid_.height());
+        const auto deg = static_cast<std::uint64_t>(std::popcount(mask));
         const auto u = kind_ == WalkKind::kSimple
                            ? engine.below(deg)
                            : std::min<std::uint64_t>(engine.below(2 * deg), 4);
-        apply(a, static_cast<unsigned>(u));
+        apply(a, mask, static_cast<unsigned>(u));
     }
     rng = engine;
     decode_stats_.blocks_scalar +=

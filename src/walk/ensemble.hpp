@@ -190,10 +190,13 @@ private:
 
     /// Moves agent a by one decoded draw via the direction table.
     void apply(std::size_t a, unsigned u) noexcept {
-        auto& p = positions_[a];
-        const auto d = kStepTable[direction_mask(p, grid_.width(), grid_.height()) * 5 + u];
-        p.x += d.dx;
-        p.y += d.dy;
+        apply(a, direction_mask(positions_[a], grid_.width(), grid_.height()), u);
+    }
+    /// apply() with agent a's direction_mask already computed.
+    void apply(std::size_t a, unsigned mask, unsigned u) noexcept {
+        const auto d = kStepTable[mask * 5 + u];
+        positions_[a].x += d.dx;
+        positions_[a].y += d.dy;
     }
 
     /// Paperbench-only adapter tail (see the block above): reports every
