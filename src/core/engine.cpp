@@ -92,18 +92,16 @@ void DisseminationLoop<Exchange>::step() {
     const auto t0 = stamp();
     // Once the knowledge has saturated, neither the component pass nor
     // the exchange can affect observable state. The step degenerates to
-    // the walk; components() recomputes the partition on demand.
+    // the walk.
     const bool lazy = this->complete();
     walk();
     const auto t1 = stamp();
     if (timing_) walk_seconds_ += std::chrono::duration<double>(t1 - t0).count();
     if (lazy) {
-        stale_ = true;
         trace_step();
         return;
     }
     builder_.build(agents_.positions(), dsu_);
-    stale_ = false;
     const auto t2 = stamp();
     exchange();
     if (timing_) {

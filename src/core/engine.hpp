@@ -27,7 +27,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -192,15 +191,6 @@ public:
     [[nodiscard]] const grid::Grid2D& grid() const noexcept { return agents_.grid(); }
     [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
 
-    /// The component partition of G_t(r) at the current time step. Once
-    /// the knowledge has saturated, step() skips the (unobservable)
-    /// component pass; this accessor recomputes it on demand, so callers
-    /// always see the partition of the current positions.
-    [[nodiscard]] graph::DisjointSets& components() {
-        refresh_components();
-        return dsu_;
-    }
-
     /// Broadcast only: the state at the current time, for a recorder's
     /// on_step().
     [[nodiscard]] StepView view() const requires kSingleRumor {
@@ -274,19 +264,6 @@ private:
         this->run(linked, dsu_, t_);
     }
 
-    void refresh_components() {
-        if (!stale_) return;  // partition is current as of the last full step
-        // Deferred steps skipped the component pass: recompute it.
-        // Accounted under the rebuild phase so phase_timings() subtraction
-        // stays consistent.
-        // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
-        using clock = std::chrono::steady_clock;
-        const auto t0 = timing_ ? clock::now() : clock::time_point{};
-        builder_.build(agents_.positions(), dsu_);
-        if (timing_) rebuild_seconds_ += std::chrono::duration<double>(clock::now() - t0).count();
-        stale_ = false;
-    }
-
     /// Pushes one StepRecord: the deltas of phase_timings() and of every
     /// counters() entry since the previous traced step, plus instantaneous
     /// gauges (`informed` counts the agents that know every rumor).
@@ -319,7 +296,6 @@ private:
     graph::DisjointSets dsu_;
     std::int64_t t_{0};
     std::int64_t exchange_linked_{0};      ///< Σ |linked()| over exchanges that ran
-    bool stale_{false};  ///< component pass deferred (post-completion)
     bool timing_{false};
     double walk_seconds_{0.0};
     double rebuild_seconds_{0.0};

@@ -207,11 +207,6 @@ std::vector<PointResult> run_points(const Scenario& scenario,
             result.counters["pool.workers"] = static_cast<double>(pass.workers);
             result.counters["pool.worker_busy_s"] = pass.busy_seconds;
             result.counters["process.peak_rss_bytes"] = peak_rss;
-            const auto agents = result.counters.find("agents");
-            if (agents != result.counters.end() && agents->second > 0.0) {
-                result.counters["process.rss_bytes_per_agent"] =
-                    peak_rss / (agents->second / static_cast<double>(reps));
-            }
         }
         results.push_back(std::move(result));
     }

@@ -17,7 +17,6 @@
 #include "graph/percolation.hpp"
 #include "grid/grid.hpp"
 #include "models/colocation.hpp"
-#include "models/frog.hpp"
 
 namespace smn::exp {
 namespace {
@@ -93,7 +92,9 @@ SMN_REGISTER_SCENARIO(
         .quick_sweep = "side=12;k=4,8",
         .run_rep =
             [](const ScenarioParams& p, std::uint64_t seed) {
-                return broadcast_metrics(models::run_frog_broadcast(engine_config(p, seed)));
+                auto cfg = engine_config(p, seed);
+                cfg.mobility = core::Mobility::kInformedOnly;
+                return broadcast_metrics(core::run_broadcast(cfg));
             },
     });
 

@@ -1,7 +1,6 @@
 // Random-walk scenarios: the single- and two-walk probes behind Lemmas 1-3,
 // the pairwise first-meeting times underlying the t* = O(n log n)
 // infection bound quoted in Sec. 1.1, and the cover time of k walks.
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -174,15 +173,13 @@ SMN_REGISTER_SCENARIO(
                 walk::WalkTracker tracker{g};
                 tracker.begin(start);
                 grid::Point at = start;
-                std::int64_t max_displacement = 0;
                 for (std::int64_t t = 0; t < length; ++t) {
                     at = walk::step(g, at, rng);
                     tracker.record(at);
-                    max_displacement = std::max(max_displacement, grid::manhattan(start, at));
                 }
                 Metrics m;
                 m["range"] = static_cast<double>(tracker.range());
-                m["max_displacement"] = static_cast<double>(max_displacement);
+                m["max_displacement"] = static_cast<double>(tracker.max_displacement());
                 m["steps"] = static_cast<double>(length);
                 return m;
             },

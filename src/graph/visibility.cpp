@@ -57,12 +57,11 @@ std::int64_t row_pad(const grid::Grid2D& grid, std::int64_t radius) {
 
 VisibilityGraphBuilder::VisibilityGraphBuilder(const grid::Grid2D& grid, std::int64_t radius,
                                                grid::Metric metric)
-    : grid_{grid},
-      radius_{radius},
+    : radius_{radius},
       metric_{metric},
       pad_{row_pad(grid, radius)},
       stride_{grid.width() + pad_},
-      colocation_{radius < 1 ? grid.size() : pad_ + grid.height() * stride_} {
+      colocation_{pad_ + grid.height() * stride_} {
     if (radius < 1) return;
     // A radius beyond the diameter connects the same pairs; offsets past
     // the grid's width or height reach no node.
@@ -118,7 +117,14 @@ void VisibilityGraphBuilder::build(std::span<const grid::Point> positions, Disjo
     linked_.clear();
     linked_flag_.resize(positions.size());
     if (radius_ == 0) {
-        colocation_pass(colocation_, grid_, positions, dsu, [this](std::int32_t a) { link(a); });
+        // The slot is the node id (pad_ is 0). This loop's speed hangs on
+        // gcc's register allocation: the same slot with pad_ captured too
+        // made gossip's component phase 7% slower, and through a shared
+        // slot helper 15%.
+        colocation_pass(
+            colocation_, positions, dsu,
+            [width = stride_](grid::Point p) { return std::int64_t{p.y} * width + p.x; },
+            [](grid::NodeId, std::int32_t) {}, [this](std::int32_t a) { link(a); });
         return;
     }
     // smn-lint: allow(wall-clock) timing-only telemetry, gated behind timing_
@@ -148,24 +154,19 @@ spatial::ColocationTable::Pass VisibilityGraphBuilder::index_pass(
     auto* bits = occupied_bits_.data();
     auto* agents = occupied_agents_.data();
     auto* bitmap = bitmap_.data();
-    const auto pass = colocation_.begin_pass();
     std::size_t n = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-        const auto p = positions[i];
-        const auto bit = pad_ + std::int64_t{p.y} * stride_ + p.x;
-        const auto a = static_cast<std::int32_t>(i);
-        const auto first = pass.claim(bit, a);
-        if (first == spatial::kNone) {
+    const auto slot_of = [pad = pad_, stride = stride_](grid::Point p) {
+        return pad + std::int64_t{p.y} * stride + p.x;
+    };
+    const auto pass = colocation_pass(
+        colocation_, positions, dsu, slot_of,
+        [&](grid::NodeId bit, std::int32_t a) {
             bitmap[bit >> 3] |= static_cast<std::uint8_t>(1u << (bit & 7));
             bits[n] = static_cast<std::uint64_t>(bit);
             agents[n] = a;
             ++n;
-            continue;
-        }
-        link(first);
-        link(a);
-        (void)dsu.unite_root(first, a);
-    }
+        },
+        [this](std::int32_t a) { link(a); });
     occupied_units_ = static_cast<std::int64_t>(n);
     return pass;
 }
@@ -260,57 +261,29 @@ void VisibilityGraphBuilder::build_naive(std::span<const grid::Point> positions,
     }
 }
 
-void component_stats(DisjointSets& dsu, ComponentStats& out,
-                     std::vector<std::int64_t>& root_size_scratch) {
-    out.component_count = 0;
-    out.max_size = 0;
-    out.mean_size = 0.0;
-    out.largest_fraction = 0.0;
-    out.size_histogram.clear();
+ComponentStats component_stats(DisjointSets& dsu) {
+    ComponentStats out;
     const auto k = dsu.element_count();
-    if (k == 0) return;
+    if (k == 0) return out;
 
-    root_size_scratch.assign(k, 0);
+    std::vector<std::int64_t> root_size(k, 0);
     for (std::size_t a = 0; a < k; ++a) {
-        ++root_size_scratch[static_cast<std::size_t>(dsu.find(static_cast<std::int32_t>(a)))];
+        ++root_size[static_cast<std::size_t>(dsu.find(static_cast<std::int32_t>(a)))];
     }
 
-    std::int64_t count = 0;
-    std::int64_t max_size = 0;
-    for (const auto s : root_size_scratch) {
+    for (const auto s : root_size) {
         if (s == 0) continue;
-        ++count;
-        max_size = std::max(max_size, s);
+        ++out.component_count;
+        out.max_size = std::max(out.max_size, s);
     }
-    out.component_count = count;
-    out.max_size = max_size;
-    out.mean_size = static_cast<double>(k) / static_cast<double>(count);
-    out.largest_fraction = static_cast<double>(max_size) / static_cast<double>(k);
+    out.mean_size = static_cast<double>(k) / static_cast<double>(out.component_count);
+    out.largest_fraction = static_cast<double>(out.max_size) / static_cast<double>(k);
 
-    out.size_histogram.assign(static_cast<std::size_t>(max_size) + 1, 0);
-    for (const auto s : root_size_scratch) {
+    out.size_histogram.assign(static_cast<std::size_t>(out.max_size) + 1, 0);
+    for (const auto s : root_size) {
         if (s > 0) ++out.size_histogram[static_cast<std::size_t>(s)];
     }
-}
-
-ComponentStats component_stats(DisjointSets& dsu) {
-    ComponentStats stats;
-    std::vector<std::int64_t> scratch;
-    component_stats(dsu, stats, scratch);
-    return stats;
-}
-
-void component_labels(DisjointSets& dsu, std::vector<std::int32_t>& out) {
-    out.resize(dsu.element_count());
-    for (std::size_t a = 0; a < out.size(); ++a) {
-        out[a] = dsu.find(static_cast<std::int32_t>(a));
-    }
-}
-
-std::vector<std::int32_t> component_labels(DisjointSets& dsu) {
-    std::vector<std::int32_t> labels;
-    component_labels(dsu, labels);
-    return labels;
+    return out;
 }
 
 }  // namespace smn::graph

@@ -10,11 +10,13 @@
 // Every radius runs one node-indexed pass, O(k) below r_c:
 //
 //  * Co-location — one pass over the agents through the stamped node table
-//             (spatial::ColocationTable): the first agent seen on a node
-//             absorbs every later one. At r = 0 that is the whole pass.
-//  * r ≥ 1  — the co-location pass also sets each occupied node's bit in a
-//             one-bit-per-node occupancy bitmap, padded so that no window
-//             clips; the node table is indexed by that padded bit. Each
+//             (spatial::ColocationTable), colocation_pass(), the library's
+//             only claim loop: the first agent seen on a node absorbs every
+//             later one. At r = 0 that is the whole pass.
+//  * r ≥ 1  — the same loop's first-claim hook also sets each occupied
+//             node's bit in a one-bit-per-node occupancy bitmap, padded so
+//             that no window clips; at every radius the node table is
+//             indexed by that padded bit (unpadded at r = 0). Each
 //             node's first agent then reads its forward half-neighbourhood
 //             from the bitmap — (x, x + h(0)] on its own row and
 //             [x − h(dy), x + h(dy)] on rows y + 1 … y + r, h being the
@@ -176,12 +178,12 @@ private:
         }
     }
 
-    grid::Grid2D grid_;
     std::int64_t radius_;
     grid::Metric metric_;
     std::int64_t pad_;     ///< r >= 1: bitmap bits before row 0's node 0, and after each row
-    std::int64_t stride_;  ///< r >= 1: bitmap bits per row
-    /// Node → first agent; at r >= 1 indexed by the node's bitmap bit.
+    std::int64_t stride_;  ///< bitmap bits per row (the width at r = 0)
+    /// Node → first agent, indexed by pad_ + y·stride_ + x: the node's
+    /// bitmap bit at r >= 1, its node id at r = 0.
     spatial::ColocationTable colocation_;
     std::vector<std::uint8_t> bitmap_;  ///< r >= 1: node occupancy, 1 bit per node
     std::vector<Window> windows_;       ///< r >= 1: every node's window loads
@@ -205,19 +207,23 @@ private:
 };
 
 /// The co-location pass over `table` (any BasicColocationTable, so tests
-/// can reach the stamp wrap): the first agent to claim a node absorbs every
-/// later one, and `link` gets both ends of every union. `dsu` must hold
-/// positions.size() singletons. Returns the pass, whose claims stay
-/// readable until the table's next pass.
-template <typename Table, typename Link>
-auto colocation_pass(Table& table, const grid::Grid2D& grid,
-                     std::span<const grid::Point> positions, DisjointSets& dsu, Link&& link) {
+/// can reach the stamp wrap): each agent claims `slot_of(p)` for its
+/// position p; the first claimant of a slot gets `on_first(slot, agent)`,
+/// and absorbs every later one, `link` getting both ends of every union.
+/// `dsu` must hold positions.size() singletons. Returns the pass, whose
+/// claims stay readable until the table's next pass.
+template <typename Table, typename SlotOf, typename OnFirst, typename Link>
+auto colocation_pass(Table& table, std::span<const grid::Point> positions, DisjointSets& dsu,
+                     SlotOf&& slot_of, OnFirst&& on_first, Link&& link) {
     const auto pass = table.begin_pass();
     const auto k = static_cast<std::int32_t>(positions.size());
     for (std::int32_t a = 0; a < k; ++a) {
-        const auto p = positions[static_cast<std::size_t>(a)];
-        const auto first = pass.claim(grid.node_id(p), a);
-        if (first == spatial::kNone) continue;
+        const auto slot = slot_of(positions[static_cast<std::size_t>(a)]);
+        const auto first = pass.claim(slot, a);
+        if (first == spatial::kNone) {
+            on_first(slot, a);
+            continue;
+        }
         link(first);
         link(a);
         (void)dsu.unite_root(first, a);
@@ -239,20 +245,7 @@ struct ComponentStats {
     }
 };
 
-/// Computes statistics of the partition currently held by `dsu` into `out`,
-/// reusing out.size_histogram and the caller-provided per-root size scratch
-/// (resized as needed) — the allocation-free form for per-step callers.
-void component_stats(DisjointSets& dsu, ComponentStats& out,
-                     std::vector<std::int64_t>& root_size_scratch);
-
-/// Allocating convenience form of the above.
+/// Computes statistics of the partition currently held by `dsu`.
 [[nodiscard]] ComponentStats component_stats(DisjointSets& dsu);
-
-/// Extracts the component label (root id) of each agent into `out` (resized
-/// to the element count). Labels are root agent ids, not compacted.
-void component_labels(DisjointSets& dsu, std::vector<std::int32_t>& out);
-
-/// Allocating convenience form of the above.
-[[nodiscard]] std::vector<std::int32_t> component_labels(DisjointSets& dsu);
 
 }  // namespace smn::graph

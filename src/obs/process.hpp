@@ -1,9 +1,8 @@
 // process.hpp — process-level resource gauges.
 //
 // One query today: peak resident set size, behind the records'
-// process.peak_rss_bytes and process.rss_bytes_per_agent counters. Read
-// at quiescent points (end of a sweep pass); it is a syscall, not a
-// hot-path tally.
+// process.peak_rss_bytes counter. Read at quiescent points (end of a sweep
+// pass); it is a syscall, not a hot-path tally.
 #pragma once
 
 #include <cstdint>

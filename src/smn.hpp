@@ -40,7 +40,6 @@
 #include "models/colocation.hpp"    // r = 0 broadcast on torus, barrier and churn domains
 #include "models/coverage.hpp"      // T_C and k-walk cover time
 #include "models/dense_markov.hpp"  // Clementi et al. [7, 8] baseline
-#include "models/frog.hpp"          // Frog model
 #include "models/predator_prey.hpp"
 
 // Visualization

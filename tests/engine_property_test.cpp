@@ -50,6 +50,7 @@ TEST_P(EngineSweep, StructuralInvariantsHold) {
     EXPECT_GE(prev_informed, 1);  // source always informed
 
     const std::int64_t budget = 100000;
+    graph::DisjointSets dsu{0};
     while (!process.complete() && process.time() < budget) {
         // Positions before the step (for the at-most-one-move check).
         std::vector<grid::Point> before(process.agents().positions().begin(),
@@ -68,8 +69,10 @@ TEST_P(EngineSweep, StructuralInvariantsHold) {
         EXPECT_LE(informed, p.k);
         prev_informed = informed;
         // (3) Component exchange is exhaustive: agents sharing a component
-        // with an informed agent must be informed *after* the exchange.
-        auto& dsu = process.components();
+        // of G_t(r) (the reference builder's, from the positions alone) with
+        // an informed agent must be informed *after* the exchange.
+        graph::VisibilityGraphBuilder::build_naive(process.agents().positions(), cfg.radius,
+                                                   cfg.metric, dsu);
         for (std::int32_t a = 0; a < p.k; ++a) {
             for (std::int32_t b = 0; b < p.k; ++b) {
                 if (process.rumor().is_informed(a) && dsu.same(a, b)) {

@@ -627,7 +627,6 @@ TEST(JsonlWriter, CountersAreOptInAndDivertedFromObsMetrics) {
     // Pass-level injections ride along once any obs.* metric was reported.
     EXPECT_TRUE(result.counters.contains("pool.units"));
     EXPECT_TRUE(result.counters.contains("process.peak_rss_bytes"));
-    EXPECT_TRUE(result.counters.contains("process.rss_bytes_per_agent"));
 
     std::ostringstream plain;
     exp::JsonlWriter{plain}.write(result);
@@ -1208,7 +1207,6 @@ TEST(EngineScenarioCounters, RecordsCarryEveryEnginesCountersAtAnyThreadCount) {
         EXPECT_GT(counters.at("walk.blocks_decoded"), 0.0) << where;
         EXPECT_GT(counters.at("exchange.linked"), 0.0) << where;
         EXPECT_TRUE(serial.counters.contains("pool.units")) << where;
-        EXPECT_GT(serial.counters.at("process.rss_bytes_per_agent"), 0.0) << where;
         // Timers are opt-in: the tracing engine's are on, yet an untimed
         // sink gets no phases.
         EXPECT_TRUE(serial.phase_seconds.empty()) << where;

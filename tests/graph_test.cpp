@@ -666,7 +666,8 @@ INSTANTIATE_TEST_SUITE_P(RadiiMetrics, VisibilityLinked, ::testing::ValuesIn(lin
 // The r = 0 pass over a table whose 8-bit stamp wraps every 255 passes:
 // the builds before the wrap, at it and after it (600 over walking agents,
 // every seventh with half of them) must give build_naive's partition and
-// link exactly the members of its non-singleton components.
+// link exactly the members of its non-singleton components. Its first-claim
+// hook must name each occupied node once, with the node's lowest-index agent.
 TEST(VisibilityColocation, NarrowStampWrapMatchesNaive) {
     const auto g = Grid2D::square(32);
     spatial::BasicColocationTable<std::uint8_t> table{g.size()};
@@ -681,8 +682,19 @@ TEST(VisibilityColocation, NarrowStampWrapMatchesNaive) {
         const std::span<const Point> now{pos.data(), agents};
         fast.reset(agents);
         std::set<std::int32_t> linked;
-        colocation_pass(table, g, now, fast, [&](std::int32_t a) { linked.insert(a); });
+        std::vector<std::pair<grid::NodeId, std::int32_t>> firsts;
+        colocation_pass(
+            table, now, fast, [&](Point p) { return g.node_id(p); },
+            [&](grid::NodeId node, std::int32_t a) { firsts.emplace_back(node, a); },
+            [&](std::int32_t a) { linked.insert(a); });
         ASSERT_EQ(table.stamp(), (build - 1) % 255 + 1);
+        std::vector<std::pair<grid::NodeId, std::int32_t>> expected_firsts;
+        std::set<grid::NodeId> seen;
+        for (std::int32_t a = 0; a < static_cast<std::int32_t>(agents); ++a) {
+            const auto node = g.node_id(now[static_cast<std::size_t>(a)]);
+            if (seen.insert(node).second) expected_firsts.emplace_back(node, a);
+        }
+        ASSERT_EQ(firsts, expected_firsts) << "build " << build;
         VisibilityGraphBuilder::build_naive(now, 0, Metric::kManhattan, slow);
         ASSERT_EQ(canonical(fast), canonical(slow)) << "build " << build;
         std::set<std::int32_t> expected;
@@ -735,46 +747,6 @@ TEST(Stats, HistogramCountsTimesSizesSumToK) {
         total += static_cast<std::int64_t>(size) * s.size_histogram[size];
     }
     EXPECT_EQ(total, 30);
-}
-
-TEST(Stats, ComponentLabelsPartitionAgents) {
-    DisjointSets dsu{10};
-    dsu.unite(0, 5);
-    dsu.unite(5, 7);
-    const auto labels = component_labels(dsu);
-    EXPECT_EQ(labels.size(), 10u);
-    EXPECT_EQ(labels[0], labels[5]);
-    EXPECT_EQ(labels[0], labels[7]);
-    EXPECT_NE(labels[0], labels[1]);
-}
-
-// The buffer-reusing overloads must agree with the allocating forms, and
-// must fully overwrite whatever a previous call left in the buffers.
-TEST(Stats, BufferReusingOverloadsMatchAllocatingForms) {
-    rng::Rng rng{17};
-    ComponentStats reused;
-    std::vector<std::int64_t> scratch;
-    std::vector<std::int32_t> labels_reused;
-    for (const std::size_t k : {1u, 7u, 30u, 13u}) {  // shrinking sizes too
-        DisjointSets dsu{k};
-        for (std::size_t i = 0; i + 1 < k; ++i) {
-            if (rng.below(2) == 0) {
-                dsu.unite(static_cast<std::int32_t>(rng.below(k)),
-                          static_cast<std::int32_t>(rng.below(k)));
-            }
-        }
-        const auto fresh = component_stats(dsu);
-        component_stats(dsu, reused, scratch);
-        EXPECT_EQ(reused.component_count, fresh.component_count);
-        EXPECT_EQ(reused.max_size, fresh.max_size);
-        EXPECT_DOUBLE_EQ(reused.mean_size, fresh.mean_size);
-        EXPECT_DOUBLE_EQ(reused.largest_fraction, fresh.largest_fraction);
-        EXPECT_EQ(reused.size_histogram, fresh.size_histogram);
-        EXPECT_EQ(reused.singletons(), fresh.singletons());
-
-        component_labels(dsu, labels_reused);
-        EXPECT_EQ(labels_reused, component_labels(dsu));
-    }
 }
 
 // ------------------------------------------------------------- percolation

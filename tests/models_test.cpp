@@ -8,7 +8,7 @@
 
 #include "models/coverage.hpp"
 #include "models/dense_markov.hpp"
-#include "models/frog.hpp"
+#include "core/broadcast.hpp"
 #include "models/predator_prey.hpp"
 #include "walk/ensemble.hpp"
 
@@ -22,7 +22,8 @@ TEST(Frog, CompletesOnSmallSystem) {
     cfg.side = 10;
     cfg.k = 6;
     cfg.seed = 1;
-    const auto result = run_frog_broadcast(cfg, {.max_steps = 2000000});
+    cfg.mobility = core::Mobility::kInformedOnly;
+    const auto result = core::run_broadcast(cfg, {.max_steps = 2000000});
     EXPECT_TRUE(result.completed);
     EXPECT_GE(result.broadcast_time, 0);
     EXPECT_EQ(result.config.mobility, core::Mobility::kInformedOnly);
@@ -34,7 +35,9 @@ TEST(Frog, OverridesMobilityEvenIfCallerSetsAllMove) {
     cfg.k = 4;
     cfg.mobility = core::Mobility::kAllMove;
     cfg.seed = 2;
-    const auto result = run_frog_broadcast(cfg, {.max_steps = 2000000});
+    // The Frog model is the broadcast engine with its mobility switched.
+    cfg.mobility = core::Mobility::kInformedOnly;
+    const auto result = core::run_broadcast(cfg, {.max_steps = 2000000});
     EXPECT_EQ(result.config.mobility, core::Mobility::kInformedOnly);
 }
 
@@ -50,7 +53,9 @@ TEST(Frog, SlowerThanDynamicOnAverage) {
     constexpr int kReps = 12;
     for (std::uint64_t seed = 1; seed <= kReps; ++seed) {
         cfg.seed = seed;
-        const auto frog = run_frog_broadcast(cfg, {.max_steps = 4000000});
+        cfg.mobility = core::Mobility::kInformedOnly;
+        const auto frog = core::run_broadcast(cfg, {.max_steps = 4000000});
+        cfg.mobility = core::Mobility::kAllMove;
         const auto dyn = core::run_broadcast(cfg, {.max_steps = 4000000});
         ASSERT_TRUE(frog.completed && dyn.completed);
         frog_total += static_cast<double>(frog.broadcast_time);
